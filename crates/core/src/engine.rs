@@ -22,7 +22,7 @@ use crate::prepare::{
 };
 use crate::profile::ProfileReport;
 use polyview_eval::{decode_machine, encode_machine, Machine, Profile, Value};
-use polyview_obs::{Clock, Counter, Histogram, Registry, Span, TraceSink, Tracer};
+use polyview_obs::{Clock, Counter, EventSink, Histogram, Registry, Span, Tracer};
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
 use polyview_syntax::{sugar, ClassDef, Expr, Kind, Label, Mono, Name, Scheme, TyVar};
@@ -30,6 +30,7 @@ use polyview_trans::{lower_binding, lower_statement, IndexSig, LowerStats};
 use polyview_types::{builtins_sig, generalize, infer, Infer, TypeEnv, TypeTable};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// What a declaration-log replay did ([`Engine::replay`] /
 /// [`Engine::from_log`]): entries applied, and how many of them failed
@@ -52,10 +53,10 @@ pub enum Outcome {
 }
 
 /// Handles into the engine's metrics registry, resolved once at
-/// construction so the hot paths pay a `Cell` bump per event and never hash
-/// a metric name. The last block mirrors counters owned by the inference
-/// context and the machine; they are synced into the registry only at
-/// export time ([`Engine::metrics_json`]).
+/// construction so the hot paths pay one relaxed atomic update per event
+/// and never hash a metric name. The last block mirrors counters owned by
+/// the inference context and the machine; they are synced into the
+/// registry only at export time ([`Engine::metrics_json`]).
 struct PhaseMetrics {
     parses: Counter,
     inferences: Counter,
@@ -130,15 +131,15 @@ impl PhaseMetrics {
 ///
 /// Every engine carries an observability layer (DESIGN.md §9): a metrics
 /// [`Registry`] always collecting phase latencies and pipeline counters,
-/// and a [`Tracer`] that additionally emits per-phase span records to a
-/// [`TraceSink`] when enabled ([`Engine::set_trace_sink`] /
+/// and a [`Tracer`] that additionally emits per-phase `engine.*` event
+/// records to an [`EventSink`] when enabled ([`Engine::set_trace_sink`] /
 /// [`Engine::set_tracing`]).
 pub struct Engine {
     cx: Infer,
     tenv: TypeEnv,
     machine: Machine,
     stmts: StmtCache,
-    metrics: Rc<Registry>,
+    metrics: Registry,
     tracer: Tracer,
     phases: PhaseMetrics,
     /// Bumped by every declaration (`val`/`fun`/`class`). Staleness of
@@ -182,7 +183,7 @@ impl Default for Engine {
 
 impl Engine {
     pub fn new() -> Self {
-        let metrics = Rc::new(Registry::new());
+        let metrics = Registry::new();
         let phases = PhaseMetrics::new(&metrics);
         Engine {
             cx: Infer::new(),
@@ -394,7 +395,7 @@ impl Engine {
     ) -> Result<T, Error> {
         self.phases.inferences.inc();
         let before = self.cx.stats();
-        let mut span = self.tracer.span("infer");
+        let mut span = self.tracer.span("engine.infer");
         let r = f(&mut self.cx, &mut self.tenv);
         let after = self.cx.stats();
         span.attr("unify_steps", after.unify_steps - before.unify_steps);
@@ -412,7 +413,7 @@ impl Engine {
     /// Evaluate an expression as the timed "eval" phase.
     fn eval_phase(&mut self, e: &Expr) -> Result<Value, Error> {
         let before = self.machine.stats();
-        let mut span = self.tracer.span("eval");
+        let mut span = self.tracer.span("engine.eval");
         let r = self.machine.eval_global(e);
         let after = self.machine.stats();
         span.attr("fuel", after.fuel_consumed - before.fuel_consumed);
@@ -437,7 +438,7 @@ impl Engine {
     /// Execute a program: a sequence of declarations.
     pub fn exec(&mut self, src: &str) -> Result<Vec<Outcome>, Error> {
         self.phases.parses.inc();
-        let span = self.tracer.span("parse");
+        let span = self.tracer.span("engine.parse");
         let (decls, ps) = parse_program_counted(src)?;
         self.note_parse(span, ps);
         let mut out = Vec::with_capacity(decls.len());
@@ -553,7 +554,7 @@ impl Engine {
         f: impl FnOnce(&TypeTable, &HashMap<Name, Rc<IndexSig>>) -> (T, LowerStats),
     ) -> Option<(T, LowerStats, u64)> {
         let table = self.cx.take_table()?;
-        let mut span = self.tracer.span("lower");
+        let mut span = self.tracer.span("engine.lower");
         let (out, stats) = f(&table, &self.index_sigs);
         self.phases.lower_offsets.add(stats.offsets_resolved);
         self.phases.lower_residue.add(stats.dynamic_residue);
@@ -619,7 +620,7 @@ impl Engine {
 
     fn parse_counted(&mut self, src: &str) -> Result<Expr, Error> {
         self.phases.parses.inc();
-        let span = self.tracer.span("parse");
+        let span = self.tracer.span("engine.parse");
         let (ast, ps) = parse_expr_counted(src)?;
         self.note_parse(span, ps);
         Ok(ast)
@@ -704,15 +705,16 @@ impl Engine {
     /// [`polyview_obs::ManualClock`] for deterministic phase timings in
     /// tests). The evaluation profiler is wired to the same clock, so one
     /// injection makes phase timings *and* profile trees deterministic.
-    pub fn set_clock(&mut self, clock: Rc<dyn Clock>) {
-        self.machine.set_profile_clock(Rc::clone(&clock));
+    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
+        self.machine.set_profile_clock(Arc::clone(&clock));
         self.tracer.set_clock(clock);
     }
 
     /// Install a trace sink and enable span emission. Phase timings and
     /// histograms are always collected; the sink only receives the
-    /// per-phase [`polyview_obs::SpanRecord`]s.
-    pub fn set_trace_sink(&mut self, sink: Rc<dyn TraceSink>) {
+    /// per-phase [`polyview_obs::EventRecord`]s (`engine.parse`,
+    /// `engine.infer`, `engine.lower`, `engine.translate`, `engine.eval`).
+    pub fn set_trace_sink(&mut self, sink: Arc<dyn EventSink>) {
         self.tracer.set_sink(sink);
     }
 
@@ -726,18 +728,21 @@ impl Engine {
         self.tracer.is_enabled()
     }
 
-    /// Stamp every subsequent phase span with `key = value` as its first
-    /// attribute, until [`Engine::clear_span_tag`]. An embedding layer
-    /// (the serving pool) uses this to tag parse/infer/translate/eval
-    /// spans with the request they run on behalf of, so one trace id
-    /// stitches the router's and the replica's views together.
-    pub fn set_span_tag(&mut self, key: impl Into<String>, value: u64) {
-        self.tracer.set_tag(Some((key.into(), value)));
+    /// Set (or clear, with `None`) the request subsequent phase spans run
+    /// on behalf of: while set, every emitted record carries it as its
+    /// `trace_id` and `parent`; while clear, records carry `trace_id` 0
+    /// and no parent. An embedding layer (the serving pool) sets it per
+    /// request, so one trace id stitches the router's and the replica's
+    /// views together.
+    pub fn set_trace_id(&mut self, trace_id: Option<u64>) {
+        self.tracer.set_trace_id(trace_id);
     }
 
-    /// Stop stamping phase spans (see [`Engine::set_span_tag`]).
-    pub fn clear_span_tag(&mut self) {
-        self.tracer.set_tag(None);
+    /// Attributes appended to every emitted phase span, after the span's
+    /// own — set once by an embedding layer to identify the emitter (a
+    /// pool replica's `worker` and `generation`).
+    pub fn set_trace_attrs(&mut self, attrs: Vec<(String, u64)>) {
+        self.tracer.set_attrs(attrs);
     }
 
     /// Compile and run `src` with every phase timed and its work counters
@@ -759,7 +764,7 @@ impl Engine {
         }
 
         self.phases.parses.inc();
-        let span = self.tracer.span("parse");
+        let span = self.tracer.span("engine.parse");
         let (ast, ps) = parse_expr_counted(src)?;
         let parse_ns = self.note_parse(span, ps);
 
@@ -768,7 +773,7 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let mut span = self.tracer.span("infer");
+        let mut span = self.tracer.span("engine.infer");
         let scheme_res = self.cx.infer_scheme(&mut self.tenv, &ast);
         let i = {
             let after = self.cx.stats();
@@ -806,7 +811,7 @@ impl Engine {
             None
         };
 
-        let mut span = self.tracer.span("translate");
+        let mut span = self.tracer.span("engine.translate");
         let (_core, ts) = polyview_trans::translate_measured(&ast);
         span.attr("core_nodes", ts.translated_size);
         let translate_ns = span.finish(&self.tracer);
@@ -814,7 +819,7 @@ impl Engine {
         self.phases.translated_size.observe(ts.translated_size);
 
         let m_before = self.machine.stats();
-        let mut span = self.tracer.span("eval");
+        let mut span = self.tracer.span("engine.eval");
         let v_res = self.machine.eval_global(code.as_deref().unwrap_or(&ast));
         let m = {
             let after = self.machine.stats();
@@ -1319,7 +1324,7 @@ impl Engine {
     pub fn translate_expr(&mut self, src: &str) -> Result<Expr, Error> {
         let e = self.parse_counted(src)?;
         self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))?;
-        let mut span = self.tracer.span("translate");
+        let mut span = self.tracer.span("engine.translate");
         let (core, ts) = polyview_trans::translate_measured(&e);
         span.attr("core_nodes", ts.translated_size);
         let dur = span.finish(&self.tracer);

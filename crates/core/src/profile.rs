@@ -14,7 +14,7 @@
 
 use crate::explain::ns;
 use polyview_eval::{Profile, ProfileNode};
-use polyview_obs::json_escape;
+use polyview_obs::jsonl::ObjectBuilder;
 use polyview_syntax::Scheme;
 
 /// How many hot-node rows the `Display` table shows.
@@ -51,78 +51,70 @@ impl ProfileReport {
     /// Render as JSON lines: `profile.node` (one per tree node, parents
     /// before children, with the ancestor path), `profile.fallback_site`,
     /// `profile.view_recompute`, and a closing `profile.summary`. Field
-    /// order is fixed — goldens pin it — and strings go through the same
-    /// [`json_escape`] as the metrics registry.
+    /// order is fixed — goldens pin it — and every line renders through
+    /// the same [`ObjectBuilder`] as the metrics registry.
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        let mut path: Vec<String> = Vec::new();
+        fn line(out: &mut String, obj: ObjectBuilder) {
+            out.push_str(&obj.finish());
+            out.push('\n');
+        }
         fn node_lines(n: &ProfileNode, path: &mut Vec<String>, out: &mut String) {
-            out.push_str("{\"kind\":\"profile.node\",\"path\":[");
-            for (i, p) in path.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                json_escape(p, out);
-                out.push('"');
-            }
-            out.push_str("],\"node\":\"");
-            json_escape(n.kind, out);
-            out.push_str("\",\"span\":\"");
-            json_escape(&n.span, out);
-            out.push_str("\",\"hits\":");
-            out.push_str(&n.hits.to_string());
-            out.push_str(",\"total_ns\":");
-            out.push_str(&n.total_ns.to_string());
-            out.push_str(",\"self_ns\":");
-            out.push_str(&n.self_ns.to_string());
-            out.push_str(",\"env_hops\":");
-            out.push_str(&n.env_hops.to_string());
-            out.push_str("}\n");
+            line(
+                out,
+                ObjectBuilder::new()
+                    .field_str("kind", "profile.node")
+                    .field_str_array("path", path)
+                    .field_str("node", n.kind)
+                    .field_str("span", &n.span)
+                    .field_u64("hits", n.hits)
+                    .field_u64("total_ns", n.total_ns)
+                    .field_u64("self_ns", n.self_ns)
+                    .field_u64("env_hops", n.env_hops),
+            );
             path.push(format!("{} {}", n.kind, n.span));
             for c in &n.children {
                 node_lines(c, path, out);
             }
             path.pop();
         }
+        let mut out = String::new();
+        let mut path: Vec<String> = Vec::new();
         for r in &self.profile.roots {
             node_lines(r, &mut path, &mut out);
         }
         for s in &self.profile.fallback_sites {
-            out.push_str("{\"kind\":\"profile.fallback_site\",\"site\":\"");
-            json_escape(s.kind, &mut out);
-            out.push_str("\",\"span\":\"");
-            json_escape(&s.span, &mut out);
-            out.push_str("\",\"label\":\"");
-            json_escape(&s.label, &mut out);
-            out.push_str("\",\"count\":");
-            out.push_str(&s.count.to_string());
-            out.push_str("}\n");
+            line(
+                &mut out,
+                ObjectBuilder::new()
+                    .field_str("kind", "profile.fallback_site")
+                    .field_str("site", s.kind)
+                    .field_str("span", &s.span)
+                    .field_str("label", &s.label)
+                    .field_u64("count", s.count),
+            );
         }
         for v in &self.profile.view_recomputes {
-            out.push_str("{\"kind\":\"profile.view_recompute\",\"class\":\"");
-            json_escape(&self.class_name(v.class), &mut out);
-            out.push_str("\",\"class_id\":");
-            out.push_str(&v.class.to_string());
-            out.push_str(",\"recomputes\":");
-            out.push_str(&v.recomputes.to_string());
-            out.push_str(",\"cache_hits\":");
-            out.push_str(&v.cache_hits.to_string());
-            out.push_str(",\"rows_scanned\":");
-            out.push_str(&v.rows_scanned.to_string());
-            out.push_str(",\"invalidating_epoch\":");
-            out.push_str(&v.invalidating_epoch.to_string());
-            out.push_str("}\n");
+            line(
+                &mut out,
+                ObjectBuilder::new()
+                    .field_str("kind", "profile.view_recompute")
+                    .field_str("class", &self.class_name(v.class))
+                    .field_u64("class_id", v.class as u64)
+                    .field_u64("recomputes", v.recomputes)
+                    .field_u64("cache_hits", v.cache_hits)
+                    .field_u64("rows_scanned", v.rows_scanned)
+                    .field_u64("invalidating_epoch", v.invalidating_epoch),
+            );
         }
-        out.push_str("{\"kind\":\"profile.summary\",\"statement\":\"");
-        json_escape(&self.src, &mut out);
-        out.push_str("\",\"eval_ns\":");
-        out.push_str(&self.eval_ns.to_string());
-        out.push_str(",\"nodes\":");
-        out.push_str(&self.profile.node_count().to_string());
-        out.push_str(",\"truncated_frames\":");
-        out.push_str(&self.profile.truncated_frames.to_string());
-        out.push_str("}\n");
+        line(
+            &mut out,
+            ObjectBuilder::new()
+                .field_str("kind", "profile.summary")
+                .field_str("statement", &self.src)
+                .field_u64("eval_ns", self.eval_ns)
+                .field_u64("nodes", self.profile.node_count())
+                .field_u64("truncated_frames", self.profile.truncated_frames),
+        );
         out
     }
 

@@ -34,6 +34,7 @@ use polyview_obs::Clock;
 use polyview_syntax::Expr;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Character cap on a rendered node span (whole node renderings can be
 /// arbitrarily large; the profile only needs enough to recognize the
@@ -353,7 +354,7 @@ struct Frame {
 /// [`crate::Machine`]. Frames mirror the `eval_in` recursion; `finish`
 /// converts the arena into a [`Profile`].
 pub(crate) struct Profiler {
-    clock: Rc<dyn Clock>,
+    clock: Arc<dyn Clock>,
     nodes: Vec<BuildNode>,
     roots: Vec<usize>,
     root_index: HashMap<usize, usize>,
@@ -370,7 +371,7 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
-    pub(crate) fn new(clock: Rc<dyn Clock>) -> Self {
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Self {
         Profiler {
             clock,
             nodes: Vec::new(),
@@ -580,7 +581,7 @@ mod tests {
         // Shape: outer(inner, inner) under a step-1 clock; every frame
         // costs exactly 1ns of measured time per enter/exit pair... the
         // arithmetic is easiest checked through the invariant.
-        let clock = Rc::new(ManualClock::with_step(10));
+        let clock = Arc::new(ManualClock::with_step(10));
         let mut p = Profiler::new(clock);
         let outer = Expr::int(1); // any nodes; identity is by address
         let inner = Expr::int(2);
@@ -607,7 +608,7 @@ mod tests {
 
     #[test]
     fn depth_cap_folds_into_deepest_frame() {
-        let clock = Rc::new(ManualClock::with_step(1));
+        let clock = Arc::new(ManualClock::with_step(1));
         let mut p = Profiler::new(clock);
         let e = Expr::int(0);
         let mut entered = 0;

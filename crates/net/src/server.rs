@@ -32,8 +32,8 @@
 use crate::proto::{self, Command, DEFAULT_MAX_FRAME_BYTES};
 use polyview::obs::jsonl::ObjectBuilder;
 use polyview::obs::{
-    EventRecord, EventSink, HistogramSnapshot, SharedClock, SharedCounter, SharedGauge,
-    SharedHistogram, SharedRegistry, SharedWallClock, WindowView,
+    Clock, Counter, EventRecord, EventSink, Gauge, Histogram, HistogramSnapshot, Registry,
+    WallClock, WindowView,
 };
 use polyview_pool::{BatchTicket, HealthReport, Pool, PoolConfig, Submit, Ticket};
 use std::collections::BTreeMap;
@@ -109,24 +109,24 @@ impl NetConfig {
     }
 }
 
-/// Server-side counters, backed by a [`SharedRegistry`] so
+/// Server-side counters, backed by a [`Registry`] so
 /// [`NetServer::metrics_json`] renders them alongside the pool's.
 struct Metrics {
-    registry: SharedRegistry,
-    conns_open: SharedGauge,
-    conns_accepted: SharedCounter,
-    rejected_busy: SharedCounter,
-    frames_decoded: SharedCounter,
-    frames_invalid: SharedCounter,
-    responses: SharedCounter,
-    watch_pushes: SharedCounter,
-    write_errors: SharedCounter,
-    read_to_decode_ns: SharedHistogram,
+    registry: Registry,
+    conns_open: Gauge,
+    conns_accepted: Counter,
+    rejected_busy: Counter,
+    frames_decoded: Counter,
+    frames_invalid: Counter,
+    responses: Counter,
+    watch_pushes: Counter,
+    write_errors: Counter,
+    read_to_decode_ns: Histogram,
 }
 
 impl Metrics {
     fn new() -> Metrics {
-        let registry = SharedRegistry::new();
+        let registry = Registry::new();
         Metrics {
             conns_open: registry.gauge("net.conns_open"),
             conns_accepted: registry.counter("net.conns_accepted"),
@@ -200,7 +200,7 @@ impl std::fmt::Display for NetStats {
 /// Clock + sink pair for `net.*` trace events; present only when the
 /// pool's telemetry is on, so the disabled path stays a no-op.
 struct NetTelemetry {
-    clock: Arc<dyn SharedClock>,
+    clock: Arc<dyn Clock>,
     sink: Arc<dyn EventSink>,
 }
 
@@ -225,7 +225,7 @@ struct Shared {
     /// Time source for the read→decode histogram. Aliases the pool's
     /// telemetry clock when telemetry is on (deterministic tests see
     /// manual time everywhere); otherwise a private wall clock.
-    clock: Arc<dyn SharedClock>,
+    clock: Arc<dyn Clock>,
     max_in_flight: usize,
     max_frame_bytes: usize,
     /// Per-write bound on a non-draining client ([`NetConfig::write_timeout_ms`]).
@@ -265,9 +265,9 @@ impl NetServer {
         } else {
             None
         };
-        let clock: Arc<dyn SharedClock> = match &telemetry {
+        let clock: Arc<dyn Clock> = match &telemetry {
             Some(t) => Arc::clone(&t.clock),
-            None => Arc::new(SharedWallClock::new()),
+            None => Arc::new(WallClock::new()),
         };
         let shared = Arc::new(Shared {
             pool: Mutex::new(pool),

@@ -1,21 +1,26 @@
 //! Time sources: wall-clock for production, a manual clock for tests.
 //!
-//! Everything downstream (spans, phase histograms) reads time through the
-//! [`Clock`] trait, so an engine can be handed a [`ManualClock`] and every
-//! reported duration becomes a deterministic function of the number of
-//! clock reads — the property the `:explain` integration tests assert.
+//! Everything downstream (spans, phase histograms, pool lifecycle events)
+//! reads time through the [`Clock`] trait, so an engine or a pool can be
+//! handed a [`ManualClock`] and every reported duration becomes a
+//! deterministic function of the number of clock reads — the property the
+//! `:explain` and pool-timeline integration tests assert. Clocks are
+//! `Send + Sync`: one `Arc<dyn Clock>` is shared by a pool's router, its
+//! workers, and every replica's engine, so all their events live on one
+//! timeline.
 
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotone nanosecond time source.
-pub trait Clock {
+pub trait Clock: Send + Sync {
     /// Nanoseconds since an arbitrary (per-clock) origin.
     fn now_ns(&self) -> u64;
 }
 
 /// [`std::time::Instant`]-backed clock; the origin is the moment of
 /// construction.
+#[derive(Debug)]
 pub struct WallClock {
     origin: Instant,
 }
@@ -47,12 +52,12 @@ impl Clock for WallClock {
 /// advanced manually in between).
 ///
 /// Reads are counted ([`ManualClock::reads`]) — the hook the "disabled
-/// profiling performs zero clock reads" assertions use (mirroring
-/// [`crate::SharedManualClock`], its cross-thread twin).
+/// profiling/tracing performs zero clock reads" assertions use.
+#[derive(Debug)]
 pub struct ManualClock {
-    now: Cell<u64>,
-    step: Cell<u64>,
-    reads: Cell<u64>,
+    now: AtomicU64,
+    step: u64,
+    reads: AtomicU64,
 }
 
 impl ManualClock {
@@ -64,31 +69,26 @@ impl ManualClock {
     /// A self-advancing clock: each read moves time forward by `step_ns`.
     pub fn with_step(step_ns: u64) -> Self {
         ManualClock {
-            now: Cell::new(0),
-            step: Cell::new(step_ns),
-            reads: Cell::new(0),
+            now: AtomicU64::new(0),
+            step: step_ns,
+            reads: AtomicU64::new(0),
         }
     }
 
     /// Move time forward explicitly.
     pub fn advance(&self, ns: u64) {
-        self.now.set(self.now.get().saturating_add(ns));
-    }
-
-    /// Change the per-read step.
-    pub fn set_step(&self, step_ns: u64) {
-        self.step.set(step_ns);
+        self.now.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// The current reading, without advancing.
     pub fn peek(&self) -> u64 {
-        self.now.get()
+        self.now.load(Ordering::Relaxed)
     }
 
     /// How many times [`Clock::now_ns`] has been called on this clock.
     /// `peek` and `advance` do not count.
     pub fn reads(&self) -> u64 {
-        self.reads.get()
+        self.reads.load(Ordering::Relaxed)
     }
 }
 
@@ -100,10 +100,8 @@ impl Default for ManualClock {
 
 impl Clock for ManualClock {
     fn now_ns(&self) -> u64 {
-        self.reads.set(self.reads.get() + 1);
-        let t = self.now.get();
-        self.now.set(t.saturating_add(self.step.get()));
-        t
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.now.fetch_add(self.step, Ordering::Relaxed)
     }
 }
 

@@ -16,8 +16,9 @@
 //!   [`JsonValue::as_u64`], …) so frame handlers read fields without
 //!   pattern-matching boilerplate.
 //! * [`ObjectBuilder`] renders a single-line JSON object with correct
-//!   string escaping — the encode half, shared by responses and any other
-//!   hand-rolled JSON-lines export.
+//!   string escaping — the encode half, and the only JSON encoder in the
+//!   workspace: wire responses, metric lines, trace events and profile
+//!   lines all render through it.
 
 /// Why a line failed validation. The offset is a byte position into the
 /// line, for error messages.
@@ -451,6 +452,25 @@ pub fn parse_object_line(line: &str) -> Result<Vec<(String, JsonValue)>, JsonErr
     Ok(members)
 }
 
+/// Minimal JSON string escaping (quotes, backslashes, control
+/// characters). Metric and span names are ASCII identifiers in practice,
+/// but the escape keeps every export well-formed for arbitrary input.
+fn json_escape(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
 /// Builds a single-line JSON object with correct string escaping — the
 /// encode half of the wire frame codec. Keys render in insertion order;
 /// the caller is responsible for not repeating them.
@@ -489,14 +509,14 @@ impl ObjectBuilder {
         }
         self.first = false;
         self.out.push('"');
-        crate::json_escape(key, &mut self.out);
+        json_escape(key, &mut self.out);
         self.out.push_str("\":");
     }
 
     pub fn field_str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
         self.out.push('"');
-        crate::json_escape(value, &mut self.out);
+        json_escape(value, &mut self.out);
         self.out.push('"');
         self
     }
@@ -521,7 +541,7 @@ impl ObjectBuilder {
                 self.out.push(',');
             }
             self.out.push('"');
-            crate::json_escape(item.as_ref(), &mut self.out);
+            json_escape(item.as_ref(), &mut self.out);
             self.out.push('"');
         }
         self.out.push(']');
@@ -546,6 +566,13 @@ impl ObjectBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escapes_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        json_escape("a\"b\\c\nd\u{1}", &mut out);
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
+    }
 
     #[test]
     fn accepts_our_export_shapes() {

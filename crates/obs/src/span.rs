@@ -1,58 +1,60 @@
 //! Spans and the tracer that times them.
 //!
-//! A [`Tracer`] bundles a [`Clock`] and a [`TraceSink`]. Starting a span
+//! A [`Tracer`] bundles a [`Clock`] and an [`EventSink`]. Starting a span
 //! reads the clock once; finishing it reads the clock again, returns the
 //! duration (callers feed it into a histogram), and — only when tracing is
-//! enabled — emits a [`SpanRecord`] to the sink. A span does not borrow
+//! enabled — emits an [`EventRecord`] to the sink. A span does not borrow
 //! the tracer while open, so the traced computation is free to take `&mut`
 //! over whatever owns the tracer.
+//!
+//! Two pieces of tracer state stamp every record it emits: the current
+//! trace id ([`Tracer::set_trace_id`] — the request the work runs on
+//! behalf of, written into `trace_id` and `parent`), and a fixed attribute
+//! slot ([`Tracer::set_attrs`] — e.g. a pool replica's `worker` and
+//! `generation`, appended after the span's own attributes).
 
 use crate::clock::{Clock, WallClock};
-use crate::sink::{NullSink, SpanRecord, TraceSink};
-use std::rc::Rc;
+use crate::sink::{EventRecord, EventSink, NullEventSink};
+use std::sync::Arc;
 
 /// Clock + sink + an on/off switch for record emission. Timing itself is
 /// always on; only the per-span records are gated.
 pub struct Tracer {
-    clock: Rc<dyn Clock>,
-    sink: Rc<dyn TraceSink>,
+    clock: Arc<dyn Clock>,
+    sink: Arc<dyn EventSink>,
     enabled: bool,
-    tag: Option<(String, u64)>,
+    trace_id: Option<u64>,
+    attrs: Vec<(String, u64)>,
 }
 
 impl Tracer {
     /// Wall clock, null sink, emission disabled — the production default.
     pub fn disabled() -> Self {
         Tracer {
-            clock: Rc::new(WallClock::new()),
-            sink: Rc::new(NullSink),
+            clock: Arc::new(WallClock::new()),
+            sink: Arc::new(NullEventSink),
             enabled: false,
-            tag: None,
+            trace_id: None,
+            attrs: Vec::new(),
         }
     }
 
-    pub fn new(clock: Rc<dyn Clock>, sink: Rc<dyn TraceSink>) -> Self {
+    pub fn new(clock: Arc<dyn Clock>, sink: Arc<dyn EventSink>) -> Self {
         Tracer {
             clock,
             sink,
             enabled: true,
-            tag: None,
+            trace_id: None,
+            attrs: Vec::new(),
         }
     }
 
-    pub fn set_clock(&mut self, clock: Rc<dyn Clock>) {
+    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
         self.clock = clock;
     }
 
-    /// A handle on the tracer's clock (shared, not copied) — so other
-    /// consumers of the same timeline (the evaluation profiler) can be
-    /// wired to it.
-    pub fn clock(&self) -> Rc<dyn Clock> {
-        Rc::clone(&self.clock)
-    }
-
     /// Install a sink and enable emission.
-    pub fn set_sink(&mut self, sink: Rc<dyn TraceSink>) {
+    pub fn set_sink(&mut self, sink: Arc<dyn EventSink>) {
         self.sink = sink;
         self.enabled = true;
     }
@@ -61,40 +63,34 @@ impl Tracer {
         self.enabled = enabled;
     }
 
-    /// Set (or clear, with `None`) a correlation tag. While set, every
-    /// span started by this tracer carries it as its first attribute —
-    /// this is how an embedding layer (the pool worker) stamps engine
-    /// phase spans with the request they run on behalf of.
-    pub fn set_tag(&mut self, tag: Option<(String, u64)>) {
-        self.tag = tag;
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Set (or clear, with `None`) the request every subsequent record
+    /// belongs to: a set id becomes the record's `trace_id` and `parent`;
+    /// while clear, records carry `trace_id` 0 and no parent.
+    pub fn set_trace_id(&mut self, trace_id: Option<u64>) {
+        self.trace_id = trace_id;
+    }
+
+    /// Fill the fixed attribute slot: these attributes are appended to
+    /// every record this tracer emits, after the span's own.
+    pub fn set_attrs(&mut self, attrs: Vec<(String, u64)>) {
+        self.attrs = attrs;
     }
 
     pub fn now_ns(&self) -> u64 {
         self.clock.now_ns()
     }
 
-    /// Start a span at the current clock reading. If a correlation tag is
-    /// set, the span starts with it as its first attribute.
-    pub fn span(&self, name: impl Into<String>) -> Span {
+    /// Start a span at the current clock reading.
+    pub fn span(&self, name: &'static str) -> Span {
         Span {
-            name: name.into(),
+            name,
             start_ns: self.clock.now_ns(),
-            attrs: self
-                .tag
-                .as_ref()
-                .map(|(k, v)| vec![(k.clone(), *v)])
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Emit a record (only when enabled).
-    pub fn emit(&self, record: &SpanRecord) {
-        if self.enabled {
-            self.sink.emit(record);
+            attrs: Vec::new(),
+            recording: self.enabled,
         }
     }
 }
@@ -103,18 +99,19 @@ impl Tracer {
 /// along the way. Finish with [`Span::finish`] to get the duration.
 #[derive(Clone, Debug)]
 pub struct Span {
-    name: String,
+    name: &'static str,
     start_ns: u64,
-    attrs: Vec<(String, u64)>,
+    attrs: Vec<(&'static str, u64)>,
+    /// Whether the tracer was emitting at start; attributes of a span
+    /// that will never be emitted are not collected.
+    recording: bool,
 }
 
 impl Span {
-    pub fn attr(&mut self, key: impl Into<String>, value: u64) {
-        self.attrs.push((key.into(), value));
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn attr(&mut self, key: &'static str, value: u64) {
+        if self.recording {
+            self.attrs.push((key, value));
+        }
     }
 
     /// Close the span against `tracer`: reads the clock, emits the record
@@ -122,11 +119,19 @@ impl Span {
     pub fn finish(self, tracer: &Tracer) -> u64 {
         let dur_ns = tracer.now_ns().saturating_sub(self.start_ns);
         if tracer.is_enabled() {
-            tracer.emit(&SpanRecord {
-                name: self.name,
+            let attrs = self
+                .attrs
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .chain(tracer.attrs.iter().cloned())
+                .collect();
+            tracer.sink.emit(&EventRecord {
+                name: self.name.to_string(),
+                trace_id: tracer.trace_id.unwrap_or(0),
+                parent: tracer.trace_id,
                 start_ns: self.start_ns,
                 dur_ns,
-                attrs: self.attrs,
+                attrs,
             });
         }
         dur_ns
@@ -137,12 +142,12 @@ impl Span {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use crate::sink::CollectingSink;
+    use crate::sink::CollectingEventSink;
 
     #[test]
     fn span_measures_clock_delta() {
-        let clock = Rc::new(ManualClock::new());
-        let tracer = Tracer::new(clock.clone(), Rc::new(NullSink));
+        let clock = Arc::new(ManualClock::new());
+        let tracer = Tracer::new(clock.clone(), Arc::new(NullEventSink));
         let sp = tracer.span("parse");
         clock.advance(250);
         assert_eq!(sp.finish(&tracer), 250);
@@ -150,23 +155,26 @@ mod tests {
 
     #[test]
     fn stepping_clock_gives_nonzero_spans() {
-        let tracer = Tracer::new(Rc::new(ManualClock::with_step(100)), Rc::new(NullSink));
+        let tracer = Tracer::new(
+            Arc::new(ManualClock::with_step(100)),
+            Arc::new(NullEventSink),
+        );
         let sp = tracer.span("infer");
         assert_eq!(sp.finish(&tracer), 100);
     }
 
     #[test]
     fn enabled_tracer_emits_records_with_attrs() {
-        let sink = Rc::new(CollectingSink::new());
-        let mut tracer = Tracer::new(Rc::new(ManualClock::with_step(10)), sink.clone());
+        let sink = Arc::new(CollectingEventSink::new());
+        let mut tracer = Tracer::new(Arc::new(ManualClock::with_step(10)), sink.clone());
         let mut sp = tracer.span("eval");
         sp.attr("fuel", 7);
         sp.finish(&tracer);
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "eval");
-        assert_eq!(spans[0].dur_ns, 10);
-        assert_eq!(spans[0].attrs, vec![("fuel".to_string(), 7)]);
+        let events = sink.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "eval");
+        assert_eq!(events[0].dur_ns, 10);
+        assert_eq!(events[0].attrs, vec![("fuel".to_string(), 7)]);
 
         tracer.set_enabled(false);
         tracer.span("eval").finish(&tracer);
@@ -176,26 +184,33 @@ mod tests {
     #[test]
     fn disabled_tracer_still_times() {
         let mut tracer = Tracer::disabled();
-        tracer.set_clock(Rc::new(ManualClock::with_step(33)));
+        tracer.set_clock(Arc::new(ManualClock::with_step(33)));
         let sp = tracer.span("parse");
         assert_eq!(sp.finish(&tracer), 33);
     }
 
     #[test]
-    fn tag_is_seeded_as_first_attr_while_set() {
-        let sink = Rc::new(CollectingSink::new());
-        let mut tracer = Tracer::new(Rc::new(ManualClock::with_step(1)), sink.clone());
-        tracer.set_tag(Some(("request_id".into(), 42)));
+    fn trace_id_and_fixed_attrs_stamp_records_while_set() {
+        let sink = Arc::new(CollectingEventSink::new());
+        let mut tracer = Tracer::new(Arc::new(ManualClock::with_step(1)), sink.clone());
+        tracer.set_attrs(vec![("worker".into(), 3)]);
+        tracer.set_trace_id(Some(42));
         let mut sp = tracer.span("parse");
         sp.attr("tokens", 9);
         sp.finish(&tracer);
-        tracer.set_tag(None);
+        tracer.set_trace_id(None);
         tracer.span("parse").finish(&tracer);
-        let spans = sink.spans();
+        let events = sink.events();
+        assert_eq!((events[0].trace_id, events[0].parent), (42, Some(42)));
         assert_eq!(
-            spans[0].attrs,
-            vec![("request_id".to_string(), 42), ("tokens".to_string(), 9)]
+            events[0].attrs,
+            vec![("tokens".to_string(), 9), ("worker".to_string(), 3)]
         );
-        assert!(spans[1].attrs.is_empty(), "cleared tag must not leak");
+        assert_eq!(
+            (events[1].trace_id, events[1].parent),
+            (0, None),
+            "a cleared trace id must not leak"
+        );
+        assert_eq!(events[1].attrs, vec![("worker".to_string(), 3)]);
     }
 }

@@ -24,7 +24,7 @@
 //! pushes a snapshot only if the configured interval has elapsed. With
 //! windowing disabled ([`crate::PoolConfig::stats_window`] unset) the
 //! tick is a single branch and performs **zero clock reads** — the same
-//! discipline (and the same [`polyview::obs::SharedManualClock::reads`]
+//! discipline (and the same [`polyview::obs::ManualClock::reads`]
 //! proof) the disabled-telemetry path follows.
 
 use crate::router::Pool;
@@ -205,7 +205,7 @@ impl Pool {
     /// reading the telemetry clock once. Returns whether a snapshot was
     /// taken. With windowing disabled this is **one branch and zero clock
     /// reads** — provable under an injected
-    /// [`polyview::obs::SharedManualClock`].
+    /// [`polyview::obs::ManualClock`].
     pub fn tick_window(&mut self) -> bool {
         if self.window.is_none() {
             return false;
@@ -389,7 +389,7 @@ impl Pool {
 mod tests {
     use super::*;
     use crate::{Pool, PoolConfig};
-    use polyview::obs::SharedManualClock;
+    use polyview::obs::ManualClock;
     use std::sync::Arc;
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn windowing_disabled_performs_zero_clock_reads() {
-        let clock = Arc::new(SharedManualClock::new());
+        let clock = Arc::new(ManualClock::new());
         let mut pool = Pool::new(
             PoolConfig::default()
                 .workers(1)

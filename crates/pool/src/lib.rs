@@ -75,8 +75,8 @@ mod worker;
 pub use crate::log::{DeclLog, TruncatedRead};
 pub use health::{Health, HealthReport, HealthThresholds, WindowConfig, WorkerRow};
 pub use polyview::obs::{
-    CollectingEventSink, EventRecord, EventSink, JsonLinesEventSink, NullEventSink, SharedClock,
-    SharedManualClock, SharedWallClock,
+    Clock, CollectingEventSink, EventRecord, EventSink, JsonLinesEventSink, ManualClock,
+    NullEventSink, WallClock,
 };
 pub use polyview::StmtClass;
 pub use router::{BatchTicket, Pool, Submit, Ticket, WorkerGate};
@@ -123,10 +123,10 @@ pub struct PoolConfig {
     /// sink only carries the per-event records).
     pub event_sink: Arc<dyn EventSink>,
     /// The shared time source for every telemetry timestamp (router,
-    /// workers, and — bridged — the engines' own phase spans). Default:
-    /// [`SharedWallClock`]; inject a [`SharedManualClock`] for
+    /// workers, and the engines' own phase spans). Default:
+    /// [`WallClock`]; inject a [`ManualClock`] for
     /// deterministic timelines in tests.
-    pub telemetry_clock: Arc<dyn SharedClock>,
+    pub telemetry_clock: Arc<dyn Clock>,
     /// End-to-end latency at or above which a request is recorded in the
     /// bounded slow-request ring ([`Pool::slow_requests`]). `None`
     /// (default): no slow log.
@@ -176,7 +176,7 @@ impl Default for PoolConfig {
             load_prelude: false,
             telemetry_enabled: false,
             event_sink: Arc::new(NullEventSink),
-            telemetry_clock: Arc::new(SharedWallClock::new()),
+            telemetry_clock: Arc::new(WallClock::new()),
             slow_threshold_ns: None,
             slow_log_capacity: 32,
             profile_sample_every: None,
@@ -251,9 +251,9 @@ impl PoolConfig {
     }
 
     /// Replace the telemetry time source. Does *not* enable telemetry by
-    /// itself — tests inject a [`SharedManualClock`] precisely to assert
+    /// itself — tests inject a [`ManualClock`] precisely to assert
     /// the disabled path never reads it.
-    pub fn telemetry_clock(mut self, clock: Arc<dyn SharedClock>) -> Self {
+    pub fn telemetry_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.telemetry_clock = clock;
         self
     }

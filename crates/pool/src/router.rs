@@ -14,7 +14,7 @@ use crate::supervisor::{spawn_worker, WorkerHandle};
 use crate::telemetry::{RequestTrace, SlowRequest, Telemetry};
 use crate::worker::{BatchItem, Request};
 use crate::{PoolConfig, PoolError};
-use polyview::obs::{EventSink, SharedClock};
+use polyview::obs::{Clock, EventSink};
 use polyview::{EffectSet, StmtClass};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TrySendError};
@@ -510,7 +510,7 @@ impl Pool {
     /// front end (the network door) reads the same clock so its events —
     /// `net.read`, `net.decoded` — land on the same timeline as the
     /// pool's and the engines'.
-    pub fn telemetry_clock(&self) -> Arc<dyn SharedClock> {
+    pub fn telemetry_clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.telemetry.clock)
     }
 

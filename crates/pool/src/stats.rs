@@ -1,8 +1,10 @@
 //! Pool-level observability: per-worker reports merged into one fleet
 //! snapshot, plus a JSON-lines metrics export.
 //!
-//! Each replica's metrics registry is `Rc`-based and thread-confined, so
-//! aggregation is by message, not by sharing: a `Stats` request makes the
+//! Aggregation is by message, not by sharing a registry: each replica's
+//! inference and machine work counters live in its thread-confined engine
+//! and sync into the engine's registry only at export
+//! ([`polyview::Engine::metrics_json`]). So a `Stats` request makes the
 //! worker snapshot its own counters and render its own registry, and the
 //! pool merges the snapshots ([`polyview::EngineStats::merged`]) and
 //! re-namespaces the registries (`worker3.phase.eval_ns`, …). On top of

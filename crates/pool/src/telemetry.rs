@@ -14,7 +14,7 @@
 //! pool.enqueued {worker}            router   (pool.rejected_full on backpressure)
 //! pool.dequeued {worker, generation} worker  dur = queue wait
 //! pool.catchup {replayed}           worker   dur = log replay before serving
-//! engine.parse / infer / translate / eval    bridged spans, parent = trace_id
+//! engine.parse / infer / lower / translate / eval   engine spans, parent = trace_id
 //! pool.completed {worker, generation, ok}    dur = end-to-end
 //! pool.worker_lost {worker}         caller   terminal event when the reply died
 //! ```
@@ -23,18 +23,18 @@
 //! *before* any clock read, id mint, or sink call. With telemetry off
 //! (the default), [`Telemetry::begin`] is one branch returning `None`,
 //! and no request-path code touches the clock or the sink — the tier-1
-//! tracing tests assert zero [`SharedManualClock`] reads on the disabled
-//! path, and the `E9_trace_overhead` bench group keeps the claim honest
-//! with numbers.
+//! tracing tests assert zero [`polyview::obs::ManualClock`] reads on the
+//! disabled path, and polybench's `obs.trace_overhead_pct` metric reports
+//! the cost of turning it on.
 //!
-//! Timestamps come from one [`SharedClock`] shared by the router, the
-//! workers, *and* (via a worker-side clock bridge) the engine's own phase
-//! spans, so every event of a trace lives on a single timeline — under
-//! [`SharedManualClock`] the whole lifecycle is exact, which is what the
-//! deterministic tier-1 timeline test pins.
+//! Timestamps come from one [`Clock`] shared by the router, the workers,
+//! *and* each replica engine's own phase spans, so every event of a trace
+//! lives on a single timeline — under [`polyview::obs::ManualClock`] the
+//! whole lifecycle is exact, which is what the deterministic tier-1
+//! timeline test pins.
 
 use crate::PoolConfig;
-use polyview::obs::{EventRecord, EventSink, SharedClock, SharedHistogram, SharedRegistry};
+use polyview::obs::{Clock, EventRecord, EventSink, Histogram, Registry};
 use polyview::StmtClass;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,13 +95,13 @@ pub(crate) const SLOW_SRC_MAX: usize = 120;
 /// and the slow-request ring. See the module docs for the event schema.
 pub(crate) struct Telemetry {
     pub(crate) enabled: bool,
-    pub(crate) clock: Arc<dyn SharedClock>,
+    pub(crate) clock: Arc<dyn Clock>,
     pub(crate) sink: Arc<dyn EventSink>,
-    pub(crate) registry: SharedRegistry,
-    pub(crate) queue_wait_ns: SharedHistogram,
-    pub(crate) catchup_ns: SharedHistogram,
-    pub(crate) e2e_read_ns: SharedHistogram,
-    pub(crate) e2e_write_ns: SharedHistogram,
+    pub(crate) registry: Registry,
+    pub(crate) queue_wait_ns: Histogram,
+    pub(crate) catchup_ns: Histogram,
+    pub(crate) e2e_read_ns: Histogram,
+    pub(crate) e2e_write_ns: Histogram,
     slow_threshold_ns: Option<u64>,
     slow_capacity: usize,
     slow: Mutex<VecDeque<SlowRequest>>,
@@ -110,7 +110,7 @@ pub(crate) struct Telemetry {
 
 impl Telemetry {
     pub(crate) fn new(cfg: &PoolConfig) -> Telemetry {
-        let registry = SharedRegistry::new();
+        let registry = Registry::new();
         Telemetry {
             enabled: cfg.telemetry_enabled,
             clock: Arc::clone(&cfg.telemetry_clock),

@@ -2,12 +2,10 @@
 # Offline-safe verification: everything here runs with no network access.
 #
 # The workspace proper has zero external dependencies (DESIGN.md §7). The
-# property-test and benchmark packages are excluded because they carry
-# proptest/rand/criterion; run them explicitly when a registry is
-# reachable:
+# property-test package is excluded because it carries proptest/rand; run
+# it explicitly when a registry is reachable:
 #
-#     cargo test  --manifest-path crates/proptests/Cargo.toml
-#     cargo bench --manifest-path crates/bench/Cargo.toml
+#     cargo test --manifest-path crates/proptests/Cargo.toml
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +29,15 @@ cargo fmt --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> polybench: builds offline and its smoke run passes"
+# The benchmark (BENCHMARK.json) is its own workspace, so tier-1 never
+# builds it. It imports polyview::obs::{HistogramSnapshot,
+# metrics::bucket_*, jsonl} and drives core, pool and net through their
+# public API: an API change that breaks it must fail here, not first in
+# the benchmark run. smoke.sh builds the package with --offline, then runs
+# every workload at 1% of its ops, untraced and traced.
+polybench/smoke.sh
 
 echo "==> dependency hygiene: crates/obs declares no dependencies at all"
 # The observability crate must stay std-only (DESIGN.md §9/§11): not even
@@ -310,4 +317,4 @@ print(f"  run1: respawn replayed {r1}/22; "
 ' "$snap_dir/run1" "$snap_dir/run2"
 rm -rf "$snap_dir"
 
-echo "OK: build, tests, fmt, clippy, dep hygiene, metrics + profile + trace + net + stats + snapshot smoke all green (offline)."
+echo "OK: build, tests, fmt, clippy, polybench smoke, dep hygiene, metrics + profile + trace + net + stats + snapshot smoke all green (offline)."

@@ -12,9 +12,7 @@
 
 use polyview::obs::jsonl::JsonValue;
 use polyview_net::{ClientError, NetClient, NetConfig, NetServer, Reply};
-use polyview_pool::{
-    CollectingEventSink, EventRecord, PoolConfig, SharedManualClock, WindowConfig,
-};
+use polyview_pool::{CollectingEventSink, EventRecord, ManualClock, PoolConfig, WindowConfig};
 use std::sync::Arc;
 
 fn serve(cfg: NetConfig) -> NetServer {
@@ -288,7 +286,7 @@ fn graceful_drain_completes_in_flight_writes() {
 #[test]
 fn one_trace_id_spans_socket_to_engine() {
     let sink = Arc::new(CollectingEventSink::new());
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let server = serve(
         NetConfig::default().pool(
             PoolConfig::default()
@@ -364,7 +362,7 @@ fn member<'v>(members: &'v [(String, JsonValue)], path: &[&str]) -> Option<&'v J
 /// the computed rate is exact.
 #[test]
 fn stats_round_trips_with_deterministic_windows() {
-    let clock = Arc::new(SharedManualClock::new());
+    let clock = Arc::new(ManualClock::new());
     let server = serve(
         NetConfig::default().pool(
             PoolConfig::default()

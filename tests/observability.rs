@@ -4,9 +4,11 @@
 //! collecting sink, fuel/eviction/invalidation counters, and their reset
 //! semantics.
 
-use polyview::obs::{CollectingSink, ManualClock};
+use polyview::obs::{
+    Clock, CollectingEventSink, Counter, EventSink, Histogram, ManualClock, Registry,
+};
 use polyview::{Engine, Error};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The paper's Section 4 session in miniature: raw employees, a class, and
 /// a salary query over its extent.
@@ -26,7 +28,7 @@ fn explain_reports_every_phase_with_injected_clock() {
     let mut e = Engine::new();
     // Every clock read advances 100ns, so each phase span measures exactly
     // 100ns — deterministically non-zero.
-    e.set_clock(Rc::new(ManualClock::with_step(100)));
+    e.set_clock(Arc::new(ManualClock::with_step(100)));
     e.exec(SESSION).expect("session defines");
 
     let report = e.explain(SALARIES).expect("explains");
@@ -334,14 +336,22 @@ fn metrics_json_is_one_object_per_line_and_mirrors_layers() {
 #[test]
 fn trace_sink_collects_phase_spans_only_when_enabled() {
     let mut e = Engine::new();
-    e.set_clock(Rc::new(ManualClock::with_step(7)));
-    let sink = Rc::new(CollectingSink::new());
+    e.set_clock(Arc::new(ManualClock::with_step(7)));
+    let sink = Arc::new(CollectingEventSink::new());
     e.set_trace_sink(sink.clone());
 
     e.eval_to_string("1 + 2").expect("runs");
     let spans = sink.take();
     let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, ["parse", "infer", "lower", "eval"]);
+    assert_eq!(
+        names,
+        [
+            "engine.parse",
+            "engine.infer",
+            "engine.lower",
+            "engine.eval"
+        ]
+    );
     assert!(spans.iter().all(|s| s.dur_ns == 7), "manual clock steps");
     let eval_span = &spans[3];
     assert!(
@@ -365,4 +375,62 @@ fn fresh_engine_collects_no_spans() {
     e.eval_to_string("1 + 1").expect("runs");
     // Timings still land in the histograms even with the null sink.
     assert!(e.metrics_json().contains("\"name\":\"phase.eval_ns\""));
+}
+
+// ----- trace stitching on a bare engine -----
+
+#[test]
+fn set_trace_id_stitches_engine_spans_without_a_pool() {
+    let mut e = Engine::new();
+    e.set_clock(Arc::new(ManualClock::with_step(1)));
+    let sink = Arc::new(CollectingEventSink::new());
+    e.set_trace_sink(sink.clone());
+
+    // No trace id set: spans belong to no request.
+    e.eval_to_string("1 + 2").expect("runs");
+    let untagged = sink.take();
+    assert!(!untagged.is_empty());
+    for s in &untagged {
+        assert!(s.name.starts_with("engine."), "{}", s.name);
+        assert_eq!((s.trace_id, s.parent), (0, None), "{}", s.name);
+    }
+
+    // A set trace id lands in the record fields, not in the attributes.
+    e.set_trace_id(Some(7));
+    e.exec("val x = 40;").expect("declares");
+    e.eval_to_string("x + 2").expect("runs");
+    let tagged = sink.take();
+    let names: Vec<&str> = tagged.iter().map(|s| s.name.as_str()).collect();
+    for phase in [
+        "engine.parse",
+        "engine.infer",
+        "engine.lower",
+        "engine.eval",
+    ] {
+        assert!(names.contains(&phase), "no {phase} span in {names:?}");
+    }
+    for s in &tagged {
+        assert_eq!((s.trace_id, s.parent), (7, Some(7)), "{}", s.name);
+        assert!(s.attrs.iter().all(|(k, _)| k != "request_id"));
+    }
+
+    // Clearing it returns to untagged spans.
+    e.set_trace_id(None);
+    e.eval_to_string("x + 2").expect("runs");
+    assert!(sink
+        .take()
+        .iter()
+        .all(|s| s.trace_id == 0 && s.parent.is_none()));
+}
+
+/// Fails to compile if any handle of the observability vocabulary stops
+/// being shareable across threads (e.g. an `Rc` handle comes back).
+#[test]
+fn observability_handles_are_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Registry>();
+    assert_send_sync::<Counter>();
+    assert_send_sync::<Histogram>();
+    assert_send_sync::<Arc<dyn Clock>>();
+    assert_send_sync::<Arc<dyn EventSink>>();
 }

@@ -3,14 +3,12 @@
 //! values under a deterministic clock, the slow log captures outliers,
 //! and the disabled path is provably inert.
 //!
-//! Every test injects a [`SharedManualClock`] with a 1 ns step: each
+//! Every test injects a [`ManualClock`] with a 1 ns step: each
 //! clock read returns the current time and advances it by 1, so every
 //! timestamp in a trace is a distinct, fully determined integer — the
 //! timeline assertions below are exact, not approximate.
 
-use polyview_pool::{
-    CollectingEventSink, EventRecord, Pool, PoolConfig, SharedManualClock, StmtClass,
-};
+use polyview_pool::{CollectingEventSink, EventRecord, ManualClock, Pool, PoolConfig, StmtClass};
 use std::sync::Arc;
 
 /// Events of one trace in timeline order. Arrival order in the sink can
@@ -38,9 +36,9 @@ fn attr(e: &EventRecord, key: &str) -> Option<u64> {
     e.attrs.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
 }
 
-fn traced_pool(workers: usize) -> (Pool, Arc<CollectingEventSink>, Arc<SharedManualClock>) {
+fn traced_pool(workers: usize) -> (Pool, Arc<CollectingEventSink>, Arc<ManualClock>) {
     let sink = Arc::new(CollectingEventSink::new());
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let pool = Pool::new(
         PoolConfig::default()
             .workers(workers)
@@ -206,7 +204,7 @@ fn catchup_time_is_attributed_when_a_replica_replays() {
 #[test]
 fn slow_requests_are_ring_buffered_above_the_threshold() {
     let sink = Arc::new(CollectingEventSink::new());
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let mut pool = Pool::new(
         PoolConfig::default()
             .workers(1)
@@ -242,7 +240,7 @@ fn slow_requests_are_ring_buffered_above_the_threshold() {
 
 #[test]
 fn no_slow_requests_below_the_threshold() {
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let mut pool = Pool::new(
         PoolConfig::default()
             .workers(1)
@@ -329,7 +327,7 @@ fn e2e_counts_match_submissions_across_a_respawn() {
 #[test]
 fn disabled_telemetry_reads_no_clock_and_emits_nothing() {
     let sink = Arc::new(CollectingEventSink::new());
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let cfg = PoolConfig::default()
         .workers(1)
         .telemetry_clock(clock.clone())
@@ -352,7 +350,7 @@ fn disabled_telemetry_reads_no_clock_and_emits_nothing() {
 
 #[test]
 fn sampled_profiles_merge_into_worker_stats_and_slow_log() {
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let mut pool = Pool::new(
         PoolConfig::default()
             .workers(1)
@@ -411,7 +409,7 @@ fn sampling_every_n_profiles_the_first_and_every_nth_request() {
 
 #[test]
 fn profiling_is_off_by_default_in_the_pool() {
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let clock = Arc::new(ManualClock::with_step(1));
     let mut pool = Pool::new(
         PoolConfig::default()
             .workers(1)
