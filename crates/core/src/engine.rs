@@ -21,13 +21,16 @@ use crate::prepare::{
     CacheLookup, Deps, EngineStats, Prepared, StmtCache, StmtKey, DEFAULT_STMT_CACHE_CAPACITY,
 };
 use crate::profile::ProfileReport;
-use polyview_eval::{decode_machine, encode_machine, Machine, Profile, Value};
+use polyview_eval::{decode_machine, encode_machine, Machine, MachineStats, Profile, Value};
 use polyview_obs::{Clock, Counter, EventSink, Histogram, Registry, Span, Tracer};
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
 use polyview_syntax::{sugar, ClassDef, Expr, Kind, Label, Mono, Name, Scheme, TyVar};
 use polyview_trans::{lower_binding, lower_statement, IndexSig, LowerStats};
-use polyview_types::{builtins_sig, generalize, infer, Infer, TypeEnv, TypeTable};
+use polyview_types::table::node_id;
+use polyview_types::{
+    builtins_sig, generalize, infer, Infer, InferStats, TypeEnv, TypeError, TypeTable,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -125,6 +128,18 @@ impl PhaseMetrics {
     }
 }
 
+/// One statement through [`Engine::compile`]: the inference result, the
+/// lowered form, and each phase's work and duration (only
+/// [`Engine::explain`] reads the last four).
+struct Compiled<T, L> {
+    out: T,
+    code: L,
+    infer: InferStats,
+    infer_ns: u64,
+    lower: LowerStats,
+    lower_ns: u64,
+}
+
 /// A persistent session: parser + inference + evaluation with shared
 /// top-level environments, and a statement cache serving the
 /// compile-once/run-many path.
@@ -144,8 +159,7 @@ pub struct Engine {
     phases: PhaseMetrics,
     /// Bumped by every declaration (`val`/`fun`/`class`). Staleness of
     /// prepared statements is decided per name ([`Engine::name_epoch`]);
-    /// the global epoch remains as the fallback for [`Deps::Global`]
-    /// statements and as an observability signal
+    /// the global epoch is an observability signal only
     /// ([`crate::prepare::EngineStats`], pool convergence checks).
     env_epoch: u64,
     /// Per-name declaration epochs: how many times each top-level name has
@@ -154,15 +168,8 @@ pub struct Engine {
     /// [`Engine::prepare`] snapshots the epochs of a statement's free
     /// names; the statement is stale iff one of them moves (DESIGN.md §12).
     name_epochs: HashMap<Name, u64>,
-    /// Compile tier toggle (DESIGN.md §13): when on (the default), every
-    /// prepared statement and declaration is lowered to offset-resolved
-    /// form before evaluation. Set it **before the first declaration** —
-    /// code compiled under one setting must not run against bindings
-    /// compiled under the other (use a fresh engine per backend, as the
-    /// differential suite does).
-    compile_tier: bool,
-    /// Index signatures of top-level bindings the compile tier has
-    /// index-abstracted: use sites of these names must apply one index
+    /// Index signatures of top-level bindings the compile tier (DESIGN.md
+    /// §13) has index-abstracted: use sites of these names must apply one index
     /// argument per entry before their real arguments. Maintained in
     /// lock-step with the value environment — entries are cleared when
     /// their name is rebound ([`Engine::bump_epochs`]).
@@ -195,23 +202,9 @@ impl Engine {
             phases,
             env_epoch: 0,
             name_epochs: HashMap::new(),
-            compile_tier: true,
             index_sigs: HashMap::new(),
             alias_edges: HashMap::new(),
         }
-    }
-
-    /// Toggle the compile tier (offset-resolved execution). On by default.
-    /// Must be set before the first declaration: bindings compiled with
-    /// the tier on hold index-abstracted values that only tier-compiled
-    /// statements know how to call. Use a fresh engine per setting.
-    pub fn set_compile_tier(&mut self, on: bool) {
-        self.compile_tier = on;
-    }
-
-    /// Is the compile tier (offset-resolved execution) enabled?
-    pub fn compile_tier(&self) -> bool {
-        self.compile_tier
     }
 
     /// Cap evaluation steps (useful when running untrusted or generated
@@ -257,7 +250,7 @@ impl Engine {
     /// globals — object-identity sharing preserved) plus the type side
     /// (schemes resolved through the current substitution, free-variable
     /// kinds, the fresh-variable counter) and the engine bookkeeping
-    /// (epochs, compile tier, index signatures, alias edges). Identical
+    /// (epochs, index signatures, alias edges). Identical
     /// session state encodes to identical bytes.
     ///
     /// The statement cache, metrics, and tracer are deliberately absent:
@@ -329,7 +322,6 @@ impl Engine {
             globals,
             env_epoch: self.env_epoch,
             name_epochs,
-            compile_tier: self.compile_tier,
             index_sigs,
             alias_edges,
         })
@@ -358,7 +350,6 @@ impl Engine {
         }
         e.env_epoch = p.env_epoch;
         e.name_epochs = p.name_epochs.into_iter().collect();
-        e.compile_tier = p.compile_tier;
         e.index_sigs = p
             .index_sigs
             .into_iter()
@@ -388,51 +379,87 @@ impl Engine {
         dur
     }
 
-    /// Run an inference computation as the timed "infer" phase.
+    /// Run an inference computation as the timed "infer" phase, returning
+    /// its result with this run's inference work and duration.
     fn infer_phase<T>(
         &mut self,
-        f: impl FnOnce(&mut Infer, &mut TypeEnv) -> Result<T, polyview_types::TypeError>,
-    ) -> Result<T, Error> {
+        f: impl FnOnce(&mut Infer, &mut TypeEnv) -> Result<T, TypeError>,
+    ) -> Result<(T, InferStats, u64), Error> {
         self.phases.inferences.inc();
         let before = self.cx.stats();
         let mut span = self.tracer.span("engine.infer");
         let r = f(&mut self.cx, &mut self.tenv);
         let after = self.cx.stats();
-        span.attr("unify_steps", after.unify_steps - before.unify_steps);
-        span.attr("occurs_checks", after.occurs_checks - before.occurs_checks);
-        span.attr("kind_merges", after.kind_merges - before.kind_merges);
-        span.attr(
-            "instantiations",
-            after.instantiations - before.instantiations,
-        );
+        let work = InferStats {
+            unify_steps: after.unify_steps - before.unify_steps,
+            occurs_checks: after.occurs_checks - before.occurs_checks,
+            kind_merges: after.kind_merges - before.kind_merges,
+            instantiations: after.instantiations - before.instantiations,
+        };
+        span.attr("unify_steps", work.unify_steps);
+        span.attr("occurs_checks", work.occurs_checks);
+        span.attr("kind_merges", work.kind_merges);
+        span.attr("instantiations", work.instantiations);
         let dur = span.finish(&self.tracer);
         self.phases.infer_ns.observe(dur);
-        Ok(r?)
+        Ok((r?, work, dur))
     }
 
     /// Evaluate an expression as the timed "eval" phase.
     fn eval_phase(&mut self, e: &Expr) -> Result<Value, Error> {
+        self.eval_measured(e).map(|(v, _, _)| v)
+    }
+
+    /// [`Engine::eval_phase`], also returning this run's evaluation work
+    /// and duration.
+    fn eval_measured(&mut self, e: &Expr) -> Result<(Value, MachineStats, u64), Error> {
         let before = self.machine.stats();
         let mut span = self.tracer.span("engine.eval");
         let r = self.machine.eval_global(e);
         let after = self.machine.stats();
-        span.attr("fuel", after.fuel_consumed - before.fuel_consumed);
-        span.attr(
-            "records",
-            after.records_allocated - before.records_allocated,
-        );
-        span.attr("sets", after.sets_allocated - before.sets_allocated);
-        span.attr(
-            "offsets",
-            after.field_offsets_resolved - before.field_offsets_resolved,
-        );
-        span.attr(
-            "dyn_fallbacks",
-            after.dyn_field_fallbacks - before.dyn_field_fallbacks,
-        );
+        let work = MachineStats {
+            fuel_consumed: after.fuel_consumed - before.fuel_consumed,
+            records_allocated: after.records_allocated - before.records_allocated,
+            sets_allocated: after.sets_allocated - before.sets_allocated,
+            field_offsets_resolved: after.field_offsets_resolved - before.field_offsets_resolved,
+            dyn_field_fallbacks: after.dyn_field_fallbacks - before.dyn_field_fallbacks,
+        };
+        span.attr("fuel", work.fuel_consumed);
+        span.attr("records", work.records_allocated);
+        span.attr("sets", work.sets_allocated);
+        span.attr("offsets", work.field_offsets_resolved);
+        span.attr("dyn_fallbacks", work.dyn_field_fallbacks);
         let dur = span.finish(&self.tracer);
         self.phases.eval_ns.observe(dur);
-        Ok(r?)
+        Ok((r?, work, dur))
+    }
+
+    /// Compile one statement: inference with per-node type recording on
+    /// (the timed "infer" phase), then lowering against the recorded
+    /// table (the timed "lower" phase). `lower` sees the inference result
+    /// (a `val`'s scheme supplies its binders). The only place the engine
+    /// turns recording on: every statement, declaration, cache miss and
+    /// replayed log entry is lowered through here.
+    fn compile<T, L>(
+        &mut self,
+        infer: impl FnOnce(&mut Infer, &mut TypeEnv) -> Result<T, TypeError>,
+        lower: impl FnOnce(&T, &TypeTable, &HashMap<Name, Rc<IndexSig>>) -> (L, LowerStats),
+    ) -> Result<Compiled<T, L>, Error> {
+        self.cx.enable_table();
+        let (out, infer, infer_ns) = self.infer_phase(infer)?;
+        let table = self
+            .cx
+            .take_table()
+            .ok_or_else(|| Error::Internal("inference recorded no type table".into()))?;
+        let (code, lower, lower_ns) = self.lower_phase(|sigs| lower(&out, &table, sigs));
+        Ok(Compiled {
+            out,
+            code,
+            infer,
+            infer_ns,
+            lower,
+            lower_ns,
+        })
     }
 
     /// Execute a program: a sequence of declarations.
@@ -471,30 +498,34 @@ impl Engine {
         // per-node results by node address, and the lowering pass must see
         // exactly the nodes inference recorded.
         let ast = Rc::new(ast);
-        if self.compile_tier {
-            self.cx.enable_table();
-        }
-        let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &ast))?;
+        let c = self.compile(
+            |cx, tenv| cx.infer_scheme(tenv, &ast),
+            |_, table, sigs| lower_statement(&ast, table, sigs),
+        )?;
+        Ok(self.prepared(src, ast, c))
+    }
+
+    /// Package a compiled statement for the statement cache and
+    /// [`Engine::run`], snapshotting its dependencies now.
+    fn prepared(&self, src: Option<String>, ast: Rc<Expr>, c: Compiled<Scheme, Expr>) -> Prepared {
         let deps = self.snapshot_deps(&ast);
-        let mut p = Prepared::new(src, ast.clone(), scheme, deps, self.env_epoch);
-        if self.compile_tier {
-            if let Some((code, stats, _)) =
-                self.lower_phase(|table, sigs| lower_statement(&ast, table, sigs))
-            {
-                p.set_code(Rc::new(code), stats);
-            }
-        }
-        Ok(p)
+        Prepared::new(
+            src,
+            ast,
+            Rc::new(c.code),
+            c.lower,
+            c.out,
+            deps,
+            self.env_epoch,
+        )
     }
 
     /// The dependency snapshot for an AST about to be prepared: every free
     /// top-level name paired with its current declaration epoch (absent
     /// names — builtins, the prelude — are epoch 0). The free-variable walk
-    /// is binder-exact and total, so every engine-compiled statement gets
-    /// [`Deps::Names`]; [`Deps::Global`] exists only as the defensive
-    /// fallback for `Prepared` values built without an AST-derived set.
+    /// is binder-exact and total, so every statement gets an exact set.
     fn snapshot_deps(&self, ast: &Expr) -> Deps {
-        Deps::Names(
+        Deps::new(
             free_vars(ast)
                 .into_iter()
                 .map(|n| {
@@ -545,17 +576,15 @@ impl Engine {
         }
     }
 
-    /// Run the compile tier on one statement: consume the inference
-    /// table recorded for it and lower, timed as the "lower" phase.
-    /// Returns `None` when no table was recorded (tier off, or inference
-    /// bypassed recording).
+    /// Run the compile tier on one statement as the timed "lower" phase:
+    /// `f` lowers it against the top-level index signatures. Returns the
+    /// lowered form, its work counters, and the duration.
     fn lower_phase<T>(
         &mut self,
-        f: impl FnOnce(&TypeTable, &HashMap<Name, Rc<IndexSig>>) -> (T, LowerStats),
-    ) -> Option<(T, LowerStats, u64)> {
-        let table = self.cx.take_table()?;
+        f: impl FnOnce(&HashMap<Name, Rc<IndexSig>>) -> (T, LowerStats),
+    ) -> (T, LowerStats, u64) {
         let mut span = self.tracer.span("engine.lower");
-        let (out, stats) = f(&table, &self.index_sigs);
+        let (out, stats) = f(&self.index_sigs);
         self.phases.lower_offsets.add(stats.offsets_resolved);
         self.phases.lower_residue.add(stats.dynamic_residue);
         span.attr("offsets", stats.offsets_resolved);
@@ -565,7 +594,7 @@ impl Engine {
         span.attr("records", stats.records_lowered);
         let dur = span.finish(&self.tracer);
         self.phases.lower_ns.observe(dur);
-        Some((out, stats, dur))
+        (out, stats, dur)
     }
 
     /// Execute a prepared statement against the current store. No parsing,
@@ -575,7 +604,7 @@ impl Engine {
     /// (re-`prepare` it; the internal statement cache does this
     /// automatically). Declarations of unrelated names do not invalidate.
     pub fn run(&mut self, p: &Prepared) -> Result<Value, Error> {
-        if !p.is_fresh(&self.name_epochs, self.env_epoch) {
+        if !p.is_fresh(&self.name_epochs) {
             self.phases.epoch_invalidations.inc();
             return Err(Error::StalePrepared);
         }
@@ -597,7 +626,7 @@ impl Engine {
         key: StmtKey,
         build: impl FnOnce(&mut Self) -> Result<Prepared, Error>,
     ) -> Result<(Scheme, Value), Error> {
-        match self.stmts.lookup(&key, &self.name_epochs, self.env_epoch) {
+        match self.stmts.lookup(&key, &self.name_epochs) {
             CacheLookup::Hit(p) => {
                 self.phases.stmt_cache_hits.inc();
                 let scheme = p.scheme().clone();
@@ -754,9 +783,7 @@ impl Engine {
     /// stores the fresh compilation so subsequent calls do.
     pub fn explain(&mut self, src: &str) -> Result<Explain, Error> {
         let key = StmtKey::Src(src.to_string());
-        let cached_before = self
-            .stmts
-            .contains_valid(&key, &self.name_epochs, self.env_epoch);
+        let cached_before = self.stmts.contains_valid(&key, &self.name_epochs);
         if cached_before {
             self.phases.stmt_cache_hits.inc();
         } else {
@@ -768,48 +795,15 @@ impl Engine {
         let (ast, ps) = parse_expr_counted(src)?;
         let parse_ns = self.note_parse(span, ps);
 
-        let i_before = self.cx.stats();
-        self.phases.inferences.inc();
-        if self.compile_tier {
-            self.cx.enable_table();
-        }
-        let mut span = self.tracer.span("engine.infer");
-        let scheme_res = self.cx.infer_scheme(&mut self.tenv, &ast);
-        let i = {
-            let after = self.cx.stats();
-            polyview_types::InferStats {
-                unify_steps: after.unify_steps - i_before.unify_steps,
-                occurs_checks: after.occurs_checks - i_before.occurs_checks,
-                kind_merges: after.kind_merges - i_before.kind_merges,
-                instantiations: after.instantiations - i_before.instantiations,
-            }
-        };
-        span.attr("unify_steps", i.unify_steps);
-        span.attr("occurs_checks", i.occurs_checks);
-        span.attr("kind_merges", i.kind_merges);
-        span.attr("instantiations", i.instantiations);
-        let infer_ns = span.finish(&self.tracer);
-        self.phases.infer_ns.observe(infer_ns);
-        let scheme = scheme_res?;
-
-        // Compile tier: lower to offset-resolved form (timed), keeping the
-        // per-op report for the render below.
-        let mut lower_ns = 0;
-        let mut lower = LowerStats::default();
-        let mut offset_rows = Vec::new();
-        let code = if self.compile_tier {
-            match self.lower_phase(|table, sigs| lower_statement(&ast, table, sigs)) {
-                Some((c, st, dur)) => {
-                    lower = st;
-                    offset_rows = polyview_trans::offset_report(&c);
-                    lower_ns = dur;
-                    Some(Rc::new(c))
-                }
-                None => None,
-            }
-        } else {
-            None
-        };
+        let ast = Rc::new(ast);
+        let c = self.compile(
+            |cx, tenv| cx.infer_scheme(tenv, &ast),
+            |_, table, sigs| lower_statement(&ast, table, sigs),
+        )?;
+        let (i, infer_ns, lower_ns) = (c.infer, c.infer_ns, c.lower_ns);
+        let p = self.prepared(Some(src.to_string()), ast.clone(), c);
+        let lower = p.lower_stats();
+        let offset_rows = polyview_trans::offset_report(p.code());
 
         let mut span = self.tracer.span("engine.translate");
         let (_core, ts) = polyview_trans::translate_measured(&ast);
@@ -818,48 +812,16 @@ impl Engine {
         self.phases.translate_ns.observe(translate_ns);
         self.phases.translated_size.observe(ts.translated_size);
 
-        let m_before = self.machine.stats();
-        let mut span = self.tracer.span("engine.eval");
-        let v_res = self.machine.eval_global(code.as_deref().unwrap_or(&ast));
-        let m = {
-            let after = self.machine.stats();
-            polyview_eval::MachineStats {
-                fuel_consumed: after.fuel_consumed - m_before.fuel_consumed,
-                records_allocated: after.records_allocated - m_before.records_allocated,
-                sets_allocated: after.sets_allocated - m_before.sets_allocated,
-                field_offsets_resolved: after.field_offsets_resolved
-                    - m_before.field_offsets_resolved,
-                dyn_field_fallbacks: after.dyn_field_fallbacks - m_before.dyn_field_fallbacks,
-            }
-        };
-        span.attr("fuel", m.fuel_consumed);
-        span.attr("records", m.records_allocated);
-        span.attr("sets", m.sets_allocated);
-        span.attr("offsets", m.field_offsets_resolved);
-        span.attr("dyn_fallbacks", m.dyn_field_fallbacks);
-        let eval_ns = span.finish(&self.tracer);
-        self.phases.eval_ns.observe(eval_ns);
-        let v = v_res?;
+        let (v, m, eval_ns) = self.eval_measured(p.code())?;
         let rendered = self.machine.show(&v);
 
-        let deps = self.snapshot_deps(&ast);
-        let dep_rows = match &deps {
-            Deps::Names(ds) => ds
-                .iter()
-                .map(|(n, at)| (n.as_str().to_string(), *at))
-                .collect(),
-            Deps::Global(_) => Vec::new(),
-        };
-        let mut p = Prepared::new(
-            Some(src.to_string()),
-            Rc::new(ast),
-            scheme.clone(),
-            deps,
-            self.env_epoch,
-        );
-        if let Some(code) = code {
-            p.set_code(code, lower);
-        }
+        let scheme = p.scheme().clone();
+        let dep_rows = p
+            .deps()
+            .names()
+            .iter()
+            .map(|(n, at)| (n.as_str().to_string(), *at))
+            .collect();
         let evicted = self.stmts.insert(key, p);
         self.phases.stmt_cache_evictions.add(evicted as u64);
 
@@ -1011,51 +973,38 @@ impl Engine {
     /// Infer the principal scheme of an expression without evaluating it.
     pub fn infer_expr(&mut self, src: &str) -> Result<Scheme, Error> {
         let e = self.parse_counted(src)?;
-        self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))
+        let (scheme, _, _) = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))?;
+        Ok(scheme)
     }
 
     /// Type-check and evaluate a pre-built AST (uncached; see
     /// [`Engine::prepare_expr`] for the compile-once path).
     pub fn eval_ast(&mut self, e: &Expr) -> Result<(Scheme, Value), Error> {
-        if self.compile_tier {
-            self.cx.enable_table();
-        }
-        let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
-        let code = if self.compile_tier {
-            self.lower_phase(|table, sigs| lower_statement(e, table, sigs))
-                .map(|(c, _, _)| c)
-        } else {
-            None
-        };
-        let v = self.eval_phase(code.as_ref().unwrap_or(e))?;
-        Ok((scheme, v))
+        let c = self.compile(
+            |cx, tenv| cx.infer_scheme(tenv, e),
+            |_, table, sigs| lower_statement(e, table, sigs),
+        )?;
+        let v = self.eval_phase(&c.code)?;
+        Ok((c.out, v))
     }
 
     /// Execute one declaration.
     pub fn exec_decl(&mut self, d: &Decl) -> Result<Outcome, Error> {
         match d {
             Decl::Val(name, e) => {
-                if self.compile_tier {
-                    self.cx.enable_table();
-                }
-                let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
-                self.cx.check_ground_mutables(&scheme.body)?;
-                let mut sig = None;
-                let lowered = if self.compile_tier {
-                    self.lower_phase(|table, sigs| {
+                let c = self.compile(
+                    |cx, tenv| {
+                        let scheme = cx.infer_scheme(tenv, e)?;
+                        cx.check_ground_mutables(&scheme.body)?;
+                        Ok(scheme)
+                    },
+                    |scheme, table, sigs| {
                         let (c, s, st) = lower_binding(e, &scheme.binders, table, sigs);
                         ((c, s), st)
-                    })
-                } else {
-                    None
-                };
-                let v = match &lowered {
-                    Some(((code, s), _, _)) => {
-                        sig = s.clone();
-                        self.eval_phase(code)?
-                    }
-                    None => self.eval_phase(e)?,
-                };
+                    },
+                )?;
+                let (scheme, (code, sig)) = (c.out, c.code);
+                let v = self.eval_phase(&code)?;
                 self.bump_epochs(std::slice::from_ref(name));
                 if let Some(s) = sig {
                     self.index_sigs.insert(name.clone(), s);
@@ -1070,17 +1019,7 @@ impl Engine {
             Decl::Fun(defs) => self.exec_fun(defs),
             Decl::Classes(binds) => self.exec_classes(binds),
             Decl::Expr(e) => {
-                if self.compile_tier {
-                    self.cx.enable_table();
-                }
-                let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
-                let code = if self.compile_tier {
-                    self.lower_phase(|table, sigs| lower_statement(e, table, sigs))
-                        .map(|(c, _, _)| c)
-                } else {
-                    None
-                };
-                let v = self.eval_phase(code.as_ref().unwrap_or(e))?;
+                let (scheme, v) = self.eval_ast(e)?;
                 Ok(Outcome::Value {
                     scheme,
                     rendered: self.machine.show(&v),
@@ -1120,82 +1059,55 @@ impl Engine {
             Expr::tuple(names.iter().map(|n| Expr::Var(n.clone())))
         };
         let group = sugar::fun_and(singles, body);
-        if self.compile_tier {
-            self.cx.enable_table();
-        }
-        let t = self.infer_phase(|cx, tenv| infer::infer(cx, tenv, &group))?;
-        let t = self.cx.resolve(&t);
-
-        if self.compile_tier && names.len() == 1 {
-            // A single definition elaborates to `let f = fix f => λ… in f
-            // end`; index-abstract the `fix` itself (the same node
-            // inference recorded) so a record-polymorphic function takes
-            // its offsets as parameters. The binders come from the table's
-            // recorded *let scheme* — they name the rhs's own type
-            // variables, which is what the rhs's operand records refer to.
-            // The global scheme, however, is re-generalized from the
-            // group's body occurrence (a fresh instantiation), so the sig
-            // we register must be renamed through that occurrence's
-            // instantiation record before use sites can consult it.
-            // Mutually recursive groups stay on the plain-lowered path
-            // below — their bundle encoding is not a λ, so they keep
-            // dynamic lookups as documented residue.
-            if let Expr::Let(_, rhs, body) = &group {
-                let lowered = self.lower_phase(|table, sigs| {
+        let single = names.len() == 1;
+        let c = self.compile(
+            |cx, tenv| infer::infer(cx, tenv, &group),
+            |_, table, sigs| match &group {
+                // A single definition elaborates to `let f = fix f => λ… in
+                // f end`; index-abstract the `fix` itself (the same node
+                // inference recorded) so a record-polymorphic function
+                // takes its offsets as parameters. The binders come from
+                // the table's recorded *let scheme* — they name the rhs's
+                // own type variables, which is what the rhs's operand
+                // records refer to. The global scheme, however, is
+                // re-generalized from the group's body occurrence (a fresh
+                // instantiation), so the sig we register is renamed through
+                // that occurrence's instantiation record. Mutually
+                // recursive groups are lowered plainly — their bundle
+                // encoding is not a λ, so they keep dynamic lookups as
+                // documented residue.
+                Expr::Let(_, rhs, body) if single => {
                     let binders = table
                         .let_schemes
-                        .get(&polyview_types::table::node_id(&group))
+                        .get(&node_id(&group))
                         .cloned()
                         .unwrap_or_default();
-                    let (c, s, st) = lower_binding(rhs, &binders, table, sigs);
-                    let renamed = match s {
-                        None => Some((c, None)),
-                        Some(s) => table
-                            .instantiations
-                            .get(&polyview_types::table::node_id(body))
-                            .and_then(|inst| {
-                                s.iter()
-                                    .map(|(b, l)| {
-                                        inst.iter().find(|(bb, _)| bb == b).and_then(|(_, m)| {
-                                            match m {
-                                                Mono::Var(g) => Some((*g, l.clone())),
-                                                _ => None,
-                                            }
-                                        })
-                                    })
-                                    .collect::<Option<IndexSig>>()
-                            })
-                            .map(|r| (c, Some(Rc::new(r)))),
+                    let (code, sig, st) = lower_binding(rhs, &binders, table, sigs);
+                    let sig = match sig {
+                        None => Ok(None),
+                        Some(s) => rename_sig(&s, table, body).map(|r| Some(Rc::new(r))),
                     };
-                    (renamed, st)
-                });
-                if let Some((Some((code, sig)), _, _)) = lowered {
-                    let v = self.eval_phase(&code)?;
-                    let bound = self.define_group(&names, vec![t], v, true)?;
-                    if let Some(s) = sig {
-                        self.index_sigs.insert(names[0].clone(), s);
-                    }
-                    return Ok(Outcome::Defined(bound));
+                    (sig.map(|s| (code, s)), st)
                 }
-                // Renaming failed (or the table was off): fall through to
-                // the plain path, which keeps the un-abstracted encoding.
-            }
-        }
+                _ => {
+                    let (code, st) = lower_statement(&group, table, sigs);
+                    (Ok((code, None)), st)
+                }
+            },
+        )?;
+        let (code, sig) = c.code?;
+        let t = self.cx.resolve(&c.out);
+        let v = self.eval_phase(&code)?;
 
-        let code = if self.compile_tier {
-            self.lower_phase(|table, sigs| lower_statement(&group, table, sigs))
-                .map(|(c, _, _)| c)
-        } else {
-            None
-        };
-        let v = self.eval_phase(code.as_ref().unwrap_or(&group))?;
-
-        let tys = if names.len() == 1 {
+        let tys = if single {
             vec![t]
         } else {
             group_component_types(&t, names.len(), "fun group")?
         };
         let bound = self.define_group(&names, tys, v, true)?;
+        if let Some(s) = sig {
+            self.index_sigs.insert(names[0].clone(), s);
+        }
         Ok(Outcome::Defined(bound))
     }
 
@@ -1253,18 +1165,12 @@ impl Engine {
             Expr::tuple(names.iter().map(|n| Expr::Var(n.clone())))
         };
         let wrapped = Expr::LetClasses(binds.to_vec(), Box::new(body));
-        if self.compile_tier {
-            self.cx.enable_table();
-        }
-        let t = self.infer_phase(|cx, tenv| infer::infer(cx, tenv, &wrapped))?;
-        let t = self.cx.resolve(&t);
-        let code = if self.compile_tier {
-            self.lower_phase(|table, sigs| lower_statement(&wrapped, table, sigs))
-                .map(|(c, _, _)| c)
-        } else {
-            None
-        };
-        let v = self.eval_phase(code.as_ref().unwrap_or(&wrapped))?;
+        let c = self.compile(
+            |cx, tenv| infer::infer(cx, tenv, &wrapped),
+            |_, table, sigs| lower_statement(&wrapped, table, sigs),
+        )?;
+        let t = self.cx.resolve(&c.out);
+        let v = self.eval_phase(&c.code)?;
 
         let tys = if names.len() == 1 {
             vec![t]
@@ -1357,6 +1263,27 @@ fn group_component_types(t: &Mono, n: usize, what: &str) -> Result<Vec<Mono>, Er
                     Error::Internal(format!("{what} wrapper type is missing component #{i}"))
                 })
         })
+        .collect()
+}
+
+/// Rename a single `fun` definition's index signature from the binders of
+/// its recorded let scheme to the fresh variables its body occurrence
+/// instantiated them at — the variables the re-generalized global scheme
+/// quantifies. The body occurrence instantiates every let binder at a
+/// fresh variable nothing binds afterwards, so a missing or non-variable
+/// image is an engine invariant violation ([`Error::Internal`]).
+fn rename_sig(sig: &IndexSig, table: &TypeTable, body: &Expr) -> Result<IndexSig, Error> {
+    let inst = table.instantiations.get(&node_id(body));
+    sig.iter()
+        .map(
+            |(b, l)| match inst.and_then(|inst| inst.iter().find(|(bb, _)| bb == b)) {
+                Some((_, Mono::Var(g))) => Ok((*g, l.clone())),
+                other => Err(Error::Internal(format!(
+                    "fun index signature: binder t{b} has no variable image in the body \
+                     occurrence (got {other:?})"
+                ))),
+            },
+        )
         .collect()
 }
 

@@ -36,8 +36,7 @@ pub struct Explain {
     pub parse_ns: u64,
     /// Inference-phase wall time.
     pub infer_ns: u64,
-    /// Lowering-phase (offset compilation) wall time. Zero when the engine's
-    /// compile tier is off.
+    /// Lowering-phase (offset compilation) wall time.
     pub lower_ns: u64,
     /// Translation-phase (Figs. 3/5) wall time.
     pub translate_ns: u64,
@@ -117,7 +116,7 @@ impl std::fmt::Display for Explain {
         if self.deps.is_empty() {
             writeln!(
                 f,
-                "deps       (none — cache entry pinned to the global epoch)"
+                "deps       (none — no free top-level names, never stale)"
             )?;
         } else {
             let rows: Vec<String> = self

@@ -29,9 +29,7 @@
 //! (and value) can change only when a `val`/`fun`/`class` declaration
 //! rebinds *that name*. Names never rebound — including every builtin and
 //! prelude name — sit at epoch 0 forever, so a statement over a stable
-//! schema never recompiles. The global declaration epoch is kept as a
-//! defensive fallback ([`Deps::Global`]) for statements whose dependency
-//! set cannot be computed.
+//! schema never recompiles.
 
 use polyview_syntax::{Expr, Name, Scheme};
 use polyview_trans::LowerStats;
@@ -40,34 +38,31 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// What a [`Prepared`] statement's validity is checked against (DESIGN.md
-/// §12).
+/// §12): the statement's free top-level names, each paired with that
+/// name's declaration epoch snapshotted at compile time. The statement is
+/// stale iff some dependency's epoch has moved; rebinding a name the
+/// statement never mentions leaves it valid. A name absent from the
+/// engine's epoch map has implicit epoch 0 (never rebound) — this is how
+/// builtins and the prelude stay free.
 #[derive(Clone, Debug)]
-pub enum Deps {
-    /// The statement's free top-level names, each paired with that name's
-    /// declaration epoch snapshotted at compile time. The statement is
-    /// stale iff some dependency's epoch has moved; rebinding a name the
-    /// statement never mentions leaves it valid. A name absent from the
-    /// engine's epoch map has implicit epoch 0 (never rebound) — this is
-    /// how builtins and the prelude stay free.
-    Names(Vec<(Name, u64)>),
-    /// Defensive fallback: the global declaration epoch at compile time —
-    /// stale after *any* declaration. The engine computes [`Deps::Names`]
-    /// for every AST it prepares (the free-variable walk is total); this
-    /// variant exists for callers that cannot produce a dependency set and
-    /// preserves the pre-per-name semantics exactly.
-    Global(u64),
-}
+pub struct Deps(Vec<(Name, u64)>);
 
 impl Deps {
+    pub(crate) fn new(names: Vec<(Name, u64)>) -> Self {
+        Deps(names)
+    }
+
+    /// Each free top-level name with its compile-time epoch.
+    pub fn names(&self) -> &[(Name, u64)] {
+        &self.0
+    }
+
     /// Is a statement with these dependencies still valid under the given
-    /// per-name epochs (`name_epochs`, missing key = 0) and global epoch?
-    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>, env_epoch: u64) -> bool {
-        match self {
-            Deps::Names(ds) => ds
-                .iter()
-                .all(|(n, at)| name_epochs.get(n).copied().unwrap_or(0) == *at),
-            Deps::Global(at) => *at == env_epoch,
-        }
+    /// per-name epochs (`name_epochs`, missing key = 0)?
+    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>) -> bool {
+        self.0
+            .iter()
+            .all(|(n, at)| name_epochs.get(n).copied().unwrap_or(0) == *at)
     }
 }
 
@@ -78,12 +73,10 @@ impl Deps {
 pub struct Prepared {
     src: Option<String>,
     ast: Rc<Expr>,
-    /// The executable form [`crate::Engine::run`] evaluates. With the
-    /// compile tier on this is the offset-resolved lowering of `ast`
-    /// (DESIGN.md §13); with the tier off it is `ast` itself.
+    /// The executable form [`crate::Engine::run`] evaluates: the
+    /// offset-resolved lowering of `ast` (DESIGN.md §13).
     code: Rc<Expr>,
-    /// Compile-tier work counters for this statement (all zero when the
-    /// tier is off).
+    /// Compile-tier work counters for this statement.
     lower: LowerStats,
     scheme: Scheme,
     deps: Deps,
@@ -95,27 +88,22 @@ impl Prepared {
     pub(crate) fn new(
         src: Option<String>,
         ast: Rc<Expr>,
+        code: Rc<Expr>,
+        lower: LowerStats,
         scheme: Scheme,
         deps: Deps,
         env_epoch: u64,
     ) -> Self {
         Prepared {
             src,
-            code: ast.clone(),
             ast,
-            lower: LowerStats::default(),
+            code,
+            lower,
             scheme,
             deps,
             env_epoch,
             translation: OnceCell::new(),
         }
-    }
-
-    /// Attach the compile tier's output: the offset-resolved form that
-    /// [`crate::Engine::run`] will evaluate instead of the source AST.
-    pub(crate) fn set_code(&mut self, code: Rc<Expr>, lower: LowerStats) {
-        self.code = code;
-        self.lower = lower;
     }
 
     /// The source text this statement was prepared from, when it came from
@@ -130,8 +118,7 @@ impl Prepared {
         &self.ast
     }
 
-    /// The executable form: the compile tier's offset-resolved lowering
-    /// when the tier is on, the source AST otherwise.
+    /// The executable form: the compile tier's offset-resolved lowering.
     pub fn code(&self) -> &Expr {
         &self.code
     }
@@ -147,16 +134,15 @@ impl Prepared {
     }
 
     /// The dependency snapshot staleness is checked against: the
-    /// statement's free top-level names with their compile-time epochs
-    /// (or the global-epoch fallback).
+    /// statement's free top-level names with their compile-time epochs.
     pub fn deps(&self) -> &Deps {
         &self.deps
     }
 
-    /// Is this statement still valid under the given per-name epochs and
-    /// global epoch? See [`Deps::is_fresh`].
-    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>, env_epoch: u64) -> bool {
-        self.deps.is_fresh(name_epochs, env_epoch)
+    /// Is this statement still valid under the given per-name epochs? See
+    /// [`Deps::is_fresh`].
+    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>) -> bool {
+        self.deps.is_fresh(name_epochs)
     }
 
     /// The global declaration epoch this statement was compiled under
@@ -235,17 +221,11 @@ impl StmtCache {
     }
 
     /// Look up a statement, bumping its recency. An entry whose dependency
-    /// snapshot no longer matches the current per-name epochs (or the
-    /// global epoch, for [`Deps::Global`] entries) is stale: it is dropped
-    /// and the caller re-prepares.
-    pub fn lookup(
-        &mut self,
-        key: &StmtKey,
-        name_epochs: &HashMap<Name, u64>,
-        env_epoch: u64,
-    ) -> CacheLookup {
+    /// snapshot no longer matches the current per-name epochs is stale: it
+    /// is dropped and the caller re-prepares.
+    pub fn lookup(&mut self, key: &StmtKey, name_epochs: &HashMap<Name, u64>) -> CacheLookup {
         match self.map.get_mut(key) {
-            Some((tick, p)) if p.is_fresh(name_epochs, env_epoch) => {
+            Some((tick, p)) if p.is_fresh(name_epochs) => {
                 self.tick += 1;
                 *tick = self.tick;
                 CacheLookup::Hit(p.clone())
@@ -261,15 +241,10 @@ impl StmtCache {
     /// Is there a valid entry for `key` under the current epochs? Pure
     /// peek: does not bump recency and does not drop stale entries
     /// (`explain` uses it to report cache state without perturbing it).
-    pub fn contains_valid(
-        &self,
-        key: &StmtKey,
-        name_epochs: &HashMap<Name, u64>,
-        env_epoch: u64,
-    ) -> bool {
+    pub fn contains_valid(&self, key: &StmtKey, name_epochs: &HashMap<Name, u64>) -> bool {
         self.map
             .get(key)
-            .is_some_and(|(_, p)| p.is_fresh(name_epochs, env_epoch))
+            .is_some_and(|(_, p)| p.is_fresh(name_epochs))
     }
 
     /// Insert (or refresh) an entry, evicting oldest-first to stay within
@@ -360,8 +335,7 @@ pub struct EngineStats {
     /// miss alone means the statement was never cached.
     pub stmt_cache_dep_invalidations: u64,
     /// Explicit [`crate::Engine::run`]s of a stale [`Prepared`] handle
-    /// ([`crate::Error::StalePrepared`]): a dependency — or, for
-    /// global-fallback statements, any declaration — moved underneath it.
+    /// ([`crate::Error::StalePrepared`]): a dependency moved underneath it.
     pub epoch_invalidations: u64,
     /// Tokens produced by the lexer (excluding end-of-input).
     pub tokens_lexed: u64,
@@ -488,26 +462,28 @@ mod tests {
     use super::*;
     use polyview_syntax::{Expr, Label};
 
-    /// A prepared statement on the pre-per-name global fallback: stale
-    /// after any epoch move.
-    fn prepared(epoch: u64) -> Prepared {
+    fn prepared_deps(deps: Vec<(&str, u64)>) -> Prepared {
+        let ast = Rc::new(Expr::int(1));
         Prepared::new(
             None,
-            Rc::new(Expr::int(1)),
+            ast.clone(),
+            ast,
+            LowerStats::default(),
             Scheme::mono(polyview_syntax::Mono::int()),
-            Deps::Global(epoch),
-            epoch,
+            Deps::new(deps.into_iter().map(|(n, e)| (Label::new(n), e)).collect()),
+            0,
         )
     }
 
-    fn prepared_deps(deps: Vec<(&str, u64)>) -> Prepared {
-        Prepared::new(
-            None,
-            Rc::new(Expr::int(1)),
-            Scheme::mono(polyview_syntax::Mono::int()),
-            Deps::Names(deps.into_iter().map(|(n, e)| (Label::new(n), e)).collect()),
-            0,
-        )
+    /// A prepared statement over the one name `x`, compiled at epoch 0: a
+    /// rebind of `x` makes it stale.
+    fn prepared() -> Prepared {
+        prepared_deps(vec![("x", 0)])
+    }
+
+    /// The epochs after `x` has been rebound once.
+    fn x_rebound() -> HashMap<Name, u64> {
+        epochs(&[("x", 1)])
     }
 
     fn epochs(entries: &[(&str, u64)]) -> HashMap<Name, u64> {
@@ -518,11 +494,8 @@ mod tests {
         StmtKey::Src(s.to_string())
     }
 
-    fn hit(c: &mut StmtCache, s: &str, epoch: u64) -> bool {
-        matches!(
-            c.lookup(&key(s), &HashMap::new(), epoch),
-            CacheLookup::Hit(_)
-        )
+    fn hit(c: &mut StmtCache, s: &str) -> bool {
+        matches!(c.lookup(&key(s), &HashMap::new()), CacheLookup::Hit(_))
     }
 
     #[test]
@@ -558,31 +531,31 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = StmtCache::new(2);
-        assert_eq!(c.insert(key("a"), prepared(0)), 0);
-        assert_eq!(c.insert(key("b"), prepared(0)), 0);
-        assert!(hit(&mut c, "a", 0)); // refresh a
-        assert_eq!(c.insert(key("c"), prepared(0)), 1); // evicts b
+        assert_eq!(c.insert(key("a"), prepared()), 0);
+        assert_eq!(c.insert(key("b"), prepared()), 0);
+        assert!(hit(&mut c, "a")); // refresh a
+        assert_eq!(c.insert(key("c"), prepared()), 1); // evicts b
         assert_eq!(c.len(), 2);
-        assert!(hit(&mut c, "a", 0));
+        assert!(hit(&mut c, "a"));
         assert!(matches!(
-            c.lookup(&key("b"), &HashMap::new(), 0),
+            c.lookup(&key("b"), &HashMap::new()),
             CacheLookup::Miss
         ));
-        assert!(hit(&mut c, "c", 0));
+        assert!(hit(&mut c, "c"));
     }
 
     #[test]
     fn stale_epoch_entries_report_stale_and_drop() {
         let mut c = StmtCache::new(4);
-        c.insert(key("q"), prepared(0));
+        c.insert(key("q"), prepared());
         assert!(matches!(
-            c.lookup(&key("q"), &HashMap::new(), 1),
+            c.lookup(&key("q"), &x_rebound()),
             CacheLookup::Stale
         ));
         assert_eq!(c.len(), 0);
         // Once dropped, a further lookup is a plain miss.
         assert!(matches!(
-            c.lookup(&key("q"), &HashMap::new(), 1),
+            c.lookup(&key("q"), &x_rebound()),
             CacheLookup::Miss
         ));
     }
@@ -590,10 +563,10 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = StmtCache::new(0);
-        assert_eq!(c.insert(key("q"), prepared(0)), 0);
+        assert_eq!(c.insert(key("q"), prepared()), 0);
         assert_eq!(c.len(), 0);
         assert!(matches!(
-            c.lookup(&key("q"), &HashMap::new(), 0),
+            c.lookup(&key("q"), &HashMap::new()),
             CacheLookup::Miss
         ));
     }
@@ -602,35 +575,35 @@ mod tests {
     fn set_capacity_to_zero_evicts_everything() {
         let mut c = StmtCache::new(4);
         for s in ["a", "b", "c"] {
-            c.insert(key(s), prepared(0));
+            c.insert(key(s), prepared());
         }
         assert_eq!(c.set_capacity(0), 3);
         assert_eq!(c.len(), 0);
         // Inserts are now no-ops, and growing again re-enables caching.
-        assert_eq!(c.insert(key("a"), prepared(0)), 0);
+        assert_eq!(c.insert(key("a"), prepared()), 0);
         assert_eq!(c.len(), 0);
         assert_eq!(c.set_capacity(2), 0);
-        c.insert(key("a"), prepared(0));
-        assert!(hit(&mut c, "a", 0));
+        c.insert(key("a"), prepared());
+        assert!(hit(&mut c, "a"));
     }
 
     #[test]
     fn set_capacity_shrinks_by_recency() {
         let mut c = StmtCache::new(8);
         for s in ["a", "b", "c", "d"] {
-            c.insert(key(s), prepared(0));
+            c.insert(key(s), prepared());
         }
-        assert!(hit(&mut c, "a", 0));
+        assert!(hit(&mut c, "a"));
         assert_eq!(c.set_capacity(2), 2); // evicts b then c, oldest first
         assert_eq!(c.len(), 2);
-        assert!(hit(&mut c, "a", 0));
-        assert!(hit(&mut c, "d", 0));
+        assert!(hit(&mut c, "a"));
+        assert!(hit(&mut c, "d"));
         assert!(matches!(
-            c.lookup(&key("b"), &HashMap::new(), 0),
+            c.lookup(&key("b"), &HashMap::new()),
             CacheLookup::Miss
         ));
         assert!(matches!(
-            c.lookup(&key("c"), &HashMap::new(), 0),
+            c.lookup(&key("c"), &HashMap::new()),
             CacheLookup::Miss
         ));
     }
@@ -638,41 +611,37 @@ mod tests {
     #[test]
     fn contains_valid_peeks_without_touching_recency() {
         let mut c = StmtCache::new(2);
-        c.insert(key("a"), prepared(0));
-        c.insert(key("b"), prepared(0));
+        c.insert(key("a"), prepared());
+        c.insert(key("b"), prepared());
         // Peeking at "a" must NOT refresh it: the next insert still evicts
         // it as the oldest entry.
-        assert!(c.contains_valid(&key("a"), &HashMap::new(), 0));
-        assert!(!c.contains_valid(&key("a"), &HashMap::new(), 1)); // wrong epoch
-        assert!(!c.contains_valid(&key("z"), &HashMap::new(), 0));
-        c.insert(key("c"), prepared(0));
+        assert!(c.contains_valid(&key("a"), &HashMap::new()));
+        assert!(!c.contains_valid(&key("a"), &x_rebound())); // dep rebound
+        assert!(!c.contains_valid(&key("z"), &HashMap::new()));
+        c.insert(key("c"), prepared());
         assert!(matches!(
-            c.lookup(&key("a"), &HashMap::new(), 0),
+            c.lookup(&key("a"), &HashMap::new()),
             CacheLookup::Miss
         ));
         // The stale peek above must not have dropped the entry either.
-        assert!(c.contains_valid(&key("b"), &HashMap::new(), 0));
+        assert!(c.contains_valid(&key("b"), &HashMap::new()));
     }
 
     #[test]
     fn name_deps_survive_unrelated_epoch_moves() {
         let mut c = StmtCache::new(4);
         c.insert(key("q"), prepared_deps(vec![("Employee", 0), ("map", 0)]));
-        // An unrelated name was rebound (and the global epoch moved): the
-        // entry stays a hit.
+        // An unrelated name was rebound: the entry stays a hit.
         let unrelated = epochs(&[("tick", 3)]);
         assert!(matches!(
-            c.lookup(&key("q"), &unrelated, 3),
+            c.lookup(&key("q"), &unrelated),
             CacheLookup::Hit(_)
         ));
-        assert!(c.contains_valid(&key("q"), &unrelated, 3));
+        assert!(c.contains_valid(&key("q"), &unrelated));
         // A dependency was rebound: stale, dropped.
         let related = epochs(&[("tick", 3), ("Employee", 1)]);
-        assert!(!c.contains_valid(&key("q"), &related, 4));
-        assert!(matches!(
-            c.lookup(&key("q"), &related, 4),
-            CacheLookup::Stale
-        ));
+        assert!(!c.contains_valid(&key("q"), &related));
+        assert!(matches!(c.lookup(&key("q"), &related), CacheLookup::Stale));
         assert_eq!(c.len(), 0);
     }
 
@@ -682,20 +651,10 @@ mod tests {
         // taken at 0 matches forever, and a snapshot taken after a rebind
         // (epoch > 0) never matches an empty map.
         let fresh = prepared_deps(vec![("map", 0)]);
-        assert!(fresh.is_fresh(&HashMap::new(), 99));
+        assert!(fresh.is_fresh(&HashMap::new()));
         let rebound = prepared_deps(vec![("map", 2)]);
-        assert!(!rebound.is_fresh(&HashMap::new(), 99));
-        assert!(rebound.is_fresh(&epochs(&[("map", 2)]), 99));
-    }
-
-    #[test]
-    fn global_fallback_invalidates_on_any_epoch_move() {
-        let p = prepared(7);
-        assert!(matches!(p.deps(), Deps::Global(7)));
-        // Per-name epochs are ignored by the fallback: only the global
-        // epoch decides.
-        assert!(p.is_fresh(&epochs(&[("x", 5)]), 7));
-        assert!(!p.is_fresh(&HashMap::new(), 8));
+        assert!(!rebound.is_fresh(&HashMap::new()));
+        assert!(rebound.is_fresh(&epochs(&[("map", 2)])));
     }
 
     #[test]

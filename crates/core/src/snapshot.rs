@@ -8,8 +8,8 @@
 //! session is: the type side (globally bound schemes resolved through the
 //! current substitution, the fresh-variable counter, and the kinds of the
 //! variables left free in those schemes) and the engine bookkeeping
-//! (declaration epochs, per-name epochs, compile-tier flag, index
-//! signatures, alias edges). What is *not* serialized — the statement
+//! (declaration epochs, per-name epochs, index signatures, alias
+//! edges). What is *not* serialized — the statement
 //! cache, metrics, tracer — is a cold-start derivative of what is.
 //!
 //! Why resolved schemes: the substitution itself (`Infer`'s union-find
@@ -32,8 +32,10 @@ use polyview_syntax::{Kind, Label, Name, Scheme, TyVar};
 /// First bytes of every engine snapshot (the machine section inside has
 /// its own `PVMS` magic).
 pub const ENGINE_MAGIC: [u8; 4] = *b"PVES";
-/// Envelope version; decoding any other version is a loud error.
-pub const ENGINE_VERSION: u32 = 1;
+/// Envelope version; decoding any other version is a loud error. Version
+/// 1 carried a compile-tier flag byte after the name epochs; version 2
+/// drops it (lowering is unconditional).
+pub const ENGINE_VERSION: u32 = 2;
 
 /// The flattened session state the envelope carries — the bridge between
 /// [`crate::Engine`]'s private fields and the byte format. Vectors are
@@ -51,7 +53,6 @@ pub(crate) struct EngineParts {
     pub globals: Vec<(Name, Scheme)>,
     pub env_epoch: u64,
     pub name_epochs: Vec<(Name, u64)>,
-    pub compile_tier: bool,
     /// Index signatures of index-abstracted bindings (compile tier).
     pub index_sigs: Vec<(Name, Vec<(TyVar, Label)>)>,
     /// `val g = f;` alias edges (alias → source).
@@ -82,7 +83,6 @@ pub(crate) fn encode_parts(p: &EngineParts) -> Vec<u8> {
         write_name(&mut w, n);
         w.u64(*e);
     }
-    w.bool(p.compile_tier);
     w.usize(p.index_sigs.len());
     for (n, sig) in &p.index_sigs {
         write_name(&mut w, n);
@@ -136,7 +136,6 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<EngineParts, WireError> {
         let name = read_name(&mut r)?;
         name_epochs.push((name, r.u64("name epoch")?));
     }
-    let compile_tier = r.bool("compile-tier flag")?;
     let n = r.count("index-signature count")?;
     let mut index_sigs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -168,7 +167,6 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<EngineParts, WireError> {
         globals,
         env_epoch,
         name_epochs,
-        compile_tier,
         index_sigs,
         alias_edges,
     })
@@ -301,6 +299,22 @@ mod tests {
         let mut skew = good;
         skew[4] = 0xEE;
         assert!(Engine::from_snapshot(&skew).is_err());
+    }
+
+    #[test]
+    fn version_one_envelope_is_rejected() {
+        // A v1 envelope (it carried the compile-tier flag byte) must fail
+        // on its version field, never be misread as v2.
+        let mut v1 = session_engine().snapshot();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = Engine::from_snapshot(&v1)
+            .map(|_| ())
+            .expect_err("v1 refused");
+        assert!(
+            err.to_string()
+                .contains("unsupported engine snapshot version 1"),
+            "got {err}"
+        );
     }
 
     #[test]

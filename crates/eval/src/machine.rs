@@ -55,8 +55,9 @@ pub struct MachineStats {
     /// lowered record constructions. The compile tier's success metric.
     pub field_offsets_resolved: u64,
     /// Field operations that fell back to dynamic label lookup: un-lowered
-    /// `dot`/`extract`/`update`/record constructions (compile tier off, or
-    /// residue the lowering could not resolve) and lowered ops whose index
+    /// `dot`/`extract`/`update`/record constructions (an AST evaluated
+    /// without lowering, or residue the lowering could not resolve) and
+    /// lowered ops whose index
     /// parameter carried the unresolved sentinel. Machine-internal record
     /// building (view materialization, relobj raws) is *not* counted — it
     /// has no source field operation to lower (DESIGN.md §13).

@@ -205,8 +205,8 @@ impl<'a> Lowerer<'a> {
             // Alias of an abstracted binding. Bare η-expansion
             // (`λ#i… x #i…`) would leave `x` a *name* in the closure body,
             // re-resolved against the global environment on every call —
-            // late binding, while `val g = x` without the tier snapshots
-            // x's value at definition time. Bind the source value once
+            // late binding, while `val g = x` snapshots x's value at
+            // definition time. Bind the source value once
             // (`let #src = x`) and re-apply the indices through the
             // snapshot, so rebinding `x` can never reach the alias.
             Expr::Var(x) => {
@@ -692,7 +692,8 @@ mod tests {
         // let #src = f in λ#i. #src #i end — an index-taking function
         // again, but one that captured f's *value* at definition time
         // (referencing f by name in the λ body would late-bind: rebinding
-        // f would change g's behaviour, which tier-off semantics forbid).
+        // f would change g's behaviour, which `val` snapshot semantics
+        // forbid).
         let g_rhs = b::v("f");
         let mut cx = Infer::new();
         cx.enable_table();

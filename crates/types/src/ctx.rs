@@ -245,10 +245,6 @@ impl Infer {
         self.table = Some(Box::default());
     }
 
-    pub fn table_enabled(&self) -> bool {
-        self.table.is_some()
-    }
-
     /// Take the recorded table, resolving every stored type against the
     /// current substitution — after inference of a statement completes,
     /// the variables it minted are never bound again, so the resolved

@@ -12,10 +12,9 @@ cd "$(dirname "$0")/.."
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
-
-echo "==> workspace tests (all crates)"
+echo "==> tier-1 + workspace tests: cargo test --workspace -q"
+# One pass: the workspace run includes the root package's tests (the
+# tier-1 `cargo test -q` set) plus every member crate's.
 cargo test --workspace -q
 
 echo "==> pool smoke: serving-layer suite under --release"

@@ -380,13 +380,12 @@ fn rebinding_through_a_val_alias_invalidates_transitively() {
 
 #[test]
 fn alias_keeps_its_snapshot_when_the_source_is_rebound() {
-    // `val g = f;` copies f's *value*. With the compile tier on, g's
-    // lowered form is index-abstracted — it must still capture f's value
-    // at definition time rather than re-resolve the global name on every
-    // call: after f is rebound (even to a non-function), calling g must
-    // behave exactly as the old f did, matching tier-off semantics.
+    // `val g = f;` copies f's *value*. g's lowered form is
+    // index-abstracted — it must still capture f's value at definition
+    // time rather than re-resolve the global name on every call: after f
+    // is rebound (even to a non-function), calling g must behave exactly
+    // as the old f did, matching `val` snapshot semantics.
     let mut e = Engine::new();
-    assert!(e.compile_tier());
     e.exec("val f = fn p => p.Bonus;").expect("defines");
     e.exec("val g = f;").expect("aliases");
     e.exec("val f = 42;").expect("rebinds to a non-function");
