@@ -1,5 +1,5 @@
-//! Read/write classification of statements — the single source of truth
-//! the serving layer (`crates/pool`) routes on.
+//! Read/write classification of statements: the syntactic pre-filter the
+//! serving layer (`crates/pool`) routes on.
 //!
 //! The calculus is purely functional at the value level: objects are
 //! raw-object/view pairs (Fig. 3), and a query never changes what any later
@@ -11,69 +11,26 @@
 //! * **store effects** — `insert`/`delete` change a class's own extent, and
 //!   `update` assigns to a mutable record field.
 //!
-//! Everything else is a [`StmtClass::Read`]: it may allocate fresh
-//! identities in the machine's store while it runs (records have L-value
-//! identity, so evaluation is not *pure* in the allocation sense), but
-//! nothing it creates is reachable from any later statement. That is the
-//! property a replicated pool needs — reads can be served by any replica
-//! without coordination, while writes must be sequenced through the
-//! declaration log and replayed on every replica in the same order.
+//! A statement containing either is a [`StmtClass::Write`]; everything else
+//! is a [`StmtClass::Read`]. The rule is syntactic, so it cannot see an
+//! effect reached through a name or through data — `f(o)` after
+//! `fun f x = insert(C, x);`, or `(box.F)(o)` after a closure was stored in
+//! `box`. It does not have to: a read runs as a *read region*
+//! ([`crate::Engine::read`]), which reclaims whatever the read allocated
+//! and refuses, before mutating, any write to state that existed when it
+//! began ([`crate::eval::RuntimeError::EffectInRead`]). The pool answers
+//! that refusal by sequencing the statement as a write (DESIGN.md §10).
+//! Classification is therefore only a routing hint: a write misfiled as a
+//! read costs one rolled-back evaluation, never a diverged replica.
 //!
 //! [`crate::Database`]'s facade methods follow the same split (`query` is a
 //! read, `insert`/`delete`/`exec` are writes), and
 //! [`crate::Prepared::class`] classifies a compiled statement without
 //! reparsing.
-//!
-//! # Syntactic classification alone is NOT sound for routing
-//!
-//! The free functions below ([`classify_expr`] / [`classify_decl`] /
-//! [`classify_program`]) look only at the statement's own AST. That misses
-//! effects reached *through a name*: after `fun f x = insert(C, x);` (a
-//! write — every replica binds `f`), the bare call `f(o)` contains no
-//! `Insert` node and classifies as `Read`. Routing on that alone would run
-//! the insert on a single replica, bypassing the declaration log and
-//! silently diverging the pool. Anything that routes on classification
-//! must therefore use an [`EffectSet`]: observe every sequenced write
-//! ([`EffectSet::observe_program`]) so names whose values can perform
-//! effects when used are known, and classify through it
-//! ([`EffectSet::classify_program`]), which additionally marks any
-//! statement mentioning such a name as a write. The pool does exactly this
-//! (DESIGN.md §10).
-//!
-//! ## Residual escape: effectful closures reached through applications
-//!
-//! `EffectSet` tracks effects per *top-level name*, and constructor
-//! positions propagate like application arguments: a record/tuple/set
-//! literal mentioning an effectful name (`[f = insert_fn]`, `{insert_fn}`)
-//! carries the effect, because the name is free in the literal. Storing
-//! such a value into previously-existing data also taints the *target* —
-//! after `update(box, F, fn x => insert(C, x))` the name `box` is
-//! effectful (the closure is reachable through a field read), and after
-//! `insert(C, obj)` with an effect-carrying `obj` the class `C` is (a
-//! query can hand the smuggled closure out). The storing statement is a
-//! write syntactically, so the observing router always sees it.
-//!
-//! One notch of that escape is closed at *application sites*: observing a
-//! direct application of a known-effectful name — or of a locally-bound
-//! alias of one (`let g = put in g(box) end`) — taints the free names of
-//! its arguments, because the called function may store into what it was
-//! handed. After `fun put b = update(b, F, insert_fn); put(box)` the name
-//! `box` is therefore effectful and a later `(box.F)(o)` classifies as a
-//! write.
-//!
-//! What remains out of reach without a type-and-effect system
-//! ([`crate::types`] does none): an effectful closure reached through
-//! *data* rather than through a name or a direct application — e.g.
-//! `map(put, boxes)` passes `put` higher-order, so no argument of the
-//! statement is syntactically applied to it, and the elements of `boxes`
-//! are not marked. Callers that construct such values must force
-//! sequencing at the call site by wrapping it in a declaration
-//! (`val it = (box.F)(o);` — declarations always classify as writes).
 
 use polyview_parser::{parse_program, Decl, ParseError};
-use polyview_syntax::visit::{children, class_children, free_vars, walk};
-use polyview_syntax::{Expr, Name};
-use std::collections::{BTreeMap, BTreeSet};
+use polyview_syntax::visit::walk;
+use polyview_syntax::Expr;
 
 /// Whether a statement changes state any later statement can observe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -142,10 +99,6 @@ pub fn classify_decl(d: &Decl) -> StmtClass {
 /// Classify a whole program (`;`-separated declarations): a write iff any
 /// of its declarations writes. Parsing happens against no environment, so
 /// classification needs no engine and can run on the submitting thread.
-///
-/// **Purely syntactic** — see the module docs: a call to a previously
-/// declared effectful function escapes this. Routing layers must classify
-/// through an [`EffectSet`] instead.
 pub fn classify_program(src: &str) -> Result<StmtClass, ParseError> {
     let decls = parse_program(src)?;
     Ok(if decls.iter().any(|d| classify_decl(d).is_write()) {
@@ -153,367 +106,6 @@ pub fn classify_program(src: &str) -> Result<StmtClass, ParseError> {
     } else {
         StmtClass::Read
     })
-}
-
-/// Does `e` contain an effect node (`insert`/`delete`/`update`) anywhere,
-/// including under binders?
-fn has_effect_node(e: &Expr) -> bool {
-    classify_expr(e).is_write()
-}
-
-/// Every `(target, payload)` pair of a store write inside `e`, in
-/// syntactic order: `insert(target, payload)` and
-/// `update(target, _, payload)`. These are the sites where a value can be
-/// made reachable from previously-existing data.
-fn store_sites<'a>(e: &'a Expr, out: &mut Vec<(&'a Expr, &'a Expr)>) {
-    match e {
-        Expr::Insert(target, payload) => out.push((target, payload)),
-        Expr::Update(target, _, payload) => out.push((target, payload)),
-        Expr::UpdateAt(target, _, _, payload) => out.push((target, payload)),
-        _ => {}
-    }
-    for c in children(e) {
-        store_sites(c, out);
-    }
-}
-
-/// The set of top-level names whose values may perform store effects when
-/// *used* — the environment-aware half of classification.
-///
-/// A routing layer feeds it every statement it sequences as a write
-/// ([`EffectSet::observe_program`], in log order), and classifies incoming
-/// statements with [`EffectSet::classify_program`]: a statement is a write
-/// if it is syntactically a write ([`classify_decl`]) **or** mentions any
-/// effectful name as a free variable. That closes the declared-function
-/// escape (`fun f x = insert(C, x); … f(o)`), including aliases
-/// (`val g = f;` marks `g`), higher-order mentions (`map(f, s)` — `f` is
-/// free in the statement), and mutual recursion (fixpoint over each
-/// `fun … and …` / `class … and …` group).
-///
-/// Marking is conservative in the safe direction: a statement that merely
-/// *mentions* an effectful name without calling it, or that locally
-/// shadows one, classifies as a write and pays one sequencing round-trip —
-/// never the reverse. The residual escape (effectful closures reached
-/// through data, not names) is documented in the module docs.
-#[derive(Clone, Debug, Default)]
-pub struct EffectSet {
-    effectful: BTreeSet<Name>,
-}
-
-impl EffectSet {
-    pub fn new() -> Self {
-        EffectSet::default()
-    }
-
-    /// Names currently known effectful.
-    pub fn len(&self) -> usize {
-        self.effectful.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.effectful.is_empty()
-    }
-
-    pub fn is_effectful(&self, name: &str) -> bool {
-        self.effectful.contains(name)
-    }
-
-    /// The names currently known effectful, in name order — the
-    /// serializable face of the set. A checkpointing layer persists these
-    /// alongside its engine snapshot so that classification survives a
-    /// restart whose log prefix was truncated (the defining sources are
-    /// gone, so the set cannot be rebuilt by observation).
-    pub fn effectful_names(&self) -> impl Iterator<Item = &Name> + '_ {
-        self.effectful.iter()
-    }
-
-    /// Re-mark a name as effectful (checkpoint restore). Safe in the
-    /// conservative direction: a stale extra name only costs statements
-    /// mentioning it a sequencing round-trip, never correctness.
-    pub fn mark_effectful(&mut self, name: impl Into<Name>) {
-        self.effectful.insert(name.into());
-    }
-
-    /// Does `e` reference (as a free variable) any name known effectful,
-    /// or contain an effect node outright?
-    fn expr_carries_effect(&self, e: &Expr) -> bool {
-        has_effect_node(e) || free_vars(e).iter().any(|v| self.effectful.contains(v))
-    }
-
-    /// [`classify_expr`], plus: mentioning an effectful name is a write.
-    pub fn classify_expr(&self, e: &Expr) -> StmtClass {
-        if self.expr_carries_effect(e) {
-            StmtClass::Write
-        } else {
-            StmtClass::Read
-        }
-    }
-
-    /// [`classify_decl`], through the set.
-    pub fn classify_decl(&self, d: &Decl) -> StmtClass {
-        match d {
-            Decl::Val(_, _) | Decl::Fun(_) | Decl::Classes(_) => StmtClass::Write,
-            Decl::Expr(e) => self.classify_expr(e),
-        }
-    }
-
-    /// [`classify_program`], through the set. This is the classification
-    /// entry point routing layers must use.
-    pub fn classify_program(&self, src: &str) -> Result<StmtClass, ParseError> {
-        let decls = parse_program(src)?;
-        Ok(if decls.iter().any(|d| self.classify_decl(d).is_write()) {
-            StmtClass::Write
-        } else {
-            StmtClass::Read
-        })
-    }
-
-    /// Mark the *targets* of store writes whose payload can carry an
-    /// effect: after `update(box, F, fn x => insert(C, x))`, any statement
-    /// mentioning `box` may reach the stored closure through a field read,
-    /// so `box` itself becomes effectful (likewise `insert(C, obj)` with an
-    /// effect-carrying `obj` taints `C` — querying `C` can hand the closure
-    /// out). Only names free in the whole observed expression are tainted:
-    /// a target that is locally bound (`fn b => update(b, …)`) names no
-    /// top-level binding, and the binder case is already covered by the
-    /// `val`/`fun` marking rules. Iterated to a fixpoint so a payload
-    /// mentioning a target tainted earlier in the same statement converges.
-    fn taint_store_targets(&mut self, e: &Expr) {
-        let mut sites = Vec::new();
-        store_sites(e, &mut sites);
-        if sites.is_empty() {
-            return;
-        }
-        let outer = free_vars(e);
-        loop {
-            let mut changed = false;
-            for (target, payload) in &sites {
-                if self.expr_carries_effect(payload) {
-                    for n in free_vars(target) {
-                        if outer.contains(&n) && self.effectful.insert(n) {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    /// Mark the arguments of *direct applications* of effectful names:
-    /// after `fun put b = update(b, F, insert_fn);`, observing `put(box)`
-    /// taints `box` — the call may store an effectful closure into what it
-    /// was handed, making it reachable through a later field read. The
-    /// callee is resolved through locally-bound aliases
-    /// (`let g = put in g(box) end` taints `box` too) and respects local
-    /// shadowing (`let put = fn x => x in put(box) end` taints nothing).
-    /// Curried spines taint every argument (`put2 x box` marks both —
-    /// conservative, never the reverse). `bound` carries names the
-    /// enclosing declaration binds (fn parameters, group siblings), which
-    /// shadow globals and are never themselves tainted.
-    fn taint_app_args(&mut self, e: &Expr, bound: &BTreeSet<Name>) {
-        let mut outer = free_vars(e);
-        for b in bound {
-            outer.remove(b);
-        }
-        if outer.is_empty() {
-            return;
-        }
-        let locals: BTreeMap<Name, bool> = bound.iter().map(|n| (n.clone(), false)).collect();
-        // Fixpoint: tainting an argument can make a later application's
-        // callee (an alias of it) effectful.
-        loop {
-            let mut changed = false;
-            self.app_taint_walk(e, &outer, &locals, &mut changed);
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    /// Is `e` (as a callee or a `let` right-hand side) a name that
-    /// resolves — through the local scope — to something effectful?
-    fn resolves_effectful(&self, e: &Expr, locals: &BTreeMap<Name, bool>) -> bool {
-        match e {
-            Expr::Var(x) => locals
-                .get(x)
-                .copied()
-                .unwrap_or_else(|| self.effectful.contains(x)),
-            _ => false,
-        }
-    }
-
-    fn app_taint_walk(
-        &mut self,
-        e: &Expr,
-        outer: &BTreeSet<Name>,
-        locals: &BTreeMap<Name, bool>,
-        changed: &mut bool,
-    ) {
-        match e {
-            Expr::App(_, _) => {
-                // Walk the application spine to its head, collecting the
-                // argument of every nesting level (curried calls).
-                let mut head = e;
-                let mut args = Vec::new();
-                while let Expr::App(f, a) = head {
-                    args.push(a.as_ref());
-                    head = f.as_ref();
-                }
-                if self.resolves_effectful(head, locals) {
-                    for arg in &args {
-                        for n in free_vars(arg) {
-                            if outer.contains(&n) && self.effectful.insert(n) {
-                                *changed = true;
-                            }
-                        }
-                    }
-                }
-                self.app_taint_walk(head, outer, locals, changed);
-                for arg in args {
-                    self.app_taint_walk(arg, outer, locals, changed);
-                }
-            }
-            Expr::Lam(x, b) | Expr::Fix(x, b) => {
-                let mut inner = locals.clone();
-                inner.insert(x.clone(), false);
-                self.app_taint_walk(b, outer, &inner, changed);
-            }
-            Expr::Let(x, rhs, body) => {
-                self.app_taint_walk(rhs, outer, locals, changed);
-                let alias = self.resolves_effectful(rhs, locals);
-                let mut inner = locals.clone();
-                inner.insert(x.clone(), alias);
-                self.app_taint_walk(body, outer, &inner, changed);
-            }
-            Expr::LetClasses(binds, body) => {
-                let mut inner = locals.clone();
-                for (c, _) in binds {
-                    inner.insert(c.clone(), false);
-                }
-                for (_, cd) in binds {
-                    for c in class_children(cd) {
-                        self.app_taint_walk(c, outer, &inner, changed);
-                    }
-                }
-                self.app_taint_walk(body, outer, &inner, changed);
-            }
-            _ => {
-                for c in children(e) {
-                    self.app_taint_walk(c, outer, locals, changed);
-                }
-            }
-        }
-    }
-
-    /// Record the names a sequenced write makes effectful. Call this for
-    /// every write, in log order — later statements are classified against
-    /// the accumulated set.
-    pub fn observe_decl(&mut self, d: &Decl) {
-        match d {
-            // `val x = e;` — x is effectful if its value can carry an
-            // effect: e contains an effect node (possibly under a binder,
-            // i.e. x may be an effectful closure) or references an
-            // effectful name (aliasing / partial application). Evaluating
-            // e can also *store* an effectful closure into existing data;
-            // those targets are tainted too.
-            Decl::Val(x, e) => {
-                if self.expr_carries_effect(e) {
-                    self.effectful.insert(x.clone());
-                }
-                self.taint_store_targets(e);
-                self.taint_app_args(e, &BTreeSet::new());
-            }
-            // `fun f … = e and g … = e';` — fixpoint over the group so
-            // mutual recursion converges: f is effectful if its body has
-            // an effect node or mentions an effectful name or an
-            // effectful sibling. Parameters shadow outer names.
-            Decl::Fun(binds) => {
-                let mut marked: BTreeSet<Name> = BTreeSet::new();
-                loop {
-                    let mut changed = false;
-                    for (f, params, body) in binds {
-                        if marked.contains(f) {
-                            continue;
-                        }
-                        let fv = free_vars(body);
-                        let dirty = has_effect_node(body)
-                            || fv.iter().any(|v| {
-                                !params.contains(v)
-                                    && (self.effectful.contains(v) || marked.contains(v))
-                            });
-                        if dirty {
-                            marked.insert(f.clone());
-                            changed = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                self.effectful.extend(marked);
-                // Application sites inside the bodies: `fun h x = put(box);`
-                // taints `box` even though h itself is the marked name —
-                // calling h later performs the store into box. Parameters
-                // and group siblings shadow.
-                for (_, params, body) in binds {
-                    let mut bound: BTreeSet<Name> = params.iter().cloned().collect();
-                    bound.extend(binds.iter().map(|(f, _, _)| f.clone()));
-                    self.taint_app_args(body, &bound);
-                }
-            }
-            // `class C = … and D = …;` — a class is effectful if any of
-            // its constituent expressions (own extent, include sources,
-            // viewing functions, predicates) carries an effect: querying
-            // the class then runs that code. Same group fixpoint (a class
-            // sourcing an effectful sibling is effectful too).
-            Decl::Classes(binds) => {
-                let mut marked: BTreeSet<Name> = BTreeSet::new();
-                loop {
-                    let mut changed = false;
-                    for (c, cd) in binds {
-                        if marked.contains(c) {
-                            continue;
-                        }
-                        let dirty = class_children(cd).into_iter().any(|e| {
-                            self.expr_carries_effect(e)
-                                || free_vars(e).iter().any(|v| marked.contains(v))
-                        });
-                        if dirty {
-                            marked.insert(c.clone());
-                            changed = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                self.effectful.extend(marked);
-            }
-            // A bare expression binds nothing, but it can *store* an
-            // effectful closure into previously-existing data —
-            // `update(box, F, insert_fn)` — making the closure reachable
-            // from a name the statement never rebinds. Taint the store
-            // targets so the later indirect call `(box.F)(o)` classifies
-            // as a write. (The storing statement itself is always a write
-            // syntactically, so it is observed here in log order.)
-            Decl::Expr(e) => {
-                self.taint_store_targets(e);
-                self.taint_app_args(e, &BTreeSet::new());
-            }
-        }
-    }
-
-    /// [`EffectSet::observe_decl`] over a parsed program, in order —
-    /// within one program, `fun f x = insert(C, x); val g = f;` marks both.
-    pub fn observe_program(&mut self, src: &str) -> Result<(), ParseError> {
-        for d in parse_program(src)? {
-            self.observe_decl(&d);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -579,241 +171,5 @@ mod tests {
     #[test]
     fn parse_errors_surface() {
         assert!(classify_program("val = 3").is_err());
-    }
-
-    // ----- EffectSet: the declared-function escape and its closure -----
-
-    #[test]
-    fn call_of_declared_effectful_function_is_a_write() {
-        let mut fx = EffectSet::new();
-        // Purely syntactic classification misses this call…
-        assert_eq!(classify_program("f(o)").unwrap(), StmtClass::Read);
-        // …but after observing the declaration, the set catches it.
-        fx.observe_program("fun f x = insert(C, x);").unwrap();
-        assert!(fx.is_effectful("f"));
-        assert_eq!(fx.classify_program("f(o)").unwrap(), StmtClass::Write);
-        // Higher-order mention too: f is free in the statement.
-        assert_eq!(fx.classify_program("map(f, s)").unwrap(), StmtClass::Write);
-        // Unrelated reads stay reads.
-        assert_eq!(fx.classify_program("1 + 2").unwrap(), StmtClass::Read);
-        assert_eq!(fx.classify_program("g(o)").unwrap(), StmtClass::Read);
-    }
-
-    #[test]
-    fn aliases_of_effectful_names_propagate() {
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun f x = insert(C, x); val g = f;")
-            .unwrap();
-        assert!(fx.is_effectful("g"));
-        assert_eq!(fx.classify_program("g(o)").unwrap(), StmtClass::Write);
-        // An effectful closure bound by val is caught by the binder check.
-        fx.observe_program("val h = fn x => delete(C, x);").unwrap();
-        assert_eq!(fx.classify_program("h(o)").unwrap(), StmtClass::Write);
-    }
-
-    #[test]
-    fn mutual_recursion_reaches_a_fixpoint() {
-        let mut fx = EffectSet::new();
-        // g is effectful only through f; declared in one group.
-        fx.observe_program("fun f x = insert(C, x) and g y = f(y);")
-            .unwrap();
-        assert!(fx.is_effectful("f") && fx.is_effectful("g"));
-        // A pure group stays pure.
-        let mut pure = EffectSet::new();
-        pure.observe_program("fun even n = if n = 0 then true else odd(n - 1) and odd n = if n = 0 then false else even(n - 1);")
-            .unwrap();
-        assert!(pure.is_empty());
-    }
-
-    #[test]
-    fn parameters_shadow_effectful_names() {
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun f x = insert(C, x);").unwrap();
-        // `g`'s parameter f shadows the global: g is pure.
-        fx.observe_program("fun g f = f;").unwrap();
-        assert!(!fx.is_effectful("g"));
-        // Conservative direction: a local binder shadowing f still
-        // classifies the *statement* as a write (free_vars is exact, but
-        // `let f = … in f(1) end` has no free f — so this stays a read).
-        assert_eq!(
-            fx.classify_program("let f = fn x => x in f(1) end")
-                .unwrap(),
-            StmtClass::Read
-        );
-    }
-
-    #[test]
-    fn constructor_positions_propagate_effectfulness() {
-        // Regression pin: an effectful name is free in a record/tuple/set
-        // literal exactly like in an application argument, so data-smuggled
-        // mentions classify as writes.
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun ins x = insert(C, x);").unwrap();
-        for src in [
-            "[f = ins]",                  // record field
-            "{ins}",                      // set literal
-            "[a = 1, b = [inner = ins]]", // nested constructor
-            "IDView([f = ins])",          // object constructor
-        ] {
-            assert_eq!(fx.classify_program(src).unwrap(), StmtClass::Write, "{src}");
-        }
-        // Pure constructors stay reads.
-        assert_eq!(
-            fx.classify_program("[f = fn x => x]").unwrap(),
-            StmtClass::Read
-        );
-    }
-
-    #[test]
-    fn storing_an_effectful_closure_taints_the_target() {
-        let mut fx = EffectSet::new();
-        // `box` starts out pure…
-        fx.observe_program("val box = [F := fn x => x];").unwrap();
-        assert!(!fx.is_effectful("box"));
-        assert_eq!(fx.classify_program("(box.F)(o)").unwrap(), StmtClass::Read);
-        // …until a sequenced write smuggles an effectful closure into it.
-        fx.observe_program("update(box, F, fn x => insert(C, x))")
-            .unwrap();
-        assert!(fx.is_effectful("box"));
-        assert_eq!(fx.classify_program("(box.F)(o)").unwrap(), StmtClass::Write);
-
-        // Inserting an effect-carrying object taints the class: queries
-        // against it can hand the closure out.
-        let mut fx = EffectSet::new();
-        fx.observe_program("insert(Tasks, IDView([Run = fn x => delete(Done, x)]))")
-            .unwrap();
-        assert!(fx.is_effectful("Tasks"));
-        assert_eq!(
-            fx.classify_program("cquery(fn s => s, Tasks)").unwrap(),
-            StmtClass::Write
-        );
-
-        // Pure payloads taint nothing.
-        let mut fx = EffectSet::new();
-        fx.observe_program("update(box, F, fn x => x)").unwrap();
-        fx.observe_program("insert(Tasks, IDView([N = 1]))")
-            .unwrap();
-        assert!(fx.is_empty());
-
-        // A locally-bound target names no top-level binding: observing
-        // `fn b => update(b, F, ins)` must not taint a global `b`.
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun ins x = insert(C, x);").unwrap();
-        fx.observe_program("val h = fn b => update(b, F, ins);")
-            .unwrap();
-        assert!(!fx.is_effectful("b"));
-        assert!(fx.is_effectful("h"), "closure itself is effectful");
-    }
-
-    #[test]
-    fn direct_application_of_an_effectful_name_taints_its_argument() {
-        // Regression pin for the narrowed escape: a store that happens
-        // *inside a called function* used to leave the argument unmarked.
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun put b = update(b, F, fn x => insert(C, x));")
-            .unwrap();
-        fx.observe_program("val box = [F := fn x => x];").unwrap();
-        assert!(!fx.is_effectful("box"));
-        assert_eq!(fx.classify_program("(box.F)(o)").unwrap(), StmtClass::Read);
-        // The sequenced call `put(box)` may store into box: taint it.
-        fx.observe_program("put(box)").unwrap();
-        assert!(fx.is_effectful("box"));
-        assert_eq!(fx.classify_program("(box.F)(o)").unwrap(), StmtClass::Write);
-
-        // A *locally-bound alias* of the effectful name is followed.
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun put b = update(b, F, fn x => insert(C, x));")
-            .unwrap();
-        fx.observe_program("let g = put in g(crate_box) end")
-            .unwrap();
-        assert!(fx.is_effectful("crate_box"));
-
-        // Curried spines taint every argument (conservative direction).
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun put2 tag b = update(b, F, fn x => insert(C, x));")
-            .unwrap();
-        fx.observe_program("put2 label box2").unwrap();
-        assert!(fx.is_effectful("box2"));
-        assert!(fx.is_effectful("label"), "curried spine is tainted whole");
-
-        // Application sites inside a `fun` body taint too — calling the
-        // new function performs the inner store.
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun put b = update(b, F, fn x => insert(C, x));")
-            .unwrap();
-        fx.observe_program("fun poke x = put(shared_box);").unwrap();
-        assert!(fx.is_effectful("shared_box"));
-    }
-
-    #[test]
-    fn app_taint_respects_shadowing_and_purity() {
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun put b = update(b, F, fn x => insert(C, x));")
-            .unwrap();
-        // A local rebinding of `put` to a pure function shadows the
-        // global: nothing is tainted.
-        fx.observe_program("let put = fn x => x in put(box) end")
-            .unwrap();
-        assert!(!fx.is_effectful("box"));
-        // A lambda parameter shadows, and lambda-bound arguments name no
-        // top-level binding: `fn b => put(b)` taints no global `b`.
-        fx.observe_program("val h = fn b => put(b);").unwrap();
-        assert!(!fx.is_effectful("b"));
-        assert!(fx.is_effectful("h"), "the closure itself is effectful");
-        // Applying a *pure* function taints nothing.
-        fx.observe_program("fun id x = x;").unwrap();
-        fx.observe_program("id(box)").unwrap();
-        assert!(!fx.is_effectful("box"));
-        // Group parameters shadow inside `fun` bodies: `fun g put = put(v);`
-        // applies its parameter, not the global.
-        fx.observe_program("fun g put = put(v);").unwrap();
-        assert!(!fx.is_effectful("v"));
-    }
-
-    #[test]
-    fn effectful_names_roundtrip_through_mark() {
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun f x = insert(C, x); val g = f;")
-            .unwrap();
-        let names: Vec<String> = fx
-            .effectful_names()
-            .map(|n| n.as_str().to_string())
-            .collect();
-        assert_eq!(names, ["f", "g"]);
-        // Restore into a fresh set (the checkpoint-restart path).
-        let mut restored = EffectSet::new();
-        for n in &names {
-            restored.mark_effectful(n.as_str());
-        }
-        assert!(restored.is_effectful("f") && restored.is_effectful("g"));
-        assert_eq!(restored.classify_program("g(o)").unwrap(), StmtClass::Write);
-    }
-
-    #[test]
-    fn class_with_effectful_predicate_marks_queries_as_writes() {
-        let mut fx = EffectSet::new();
-        fx.observe_program("fun track x = insert(Audit, x);")
-            .unwrap();
-        fx.observe_program(
-            "class Logged = class {} include Staff as fn x => [Name = x.Name] \
-             where fn x => query(fn p => track(p), x) end;",
-        )
-        .unwrap();
-        assert!(fx.is_effectful("Logged"));
-        assert_eq!(
-            fx.classify_program("cquery(fn s => s, Logged)").unwrap(),
-            StmtClass::Write
-        );
-        // A pure view class stays a read target.
-        fx.observe_program(
-            "class Female = class {} include Staff as fn x => [Name = x.Name] \
-             where fn x => query(fn p => p.Sex = \"female\", x) end;",
-        )
-        .unwrap();
-        assert!(!fx.is_effectful("Female"));
-        assert_eq!(
-            fx.classify_program("cquery(fn s => s, Female)").unwrap(),
-            StmtClass::Read
-        );
     }
 }

@@ -21,7 +21,9 @@ use crate::prepare::{
     CacheLookup, Deps, EngineStats, Prepared, StmtCache, StmtKey, DEFAULT_STMT_CACHE_CAPACITY,
 };
 use crate::profile::ProfileReport;
-use polyview_eval::{decode_machine, encode_machine, Machine, MachineStats, Profile, Value};
+use polyview_eval::{
+    decode_machine, encode_machine, Machine, MachineStats, Profile, RuntimeError, Value,
+};
 use polyview_obs::{Clock, Counter, EventSink, Histogram, Registry, Span, Tracer};
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
@@ -464,15 +466,20 @@ impl Engine {
 
     /// Execute a program: a sequence of declarations.
     pub fn exec(&mut self, src: &str) -> Result<Vec<Outcome>, Error> {
-        self.phases.parses.inc();
-        let span = self.tracer.span("engine.parse");
-        let (decls, ps) = parse_program_counted(src)?;
-        self.note_parse(span, ps);
+        let decls = self.parse_program_phase(src)?;
         let mut out = Vec::with_capacity(decls.len());
         for d in &decls {
             out.push(self.exec_decl(d)?);
         }
         Ok(out)
+    }
+
+    fn parse_program_phase(&mut self, src: &str) -> Result<Vec<Decl>, Error> {
+        self.phases.parses.inc();
+        let span = self.tracer.span("engine.parse");
+        let (decls, ps) = parse_program_counted(src)?;
+        self.note_parse(span, ps);
+        Ok(decls)
     }
 
     // ----- compile once / run many -----
@@ -968,6 +975,46 @@ impl Engine {
     pub fn eval_to_string(&mut self, src: &str) -> Result<String, Error> {
         let (_, v) = self.eval_expr(src)?;
         Ok(self.machine.show(&v))
+    }
+
+    /// Serve `src` as a *read region* and render its result: a single
+    /// expression through the statement cache, or a program of bare
+    /// expressions (one rendered line each). Whatever the read allocates
+    /// is reclaimed before this returns — on success, runtime error and
+    /// fuel exhaustion alike — so the machine ends exactly as it began and
+    /// a replica's state depends only on the writes it applied
+    /// ([`Machine::begin_read`]).
+    ///
+    /// A read that would change earlier state — `insert`/`delete` on an
+    /// existing class, `update` of an existing field, reached directly or
+    /// through any function or stored closure — fails with
+    /// [`polyview_eval::RuntimeError::EffectInRead`] before mutating, and
+    /// so does a program containing a declaration. The caller decides
+    /// what to do with such a statement (the pool sequences it as a write).
+    pub fn read(&mut self, src: &str) -> Result<String, Error> {
+        let mark = self.machine.begin_read();
+        let out = self.read_in_region(src);
+        self.machine.end_read(mark);
+        out
+    }
+
+    fn read_in_region(&mut self, src: &str) -> Result<String, Error> {
+        match self.eval_expr(src) {
+            Ok((_, v)) => Ok(self.machine.show(&v)),
+            Err(Error::Parse(_)) => {
+                let decls = self.parse_program_phase(src)?;
+                let mut lines = Vec::with_capacity(decls.len());
+                for d in &decls {
+                    let Decl::Expr(e) = d else {
+                        return Err(RuntimeError::EffectInRead.into());
+                    };
+                    let (_, v) = self.eval_ast(e)?;
+                    lines.push(self.machine.show(&v));
+                }
+                Ok(lines.join("\n"))
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Infer the principal scheme of an expression without evaluating it.

@@ -47,7 +47,7 @@ pub mod prepare;
 pub mod profile;
 pub mod snapshot;
 
-pub use classify::{classify_decl, classify_expr, classify_program, EffectSet, StmtClass};
+pub use classify::{classify_decl, classify_expr, classify_program, StmtClass};
 pub use database::Database;
 pub use engine::{Engine, Outcome, ReplaySummary};
 pub use error::Error;

@@ -3,8 +3,8 @@
 //! Errors in the [`RuntimeError::is_type_error`] class are exactly the
 //! "wrong" outcomes of Milner's slogan: a sound type system guarantees
 //! well-typed programs never produce them (Prop. 1). The remaining variants
-//! (division by zero, fuel exhaustion) are legitimate partial-operation
-//! failures that no ML-style type system rules out.
+//! (division by zero, fuel exhaustion, an effect inside a read region) are
+//! legitimate failures that no ML-style type system rules out.
 
 use polyview_syntax::{Label, Name};
 use std::fmt;
@@ -40,6 +40,10 @@ pub enum RuntimeError {
     FuelExhausted,
     /// A builtin received a value of an unexpected shape.
     BuiltinType { builtin: &'static str },
+    /// Inside a read region ([`crate::Machine::begin_read`]), an `insert`,
+    /// `delete` or `update` targeted state that existed before the region
+    /// began. Raised before anything is mutated.
+    EffectInRead,
 }
 
 impl RuntimeError {
@@ -48,7 +52,7 @@ impl RuntimeError {
     pub fn is_type_error(&self) -> bool {
         !matches!(
             self,
-            RuntimeError::DivisionByZero | RuntimeError::FuelExhausted
+            RuntimeError::DivisionByZero | RuntimeError::FuelExhausted | RuntimeError::EffectInRead
         )
     }
 }
@@ -74,6 +78,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::BuiltinType { builtin } => {
                 write!(f, "builtin `{builtin}` received a value of the wrong shape")
             }
+            RuntimeError::EffectInRead => {
+                write!(f, "a read tried to change state that existed before it")
+            }
         }
     }
 }
@@ -90,5 +97,6 @@ mod tests {
         assert!(RuntimeError::NoSuchField(Label::new("x")).is_type_error());
         assert!(!RuntimeError::DivisionByZero.is_type_error());
         assert!(!RuntimeError::FuelExhausted.is_type_error());
+        assert!(!RuntimeError::EffectInRead.is_type_error());
     }
 }

@@ -23,7 +23,7 @@ pub mod value;
 
 pub use env::Env;
 pub use error::RuntimeError;
-pub use machine::{Machine, MachineStats};
+pub use machine::{Machine, MachineStats, ReadMark};
 pub use profile::{FallbackSite, HotNode, Profile, ProfileNode, ViewRecompute};
 pub use snapshot::{decode_machine, encode_machine};
 pub use value::{Key, SetVal, Value, ViewFn};

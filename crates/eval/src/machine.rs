@@ -64,6 +64,17 @@ pub struct MachineStats {
     pub dyn_field_fallbacks: u64,
 }
 
+/// Where a read region began ([`Machine::begin_read`]): the sizes and
+/// counters [`Machine::end_read`] rolls the machine back to.
+#[derive(Clone, Copy, Debug)]
+pub struct ReadMark {
+    slots: usize,
+    classes: usize,
+    next_id: u64,
+    class_epoch: u64,
+    fuel: Option<u64>,
+}
+
 /// The evaluation machine.
 pub struct Machine {
     pub store: Store,
@@ -83,6 +94,13 @@ pub struct Machine {
     class_epoch: u64,
     /// Work counters; monotone until [`Machine::reset_stats`].
     stats: MachineStats,
+    /// Inside a read region: the store length at its start. Slots below it
+    /// are state a later statement can observe, so writing one fails with
+    /// [`RuntimeError::EffectInRead`].
+    read_floor: Option<usize>,
+    /// Classes whose extents were cached inside the current read region;
+    /// [`Machine::end_read`] evicts them (they may hold region ids).
+    read_cached: Vec<ClassId>,
     /// The attribution profiler, present only between
     /// [`Machine::profile_start`] and [`Machine::profile_stop`]. While
     /// `None` (the default), evaluation pays exactly one `is_none` check
@@ -113,6 +131,8 @@ impl Machine {
             extent_cache: HashMap::new(),
             class_epoch: 0,
             stats: MachineStats::default(),
+            read_floor: None,
+            read_cached: Vec::new(),
             profiler: None,
             profile_clock: Arc::new(WallClock::new()),
         };
@@ -166,6 +186,55 @@ impl Machine {
         self.class_epoch
     }
 
+    /// Open a read region. Until the matching [`Machine::end_read`],
+    /// evaluation may allocate freely — and write slots it allocated — but
+    /// any write to a slot that existed before the region (`insert`/
+    /// `delete` on an older class, `update` of an older field) fails with
+    /// [`RuntimeError::EffectInRead`] before mutating anything. Regions do
+    /// not nest.
+    pub fn begin_read(&mut self) -> ReadMark {
+        assert!(self.read_floor.is_none(), "read regions do not nest");
+        self.read_floor = Some(self.store.len());
+        ReadMark {
+            slots: self.store.len(),
+            classes: self.classes.len(),
+            next_id: self.next_id,
+            class_epoch: self.class_epoch,
+            fuel: self.fuel,
+        }
+    }
+
+    /// Close a read region: drop every slot and class it allocated, rewind
+    /// the identity counter, store epoch and fuel, and evict extent-cache
+    /// entries filled inside it. Afterwards the machine is exactly as it
+    /// was at [`Machine::begin_read`] (the work counters excepted), however
+    /// the region ended — so values it produced must be rendered first.
+    pub fn end_read(&mut self, mark: ReadMark) {
+        self.store.truncate(mark.slots);
+        self.classes.truncate(mark.classes);
+        self.next_id = mark.next_id;
+        self.class_epoch = mark.class_epoch;
+        self.fuel = mark.fuel;
+        for cid in self.read_cached.drain(..) {
+            self.extent_cache.remove(&cid);
+        }
+        self.read_floor = None;
+    }
+
+    /// The store write behind `insert`, `delete` and `update`, refused
+    /// inside a read region when `slot` predates it. Every such write bumps
+    /// the store epoch: a field write can change what any extent predicate
+    /// observes (`include … where` reads object state), so it invalidates
+    /// cached extents exactly like insert/delete.
+    fn write_slot(&mut self, slot: SlotId, v: Value) -> Result<(), RuntimeError> {
+        if self.read_floor.is_some_and(|floor| slot < floor) {
+            return Err(RuntimeError::EffectInRead);
+        }
+        self.store.set(slot, v);
+        self.class_epoch += 1;
+        Ok(())
+    }
+
     /// Reassemble a machine from snapshot-decoded parts (`crate::snapshot`).
     /// The decoder has already validated internal consistency (slot and
     /// class ids in range, `next_id` above every live id). Caches, stats,
@@ -189,6 +258,8 @@ impl Machine {
             extent_cache: HashMap::new(),
             class_epoch,
             stats: MachineStats::default(),
+            read_floor: None,
+            read_cached: Vec::new(),
             profiler: None,
             profile_clock: Arc::new(WallClock::new()),
         }
@@ -433,11 +504,7 @@ impl Machine {
                     slot
                 };
                 let nv = self.eval_in(rhs, env)?;
-                self.store.set(slot, nv);
-                // A field write can change what any extent predicate
-                // observes (`include … where` reads object state), so it
-                // invalidates cached extents exactly like insert/delete.
-                self.class_epoch += 1;
+                self.write_slot(slot, nv)?;
                 Ok(Value::Unit)
             }
             // ---------- lowered field operations (the compile tier) ----------
@@ -470,8 +537,7 @@ impl Machine {
                     slot
                 };
                 let nv = self.eval_in(rhs, env)?;
-                self.store.set(slot, nv);
-                self.class_epoch += 1;
+                self.write_slot(slot, nv)?;
                 Ok(Value::Unit)
             }
             Expr::RecordAt(layout, entries) => {
@@ -615,8 +681,7 @@ impl Machine {
                 // so inserting an object already present (by objeq) keeps
                 // the existing element.
                 let updated = own.union_left(&SetVal::from_elems([ve]));
-                self.store.set(slot, Value::Set(updated));
-                self.class_epoch += 1;
+                self.write_slot(slot, Value::Set(updated))?;
                 Ok(Value::Unit)
             }
             Expr::Delete(c, e) => {
@@ -627,8 +692,7 @@ impl Machine {
                 let slot = self.classes[cid].own_slot;
                 let own = self.store.get(slot).as_set()?.clone();
                 let updated = own.difference(&SetVal::from_elems([ve]));
-                self.store.set(slot, Value::Set(updated));
-                self.class_epoch += 1;
+                self.write_slot(slot, Value::Set(updated))?;
                 Ok(Value::Unit)
             }
             Expr::LetClasses(binds, body) => {
@@ -966,6 +1030,9 @@ impl Machine {
         if self.extent_cache_enabled {
             self.extent_cache
                 .insert(cid, (self.class_epoch, extent.clone()));
+            if self.read_floor.is_some() {
+                self.read_cached.push(cid);
+            }
         }
         Ok(extent)
     }
@@ -1057,5 +1124,136 @@ impl Machine {
     /// Expose the key of a value (for tests and the isa baseline).
     pub fn key_of(v: &Value) -> Key {
         v.key()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::encode_machine;
+    use polyview_parser::parse_expr;
+
+    /// A machine with a one-member class `Staff` and a record `boxed` with
+    /// a mutable field — state that predates every read below.
+    fn seeded() -> Machine {
+        let mut m = Machine::new();
+        for (name, src) in [
+            ("boxed", "[F := 1, G = 2]"),
+            ("Staff", "class {IDView([Name = \"Ada\"])} end"),
+        ] {
+            let v = m.eval(&parse_expr(src).expect("parses")).expect("seeds");
+            m.define_global(name, v);
+        }
+        m
+    }
+
+    /// Run `src` as a read region, rendering its value inside the region.
+    fn read(m: &mut Machine, src: &str) -> Result<String, RuntimeError> {
+        let e = parse_expr(src).expect("parses");
+        let mark = m.begin_read();
+        let r = m.eval(&e).map(|v| m.show(&v));
+        m.end_read(mark);
+        r
+    }
+
+    #[test]
+    fn every_read_shape_leaves_the_machine_byte_identical() {
+        let cases = [
+            // records and views
+            (
+                "query(fn x => [N = x.Name, M = [K := 1]], \
+                 IDView([Name = \"q\"]) as fn x => [Name = x.Name])",
+                Ok("[M = [K := 1], N = \"q\"]"),
+            ),
+            // an anonymous class, and a recursive let-class group
+            (
+                "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), \
+                 class {IDView([Name = \"b\"])} end)",
+                Ok("{\"b\"}"),
+            ),
+            (
+                "let class A = class {IDView([a = 1])} include B as fn x => x where fn x => true end \
+                 and B = class {IDView([a = 2])} include A as fn x => x where fn x => true end \
+                 in cquery(fn s => map(fn o => query(fn x => x.a, o), s), A) end",
+                Ok("{1, 2}"),
+            ),
+            // writes to state the read itself created are legal
+            (
+                "let r = [F := 1] in let u = update(r, F, 5) in r.F end end",
+                Ok("5"),
+            ),
+            (
+                "let c = class {} end in let u = insert(c, IDView([N = 7])) in \
+                 cquery(fn s => map(fn o => query(fn x => x.N, o), s), c) end end",
+                Ok("{7}"),
+            ),
+            // a runtime error after allocating
+            (
+                "let r = [A = 1] in 1 / 0 end",
+                Err(RuntimeError::DivisionByZero),
+            ),
+        ];
+        for (src, want) in cases {
+            let mut m = seeded();
+            let before = encode_machine(&m);
+            let got = read(&mut m, src);
+            assert_eq!(got, want.map(str::to_string), "{src}");
+            assert_eq!(encode_machine(&m), before, "{src} left state behind");
+        }
+    }
+
+    #[test]
+    fn fuel_exhaustion_rolls_back_to_the_mark() {
+        let mut m = seeded();
+        m.fuel = Some(300);
+        let before = encode_machine(&m);
+        let got = read(&mut m, "let fun loop x = loop [A = x] in loop 0 end");
+        assert_eq!(got, Err(RuntimeError::FuelExhausted));
+        assert_eq!(encode_machine(&m), before);
+        assert_eq!(m.fuel, Some(300), "the read's fuel is refunded");
+    }
+
+    #[test]
+    fn effects_on_older_state_are_refused_before_mutating() {
+        for src in [
+            "update(boxed, F, 99)",
+            "insert(Staff, IDView([Name = \"Eve\"]))",
+            "cquery(fn s => hom(s, fn o => delete(Staff, o), fn a => fn b => b, ()), Staff)",
+            // a fresh record sharing an older slot through `extract`
+            "let r = [F := extract(boxed, F)] in update(r, F, 99) end",
+        ] {
+            let mut m = seeded();
+            let before = encode_machine(&m);
+            assert_eq!(read(&mut m, src), Err(RuntimeError::EffectInRead), "{src}");
+            assert_eq!(encode_machine(&m), before, "{src} mutated older state");
+        }
+        let mut m = seeded();
+        assert_eq!(read(&mut m, "boxed.F").as_deref(), Ok("1"));
+        assert_eq!(
+            read(
+                &mut m,
+                "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Staff)"
+            )
+            .as_deref(),
+            Ok("{\"Ada\"}")
+        );
+    }
+
+    #[test]
+    fn extent_cache_entries_filled_in_a_read_are_evicted() {
+        let mut m = seeded();
+        m.enable_extent_cache(true);
+        let before = encode_machine(&m);
+        let q = "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), \
+                 class {IDView([Name = \"r\"])} include Staff as fn x => x \
+                 where fn x => true end)";
+        let first = read(&mut m, q).expect("first read");
+        assert_eq!(m.extent_cache_len(), 0, "region entries are evicted");
+        assert_eq!(encode_machine(&m), before);
+        // The second read reuses the same class id and slots; a surviving
+        // cache entry would hand back objects over reclaimed slots.
+        assert_eq!(read(&mut m, q).expect("second read"), first);
+        assert_eq!(first, "{\"Ada\", \"r\"}");
+        assert_eq!(encode_machine(&m), before);
     }
 }

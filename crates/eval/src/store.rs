@@ -26,6 +26,11 @@ impl Store {
         self.slots[slot] = v;
     }
 
+    /// Drop every slot at or above `len` (a read region's reclamation).
+    pub fn truncate(&mut self, len: usize) {
+        self.slots.truncate(len);
+    }
+
     pub fn len(&self) -> usize {
         self.slots.len()
     }

@@ -2,10 +2,13 @@
 //! story.
 //!
 //! A checkpoint is an [`polyview::Engine::snapshot`] taken by a worker
-//! after applying the log prefix `[0, offset)`. Replay is deterministic,
-//! so *which* worker took it does not matter — every replica at `offset`
-//! has byte-identical state — and one shared slot holding the newest
-//! checkpoint serves the whole pool:
+//! after applying the log prefix `[0, offset)`. Replay is deterministic
+//! and reads run as regions that leave no trace in the machine
+//! ([`polyview::Engine::read`]), so *which* worker took it does not
+//! matter — every replica at `offset` has a byte-identical machine
+//! section, whatever reads it served (the type side may still differ in
+//! inference bookkeeping such as its fresh-variable counter) — and one
+//! shared slot holding the newest checkpoint serves the whole pool:
 //!
 //! * a respawned (or newly added) worker restores the checkpointed engine
 //!   and replays only the log tail `[offset, head)` instead of the whole
@@ -14,15 +17,13 @@
 //!   applied)` — nothing will ever read below that
 //!   ([`crate::DeclLog::truncate_below`]);
 //! * with a snapshot directory configured, the router persists the newest
-//!   checkpoint (plus the effect-set names classification needs — their
-//!   defining sources live in the truncated prefix) so a *restarted
-//!   process* resumes from it.
+//!   checkpoint so a *restarted process* resumes from it.
 //!
 //! Persistence is crash-safe by construction: write to a temp file, then
 //! `rename` into place (atomic on POSIX), then prune older files. The
 //! on-disk format is the same hand-rolled no-serde discipline as the wire
-//! codec (`polyview::syntax::wire`): magic, version, offset, effect
-//! names, engine bytes.
+//! codec (`polyview::syntax::wire`): magic, version, offset, engine
+//! bytes.
 
 use polyview::syntax::wire::{ByteReader, ByteWriter, WireError};
 use std::path::{Path, PathBuf};
@@ -31,7 +32,7 @@ use std::sync::{Arc, Mutex};
 /// File magic for a persisted pool checkpoint ("PolyView Pool
 /// Checkpoint").
 const CKPT_MAGIC: [u8; 4] = *b"PVPC";
-const CKPT_VERSION: u32 = 1;
+const CKPT_VERSION: u32 = 2;
 
 /// The newest engine snapshot the pool holds, tagged with the log prefix
 /// it covers. Cheap to clone (the bytes are shared).
@@ -41,15 +42,6 @@ pub(crate) struct Checkpoint {
     pub offset: u64,
     /// [`polyview::Engine::snapshot`] bytes.
     pub engine: Arc<[u8]>,
-}
-
-/// What a persisted checkpoint restores at process restart, beyond the
-/// engine bytes themselves: the effect-set names the router needs to keep
-/// classifying correctly once the defining log prefix is gone.
-#[derive(Debug)]
-pub(crate) struct RestoredCheckpoint {
-    pub offset: u64,
-    pub effects: Vec<String>,
 }
 
 /// One shared slot holding the newest checkpoint, plus the optional
@@ -79,8 +71,8 @@ impl CheckpointStore {
     /// valid checkpoint file into the slot. Corrupt or unreadable files
     /// are reported loudly on stderr and skipped — the pool starts from
     /// the newest file that decodes, or empty. Returns the store plus the
-    /// restart payload (offset + effect names) when a checkpoint loaded.
-    pub(crate) fn open(dir: PathBuf) -> (CheckpointStore, Option<RestoredCheckpoint>) {
+    /// restored checkpoint's offset when one loaded.
+    pub(crate) fn open(dir: PathBuf) -> (CheckpointStore, Option<u64>) {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!(
                 "pool: cannot create snapshot dir {}: {e}; running without durability",
@@ -93,18 +85,14 @@ impl CheckpointStore {
         candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
         for (offset, path) in candidates {
             match read_checkpoint_file(&path) {
-                Ok((cp, effects)) => {
+                Ok(cp) => {
                     debug_assert_eq!(cp.offset, offset);
-                    let restored = RestoredCheckpoint {
-                        offset: cp.offset,
-                        effects,
-                    };
                     let store = CheckpointStore {
                         slot: Mutex::new(Some(cp)),
                         dir: Some(dir),
                         persisted: Mutex::new(offset),
                     };
-                    return (store, Some(restored));
+                    return (store, Some(offset));
                 }
                 Err(e) => {
                     eprintln!("pool: ignoring corrupt checkpoint {}: {e}", path.display());
@@ -141,18 +129,18 @@ impl CheckpointStore {
     }
 
     /// Persist the newest checkpoint to the snapshot directory if it is
-    /// newer than what is already on disk (router-side; `effects` is the
-    /// router's current effect-name set). I/O errors are loud on stderr
-    /// but non-fatal: the in-memory checkpoint still bounds respawn
-    /// replay; only restart durability is degraded.
-    pub(crate) fn persist_latest(&self, effects: &[String]) {
+    /// newer than what is already on disk (router-side; no-op without a
+    /// directory). I/O errors are loud on stderr but non-fatal: the
+    /// in-memory checkpoint still bounds respawn replay; only restart
+    /// durability is degraded.
+    pub(crate) fn persist_latest(&self) {
         let Some(dir) = &self.dir else { return };
         let Some(cp) = self.latest() else { return };
         let mut persisted = self.persisted.lock().unwrap_or_else(|e| e.into_inner());
         if *persisted >= cp.offset {
             return;
         }
-        match write_checkpoint_file(dir, &cp, effects) {
+        match write_checkpoint_file(dir, &cp) {
             Ok(path) => {
                 *persisted = cp.offset;
                 drop(persisted);
@@ -201,21 +189,8 @@ fn checkpoint_files(dir: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
-fn write_checkpoint_file(
-    dir: &Path,
-    cp: &Checkpoint,
-    effects: &[String],
-) -> std::io::Result<PathBuf> {
-    let mut w = ByteWriter::new();
-    w.u32(u32::from_le_bytes(CKPT_MAGIC));
-    w.u32(CKPT_VERSION);
-    w.u64(cp.offset);
-    w.usize(effects.len());
-    for name in effects {
-        w.str(name);
-    }
-    w.bytes(&cp.engine);
-    let bytes = w.into_bytes();
+fn write_checkpoint_file(dir: &Path, cp: &Checkpoint) -> std::io::Result<PathBuf> {
+    let bytes = encode_checkpoint(cp);
 
     let final_path = dir.join(file_name(cp.offset));
     let tmp_path = dir.join(format!("{}.tmp", file_name(cp.offset)));
@@ -225,12 +200,22 @@ fn write_checkpoint_file(
     Ok(final_path)
 }
 
-fn read_checkpoint_file(path: &Path) -> Result<(Checkpoint, Vec<String>), String> {
+/// `PVPC` v2: magic, version, offset, engine snapshot bytes.
+fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(u32::from_le_bytes(CKPT_MAGIC));
+    w.u32(CKPT_VERSION);
+    w.u64(cp.offset);
+    w.bytes(&cp.engine);
+    w.into_bytes()
+}
+
+fn read_checkpoint_file(path: &Path) -> Result<Checkpoint, String> {
     let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
     parse_checkpoint(&bytes).map_err(|e| e.to_string())
 }
 
-fn parse_checkpoint(bytes: &[u8]) -> Result<(Checkpoint, Vec<String>), WireError> {
+fn parse_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.u32("checkpoint magic")?;
     if magic.to_le_bytes() != CKPT_MAGIC {
@@ -246,11 +231,6 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<(Checkpoint, Vec<String>), WireError
         )));
     }
     let offset = r.u64("checkpoint offset")?;
-    let n_effects = r.count("effect name count")?;
-    let mut effects = Vec::with_capacity(n_effects);
-    for _ in 0..n_effects {
-        effects.push(r.str("effect name")?);
-    }
     let engine = r.bytes("engine snapshot bytes")?;
     // Validate the payload decodes before anyone trusts it: a truncated
     // or corrupt engine section must fail at load, loudly, not inside a
@@ -265,13 +245,10 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<(Checkpoint, Vec<String>), WireError
             r.remaining()
         )));
     }
-    Ok((
-        Checkpoint {
-            offset,
-            engine: engine.to_vec().into(),
-        },
-        effects,
-    ))
+    Ok(Checkpoint {
+        offset,
+        engine: engine.to_vec().into(),
+    })
 }
 
 /// Remove persisted checkpoints older than `keep_offset` (best effort;
@@ -330,12 +307,10 @@ mod tests {
             offset: 3,
             engine: engine_bytes(),
         });
-        store.persist_latest(&["f".to_string(), "g".to_string()]);
+        store.persist_latest();
 
         let (reopened, restored) = CheckpointStore::open(dir.clone());
-        let restored = restored.expect("persisted checkpoint restores");
-        assert_eq!(restored.offset, 3);
-        assert_eq!(restored.effects, ["f", "g"]);
+        assert_eq!(restored, Some(3), "persisted checkpoint restores");
         assert_eq!(reopened.latest_offset(), Some(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -348,12 +323,12 @@ mod tests {
             offset: 2,
             engine: engine_bytes(),
         });
-        store.persist_latest(&[]);
+        store.persist_latest();
         store.publish(Checkpoint {
             offset: 5,
             engine: engine_bytes(),
         });
-        store.persist_latest(&[]);
+        store.persist_latest();
         let files = checkpoint_files(&dir);
         assert_eq!(files.len(), 1, "older checkpoint pruned: {files:?}");
         assert_eq!(files[0].0, 5);
@@ -367,6 +342,36 @@ mod tests {
         let (store, restored) = CheckpointStore::open(dir.clone());
         assert!(restored.is_none(), "corrupt checkpoint must not restore");
         assert!(store.latest().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_file_is_rejected_and_skipped() {
+        // A v1 file: offset, then an effect-name list, then engine bytes.
+        let engine = engine_bytes();
+        let mut w = ByteWriter::new();
+        w.u32(u32::from_le_bytes(CKPT_MAGIC));
+        w.u32(1);
+        w.u64(4);
+        w.usize(1);
+        w.str("put");
+        w.bytes(&engine);
+        let v1 = w.into_bytes();
+        let err = parse_checkpoint(&v1).expect_err("v1 is not readable");
+        assert!(
+            err.to_string()
+                .contains("unsupported checkpoint version 1 (expected 2)"),
+            "{err}"
+        );
+
+        // At open, the v1 file is skipped in favour of an older v2 one.
+        let dir = temp_dir("v1");
+        std::fs::write(dir.join(file_name(4)), &v1).expect("write v1");
+        let v2 = encode_checkpoint(&Checkpoint { offset: 2, engine });
+        std::fs::write(dir.join(file_name(2)), v2).expect("write v2");
+        let (store, restored) = CheckpointStore::open(dir.clone());
+        assert_eq!(restored, Some(2), "the v1 file must not restore");
+        assert_eq!(store.latest_offset(), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,19 +13,22 @@
 //! engine, and keeps the replicas in lock-step with an append-only
 //! **declaration log** ([`DeclLog`]):
 //!
-//! * **writes** (top-level declarations, `insert`/`delete`/`update`, and
-//!   any statement mentioning a name the pool's [`polyview::EffectSet`]
-//!   knows is effectful — e.g. a call to a previously declared
-//!   `fun f x = insert(C, x)`; see `classify`'s module docs for why the
-//!   name-aware set, not bare syntax, is the single source of truth) are
+//! * **writes** (top-level declarations and statements containing
+//!   `insert`/`delete`/`update`, by [`polyview::classify_program`]) are
 //!   sequenced through the log and replayed deterministically on every
 //!   replica, so each worker's top-level environments, prepared-statement
 //!   cache, and `env_epoch` evolve identically;
-//! * **reads** (queries, expression evaluation) have no effect any later
-//!   statement can observe, so they fan out to any replica — each request
+//! * **reads** (everything else) fan out to any replica — each request
 //!   carries the log length observed at submit time, and the serving
 //!   replica catches up to at least that offset first, which gives
-//!   *read-your-writes* to every session on every worker.
+//!   *read-your-writes* to every session on every worker. A replica serves
+//!   a read as a region ([`polyview::Engine::read`]): whatever it allocates
+//!   is reclaimed, so replica state depends only on the applied log
+//!   prefix. A read that reaches an effect syntax cannot see — a call of a
+//!   declared `fun f x = insert(C, x)`, a closure stored in a record — is
+//!   stopped before it mutates anything and **promoted**: the replica
+//!   appends it to the log and applies it as a write, and every other
+//!   replica replays it (`pool.reads_promoted` counts these).
 //!
 //! Requests travel over **bounded** `std::sync::mpsc` queues: when a
 //! worker's queue is full the submit returns [`Submit::Full`] instead of
@@ -105,9 +108,12 @@ pub struct PoolConfig {
     /// Per-replica evaluation fuel ([`polyview::Engine::with_fuel`]);
     /// `None` is unlimited. Fuel exhaustion is deterministic, so replicas
     /// agree on which statements die. Like the engine's, this is a
-    /// *total* budget per replica, not per statement — an exhausted
-    /// replica stays exhausted (size it well below what `stack_bytes`
-    /// can absorb, since fuel must run out before the stack does).
+    /// *total* budget per replica for the writes it applies — an
+    /// exhausted replica stays exhausted. A read runs against the
+    /// remaining budget but its region hands the fuel back, so replicas
+    /// agree whatever reads they served (size it well below what
+    /// `stack_bytes` can absorb, since fuel must run out before the stack
+    /// does).
     pub fuel: Option<u64>,
     /// Load the standard prelude into every replica at spawn (before any
     /// log replay; all replicas do it, so they stay in lock-step).
@@ -333,15 +339,19 @@ pub enum PoolError {
     /// Rendered [`polyview::Error::Internal`], or a pool invariant
     /// violation.
     Internal(String),
-    /// The statement's [`StmtClass`] does not match the submit entry point
-    /// ([`Pool::submit_read`] given a write, or [`Pool::submit_write`]
-    /// given a read). Use [`Pool::submit`] to auto-route.
+    /// The statement's syntactic [`StmtClass`] does not match the submit
+    /// entry point ([`Pool::submit_read`] given a write, or
+    /// [`Pool::submit_write`] given a read). Use [`Pool::submit`] to
+    /// auto-route.
     Misrouted { expected: StmtClass, got: StmtClass },
     /// The serving worker died before replying. **Whether to resubmit
     /// depends on what was lost:**
     ///
     /// * `sequenced: None` — a read (or control request). It had no
-    ///   effect; resubmit freely.
+    ///   effect; resubmit freely — unless the replica was promoting it to
+    ///   a write ([`Pool::submit_read`]), in which case its entry may
+    ///   already be in the log and will be applied like any sequenced
+    ///   write.
     /// * `sequenced: Some(offset)` — a **write**. It was already pushed
     ///   into the declaration log at `offset` before the worker died, so
     ///   every replica — including the dead worker's respawn, which

@@ -1,8 +1,9 @@
 //! The declaration log: the pool's single total order over writes.
 //!
 //! Every write (`val`/`fun`/`class` declaration, `insert`/`delete`,
-//! `update`) is appended here exactly once, at submit time, and replayed by
-//! every replica in offset order. Because the engine pipeline is
+//! `update`) is appended here exactly once — at submit time, or by the
+//! serving replica when it promotes a read — and replayed by every replica
+//! in offset order. Because the engine pipeline is
 //! deterministic ([`polyview::Engine::replay`]), replicas that have applied
 //! the same prefix of the log are in identical states — same `env_epoch`,
 //! same top-level bindings, extents that render identically — regardless of
@@ -133,8 +134,9 @@ impl DeclLog {
 
     /// Append an entry, returning its absolute offset. The router prefers
     /// [`DeclLog::lock`] so it can reserve the offset and enqueue the
-    /// apply-request atomically; this standalone append exists for tests
-    /// and for building a log ahead of pool construction.
+    /// apply-request atomically; this standalone append serves a replica
+    /// promoting a read (nothing is enqueued for its entry), tests, and
+    /// building a log ahead of pool construction.
     pub fn append(&self, src: &str) -> u64 {
         self.lock().push(src)
     }

@@ -15,7 +15,7 @@ use crate::telemetry::{RequestTrace, SlowRequest, Telemetry};
 use crate::worker::{BatchItem, Request};
 use crate::{PoolConfig, PoolError};
 use polyview::obs::{Clock, EventSink};
-use polyview::{EffectSet, StmtClass};
+use polyview::StmtClass;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TrySendError};
 use std::sync::Arc;
@@ -191,11 +191,6 @@ pub struct Pool {
     pub(crate) cfg: PoolConfig,
     pub(crate) log: Arc<DeclLog>,
     pub(crate) workers: Vec<WorkerHandle>,
-    /// Names declared effectful by sequenced writes — the router-side half
-    /// of classification ([`polyview::EffectSet`]). Kept in lockstep with
-    /// the log: updated the moment a write is sequenced, so a later
-    /// `f(o)` routes as a write even though it is syntactically pure.
-    pub(crate) effects: EffectSet,
     /// Shared request telemetry (trace events, latency histograms, slow
     /// log) — one instance for the pool's lifetime, shared with every
     /// worker across respawns.
@@ -227,28 +222,10 @@ impl Pool {
             None => (CheckpointStore::in_memory(), None),
         };
         let checkpoints = Arc::new(checkpoints);
-        let log = Arc::new(match &restored {
-            Some(r) => DeclLog::with_base(r.offset),
+        let log = Arc::new(match restored {
+            Some(offset) => DeclLog::with_base(offset),
             None => DeclLog::new(),
         });
-        let mut effects = EffectSet::new();
-        if cfg.load_prelude {
-            // Replicas load the prelude before serving; classification
-            // must see the same declarations (the prelude is pure today,
-            // but that is not this module's invariant to assume).
-            let _ = effects.observe_program(polyview::prelude::PRELUDE);
-        }
-        if let Some(r) = &restored {
-            // Re-arm classification: the sources that declared these
-            // names effectful live in the compacted prefix and can never
-            // be re-observed. The persisted set was taken at (or after)
-            // the checkpoint's offset, so it is a superset of the names
-            // effectful *at* the offset — conservative-safe: an extra
-            // name only routes some pure statements through the log.
-            for name in &r.effects {
-                effects.mark_effectful(name.as_str());
-            }
-        }
         let telemetry = Arc::new(Telemetry::new(&cfg));
         let workers = (0..cfg.workers)
             .map(|i| spawn_worker(i, 0, &cfg, &log, &telemetry, &checkpoints))
@@ -258,7 +235,6 @@ impl Pool {
             cfg,
             log,
             workers,
-            effects,
             telemetry,
             checkpoints,
             respawns: 0,
@@ -326,12 +302,15 @@ impl Pool {
         (splitmix64(session) % self.workers.len() as u64) as usize
     }
 
-    /// Classify `src` against the pool's [`EffectSet`] — syntax *plus*
-    /// names that sequenced writes made effectful (`classify`'s module
-    /// docs explain why bare syntax is not enough: `f(o)` after
-    /// `fun f x = insert(C, x);` must be a write).
+    /// Classify `src` syntactically ([`polyview::classify_program`]):
+    /// declarations and statements containing `insert`/`delete`/`update`
+    /// are writes. A read that reaches an effect some other way — a call
+    /// of a declared function, a closure stored in a record — is caught
+    /// by the serving replica's read region and promoted to a write there
+    /// (`pool.reads_promoted`), so this pre-filter never has to be
+    /// complete.
     pub fn classify(&self, src: &str) -> Result<StmtClass, PoolError> {
-        Ok(self.effects.classify_program(src)?)
+        Ok(polyview::classify_program(src)?)
     }
 
     /// Classify `src` ([`Pool::classify`]) and route it: reads to the
@@ -351,9 +330,12 @@ impl Pool {
         }
     }
 
-    /// Submit a statement that must be a read; a write is rejected with
-    /// [`PoolError::Misrouted`] *before* anything is enqueued, so a
-    /// mis-labelled mutation can never bypass log sequencing.
+    /// Submit a statement that must be a read; a syntactic write is
+    /// rejected with [`PoolError::Misrouted`] *before* anything is
+    /// enqueued. A read that turns out to mutate earlier state when it runs
+    /// is promoted to a write by the serving replica: sequenced at the log
+    /// tail and applied on every replica, with the write's outcome as the
+    /// reply.
     pub fn submit_read(&mut self, session: u64, src: &str) -> Result<Submit<Ticket>, PoolError> {
         match self.classify(src)? {
             StmtClass::Read => {
@@ -370,11 +352,10 @@ impl Pool {
 
     /// Submit a statement that must be a write. Rejecting reads keeps the
     /// log free of no-op entries (every replica would replay them
-    /// forever). For the one classification blind spot — calling an
-    /// effectful closure reached through *data* rather than a name (see
-    /// `classify`'s module docs) — wrap the call in a declaration
-    /// (`val it = …;`): declarations always classify as writes, which
-    /// forces sequencing.
+    /// forever). A statement whose effect classification cannot see (a
+    /// call of a declared effectful function) classifies as a read; submit
+    /// it with [`Pool::submit`] or [`Pool::submit_read`], and the serving
+    /// replica promotes it.
     pub fn submit_write(&mut self, session: u64, src: &str) -> Result<Submit<Ticket>, PoolError> {
         match self.classify(src)? {
             StmtClass::Write => {
@@ -459,9 +440,6 @@ impl Pool {
                     entries.push(src);
                 }
                 drop(entries);
-                for src in &writes {
-                    let _ = self.effects.observe_program(src);
-                }
                 self.submitted_writes += n_writes;
                 self.submitted_reads += stmts.len() as u64 - n_writes;
                 let sequenced = (n_writes > 0).then_some(base);
@@ -568,9 +546,9 @@ impl Pool {
     /// for the reply. The request still carries the current log length, so
     /// the replica catches up before answering — this is the probe the
     /// convergence tests use to check that every replica answers a query
-    /// identically. A statement classifying as a write is rejected
-    /// ([`PoolError::Misrouted`]): executing it on one replica only would
-    /// diverge the pool.
+    /// identically. A syntactic write is rejected
+    /// ([`PoolError::Misrouted`]); a read that mutates earlier state when
+    /// it runs is promoted like any other read ([`Pool::submit_read`]).
     pub fn probe_worker(&mut self, worker: usize, src: &str) -> Result<String, PoolError> {
         if let got @ StmtClass::Write = self.classify(src)? {
             return Err(PoolError::Misrouted {
@@ -693,7 +671,7 @@ impl Pool {
         let Some(cp) = self.checkpoints.latest_offset() else {
             return self.log.base();
         };
-        self.persist_checkpoint();
+        self.checkpoints.persist_latest();
         let min_applied = self
             .workers
             .iter()
@@ -702,19 +680,6 @@ impl Pool {
             .unwrap_or(0);
         self.log.truncate_below(cp.min(min_applied));
         self.log.base()
-    }
-
-    /// Write the newest checkpoint (plus the router's current effect
-    /// names — see `Pool::new` on why they must travel with it) to the
-    /// snapshot directory. No-op without a directory or when the newest
-    /// checkpoint is already on disk.
-    fn persist_checkpoint(&self) {
-        let effects: Vec<String> = self
-            .effects
-            .effectful_names()
-            .map(|n| n.as_str().to_string())
-            .collect();
-        self.checkpoints.persist_latest(&effects);
     }
 
     fn shutdown_inner(&mut self) {
@@ -729,7 +694,7 @@ impl Pool {
         // Final durability point, after the drain so the slot holds the
         // newest checkpoint any worker published while finishing its
         // queue: a shutdown between compaction passes must not lose it.
-        self.persist_checkpoint();
+        self.checkpoints.persist_latest();
     }
 
     // ----- dispatch internals -----
@@ -826,10 +791,6 @@ impl Pool {
             Ok(()) => {
                 entries.push(src);
                 drop(entries);
-                // The write is sequenced: record the names it makes
-                // effectful, so later statements that *use* them classify
-                // as writes too (the declared-function escape).
-                let _ = self.effects.observe_program(src);
                 self.submitted_writes += 1;
                 if let Some(t) = &trace {
                     self.telemetry.note_enqueued(t, worker, Some(offset));

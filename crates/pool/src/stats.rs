@@ -61,6 +61,9 @@ pub struct PoolStats {
     pub submitted_writes: u64,
     /// Submissions rejected with [`crate::Submit::Full`] (backpressure).
     pub rejected_full: u64,
+    /// Reads a replica promoted to writes because they tried to change
+    /// earlier state (each one appended one log entry).
+    pub reads_promoted: u64,
     /// Workers respawned after a panic, each caught up by full log replay.
     pub respawns: u64,
     /// Merged engine counters across all replicas.
@@ -83,11 +86,12 @@ impl std::fmt::Display for PoolStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "pool       workers={} log={} reads={} writes={} full={} respawns={}",
+            "pool       workers={} log={} reads={} writes={} promoted={} full={} respawns={}",
             self.workers,
             self.log_len,
             self.submitted_reads,
             self.submitted_writes,
+            self.reads_promoted,
             self.rejected_full,
             self.respawns
         )?;
@@ -177,6 +181,7 @@ impl Pool {
             submitted_reads: self.submitted_reads,
             submitted_writes: self.submitted_writes,
             rejected_full: self.rejected_full,
+            reads_promoted: self.telemetry.reads_promoted.get(),
             respawns: self.respawns,
             engine: EngineStats::default(),
             per_worker: Vec::new(),
@@ -191,7 +196,7 @@ impl Pool {
     /// Export pool metrics as JSON lines, in three layers:
     ///
     /// 1. `pool.*` counters — submissions, backpressure rejections,
-    ///    respawns, log length — and per-worker `pool.workerN.queue_depth`
+    ///    respawns, log length, promoted reads — and per-worker `pool.workerN.queue_depth`
     ///    / `pool.workerN.replay_lag` / `pool.workerN.applied` **gauges**
     ///    (`"kind":"gauge"`: levels, not monotone counts);
     /// 2. merged engine counters under their usual names
@@ -312,6 +317,7 @@ impl Pool {
             submitted_reads: self.submitted_reads,
             submitted_writes: self.submitted_writes,
             rejected_full: self.rejected_full,
+            reads_promoted: self.telemetry.reads_promoted.get(),
             respawns: self.respawns,
             engine,
             per_worker,

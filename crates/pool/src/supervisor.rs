@@ -65,12 +65,14 @@ pub(crate) fn spawn_worker(
     // The boot checkpoint and the replay horizon must both be read on
     // *this* (router) thread, checkpoint first: checkpoint offsets only
     // grow and never exceed the log head, so this order guarantees
-    // `backlog >= boot.offset`. And the router is the only appender, so
-    // no write can be sequenced between the `backlog` read and the handle
-    // becoming routable — every offset >= `backlog` reaches the worker as
-    // an explicit request. Reading the length on the worker thread
-    // instead would race with a write sequenced right after spawn and
-    // double-apply its entry.
+    // `backlog >= boot.offset`. And only the router sequences entries
+    // that reach a worker as `Write` requests, so none can be sequenced
+    // between the `backlog` read and the handle becoming routable — every
+    // such offset >= `backlog` reaches the worker as an explicit request.
+    // (Entries a replica appends when it promotes a read never become
+    // requests anywhere else; other replicas pick them up by catch-up.)
+    // Reading the length on the worker thread instead would race with a
+    // write sequenced right after spawn and double-apply its entry.
     let boot = checkpoints.latest();
     let backlog = log.len();
     // Seed the lag gauge with the boot offset *before* the thread runs:

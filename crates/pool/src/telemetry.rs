@@ -34,7 +34,7 @@
 //! timeline test pins.
 
 use crate::PoolConfig;
-use polyview::obs::{Clock, EventRecord, EventSink, Histogram, Registry};
+use polyview::obs::{Clock, Counter, EventRecord, EventSink, Histogram, Registry};
 use polyview::StmtClass;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,6 +102,9 @@ pub(crate) struct Telemetry {
     pub(crate) catchup_ns: Histogram,
     pub(crate) e2e_read_ns: Histogram,
     pub(crate) e2e_write_ns: Histogram,
+    /// Reads a replica promoted to writes because they tried to change
+    /// earlier state. Counted whether or not telemetry is enabled.
+    pub(crate) reads_promoted: Counter,
     slow_threshold_ns: Option<u64>,
     slow_capacity: usize,
     slow: Mutex<VecDeque<SlowRequest>>,
@@ -119,6 +122,7 @@ impl Telemetry {
             catchup_ns: registry.histogram("pool.catchup_ns"),
             e2e_read_ns: registry.histogram("pool.e2e_read_ns"),
             e2e_write_ns: registry.histogram("pool.e2e_write_ns"),
+            reads_promoted: registry.counter("pool.reads_promoted"),
             registry,
             slow_threshold_ns: cfg.slow_threshold_ns,
             slow_capacity: cfg.slow_log_capacity,

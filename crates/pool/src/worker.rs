@@ -13,6 +13,14 @@
 //! * A `Read { min_offset }` first replays to `min_offset` — the log length
 //!   at submit time — which is what makes read-your-writes hold on *any*
 //!   replica, not just the session's affinity worker.
+//! * A read runs as a region ([`polyview::Engine::read`]): it leaves no
+//!   trace in the replica's machine. A read that tries to change earlier
+//!   state is *promoted*: the worker appends its source to the log, replays
+//!   up to it, and applies it as a write — every other replica replays the
+//!   entry on its next catch-up. This is the one place a worker appends, so
+//!   it is also the one place a catch-up can pass a `Write` request still
+//!   waiting in this worker's queue; the outcomes of the entries it passes
+//!   are kept until those requests ask for them.
 //!
 //! The engine is constructed inside the spawned thread (its `Rc`-based
 //! values never cross threads), and the thread itself is spawned with the
@@ -24,7 +32,9 @@ use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::log::DeclLog;
 use crate::telemetry::{RequestTrace, Telemetry};
 use crate::PoolError;
+use polyview::eval::RuntimeError;
 use polyview::{Engine, EngineStats, Outcome, Profile};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -205,6 +215,7 @@ pub(crate) fn worker_main(
         checkpoints,
         checkpoint_every: cfg.checkpoint_every,
         respawn_replayed: 0,
+        owed: BTreeMap::new(),
     };
     w.shared.applied.store(w.applied, Ordering::Relaxed);
     if telemetry.enabled {
@@ -266,7 +277,7 @@ pub(crate) fn worker_main(
                 w.catch_up(min_offset);
                 let serve = w.note_catchup(telemetry, serve, w.applied - before);
                 let sampled = w.maybe_profile_start();
-                let res = w.eval_read(&src);
+                let res = w.eval_read(&src, telemetry);
                 let profile = w.maybe_profile_stop(sampled);
                 w.finish_serve(telemetry, serve, res.is_ok(), &src, profile);
                 let _ = reply.try_send(res);
@@ -311,7 +322,7 @@ pub(crate) fn worker_main(
                 for item in items {
                     let res = match item {
                         BatchItem::Write { offset } => w.apply_write(offset),
-                        BatchItem::Read { src } => w.eval_read(&src),
+                        BatchItem::Read { src } => w.eval_read(&src, telemetry),
                     };
                     all_ok &= res.is_ok();
                     results.push(res);
@@ -334,6 +345,11 @@ pub(crate) fn worker_main(
             }
             Request::Crash => panic!("pool worker {index}: injected crash"),
             Request::Shutdown => break,
+        }
+        // An empty queue holds no write that could still ask for a kept
+        // outcome: later writes are sequenced past every kept offset.
+        if !w.owed.is_empty() && w.shared.depth.load(Ordering::Relaxed) == 0 {
+            w.owed.clear();
         }
     }
 }
@@ -361,6 +377,9 @@ struct Worker {
     checkpoint_every: Option<u64>,
     /// Entries this incarnation replayed at bootstrap.
     respawn_replayed: u64,
+    /// Outcomes of entries a promotion replayed ahead of their `Write`
+    /// requests, by offset (see the module docs).
+    owed: BTreeMap<u64, Result<String, PoolError>>,
 }
 
 /// Worker-side timing state for one traced request, between dequeue and
@@ -460,21 +479,21 @@ impl Worker {
     /// they are counted, never propagated — exactly
     /// [`polyview::Engine::replay`]'s contract, incrementalized.
     fn catch_up(&mut self, upto: u64) {
-        while self.applied < upto {
-            let entry = match self.log.get(self.applied) {
-                Ok(Some(entry)) => entry,
-                // Not sequenced yet: the caller's `upto` was a stale log
-                // length; later offset-carrying requests replay the gap.
-                Ok(None) => break,
-                // Below the truncation point: the router only compacts
-                // offsets every replica (and every future bootstrap, via
-                // the checkpoint) is past, so this replica's state is
-                // unaccountable — crash rather than skip history.
-                Err(truncated) => {
-                    panic!("pool worker {}: {truncated}", self.index)
-                }
-            };
-            let _ = self.apply_entry(&entry);
+        while self.applied < upto && self.replay_next().is_some() {}
+    }
+
+    /// Apply the entry at `applied`, or return `None` if it is not
+    /// sequenced yet (a stale `upto`; later offset-carrying requests
+    /// replay the gap).
+    fn replay_next(&mut self) -> Option<Result<String, PoolError>> {
+        match self.log.get(self.applied) {
+            Ok(Some(entry)) => Some(self.apply_entry(&entry)),
+            Ok(None) => None,
+            // Below the truncation point: the router only compacts
+            // offsets every replica (and every future bootstrap, via the
+            // checkpoint) is past, so this replica's state is
+            // unaccountable — crash rather than skip history.
+            Err(truncated) => panic!("pool worker {}: {truncated}", self.index),
         }
     }
 
@@ -531,6 +550,12 @@ impl Worker {
     /// time this dequeues, `catch_up(offset)` leaves `applied == offset`.
     fn apply_write(&mut self, offset: u64) -> Result<String, PoolError> {
         self.catch_up(offset);
+        // Queue offsets never decrease: no request will ask for an outcome
+        // kept below this one.
+        self.owed = self.owed.split_off(&offset);
+        if let Some(res) = self.owed.remove(&offset) {
+            return res;
+        }
         if self.applied != offset {
             return Err(PoolError::Internal(format!(
                 "write at offset {offset} already replayed (applied = {})",
@@ -552,19 +577,36 @@ impl Worker {
         self.apply_entry(&entry)
     }
 
-    /// Serve a read. The hot path is a single expression through the
-    /// engine's statement cache (repeats cost zero parse/inference work);
-    /// a read-classified *program* (e.g. `"1 + 1; 2 + 2;"`) falls back to
-    /// uncached execution.
-    fn eval_read(&mut self, src: &str) -> Result<String, PoolError> {
-        match self.engine.eval_to_string(src) {
-            Ok(s) => Ok(s),
-            Err(polyview::Error::Parse(_)) => self
-                .engine
-                .exec(src)
-                .map(|out| render_outcomes(&out))
-                .map_err(PoolError::from),
-            Err(e) => Err(e.into()),
+    /// Serve a read as a region ([`polyview::Engine::read`]): a single
+    /// expression through the statement cache (repeats cost zero
+    /// parse/inference work), a read-classified *program* (e.g.
+    /// `"1 + 1; 2 + 2;"`) uncached. A read that tried to change earlier
+    /// state left nothing behind and is promoted to a write.
+    fn eval_read(&mut self, src: &str, telemetry: &Telemetry) -> Result<String, PoolError> {
+        match self.engine.read(src) {
+            Err(polyview::Error::Runtime(RuntimeError::EffectInRead)) => {
+                telemetry.reads_promoted.inc();
+                self.promote(src)
+            }
+            res => res.map_err(PoolError::from),
+        }
+    }
+
+    /// Sequence `src` at the log tail and apply it here as a write. Entries
+    /// sequenced between this replica's applied offset and the new one may
+    /// belong to `Write` requests already in this queue; their outcomes
+    /// are kept for [`Worker::apply_write`].
+    fn promote(&mut self, src: &str) -> Result<String, PoolError> {
+        let offset = self.log.append(src);
+        loop {
+            let at = self.applied;
+            let res = self
+                .replay_next()
+                .expect("every entry up to the promoted one is sequenced");
+            if at == offset {
+                return res;
+            }
+            self.owed.insert(at, res);
         }
     }
 

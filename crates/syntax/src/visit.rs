@@ -67,7 +67,7 @@ pub fn class_def_size(cd: &ClassDef) -> u64 {
 
 /// The constituent expressions of a class definition: its own extent and,
 /// per include clause, the sources, viewing function, and predicate.
-pub fn class_children(cd: &ClassDef) -> Vec<&Expr> {
+fn class_children(cd: &ClassDef) -> Vec<&Expr> {
     let mut v: Vec<&Expr> = vec![&cd.own];
     for inc in &cd.includes {
         v.extend(inc.sources.iter());

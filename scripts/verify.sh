@@ -227,6 +227,10 @@ echo "==> stats smoke: the introspection plane observes the load it serves"
 # valid JSON object with the full schema, report a healthy verdict, and
 # at least one post-load snapshot must have a nonzero windowed read
 # rate; loadgen's own final poll asserts the same from the wire side.
+# Loadgen's writes are all syntactic (`insert`, declarations), so no read
+# may be promoted to a write: a nonzero `pool.reads_promoted` means the
+# classifier regressed and every such write now pays a rolled-back read
+# first.
 stats_dir="$(mktemp -d)"
 target/release/examples/pool_server --listen 127.0.0.1:0 \
     --addr-file "$stats_dir/addr" --requests 49 --stats-interval 50 \
@@ -258,6 +262,8 @@ assert all(s["health"] == "healthy" for s in snaps), \
 last = snaps[-1]
 reads = last["cumulative"]["counters"]["pool.submitted_reads"]
 assert reads == 36, f"expected 36 cumulative reads (90% of 40), got {reads}"
+promoted = last["cumulative"]["counters"]["pool.reads_promoted"]
+assert promoted == 0, f"ordinary traffic promoted {promoted} read(s) to writes"
 windowed = [s for s in snaps
             if s["window"] and s["window"]["rates"]["pool.submitted_reads"] > 0]
 assert windowed, "no snapshot windowed a nonzero read rate"
@@ -266,7 +272,7 @@ assert net["frames_invalid"] == 0 and net["write_errors"] == 0, net
 frames = net["frames_decoded"]
 print(f"  {len(snaps)} snapshots, all valid and healthy; "
       f"{len(windowed)} with nonzero windowed read rate, "
-      f"cumulative reads={reads}, frames={frames}")
+      f"cumulative reads={reads}, promoted={promoted}, frames={frames}")
 ' "$stats_dir/snapshots"
 rm -rf "$stats_dir"
 

@@ -440,6 +440,12 @@ fn stats_round_trips_with_deterministic_windows() {
             .and_then(JsonValue::as_u64),
         Some(4)
     );
+    assert_eq!(
+        member(&stats, &["cumulative", "counters", "pool.reads_promoted"])
+            .and_then(JsonValue::as_u64),
+        Some(0),
+        "plain reads are never promoted"
+    );
     server.shutdown();
 }
 

@@ -214,11 +214,11 @@ fn inflight_request_on_crashed_worker_reports_worker_lost() {
     pool.shutdown();
 }
 
-/// The declared-function escape is closed: a bare call of a previously
-/// declared effectful function contains no `insert` node syntactically,
-/// but the pool's effect set knows the name and routes it as a write —
+/// A call of a declared effectful function contains no `insert` node, so
+/// the syntactic pre-filter classifies it as a read. The serving replica's
+/// read region stops it before it mutates anything and promotes it: it is
 /// sequenced through the log and applied on every replica, never executed
-/// on a single one.
+/// on a single one. Syntactic writes are still rejected up front.
 #[test]
 fn effectful_function_calls_are_sequenced_as_writes() {
     let mut pool = small_pool(3);
@@ -226,35 +226,40 @@ fn effectful_function_calls_are_sequenced_as_writes() {
     pool.run(s, "class Staff = class {} end;").expect("class");
     pool.run(s, "fun add x = insert(Staff, x);").expect("fun");
 
-    // submit_read rejects the call before anything is enqueued…
     let call = "add(IDView([Name = \"Zoe\"]))";
-    assert!(pool
+    assert_eq!(pool.classify(call).expect("parses"), StmtClass::Read);
+    // submit_read accepts the call, and the replica promotes it…
+    let before = pool.log_len();
+    let t = pool
         .submit_read(s, call)
+        .expect("classified")
+        .queued()
+        .expect("queued");
+    assert_eq!(t.wait().expect("promoted call"), "()");
+    assert_eq!(pool.log_len(), before + 1, "the call went through the log");
+    // …and so does a probe pinned to one replica.
+    pool.probe_worker(0, "add(IDView([Name = \"Ida\"]))")
+        .expect("promoted probe");
+    // Aliases reach the same function; the auto-routing path promotes too.
+    pool.run(s, "val add2 = add;").expect("alias");
+    pool.run(s, "add2(IDView([Name = \"Max\"]))")
+        .expect("aliased call");
+    assert_eq!(pool.stats_local().reads_promoted, 3);
+    assert_eq!(pool.log_len(), before + 4);
+
+    // A syntactic write is still refused as a read before it is enqueued.
+    assert!(pool
+        .submit_read(s, "insert(Staff, IDView([Name = \"No\"]))")
         .expect_err("misrouted")
         .is_misrouted());
-    // …and so does probe_worker (serving it on one replica would diverge
-    // the pool).
     assert!(pool
-        .probe_worker(0, call)
+        .probe_worker(0, "insert(Staff, IDView([Name = \"No\"]))")
         .expect_err("probe")
         .is_misrouted());
 
-    // The auto-routing path sequences it.
-    let before = pool.log_len();
-    pool.run(s, call).expect("effectful call");
-    assert_eq!(pool.log_len(), before + 1, "the call went through the log");
-
-    // Aliases propagate effectfulness: `val add2 = add;` marks add2.
-    pool.run(s, "val add2 = add;").expect("alias");
-    pool.run(s, "add2(IDView([Name = \"Ida\"]))")
-        .expect("aliased call");
-
     pool.barrier().expect("barrier");
     let expected = pool.probe_worker(0, NAMES_QUERY).expect("probe");
-    assert!(
-        expected.contains("Zoe") && expected.contains("Ida"),
-        "{expected}"
-    );
+    assert_eq!(expected, "{\"Ida\", \"Max\", \"Zoe\"}");
     for w in 1..pool.worker_count() {
         assert_eq!(
             pool.probe_worker(w, NAMES_QUERY).expect("probe"),
@@ -263,6 +268,173 @@ fn effectful_function_calls_are_sequenced_as_writes() {
         );
     }
     pool.shutdown();
+}
+
+/// An effectful closure reached through *data*: `put` stores a closure
+/// that inserts into `Staff` in every element of `boxes`, and the last
+/// statement calls it through a field read. No syntax names the effect,
+/// so the statement is served as a read — the replica's read region
+/// refuses the insert and the pool sequences it instead. Exactly one
+/// entry and one promotion, and every replica sees the insert.
+#[test]
+fn effects_reached_through_data_are_promoted_and_converge() {
+    let mut pool = small_pool(3);
+    let s = 1;
+    pool.run(
+        s,
+        "class Staff = class {} end; \
+         fun put b = update(b, F, fn x => insert(Staff, x)); \
+         val boxes = {[F := fn x => if x = IDView([Name = \"q\"]) then () else ()]}; \
+         map(put, boxes);",
+    )
+    .expect("setup");
+    let escape = "map(fn b => (b.F)(IDView([Name = \"Eve\"])), boxes)";
+    assert_eq!(pool.classify(escape).expect("parses"), StmtClass::Read);
+    let log_before = pool.log_len();
+    pool.run(s, escape).expect("promoted");
+    assert_eq!(pool.log_len(), log_before + 1);
+    assert_eq!(pool.stats_local().reads_promoted, 1);
+
+    pool.barrier().expect("barrier");
+    for w in 0..pool.worker_count() {
+        assert_eq!(
+            pool.probe_worker(w, NAMES_QUERY).expect("probe"),
+            "{\"Eve\"}",
+            "replica {w} diverged"
+        );
+    }
+    pool.shutdown();
+}
+
+/// A promotion appends at the log tail, so the replica catches up past
+/// writes that are still waiting in its own queue. Those writes must still
+/// reply with their own outcomes, not an "already replayed" error.
+#[test]
+fn promotion_ahead_of_a_queued_write_keeps_the_writes_outcome() {
+    let mut pool = Pool::new(PoolConfig::default().workers(1).queue_capacity(4));
+    let s = 1;
+    pool.run(
+        s,
+        "class Staff = class {} end; fun add x = insert(Staff, x);",
+    )
+    .expect("setup");
+    let gate = pool.pause_worker(0).expect("pause");
+    let read = pool
+        .submit_read(s, "add(IDView([Name = \"Pia\"]))")
+        .expect("classified")
+        .queued()
+        .expect("queued");
+    let write = pool
+        .submit_write(s, "val z = 5;")
+        .expect("classified")
+        .queued()
+        .expect("queued");
+    gate.release();
+    assert_eq!(read.wait().expect("promoted"), "()");
+    assert_eq!(write.wait().expect("queued write"), "z : int");
+    assert_eq!(pool.log_len(), 3, "setup, the write, then the promotion");
+    assert_eq!(pool.run(s, "z").expect("read"), "5");
+    assert_eq!(pool.run(s, NAMES_QUERY).expect("read"), "{\"Pia\"}");
+    pool.shutdown();
+}
+
+/// Reads whose effects hide behind names or data are promoted; reads that
+/// only look like they might be (a shadowing local, a pure view class) are
+/// served in place and leave the log alone.
+#[test]
+fn read_regions_promote_exactly_the_effectful_reads() {
+    const C_NAMES: &str = "cquery(fn s => map(fn o => query(fn x => x.N, o), s), C)";
+    let obj = "IDView([N = 1])";
+    let cases: [(&str, &str, String, &str, Option<&str>); 7] = [
+        (
+            "declared function",
+            "fun f x = insert(C, x);",
+            format!("f({obj})"),
+            C_NAMES,
+            Some("{1}"),
+        ),
+        (
+            "val alias",
+            "fun f x = insert(C, x); val g = f;",
+            format!("g({obj})"),
+            C_NAMES,
+            Some("{1}"),
+        ),
+        (
+            "mutual recursion",
+            "fun f x = insert(C, x) and g y = f(y);",
+            format!("g({obj})"),
+            C_NAMES,
+            Some("{1}"),
+        ),
+        (
+            "stored closure",
+            "val box = [F := fn x => if x = IDView([N = 0]) then () else ()]; \
+             update(box, F, fn x => insert(C, x));",
+            format!("(box.F)({obj})"),
+            C_NAMES,
+            Some("{1}"),
+        ),
+        (
+            "effectful where predicate",
+            "insert(C, IDView([N = 1])); class Audit = class {} end; \
+             fun track x = insert(Audit, x); \
+             class Logged = class {} include C as fn x => [N = x.N] \
+             where fn x => let u = track(x) in true end end;",
+            "cquery(fn s => map(fn o => query(fn x => x.N, o), s), Logged)".to_string(),
+            "cquery(fn s => map(fn o => query(fn x => x.N, o), s), Audit)",
+            Some("{1}"),
+        ),
+        (
+            "local shadowing",
+            "fun f x = insert(C, x);",
+            "let f = fn x => x in f(1) end".to_string(),
+            C_NAMES,
+            None,
+        ),
+        (
+            "pure view class",
+            "insert(C, IDView([N = 1, Sex = \"f\"])); \
+             class Female = class {} include C as fn x => [N = x.N] \
+             where fn x => query(fn p => p.Sex = \"f\", x) end;",
+            "cquery(fn s => s, Female)".to_string(),
+            C_NAMES,
+            None,
+        ),
+    ];
+    for (what, setup, read, probe, promoted) in cases {
+        let mut pool = small_pool(2);
+        pool.run(1, "class C = class {} end;").expect("class");
+        pool.run(1, setup)
+            .unwrap_or_else(|e| panic!("{what}: setup: {e}"));
+        pool.barrier().expect("barrier");
+        let probe_before = pool.probe_worker(0, probe).expect("probe");
+        let log_before = pool.log_len();
+        assert_eq!(pool.classify(&read).expect("parses"), StmtClass::Read);
+        pool.run(1, &read)
+            .unwrap_or_else(|e| panic!("{what}: read: {e}"));
+        let stats = pool.stats_local();
+        match promoted {
+            Some(after) => {
+                assert_eq!(stats.reads_promoted, 1, "{what}");
+                assert_eq!(pool.log_len(), log_before + 1, "{what}");
+                pool.barrier().expect("barrier");
+                for w in 0..pool.worker_count() {
+                    assert_eq!(
+                        pool.probe_worker(w, probe).expect("probe"),
+                        after,
+                        "{what}: replica {w}"
+                    );
+                }
+            }
+            None => {
+                assert_eq!(stats.reads_promoted, 0, "{what}");
+                assert_eq!(pool.log_len(), log_before, "{what}");
+                assert_eq!(pool.probe_worker(0, probe).expect("probe"), probe_before);
+            }
+        }
+        pool.shutdown();
+    }
 }
 
 /// A write lost in flight was sequenced *before* it was enqueued, so the
@@ -407,6 +579,7 @@ fn pool_metrics_are_aggregated_json_lines() {
     for needle in [
         "\"name\":\"pool.workers\",\"value\":2",
         "\"name\":\"pool.submitted_reads\"",
+        "\"name\":\"pool.reads_promoted\",\"value\":0",
         "\"name\":\"pool.worker0.replay_lag\"",
         "\"name\":\"pool.worker1.queue_depth\"",
         "\"name\":\"engine.parses\"",
@@ -800,8 +973,8 @@ fn add_workers_bootstraps_from_the_checkpoint() {
 }
 
 /// With a snapshot directory, a restarted process resumes from the
-/// persisted checkpoint — data, *and* the effect-name classification
-/// state whose defining sources were compacted away with the log prefix.
+/// persisted checkpoint. A function declared in the compacted prefix still
+/// works: calling it classifies as a read, and the replica promotes it.
 #[test]
 fn snapshot_dir_survives_a_process_restart() {
     let dir =
@@ -838,21 +1011,21 @@ fn snapshot_dir_survives_a_process_restart() {
             "restart bootstraps from the checkpoint with no tail to replay"
         );
     }
-    // The restored effect set still classifies `put` as effectful — its
-    // defining source is gone with the truncated prefix.
-    assert_eq!(
-        pool.classify("put(IDView([Name = \"Cy\"]))")
-            .expect("classify"),
-        StmtClass::Write,
-        "restored effect names must keep routing calls through the log"
-    );
-    pool.run(1, "put(IDView([Name = \"Cy\"]))").expect("put");
+    // `put`'s defining source is gone with the truncated prefix; its call
+    // is served as a read and promoted to the log by the replica.
+    let call = "put(IDView([Name = \"Cy\"]))";
+    assert_eq!(pool.classify(call).expect("classify"), StmtClass::Read);
+    pool.run(1, call).expect("put");
+    assert_eq!(pool.stats_local().reads_promoted, 1);
+    assert_eq!(pool.log_len(), 5, "the promoted call was sequenced");
     pool.barrier().expect("barrier");
-    for w in 0..pool.worker_count() {
-        let names = pool.probe_worker(w, NAMES_QUERY).expect("probe");
-        assert!(
-            names.contains("Ada") && names.contains("Bob") && names.contains("Cy"),
-            "worker {w}: {names}"
+    let expected = pool.probe_worker(0, NAMES_QUERY).expect("probe");
+    assert_eq!(expected, "{\"Ada\", \"Bob\", \"Cy\"}");
+    for w in 1..pool.worker_count() {
+        assert_eq!(
+            pool.probe_worker(w, NAMES_QUERY).expect("probe"),
+            expected,
+            "worker {w} diverged"
         );
     }
     pool.shutdown();
