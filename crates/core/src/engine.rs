@@ -210,7 +210,10 @@ impl Engine {
     }
 
     /// Cap evaluation steps (useful when running untrusted or generated
-    /// programs that may diverge through `fix`).
+    /// programs that may diverge through `fix`). A step is one evaluated
+    /// node or one application; a comprehension runs as one `collect`
+    /// pass and costs about one `f` application per element (DESIGN.md
+    /// §13).
     pub fn with_fuel(fuel: u64) -> Self {
         let mut e = Engine::new();
         e.machine.fuel = Some(fuel);

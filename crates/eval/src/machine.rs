@@ -12,7 +12,7 @@ use crate::error::RuntimeError;
 use crate::profile::{Profile, Profiler};
 use crate::store::Store;
 use crate::value::{
-    Builtin, ClassId, Closure, Key, ObjVal, RecordVal, SetVal, SlotId, Value, ViewFn,
+    Builtin, ClassId, Closure, Key, ObjVal, RecordVal, SetMap, SetVal, SlotId, Value, ViewFn,
 };
 use polyview_obs::{Clock, WallClock};
 use polyview_syntax::{ClassDef, Expr, Idx, Label, Layout, Lit, Name};
@@ -589,6 +589,11 @@ impl Machine {
                 let vz = self.eval_in(z, env)?;
                 self.hom(vs.as_set()?.clone(), vf, vop, vz)
             }
+            Expr::Collect(s, f) => {
+                let vs = self.eval_in(s, env)?;
+                let vf = self.eval_in(f, env)?;
+                self.collect(vs.as_set()?.clone(), vf)
+            }
             Expr::Fix(x, body) => match &**body {
                 Expr::Lam(p, lam_body) => {
                     let id = self.fresh_id();
@@ -851,14 +856,31 @@ impl Machine {
     /// `hom(S, f, op, z) = op(f(e1), op(f(e2), … op(f(en), z)…))`,
     /// folding right over the canonical element order.
     fn hom(&mut self, s: SetVal, f: Value, op: Value, z: Value) -> Result<Value, RuntimeError> {
-        let elems: Vec<Value> = s.values().cloned().collect();
         let mut acc = z;
-        for e in elems.into_iter().rev() {
-            let fe = self.apply(f.clone(), e)?;
+        for e in s.values().rev() {
+            let fe = self.apply(f.clone(), e.clone())?;
             let partial = self.apply(op.clone(), fe)?;
             acc = self.apply(partial, acc)?;
         }
         Ok(acc)
+    }
+
+    /// `collect(S, f)`: the lowered `hom(S, f, λa.λb.union(a, b), {})`
+    /// in one pass (DESIGN.md §13). `f` is applied in the fold's order —
+    /// descending key order, so identities minted by `f` come out as they
+    /// would from the fold — and each result's elements are inserted into
+    /// one map. An insert overwrites, so on a key collision the element
+    /// from the smallest source key wins: the left-biased fold's result.
+    fn collect(&mut self, s: SetVal, f: Value) -> Result<Value, RuntimeError> {
+        let mut out = SetMap::new();
+        for e in s.values().rev() {
+            let fe = self.apply(f.clone(), e.clone())?;
+            for (k, v) in fe.as_set()?.0.iter() {
+                out.insert(k.clone(), v.clone());
+            }
+        }
+        self.stats.sets_allocated += 1;
+        Ok(Value::Set(SetVal(Rc::new(out))))
     }
 
     /// Materialize a view: apply the viewing function to the raw object.

@@ -297,6 +297,7 @@ pub fn kind_of(e: &Expr) -> &'static str {
         Expr::ExtractAt(..) => "extract@",
         Expr::UpdateAt(..) => "update@",
         Expr::RecordAt(..) => "record@",
+        Expr::Collect(..) => "collect",
     }
 }
 

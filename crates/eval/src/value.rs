@@ -136,7 +136,7 @@ impl SetVal {
         self.0.is_empty()
     }
 
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &Value> {
         self.0.values()
     }
 
@@ -212,7 +212,7 @@ pub enum Key {
     Unit,
     Int(i64),
     Bool(bool),
-    Str(String),
+    Str(Rc<str>),
     Record(RecordId),
     Fn(u64),
     LValue(SlotId),
@@ -248,7 +248,7 @@ impl Value {
             Value::Unit => Key::Unit,
             Value::Int(n) => Key::Int(*n),
             Value::Bool(b) => Key::Bool(*b),
-            Value::Str(s) => Key::Str(s.to_string()),
+            Value::Str(s) => Key::Str(s.clone()),
             Value::Record(r) => Key::Record(r.id),
             Value::Set(s) => Key::Set(s.0.keys().cloned().collect()),
             Value::Closure(c) => Key::Fn(c.id),

@@ -113,7 +113,10 @@ pub struct PoolConfig {
     /// remaining budget but its region hands the fuel back, so replicas
     /// agree whatever reads they served (size it well below what
     /// `stack_bytes` can absorb, since fuel must run out before the stack
-    /// does).
+    /// does). A unit is one evaluated node or one application; a
+    /// comprehension (`map`, `filter`, view queries) runs as one
+    /// `collect` pass and costs about one `f` application per element
+    /// (DESIGN.md §13).
     pub fuel: Option<u64>,
     /// Load the standard prelude into every replica at spawn (before any
     /// log replay; all replicas do it, so they stay in lock-step).

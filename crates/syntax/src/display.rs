@@ -338,6 +338,8 @@ fn fmt_expr(e: &Expr, out: &mut String) {
             }
             out.push(']');
         }
+        // The lowered union-fold (never produced by the parser).
+        Expr::Collect(s, f) => fmt_call(out, "collect", [s.as_ref(), f.as_ref()]),
         Expr::LetClasses(binds, body) => {
             out.push_str("let class ");
             for (i, (c, cd)) in binds.iter().enumerate() {

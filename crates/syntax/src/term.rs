@@ -150,6 +150,11 @@ pub enum Expr {
     /// `(slot offset, field expression)` in *source evaluation order*, so
     /// effects run exactly as the un-lowered `Record` would.
     RecordAt(Rc<Layout>, Vec<(usize, Expr)>),
+    /// `collect(S, f)` — `hom(S, f, λa.λb.union(a, b), {})` run as one
+    /// pass that inserts each `f(e)` into a single set, with exactly the
+    /// fold's left-biased result. The lowering pass emits it for that
+    /// union-fold shape only.
+    Collect(Box<Expr>, Box<Expr>),
 }
 
 /// How a lowered field operation finds its slot.
@@ -317,6 +322,11 @@ impl Expr {
     /// `update(e, l, v)` resolved to a slot offset (lowering-pass output).
     pub fn update_at(e: Expr, l: impl Into<Label>, idx: Idx, v: Expr) -> Expr {
         Expr::UpdateAt(Box::new(e), l.into(), idx, Box::new(v))
+    }
+
+    /// `collect(s, f)` (lowering-pass output).
+    pub fn collect(s: Expr, f: Expr) -> Expr {
+        Expr::Collect(Box::new(s), Box::new(f))
     }
 
     /// Structural size (number of AST nodes). Used by benches and property

@@ -25,7 +25,8 @@ pub fn children(e: &Expr) -> Vec<&Expr> {
         | Expr::Fuse(a, b)
         | Expr::CQuery(a, b)
         | Expr::Insert(a, b)
-        | Expr::Delete(a, b) => vec![a, b],
+        | Expr::Delete(a, b)
+        | Expr::Collect(a, b) => vec![a, b],
         Expr::Lam(_, b) | Expr::Fix(_, b) => vec![b],
         Expr::IdView(b) => vec![b],
         Expr::Dot(b, _) | Expr::Extract(b, _) => vec![b],

@@ -327,8 +327,9 @@ fn read_class_def(r: &mut ByteReader) -> Result<ClassDef, WireError> {
 }
 
 /// Encode an expression tree. Covers every variant, including the
-/// offset-resolved compile-tier forms (`DotAt`/…/`RecordAt`) — a closure
-/// captured from lowered code must restore to the same lowered body.
+/// offset-resolved compile-tier forms (`DotAt`/…/`RecordAt`, `Collect`) —
+/// a closure captured from lowered code must restore to the same lowered
+/// body.
 pub fn write_expr(w: &mut ByteWriter, e: &Expr) {
     match e {
         Expr::Lit(l) => {
@@ -498,6 +499,11 @@ pub fn write_expr(w: &mut ByteWriter, e: &Expr) {
                 write_expr(w, e);
             }
         }
+        Expr::Collect(s, f) => {
+            w.u8(29);
+            write_expr(w, s);
+            write_expr(w, f);
+        }
     }
 }
 
@@ -612,6 +618,7 @@ pub fn read_expr(r: &mut ByteReader) -> Result<Expr, WireError> {
             }
             Expr::RecordAt(std::rc::Rc::new(layout), entries)
         }
+        29 => Expr::collect(read_expr(r)?, read_expr(r)?),
         tag => return Err(WireError::BadTag { what: "expr", tag }),
     })
 }
@@ -864,6 +871,23 @@ mod tests {
             Expr::update_at(Expr::var("r"), "b", Idx::Const(1), Expr::int(9)),
         );
         assert_eq!(roundtrip_expr(&e2), e2);
+    }
+
+    #[test]
+    fn expr_roundtrip_covers_collect() {
+        // collect(S, λx.{x.N@0}) — the lowered union-fold, nested in a
+        // closure body the way a snapshot meets it.
+        let e = Expr::lam(
+            "s",
+            Expr::collect(
+                Expr::var("s"),
+                Expr::lam(
+                    "x",
+                    Expr::set([Expr::dot_at(Expr::var("x"), "N", Idx::Const(0))]),
+                ),
+            ),
+        );
+        assert_eq!(roundtrip_expr(&e), e);
     }
 
     #[test]

@@ -441,6 +441,7 @@ pub fn translate_classes(e: &Expr) -> Expr {
                 .map(|(off, fe)| (*off, translate_classes(fe)))
                 .collect(),
         ),
+        Expr::Collect(s, f) => Expr::collect(translate_classes(s), translate_classes(f)),
     }
 }
 

@@ -21,6 +21,10 @@
 //!   (the evaluator then falls back to dynamic lookup, counted).
 //! * Record constructions always lower to `RecordAt` with a shared
 //!   [`Layout`] — labels are syntactically known, no type needed.
+//! * The union-fold `hom(S, f, λa.λb.union(a, b), {})` that `map`,
+//!   `filter`, `prod` and the view queries desugar to becomes
+//!   `Collect(S, f)`, which the evaluator runs as one linear pass with the
+//!   fold's exact result (DESIGN.md §13). Every other `hom` stays a fold.
 //!
 //! Index parameters are ordinary λ-bound variables named `#i{var}.{label}`
 //! (`#`-prefixed names are unreachable from the parser, so capture is
@@ -386,6 +390,9 @@ impl<'a> Lowerer<'a> {
             Expr::If(c, t, e2) => Expr::if_(self.lower(c), self.lower(t), self.lower(e2)),
             Expr::SetLit(es) => Expr::SetLit(es.iter().map(|x| self.lower(x)).collect()),
             Expr::Union(a, b) => Expr::union(self.lower(a), self.lower(b)),
+            Expr::Hom(s, f, op, z) if is_union_fold(op, z) => {
+                Expr::collect(self.lower(s), self.lower(f))
+            }
             Expr::Hom(s, f, op, z) => {
                 Expr::hom(self.lower(s), self.lower(f), self.lower(op), self.lower(z))
             }
@@ -433,6 +440,7 @@ impl<'a> Lowerer<'a> {
                 layout.clone(),
                 fs.iter().map(|(off, fe)| (*off, self.lower(fe))).collect(),
             ),
+            Expr::Collect(s, f) => Expr::collect(self.lower(s), self.lower(f)),
         }
     }
 
@@ -450,6 +458,28 @@ impl<'a> Lowerer<'a> {
                 .collect(),
         }
     }
+}
+
+/// Is `hom(S, f, op, z)` the union-fold that [`Expr::Collect`] runs in
+/// one pass? Exactly when the source `op` is `λa.λb.union(a, b)` with
+/// distinct binders and `z` is `{}` — the operator `map`, `filter`, `prod`
+/// and the view queries desugar to. Any other operator (`union(b, a)`, one
+/// reached through a variable, `+`, `orelse`) or a non-empty unit keeps
+/// the plain fold.
+fn is_union_fold(op: &Expr, z: &Expr) -> bool {
+    let Expr::Lam(a, outer) = op else {
+        return false;
+    };
+    let Expr::Lam(b, inner) = &**outer else {
+        return false;
+    };
+    let Expr::Union(l, r) = &**inner else {
+        return false;
+    };
+    a != b
+        && matches!(&**l, Expr::Var(x) if x == a)
+        && matches!(&**r, Expr::Var(y) if y == b)
+        && matches!(z, Expr::SetLit(es) if es.is_empty())
 }
 
 fn wrap_index_lams(sig: &IndexSig, body: Expr) -> Expr {
@@ -769,6 +799,72 @@ mod tests {
             rows.iter().any(|r| r.contains("record [Name@0]")),
             "{rows:?}"
         );
+    }
+
+    /// Lower a parsed, closed expression and count its `Collect` and
+    /// `Hom` nodes.
+    fn fold_nodes(e: &Expr) -> (usize, usize) {
+        let (_, table) = infer_table(e);
+        let (low, _) = lower_statement(e, &table, &no_globals());
+        let (mut collects, mut homs) = (0, 0);
+        visit::walk(&low, &mut |n| match n {
+            Expr::Collect(..) => collects += 1,
+            Expr::Hom(..) => homs += 1,
+            _ => {}
+        });
+        (collects, homs)
+    }
+
+    fn parsed(src: &str) -> Expr {
+        polyview_parser::parse_expr(src).expect("parses")
+    }
+
+    #[test]
+    fn union_folds_lower_to_collect() {
+        // The sugar's operator, as `map` and `filter` emit it.
+        assert_eq!(fold_nodes(&parsed("map(fn x => x + 1, {1, 2})")), (1, 0));
+        assert_eq!(fold_nodes(&parsed("filter(fn x => x = 1, {1, 2})")), (1, 0));
+        let direct = b::hom(
+            b::set([b::int(1)]),
+            b::lam("x", b::set([b::v("x")])),
+            polyview_syntax::sugar::union2(),
+            b::empty(),
+        );
+        assert_eq!(fold_nodes(&direct), (1, 0));
+        // A user-written operator with its own binder names.
+        assert_eq!(
+            fold_nodes(&parsed(
+                "hom({1, 2}, fn x => {x}, fn p => fn q => union(p, q), {})"
+            )),
+            (1, 0)
+        );
+        // prod nests one fold per factor.
+        assert_eq!(fold_nodes(&parsed("prod({1}, {true})")), (2, 0));
+    }
+
+    #[test]
+    fn other_folds_keep_hom() {
+        for src in [
+            // Operands swapped: right-biased, not the fold Collect runs.
+            "hom({1, 2}, fn x => {x}, fn a => fn b => union(b, a), {})",
+            // A non-empty unit.
+            "hom({1, 2}, fn x => {x}, fn a => fn b => union(a, b), {3})",
+            // The operator reached through a variable.
+            "let u = fn a => fn b => union(a, b) in hom({1, 2}, fn x => {x}, u, {}) end",
+            // An integer fold (polybench's COUNT_FN) and `member`'s orelse.
+            "fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0)",
+            "member(1, {1, 2})",
+        ] {
+            assert_eq!(fold_nodes(&parsed(src)), (0, 1), "{src}");
+        }
+        // Equal binders: λa.λa.union(a, a) returns the accumulator.
+        let same = b::hom(
+            b::set([b::int(1)]),
+            b::lam("x", b::set([b::v("x")])),
+            b::lam("a", b::lam("a", b::union(b::v("a"), b::v("a")))),
+            b::empty(),
+        );
+        assert_eq!(fold_nodes(&same), (0, 1));
     }
 
     #[test]

@@ -208,6 +208,7 @@ pub fn translate_views(e: &Expr) -> Expr {
                 .map(|(off, fe)| (*off, translate_views(fe)))
                 .collect(),
         ),
+        Expr::Collect(s, f) => Expr::collect(translate_views(s), translate_views(f)),
     }
 }
 

@@ -251,6 +251,7 @@ pub fn infer(cx: &mut Infer, env: &mut TypeEnv, e: &Expr) -> Result<Mono, TypeEr
         Expr::ExtractAt(..) => Err(TypeError::LoweredForm("extract@i")),
         Expr::UpdateAt(..) => Err(TypeError::LoweredForm("update@i")),
         Expr::RecordAt(..) => Err(TypeError::LoweredForm("record@layout")),
+        Expr::Collect(..) => Err(TypeError::LoweredForm("collect")),
     }
 }
 
