@@ -975,9 +975,25 @@ impl Engine {
     }
 
     /// Evaluate an expression and render the result.
+    ///
+    /// The expression runs as a read region first ([`Engine::read`], minus
+    /// its program fallback), so a pure one leaves no allocation behind and
+    /// keeps the extents it filled cached. One that writes earlier state
+    /// was refused before mutating and left nothing behind, so it reruns
+    /// outside a region and its effects apply exactly once. Callers that
+    /// keep the returned [`Value`]s use [`Engine::eval_expr`] or
+    /// [`Engine::run`] instead, which never reclaim.
     pub fn eval_to_string(&mut self, src: &str) -> Result<String, Error> {
-        let (_, v) = self.eval_expr(src)?;
-        Ok(self.machine.show(&v))
+        let mark = self.machine.begin_read();
+        let out = self.eval_expr(src).map(|(_, v)| self.machine.show(&v));
+        self.machine.end_read(mark);
+        match out {
+            Err(Error::Runtime(RuntimeError::EffectInRead)) => {
+                let (_, v) = self.eval_expr(src)?;
+                Ok(self.machine.show(&v))
+            }
+            out => out,
+        }
     }
 
     /// Serve `src` as a *read region* and render its result: a single

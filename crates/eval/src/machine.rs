@@ -64,6 +64,20 @@ pub struct MachineStats {
     pub dyn_field_fallbacks: u64,
 }
 
+/// A memoized top-level class extent, with what filling it cost, so that
+/// serving it again has exactly the effects of recomputing it: the fuel
+/// the fill burned and the identities it minted (DESIGN.md §3).
+struct CachedExtent {
+    /// The store epoch the extent was computed at.
+    epoch: u64,
+    set: SetVal,
+    /// `next_id` when the fill began: it minted `base_id..base_id + ids`.
+    base_id: u64,
+    ids: u64,
+    /// Fuel units the fill burned.
+    fuel: u64,
+}
+
 /// Where a read region began ([`Machine::begin_read`]): the sizes and
 /// counters [`Machine::end_read`] rolls the machine back to.
 #[derive(Clone, Copy, Debug)]
@@ -84,10 +98,9 @@ pub struct Machine {
     /// Remaining evaluation fuel; `None` means unbounded. Each expression
     /// node costs one unit.
     pub fuel: Option<u64>,
-    /// Opt-in memoization of top-level class extents (see
-    /// [`Machine::enable_extent_cache`]).
-    extent_cache_enabled: bool,
-    extent_cache: HashMap<ClassId, (u64, SetVal)>,
+    /// Top-level class extents, served only while their epoch is current
+    /// ([`Machine::extent_of`]).
+    extent_cache: HashMap<ClassId, CachedExtent>,
     /// Bumped by every store mutation — `insert`, `delete`, and record
     /// field `update` (extent predicates can read mutable fields); cache
     /// entries from older epochs are stale.
@@ -98,9 +111,6 @@ pub struct Machine {
     /// are state a later statement can observe, so writing one fails with
     /// [`RuntimeError::EffectInRead`].
     read_floor: Option<usize>,
-    /// Classes whose extents were cached inside the current read region;
-    /// [`Machine::end_read`] evicts them (they may hold region ids).
-    read_cached: Vec<ClassId>,
     /// The attribution profiler, present only between
     /// [`Machine::profile_start`] and [`Machine::profile_stop`]. While
     /// `None` (the default), evaluation pays exactly one `is_none` check
@@ -127,12 +137,10 @@ impl Machine {
             globals: HashMap::new(),
             next_id: 0,
             fuel: None,
-            extent_cache_enabled: false,
             extent_cache: HashMap::new(),
             class_epoch: 0,
             stats: MachineStats::default(),
             read_floor: None,
-            read_cached: Vec::new(),
             profiler: None,
             profile_clock: Arc::new(WallClock::new()),
         };
@@ -204,20 +212,28 @@ impl Machine {
         }
     }
 
-    /// Close a read region: drop every slot and class it allocated, rewind
-    /// the identity counter, store epoch and fuel, and evict extent-cache
-    /// entries filled inside it. Afterwards the machine is exactly as it
-    /// was at [`Machine::begin_read`] (the work counters excepted), however
-    /// the region ended — so values it produced must be rendered first.
+    /// Close a read region: drop every slot and class it allocated, and
+    /// rewind the identity counter, store epoch and fuel. Afterwards the
+    /// machine is exactly as it was at [`Machine::begin_read`] (the work
+    /// counters and the extent cache excepted), however the region ended —
+    /// so values it produced must be rendered first.
+    ///
+    /// An extent the region cached survives iff its class predates the
+    /// region and it was computed at the mark's epoch: it was computed from
+    /// pre-mark state only, which the region could not write, so it still
+    /// matches the store. The region's other entries are evicted, since a
+    /// region class id is reused by the next region and a region epoch by
+    /// the next write. Entries from before the region (epochs up to the
+    /// mark's) stay; a stale one is replaced when its class is next read,
+    /// so no single read pays for dropping them all.
     pub fn end_read(&mut self, mark: ReadMark) {
         self.store.truncate(mark.slots);
         self.classes.truncate(mark.classes);
         self.next_id = mark.next_id;
         self.class_epoch = mark.class_epoch;
         self.fuel = mark.fuel;
-        for cid in self.read_cached.drain(..) {
-            self.extent_cache.remove(&cid);
-        }
+        self.extent_cache
+            .retain(|&cid, e| cid < mark.classes && e.epoch <= mark.class_epoch);
         self.read_floor = None;
     }
 
@@ -254,12 +270,10 @@ impl Machine {
             globals,
             next_id,
             fuel,
-            extent_cache_enabled: false,
             extent_cache: HashMap::new(),
             class_epoch,
             stats: MachineStats::default(),
             read_floor: None,
-            read_cached: Vec::new(),
             profiler: None,
             profile_clock: Arc::new(WallClock::new()),
         }
@@ -719,8 +733,12 @@ impl Machine {
                     own.as_set()?;
                     let slot = self.classes[cid].own_slot;
                     self.store.set(slot, own);
+                    // Filling a class in place bumps no epoch, so an
+                    // extent read earlier in the group is now stale.
+                    self.extent_cache.clear();
                     let includes = self.eval_includes(cd, &env2)?;
                     self.classes[cid].includes = includes;
+                    self.extent_cache.clear();
                 }
                 self.eval_in(body, &env2)
             }
@@ -1026,54 +1044,83 @@ impl Machine {
         self.top_level_extent(cid)
     }
 
-    /// Compute (or fetch from the cache, when enabled and fresh) the full
-    /// extent of a class.
+    /// The full extent of a class, served from the cache when its entry is
+    /// current, and recomputed (and cached) otherwise.
+    ///
+    /// A hit is indistinguishable from a recompute. It needs the fuel the
+    /// fill burned and charges it, so fuel runs out exactly where a
+    /// recompute would run it out. It advances the identity counter past
+    /// the ids the fill minted and re-mints the served objects from the
+    /// current counter, so every `cquery` still yields fresh associations
+    /// (`eq` tells two scans apart, as in the Fig. 5 translation). A fill
+    /// that wrote or allocated store state is not cached, since a hit
+    /// could not replay that.
     fn top_level_extent(&mut self, cid: ClassId) -> Result<SetVal, RuntimeError> {
-        if self.extent_cache_enabled {
-            if let Some((epoch, cached)) = self.extent_cache.get(&cid) {
-                if *epoch == self.class_epoch {
-                    let rows = cached.len() as u64;
-                    let served = cached.clone();
-                    if let Some(p) = &mut self.profiler {
-                        p.note_extent(cid, true, rows, self.class_epoch);
-                    }
-                    return Ok(served);
-                }
+        if let Some(set) = self.extent_hit(cid) {
+            if let Some(p) = &mut self.profiler {
+                p.note_extent(cid, true, set.len() as u64, self.class_epoch);
             }
+            return Ok(set);
         }
+        // Drop a stale entry before recomputing, so two copies of one
+        // extent are never live at once.
+        self.extent_cache.remove(&cid);
+        let (epoch, slots, base_id, fuel) = (
+            self.class_epoch,
+            self.store.len(),
+            self.next_id,
+            self.stats.fuel_consumed,
+        );
         let mut visited = BTreeSet::new();
         visited.insert(cid);
-        let extent = self.class_extent(cid, &visited)?;
+        let set = self.class_extent(cid, &visited)?;
         if let Some(p) = &mut self.profiler {
-            // A recompute with the cache on means the previous entry was
-            // invalidated by the epoch current now.
-            p.note_extent(cid, false, extent.len() as u64, self.class_epoch);
+            // The previous entry, if any, was invalidated by this epoch.
+            p.note_extent(cid, false, set.len() as u64, epoch);
         }
-        if self.extent_cache_enabled {
-            self.extent_cache
-                .insert(cid, (self.class_epoch, extent.clone()));
-            if self.read_floor.is_some() {
-                self.read_cached.push(cid);
-            }
+        if self.class_epoch == epoch && self.store.len() == slots {
+            let entry = CachedExtent {
+                epoch,
+                set: set.clone(),
+                base_id,
+                ids: self.next_id - base_id,
+                fuel: self.stats.fuel_consumed - fuel,
+            };
+            self.extent_cache.insert(cid, entry);
         }
-        Ok(extent)
+        Ok(set)
     }
 
-    /// Opt-in memoization of top-level class extents, an *extension* to the
-    /// paper's always-recompute semantics (§4.3's `λ()` delay).
-    ///
-    /// Cache entries are invalidated by any store mutation — `insert`,
-    /// `delete`, and record-field `update` all bump a global epoch — so a
-    /// predicate or viewing function reading mutable state always sees
-    /// extents consistent with the current store; enabling the cache is
-    /// observationally transparent. The cost is coarseness: one `update`
-    /// anywhere recomputes every extent on next read. The E4 ablation
-    /// bench quantifies the trade-off.
-    pub fn enable_extent_cache(&mut self, enabled: bool) {
-        self.extent_cache_enabled = enabled;
-        if !enabled {
-            self.extent_cache.clear();
+    /// Serve `cid`'s cached extent with a recompute's effects, or `None`
+    /// when the entry is missing, stale, or costs more fuel than is left.
+    fn extent_hit(&mut self, cid: ClassId) -> Option<SetVal> {
+        let e = self.extent_cache.get(&cid)?;
+        if e.epoch != self.class_epoch || self.fuel.is_some_and(|f| f < e.fuel) {
+            return None;
         }
+        self.stats.fuel_consumed += e.fuel;
+        if let Some(f) = &mut self.fuel {
+            *f -= e.fuel;
+        }
+        let next = self.next_id;
+        self.next_id += e.ids;
+        if next == e.base_id {
+            return Some(e.set.clone());
+        }
+        // Only the top-level objects carry fill-minted ids (each include
+        // wraps its candidate in a fresh association); keys are raw-record
+        // ids, so none changes. The shift is relative: a region may have
+        // rewound the counter below `base_id`.
+        let remint = |v: &Value| match v {
+            Value::Obj(o) if o.id >= e.base_id => Value::Obj(Rc::new(ObjVal {
+                id: next + (o.id - e.base_id),
+                raw: o.raw.clone(),
+                view: o.view.clone(),
+            })),
+            other => other.clone(),
+        };
+        let set = e.set.0.iter().map(|(k, v)| (k.clone(), remint(v)));
+        Some(SetVal(Rc::new(set.collect())))
     }
 
     /// Number of live cache entries (diagnostics).
@@ -1261,21 +1308,71 @@ mod tests {
         );
     }
 
+    /// The type checker keeps a recursive group's names out of its own
+    /// extents (§4.4), but a bare machine runs what it is given: an extent
+    /// read while the group is being filled must not be served once the
+    /// group is complete.
     #[test]
-    fn extent_cache_entries_filled_in_a_read_are_evicted() {
+    fn an_extent_read_while_its_group_is_filled_is_not_served_later() {
+        // `B` reads itself before its own extent is set (a placeholder),
+        // then before its includes are set (`n` must be 1), and the body
+        // reads the finished class.
+        let src = "let class A = class {IDView([N = 5])} end \
+                   and B = class (let k = cquery(fn s => s, B) in {IDView([N = 1])} end) \
+                   include A as (let n = cquery(fn s => hom(s, fn x => 1, \
+                   fn a => fn b => a + b, 0), B) in fn x => [N = n + 10] end) \
+                   where fn x => true end \
+                   in cquery(fn s => map(fn o => query(fn x => x.N, o), s), B) end";
+        let mut m = Machine::new();
+        let v = m.eval(&parse_expr(src).expect("parses")).expect("runs");
+        assert_eq!(m.show(&v), "{1, 11}");
+    }
+
+    #[test]
+    fn read_filled_extents_survive_only_for_older_classes_at_the_mark_epoch() {
         let mut m = seeded();
-        m.enable_extent_cache(true);
         let before = encode_machine(&m);
-        let q = "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), \
-                 class {IDView([Name = \"r\"])} include Staff as fn x => x \
-                 where fn x => true end)";
-        let first = read(&mut m, q).expect("first read");
-        assert_eq!(m.extent_cache_len(), 0, "region entries are evicted");
-        assert_eq!(encode_machine(&m), before);
-        // The second read reuses the same class id and slots; a surviving
-        // cache entry would hand back objects over reclaimed slots.
-        assert_eq!(read(&mut m, q).expect("second read"), first);
+        // A class the read creates: evicted, since the next region reuses
+        // its class id and slots.
+        let fresh = "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), \
+                     class {IDView([Name = \"r\"])} include Staff as fn x => x \
+                     where fn x => true end)";
+        let first = read(&mut m, fresh).expect("first read");
         assert_eq!(first, "{\"Ada\", \"r\"}");
+        assert_eq!(m.extent_cache_len(), 0, "region classes are evicted");
+        assert_eq!(encode_machine(&m), before);
+        assert_eq!(read(&mut m, fresh).expect("second read"), first);
+        assert_eq!(encode_machine(&m), before);
+
+        // A class older than the region, filled at the mark's epoch: kept,
+        // and the next read is served from it.
+        let staff = "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Staff)";
+        assert_eq!(read(&mut m, staff).as_deref(), Ok("{\"Ada\"}"));
+        assert_eq!(m.extent_cache_len(), 1, "an older class's extent survives");
+        assert_eq!(encode_machine(&m), before);
+        let fuel = m.stats().fuel_consumed;
+        assert_eq!(read(&mut m, staff).as_deref(), Ok("{\"Ada\"}"));
+        let warm = m.stats().fuel_consumed - fuel;
+        let mut cold = crate::snapshot::decode_machine(&before).expect("decodes");
+        assert_eq!(read(&mut cold, staff).as_deref(), Ok("{\"Ada\"}"));
+        assert_eq!(
+            cold.stats().fuel_consumed,
+            warm,
+            "a hit burns the fill's fuel"
+        );
+        assert_eq!(read(&mut m, fresh).expect("third read"), first);
+        assert_eq!(m.extent_cache_len(), 1);
+
+        // The same class refilled after the region moved the epoch: its
+        // epoch is reused by the next write, so it is evicted.
+        let moved = "let c = class {} end in let u = insert(c, IDView([Name = \"z\"])) in \
+                     cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Staff) end end";
+        assert_eq!(read(&mut m, moved).as_deref(), Ok("{\"Ada\"}"));
+        assert_eq!(
+            m.extent_cache_len(),
+            0,
+            "an entry at a region epoch is evicted"
+        );
         assert_eq!(encode_machine(&m), before);
     }
 }

@@ -88,8 +88,7 @@ pub struct FallbackSite {
 pub struct ViewRecompute {
     /// The class id (the engine resolves it to a bound name for reports).
     pub class: usize,
-    /// Full extent recomputations (cache misses, or every scan when the
-    /// extent cache is off).
+    /// Full extent recomputations (extent-cache misses).
     pub recomputes: u64,
     /// Extent-cache hits served without recomputation.
     pub cache_hits: u64,

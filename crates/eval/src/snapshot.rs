@@ -22,8 +22,9 @@
 //! `NODE_REF` points at a node whose contents were already decoded.
 //!
 //! What is deliberately *not* serialized: the extent cache, work-counter
-//! stats, and the profiler — all cold-start derivatives of the persisted
-//! state. Builtin function pointers cannot cross a process boundary, so a
+//! stats, and the profiler. A restored machine starts with all three
+//! cold, and no program can tell: a cache hit has exactly a recompute's
+//! effects (ids, fuel), so a cold cache only costs time. Builtin function pointers cannot cross a process boundary, so a
 //! builtin serializes its name, id, and applied arguments; the decoder
 //! re-resolves the pointer from [`crate::builtins::natives`] and rejects
 //! names the running binary does not know.

@@ -1,9 +1,10 @@
-//! The opt-in extent cache (an extension over the paper's
-//! always-recompute semantics): correctness of invalidation on every
-//! store mutation — insert, delete, and record-field update — so the
-//! cached and uncached machines are observationally identical.
+//! The extent cache (an implementation choice over the paper's
+//! always-recompute semantics): invalidation on every store mutation —
+//! insert, delete, and record-field update — and equivalence of a warm
+//! machine with a cold one. The cold side is a machine restored from a
+//! snapshot, whose cache starts empty.
 
-use polyview_eval::Machine;
+use polyview_eval::{decode_machine, encode_machine, Machine};
 use polyview_syntax::builder as b;
 use polyview_syntax::Expr;
 
@@ -56,26 +57,36 @@ fn setup(m: &mut Machine) {
     m.define_global("Female", female);
 }
 
+/// A machine restored from `m`'s snapshot: same state, cold cache.
+fn cold_copy(m: &Machine) -> Machine {
+    decode_machine(&encode_machine(m)).expect("snapshot decodes")
+}
+
 #[test]
-fn cached_results_match_uncached() {
-    let mut plain = Machine::new();
-    setup(&mut plain);
-    let mut cached = Machine::new();
-    cached.enable_extent_cache(true);
-    setup(&mut cached);
+fn warm_results_match_cold() {
+    let mut warm = Machine::new();
+    setup(&mut warm);
+    warm.eval(&count_query("Female")).expect("fill");
+    assert!(warm.extent_cache_len() > 0, "cache should be populated");
 
     for _ in 0..3 {
-        let a = plain.eval(&count_query("Female")).expect("plain");
-        let c = cached.eval(&count_query("Female")).expect("cached");
-        assert!(a.value_eq(&c));
+        let mut cold = cold_copy(&warm);
+        let (warm_fuel, cold_fuel) = (warm.stats().fuel_consumed, cold.stats().fuel_consumed);
+        let w = warm.eval(&count_query("Female")).expect("warm");
+        let c = cold.eval(&count_query("Female")).expect("cold");
+        assert!(w.value_eq(&c));
+        assert_eq!(
+            warm.stats().fuel_consumed - warm_fuel,
+            cold.stats().fuel_consumed - cold_fuel,
+            "a hit burns what the recompute burns"
+        );
+        assert_eq!(encode_machine(&warm), encode_machine(&cold));
     }
-    assert!(cached.extent_cache_len() > 0, "cache should be populated");
 }
 
 #[test]
 fn insert_invalidates_cache() {
     let mut m = Machine::new();
-    m.enable_extent_cache(true);
     setup(&mut m);
     let before = m.eval(&count_query("Female")).expect("count");
     assert_eq!(format!("{before:?}"), "Int(1)");
@@ -92,7 +103,6 @@ fn insert_invalidates_cache() {
 #[test]
 fn delete_invalidates_cache() {
     let mut m = Machine::new();
-    m.enable_extent_cache(true);
     let alice = m.eval(&person("Alice", "female")).expect("alice");
     m.define_global("alice", alice);
     let staff = m
@@ -108,23 +118,12 @@ fn delete_invalidates_cache() {
 }
 
 #[test]
-fn disabling_clears_cache() {
-    let mut m = Machine::new();
-    m.enable_extent_cache(true);
-    setup(&mut m);
-    m.eval(&count_query("Female")).expect("count");
-    assert!(m.extent_cache_len() > 0);
-    m.enable_extent_cache(false);
-    assert_eq!(m.extent_cache_len(), 0);
-}
-
-#[test]
 fn field_update_invalidates_cache() {
     // Regression: a record-field update used to be invisible to the cache
     // (only insert/delete bumped the epoch), so with a mutable Sex field,
     // flipping it after a cached query served a stale extent. Every store
     // write now invalidates, and the cached machine must agree with the
-    // plain one.
+    // cold one.
     let flip_sex = |m: &mut Machine| {
         m.eval(&b::cquery(
             b::lam(
@@ -176,25 +175,63 @@ fn field_update_invalidates_cache() {
         m.define_global("Female", female);
     };
 
-    // Without the cache: the update is visible (paper semantics).
-    let mut plain = Machine::new();
-    mk_setup(&mut plain);
-    plain.eval(&count_query("Female")).expect("warm");
-    flip_sex(&mut plain);
-    let v = plain.eval(&count_query("Female")).expect("count");
-    assert_eq!(format!("{v:?}"), "Int(1)");
+    // The warm machine cached the empty extent before the update; the
+    // update bumps the epoch, so the next read recomputes and observes
+    // the new field value.
+    let mut warm = Machine::new();
+    mk_setup(&mut warm);
+    warm.eval(&count_query("Female")).expect("warm");
+    flip_sex(&mut warm);
+    let mut cold = cold_copy(&warm);
 
-    // With the cache: the update bumps the epoch, so the next read
-    // recomputes and observes the new field value.
-    let mut cached = Machine::new();
-    cached.enable_extent_cache(true);
-    mk_setup(&mut cached);
-    cached.eval(&count_query("Female")).expect("warm");
-    flip_sex(&mut cached);
-    let v = cached.eval(&count_query("Female")).expect("count");
+    // Cold: the update is visible (paper semantics).
+    let v = cold.eval(&count_query("Female")).expect("count");
+    assert_eq!(format!("{v:?}"), "Int(1)");
+    let v = warm.eval(&count_query("Female")).expect("count");
     assert_eq!(
         format!("{v:?}"),
         "Int(1)",
         "update must invalidate cached extents"
     );
+}
+
+#[test]
+fn a_fill_that_writes_or_allocates_is_not_cached() {
+    // A hit replays the fill's fuel and ids, not its store effects, so a
+    // fill whose predicate writes (here: bumps a counter) or allocates is
+    // recomputed on every scan.
+    let mut m = Machine::new();
+    for (name, src) in [
+        ("tally", "[N := 0]"),
+        ("Staff", "class {IDView([Name = \"Ada\"])} end"),
+        (
+            "Counted",
+            "class {} include Staff as fn x => x \
+             where fn o => let u = update(tally, N, tally.N + 1) in true end end",
+        ),
+        (
+            "Boxed",
+            "class {} include Staff as fn x => x where fn o => [B = true].B end",
+        ),
+    ] {
+        let v = m
+            .eval(&polyview_parser::parse_expr(src).expect("parses"))
+            .expect("defines");
+        m.define_global(name, v);
+    }
+    for round in 1..=2 {
+        let slots = m.store.len();
+        m.eval(&count_query("Boxed")).expect("count");
+        assert_eq!(
+            m.store.len(),
+            slots + 1,
+            "the predicate allocates each time"
+        );
+        m.eval(&count_query("Counted")).expect("count");
+        let n = m
+            .eval(&polyview_parser::parse_expr("tally.N").expect("parses"))
+            .expect("reads");
+        assert_eq!(format!("{n:?}"), format!("Int({round})"));
+    }
+    assert_eq!(m.extent_cache_len(), 0);
 }

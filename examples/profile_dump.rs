@@ -10,9 +10,10 @@
 //!   row-polymorphic field read — mutual groups cannot be
 //!   index-abstracted, so the read keeps its dynamic lookup and running
 //!   it yields *runtime fallback sites*;
-//! * a class with the extent cache on, queried around an `insert`, so the
-//!   profile carries a *view-recompute* row naming the class and the
-//!   epoch that invalidated the cached extent;
+//! * a class queried around an `insert`, then scanned twice by the
+//!   profiled statement, so the profile carries a *view-recompute* row
+//!   naming the class and the epoch that invalidated the cached extent,
+//!   with one recompute and one cache hit;
 //! * a `ManualClock` injected through [`polyview::Engine::set_clock`], so
 //!   the whole tree is deterministic.
 //!
@@ -37,7 +38,6 @@ fn emit(lines: &str) {
 fn main() {
     let mut engine = Engine::new();
     engine.set_clock(Arc::new(ManualClock::with_step(10)));
-    engine.machine().enable_extent_cache(true);
     engine
         .exec(
             r#"
@@ -51,7 +51,8 @@ fn main() {
         )
         .expect("session defines");
     // Warm the extent cache, then invalidate it: the profiled statement's
-    // extent scan recomputes at the post-insert epoch.
+    // first extent scan recomputes at the post-insert epoch, and its second
+    // is served from the cache.
     engine
         .eval_to_string("cquery(fn s => map(fn o => query(fn x => x.Steps, o), s), Staff)")
         .expect("warm extent");
@@ -60,17 +61,25 @@ fn main() {
         .expect("insert invalidates");
 
     // One statement through every channel: the mutual group's dynamic
-    // field ops (fallback sites) and a class extent scan (view recompute).
+    // field ops (fallback sites) and two class extent scans (a view
+    // recompute, then a cache hit).
     let report = engine
-        .profile("cquery(fn s => map(fn o => query(fn x => even(step(x)), o), s), Staff)")
+        .profile(
+            "let all = cquery(fn s => s, Staff) in \
+             cquery(fn s => map(fn o => query(fn x => even(step(x)), o), s), Staff) end",
+        )
         .expect("profiled statement runs");
     assert!(
         !report.profile.fallback_sites.is_empty(),
         "mutual-recursion field ops must attribute fallback sites"
     );
     assert!(
-        !report.profile.view_recomputes.is_empty(),
-        "the cquery must attribute an extent scan"
+        report
+            .profile
+            .view_recomputes
+            .iter()
+            .any(|v| v.recomputes > 0 && v.cache_hits > 0),
+        "the two scans must attribute a recompute and a cache hit"
     );
     emit(&report.to_json_lines());
 

@@ -22,6 +22,8 @@ echo "==> pool smoke: serving-layer suite under --release"
 # injection, backpressure); run it under the release profile too so
 # timing-sensitive regressions surface in both profiles.
 cargo test -q --release --test pool
+# The wire front door runs real sockets and worker threads too.
+cargo test -q --release --test net
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -134,11 +136,17 @@ assert label and count > 0, site
 view = next(o for o in objs if o["kind"] == "profile.view_recompute")
 vclass, vrec = view["class"], view["recomputes"]
 assert vclass == "Staff" and vrec > 0, view
+# The extent cache is always on: the second scan of Staff is a hit.
+vhits = [o for o in objs
+         if o["kind"] == "profile.view_recompute" and o["cache_hits"] > 0]
+assert vhits, "no profile.view_recompute line with cache_hits > 0"
+vhit = vhits[0]["cache_hits"]
 off = next(o for o in objs if o["kind"] == "profile.disabled_check")
 reads = off["disabled_clock_reads"]
 assert reads == 0, f"profiler-off path read the clock {reads} time(s)"
 print(f"  {len(lines)} profile lines; {len(nodes)} nodes, "
-      f"fallback .{label} x{count}, view {vclass} recomputes={vrec}, "
+      f"fallback .{label} x{count}, view {vclass} recomputes={vrec} "
+      f"cache_hits={vhit}, "
       f"disabled clock reads=0")
 '
 

@@ -288,17 +288,26 @@ const VIEW_NAMES: &str = "cquery(fn s => map(fn o => query(fn x => x.Name, o), s
 /// fall-back to the fold fails here.
 ///
 /// With the fold (before lowering): 4_413 units. With `Collect`: 3_811.
+/// The first read recomputes `Female`; the second is served from the
+/// extent cache and must burn the same, as must a cold restored engine.
 #[test]
 fn view_read_fuel_is_pinned() {
     let mut e = wire_views_engine();
+    let mut cold = Engine::from_snapshot(&e.snapshot()).expect("restores");
     let mut burned = Vec::new();
-    for _ in 0..2 {
-        let before = e.stats().fuel_consumed;
-        let shown = e.read(VIEW_NAMES).expect("read");
+    for i in 0..3 {
+        let engine = if i < 2 { &mut e } else { &mut cold };
+        let before = engine.stats().fuel_consumed;
+        let shown = engine.read(VIEW_NAMES).expect("read");
         assert_eq!(shown.matches('"').count(), 200, "100 names: {shown}");
-        burned.push(e.stats().fuel_consumed - before);
+        burned.push(engine.stats().fuel_consumed - before);
     }
-    assert_eq!(burned, vec![3_811, 3_811]);
+    assert_eq!(
+        e.machine().extent_cache_len(),
+        1,
+        "the second read was warm"
+    );
+    assert_eq!(burned, vec![3_811, 3_811, 3_811]);
 }
 
 #[test]

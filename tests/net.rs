@@ -377,6 +377,10 @@ fn stats_round_trips_with_deterministic_windows() {
     let mut client = connect(&server);
     client.hello(1).expect("hello");
     client.call("val windowed = 1;").expect("write");
+    // The write replied from one replica; the other applies it on its
+    // `CatchUp` nudge, and `stats` reads the gauges without waiting for
+    // that. A barrier makes "both replicas caught up" hold first.
+    server.with_pool(|p| p.barrier()).expect("barrier");
 
     // First stats call takes the window's first snapshot: no window yet.
     let stats = client.stats().expect("stats");

@@ -1,7 +1,7 @@
 //! The compile-once/run-many pipeline end to end: `Engine::prepare`/`run`,
 //! the LRU statement cache behind `eval_to_string` and the `Database`
 //! facade, staleness across declarations, interaction with mutating
-//! `insert`/`delete` (including `Machine::enable_extent_cache` epochs), and
+//! `insert`/`delete` (including the machine's extent-cache epochs), and
 //! the removal of the source-splicing hazard.
 
 use polyview::{Database, Engine, Error};
@@ -207,17 +207,21 @@ fn database_query_reflects_mutations_between_calls() {
 
 #[test]
 fn database_query_respects_extent_cache_epochs() {
-    // With the opt-in extent cache on, a cached cquery statement must still
-    // see every insert/delete: the machine's class epoch invalidates the
-    // extent cache independently of the statement cache.
+    // A cached cquery statement must still see every insert/delete: the
+    // machine's class epoch invalidates the extent cache independently of
+    // the statement cache.
     let mut db = staff_db();
-    db.engine().machine().enable_extent_cache(true);
     assert_eq!(
         db.query("Staff", NAMES_FN).expect("q"),
         "{\"Alice\", \"Bob\"}"
     );
     // Warm both caches, then mutate.
     db.query("Staff", NAMES_FN).expect("warm");
+    assert_eq!(
+        db.engine().machine().extent_cache_len(),
+        1,
+        "Staff is cached"
+    );
     db.exec("val dan = IDView([Name = \"Dan\", Age = 20]);")
         .expect("defines");
     db.insert("Staff", "dan").expect("insert");

@@ -29,7 +29,6 @@ const WORKLOAD: &str = "cquery(fn s => map(fn o => query(fn x => even(step(x)), 
 fn profiled_engine() -> Engine {
     let mut e = Engine::new();
     e.set_clock(Arc::new(ManualClock::with_step(10)));
-    e.machine().enable_extent_cache(true);
     e.exec(SESSION).expect("session defines");
     e
 }

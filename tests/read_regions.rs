@@ -4,6 +4,7 @@
 
 use polyview::eval::{encode_machine, RuntimeError};
 use polyview::{Engine, Error};
+use polyview_pool::{Pool, PoolConfig};
 
 /// Declarations every read below refers to.
 const SETUP: &[&str] = &[
@@ -134,4 +135,206 @@ fn effects_and_declarations_are_refused_and_leave_nothing_behind() {
     let hits = e.stats().stmt_cache_hits;
     e.read(&q).expect("second");
     assert_eq!(e.stats().stmt_cache_hits, hits + 1);
+}
+
+/// Reads of `Paid`, some minting identities before the extent, so the
+/// cached copy's ids start above where a write's scan starts.
+fn paid_read(i: usize) -> String {
+    match i % 3 {
+        0 => "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Paid)".to_string(),
+        1 => format!("let r = [Z = {i}] in cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), Paid) end"),
+        _ => "cquery(fn s => s, Paid)".to_string(),
+    }
+}
+
+/// The fuel `src` burns as a write on a cold copy of `e`.
+fn write_cost(e: &mut Engine, src: &str) -> u64 {
+    let mut cold = Engine::from_snapshot(&e.snapshot()).expect("restores");
+    cold.machine().fuel = None;
+    let before = cold.stats().fuel_consumed;
+    cold.exec(src).expect("cold write");
+    cold.stats().fuel_consumed - before
+}
+
+/// Engine A serves reads of `Paid` between writes and keeps their extents
+/// cached; engine B serves none. Every write that scans `Paid` on A is
+/// served from the cache, yet the two machines encode to the same bytes
+/// after every write: a hit mints, stores and burns exactly what the
+/// recompute on B does.
+#[test]
+fn a_warm_replica_applies_writes_exactly_like_a_cold_one() {
+    const FUEL_BOUNDED: &str =
+        "val counted = cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), Paid);";
+    let writes = [
+        "hire(\"Ada\")",
+        "hire(\"Bob\")",
+        // Stores objects re-minted from a cached extent.
+        "val kept = cquery(fn s => s, Paid);",
+        // Mints identities before its extent.
+        "val minted = let r = [Z = 1] in let q = [Y = r.Z] in cquery(fn s => s, Paid) end end;",
+        // Two extents of one class in one write.
+        "val both = let a = cquery(fn s => s, Paid) in \
+         let b = cquery(fn s => s, Paid) in [A = a, B = b] end end;",
+        "hire(\"Cy\")",
+        // `Rich`'s predicate allocates, so its extent is never cached.
+        "val rich = cquery(fn s => s, Rich);",
+        FUEL_BOUNDED,
+        "insert(Staff, joe)",
+        "val late = cquery(fn s => s, Paid);",
+    ];
+    let mut a = Engine::with_fuel(50_000_000);
+    let mut b = Engine::with_fuel(50_000_000);
+    let rich = "class Rich = class {} include Staff as fn x => x \
+                where fn o => query(fn p => [V = p.Pay].V > 5, o) end;";
+    for w in SETUP.iter().chain([rich].iter()) {
+        a.exec(w).expect("setup");
+        b.exec(w).expect("setup");
+    }
+    let mut served = 0;
+    for (offset, w) in writes.iter().enumerate() {
+        for _ in 0..6 {
+            a.read(&paid_read(served)).expect("read");
+            a.read(&paid_read(served).replace("Paid", "Rich"))
+                .expect("read");
+            served += 1;
+        }
+        if *w == FUEL_BOUNDED {
+            // Exactly the recompute's cost: the warm scan must fit too.
+            let cost = write_cost(&mut b, w);
+            a.machine().fuel = Some(cost);
+            b.machine().fuel = Some(cost);
+        }
+        a.exec(w).unwrap_or_else(|e| panic!("A at {offset}: {e}"));
+        b.exec(w).unwrap_or_else(|e| panic!("B at {offset}: {e}"));
+        assert_eq!(
+            encode_machine(a.machine()),
+            encode_machine(b.machine()),
+            "machine sections differ after write {offset} ({w})"
+        );
+        if *w == FUEL_BOUNDED {
+            assert_eq!(a.machine().fuel, Some(0), "the budget was exact");
+            a.machine().fuel = Some(50_000_000);
+            b.machine().fuel = Some(50_000_000);
+        }
+    }
+    assert!(
+        a.machine().extent_cache_len() > 0,
+        "A served from its cache"
+    );
+    // The stored objects are fresh associations, as on the cold replica.
+    let distinct = "hom(both.A, fn x => hom(both.B, fn y => x = y, \
+                    fn p => fn q => p orelse q, false), fn p => fn q => p orelse q, false)";
+    assert_eq!(a.read(distinct).expect("A"), "false");
+    assert_eq!(b.read(distinct).expect("B"), "false");
+}
+
+/// Every fuel budget that runs out somewhere in a write scanning a cached
+/// extent runs it out at the same step on a warm and a cold engine: a hit
+/// needs the whole fill's fuel, and otherwise the warm engine recomputes.
+#[test]
+fn fuel_runs_out_at_the_same_step_warm_or_cold() {
+    let write = "val n = let r = [Z = 1] in \
+                 cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), Paid) end;";
+    let mut base = Engine::new();
+    for w in SETUP
+        .iter()
+        .chain(["hire(\"Ada\")", "hire(\"Bob\")"].iter())
+    {
+        base.exec(w).expect("setup");
+    }
+    let cost = write_cost(&mut base, write);
+    let snapshot = base.snapshot();
+    for budget in 0..=cost {
+        let mut warm = Engine::from_snapshot(&snapshot).expect("restores");
+        warm.read(&paid_read(1)).expect("fills the cache");
+        let mut cold = Engine::from_snapshot(&snapshot).expect("restores");
+        warm.machine().fuel = Some(budget);
+        cold.machine().fuel = Some(budget);
+        let (warm_fuel, cold_fuel) = (warm.stats().fuel_consumed, cold.stats().fuel_consumed);
+        let (w, c) = (warm.exec(write), cold.exec(write));
+        assert_eq!(w.is_ok(), budget == cost, "budget {budget}");
+        assert_eq!(w.is_ok(), c.is_ok(), "budget {budget}");
+        assert_eq!(
+            encode_machine(warm.machine()),
+            encode_machine(cold.machine()),
+            "budget {budget} of {cost}"
+        );
+        assert_eq!(
+            warm.stats().fuel_consumed - warm_fuel,
+            cold.stats().fuel_consumed - cold_fuel,
+            "budget {budget}"
+        );
+    }
+}
+
+/// Two replicas fill their caches serving reads; an `insert` invalidates
+/// both. Every answer is right, and no read is promoted to a write.
+#[test]
+fn pool_replicas_keep_read_extents_until_a_write_invalidates_them() {
+    // Syntactic writes (`hire` would be promoted from a read).
+    let hire = |n: &str| format!("insert(Staff, IDView([Name = \"{n}\", Pay := 10]))");
+    let mut pool = Pool::new(PoolConfig::default().workers(2));
+    for w in SETUP {
+        pool.run(1, w).expect("setup");
+    }
+    pool.run(1, &hire("Ada")).expect("insert");
+    let names = paid_read(0);
+    for _ in 0..3 {
+        for w in 0..2 {
+            assert_eq!(pool.probe_worker(w, &names).expect("read"), "{\"Ada\"}");
+        }
+    }
+    pool.run(2, &hire("Bob")).expect("insert");
+    for _ in 0..3 {
+        for w in 0..2 {
+            assert_eq!(
+                pool.probe_worker(w, &names).expect("read"),
+                "{\"Ada\", \"Bob\"}"
+            );
+        }
+    }
+    assert_eq!(pool.stats_local().reads_promoted, 0);
+    pool.shutdown();
+}
+
+/// `eval_to_string` runs a pure expression as a read region: whatever it
+/// allocates is reclaimed and the identity counter is rewound.
+#[test]
+fn eval_to_string_of_a_pure_expression_leaves_no_allocation() {
+    let mut e = Engine::new();
+    for w in SETUP.iter().chain(["hire(\"Ada\")"].iter()) {
+        e.exec(w).expect("setup");
+    }
+    let (slots, next_id) = (e.machine().store.len(), e.machine().next_id());
+    for i in 0..4 {
+        e.eval_to_string(&read_src(i)).expect("read");
+        e.eval_to_string(&paid_read(i)).expect("read");
+        assert_eq!(e.machine().store.len(), slots);
+        assert_eq!(e.machine().next_id(), next_id);
+    }
+}
+
+/// An effectful expression is refused inside the region, rolled back and
+/// rerun outside it: its effects apply exactly once.
+#[test]
+fn eval_to_string_applies_effects_exactly_once() {
+    let mut e = Engine::new();
+    for w in SETUP {
+        e.exec(w).expect("setup");
+    }
+    let count = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), Staff)";
+    assert_eq!(e.eval_to_string("hire(\"Ada\")").expect("write"), "()");
+    assert_eq!(e.eval_to_string(count).expect("count"), "1");
+    assert_eq!(
+        e.eval_to_string("let r = [F := 1] in let u = hire(\"Bob\") in r.F end end")
+            .expect("write after a region-local allocation"),
+        "1"
+    );
+    assert_eq!(e.eval_to_string(count).expect("count"), "2");
+    assert_eq!(
+        e.eval_to_string("let u = update(boxed, F, boxed.F + 1) in boxed.F end")
+            .expect("update"),
+        "2"
+    );
+    assert_eq!(e.eval_to_string("boxed.F").expect("read"), "2");
 }
