@@ -936,19 +936,14 @@ impl Engine {
         self.stmts.capacity()
     }
 
-    /// Resize the statement cache (0 disables caching — every call
-    /// recompiles, the "cold" path the prepared bench compares against).
+    /// Resize the statement cache (0 disables caching: every call
+    /// recompiles, the cold path).
     /// Shrinking below the current length evicts oldest-first,
     /// deterministically; the evictions show up in
     /// [`EngineStats::stmt_cache_evictions`].
     pub fn set_stmt_cache_capacity(&mut self, capacity: usize) {
         let evicted = self.stmts.set_capacity(capacity);
         self.phases.stmt_cache_evictions.add(evicted as u64);
-    }
-
-    /// Drop every cached statement (they recompile on next use).
-    pub fn clear_stmt_cache(&mut self) {
-        self.stmts.clear();
     }
 
     /// The current declaration epoch (bumped by `val`/`fun`/`class`).
@@ -1270,11 +1265,6 @@ impl Engine {
     /// Direct access to the evaluation machine (extents, stores, classes).
     pub fn machine(&mut self) -> &mut Machine {
         &mut self.machine
-    }
-
-    /// Direct access to the inference context (for tooling/tests).
-    pub fn infer_ctx(&mut self) -> &mut Infer {
-        &mut self.cx
     }
 
     /// Check whether an expression is generalizable (value restriction).

@@ -301,10 +301,6 @@ impl StmtCache {
         }
         evicted
     }
-
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 /// A snapshot of the engine's pipeline counters, assembled by

@@ -1,7 +1,7 @@
 //! `hom` — the paper's general set eliminator: the defining equation, the
 //! empty-set case, and effect/duplicate semantics. The property-based half
 //! (determinism over canonical order, the Section 2 definability claims)
-//! lives in `crates/proptests/tests/eval_hom_props.rs`.
+//! lives in `tests/properties/eval_hom.rs` at the workspace root.
 
 use polyview_eval::Machine;
 use polyview_syntax::builder as b;

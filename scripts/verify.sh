@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
 # Offline-safe verification: everything here runs with no network access.
 #
-# The workspace proper has zero external dependencies (DESIGN.md §7). The
-# property-test package is excluded because it carries proptest/rand; run
-# it explicitly when a registry is reachable:
-#
-#     cargo test --manifest-path crates/proptests/Cargo.toml
+# The repository has no external dependencies (DESIGN.md §7).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,14 +44,11 @@ if grep -q '^\[.*dependencies\]' crates/obs/Cargo.toml; then
     exit 1
 fi
 
-echo "==> dependency hygiene: workspace members carry no external deps"
-# Every dependency line in every workspace manifest must be a path/workspace
-# dependency — a line pulling from a registry (e.g. `serde = "1"`) fails.
-for manifest in Cargo.toml \
-    crates/syntax/Cargo.toml crates/parser/Cargo.toml crates/types/Cargo.toml \
-    crates/eval/Cargo.toml crates/trans/Cargo.toml crates/isa/Cargo.toml \
-    crates/obs/Cargo.toml crates/core/Cargo.toml crates/pool/Cargo.toml \
-    crates/net/Cargo.toml; do
+echo "==> dependency hygiene: no manifest carries an external dep"
+# Every dependency line in every tracked manifest (the workspace, its
+# members and polybench) must be a path/workspace dependency: a line
+# pulling from a registry (e.g. `serde = "1"`) fails, in any package.
+for manifest in $(git ls-files '*Cargo.toml'); do
     awk -v manifest="$manifest" '
         /^\[/ {
             in_deps = ($0 ~ /^\[(workspace\.)?(dev-|build-)?dependencies\]/)
