@@ -35,7 +35,7 @@ use polyview::obs::{
     Clock, Counter, EventRecord, EventSink, Gauge, Histogram, HistogramSnapshot, Registry,
     WallClock, WindowView,
 };
-use polyview_pool::{BatchTicket, HealthReport, Pool, PoolConfig, Submit, Ticket};
+use polyview_pool::{HealthReport, Pool, PoolConfig, Submit, Ticket};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -473,10 +473,19 @@ fn accept_loop(
 /// tickets around them, and so the watch interval can live as plain
 /// writer-local state.
 enum PendingReply {
-    Stmt { id: u64, ticket: Ticket },
-    Batch { id: u64, ticket: BatchTicket },
-    Watch { id: u64, interval_ms: u64 },
-    Unwatch { id: u64 },
+    /// A `stmt` or `batch` frame's ticket; `batch` picks the reply line.
+    Serve {
+        id: u64,
+        ticket: Ticket,
+        batch: bool,
+    },
+    Watch {
+        id: u64,
+        interval_ms: u64,
+    },
+    Unwatch {
+        id: u64,
+    },
 }
 
 /// Outcome of one bounded line read.
@@ -675,11 +684,13 @@ fn handle_frame(
         .observe(decoded_ns.saturating_sub(read_ns));
     shared.metrics.frames_decoded.inc();
     let id = frame.id;
-    match frame.cmd {
-        Command::Ping => send_immediate(shared, out, &proto::ok_line(id, "pong"))?,
+    // Control commands answer here; a `stmt` is a `batch` of one and both
+    // fall through to the one submit below.
+    let (stmts, batch) = match frame.cmd {
+        Command::Ping => return send_immediate(shared, out, &proto::ok_line(id, "pong")),
         Command::Hello { session: s } => {
             *session = s;
-            send_immediate(shared, out, &proto::ok_line(id, &format!("session {s}")))?;
+            return send_immediate(shared, out, &proto::ok_line(id, &format!("session {s}")));
         }
         Command::Health => {
             // An immediate like `ping`: `Pool::health` reads lock-free
@@ -687,65 +698,44 @@ fn handle_frame(
             // held across a blocking operation), so this answers even
             // while every pool queue is full.
             let report = lock(&shared.pool).health();
-            send_immediate(shared, out, &proto::health_line(id, &report))?;
+            return send_immediate(shared, out, &proto::health_line(id, &report));
         }
         Command::Stats => {
             let obj = stats_object(shared);
-            send_immediate(shared, out, &proto::stats_line(id, &obj))?;
+            return send_immediate(shared, out, &proto::stats_line(id, &obj));
         }
         Command::Watch { interval_ms } => {
             // Through the writer, not an immediate: the ack lands in
             // submission order, and pushes are writer-local state.
             let _ = pending_tx.send(PendingReply::Watch { id, interval_ms });
+            return Ok(());
         }
         Command::Unwatch => {
             let _ = pending_tx.send(PendingReply::Unwatch { id });
+            return Ok(());
         }
-        Command::Stmt { src } => {
-            if in_flight.load(Ordering::SeqCst) >= shared.max_in_flight as u64 {
-                return reject_busy(shared, out, id);
-            }
-            let submitted = lock(&shared.pool).submit(*session, &src);
-            match submitted {
-                Err(e) => {
-                    send_immediate(
-                        shared,
-                        out,
-                        &proto::err_line(Some(id), proto::error_kind(&e), &e.to_string()),
-                    )?;
-                }
-                Ok(Submit::Full) => return reject_busy(shared, out, id),
-                Ok(Submit::Queued(ticket)) => {
-                    emit_frame_events(shared, ticket.trace_id(), conn_id, read_ns, decoded_ns);
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                    let _ = pending_tx.send(PendingReply::Stmt { id, ticket });
-                }
-            }
-        }
-        Command::Batch { stmts } => {
-            if in_flight.load(Ordering::SeqCst) >= shared.max_in_flight as u64 {
-                return reject_busy(shared, out, id);
-            }
-            let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
-            let submitted = lock(&shared.pool).submit_batch(*session, &refs);
-            match submitted {
-                Err(e) => {
-                    send_immediate(
-                        shared,
-                        out,
-                        &proto::err_line(Some(id), proto::error_kind(&e), &e.to_string()),
-                    )?;
-                }
-                Ok(Submit::Full) => return reject_busy(shared, out, id),
-                Ok(Submit::Queued(ticket)) => {
-                    emit_frame_events(shared, ticket.trace_id(), conn_id, read_ns, decoded_ns);
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                    let _ = pending_tx.send(PendingReply::Batch { id, ticket });
-                }
-            }
+        Command::Stmt { src } => (vec![src], false),
+        Command::Batch { stmts } => (stmts, true),
+    };
+    if in_flight.load(Ordering::SeqCst) >= shared.max_in_flight as u64 {
+        return reject_busy(shared, out, id);
+    }
+    let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+    let submitted = lock(&shared.pool).submit_batch(*session, &refs);
+    match submitted {
+        Err(e) => send_immediate(
+            shared,
+            out,
+            &proto::err_line(Some(id), proto::error_kind(&e), &e.to_string()),
+        ),
+        Ok(Submit::Full) => reject_busy(shared, out, id),
+        Ok(Submit::Queued(ticket)) => {
+            emit_frame_events(shared, ticket.trace_id(), conn_id, read_ns, decoded_ns);
+            in_flight.fetch_add(1, Ordering::SeqCst);
+            let _ = pending_tx.send(PendingReply::Serve { id, ticket, batch });
+            Ok(())
         }
     }
-    Ok(())
 }
 
 fn reject_busy(shared: &Shared, out: &Mutex<TcpStream>, id: u64) -> std::io::Result<()> {
@@ -831,16 +821,22 @@ fn writer_main(
             },
         };
         let line = match reply {
-            PendingReply::Stmt { id, ticket } => {
+            PendingReply::Serve { id, ticket, batch } => {
                 if dead {
                     drop(ticket); // the worker's reply send is a no-op
                     in_flight.fetch_sub(1, Ordering::SeqCst);
                     continue;
                 }
-                let line = match ticket.wait() {
-                    Ok(v) => proto::ok_line(id, &v),
-                    Err(e) => proto::err_line(Some(id), proto::error_kind(&e), &e.to_string()),
-                };
+                let line = if batch {
+                    ticket
+                        .wait_all()
+                        .map(|results| proto::results_line(id, &results))
+                } else {
+                    ticket.wait().map(|v| proto::ok_line(id, &v))
+                }
+                .unwrap_or_else(|e| {
+                    proto::err_line(Some(id), proto::error_kind(&e), &e.to_string())
+                });
                 // Release the slot *before* the write, not after: the
                 // client may observe the response and pipeline its next
                 // request faster than this thread runs, and a late
@@ -850,19 +846,6 @@ fn writer_main(
                 // channel never holds more than `max_in_flight`), and a
                 // write stuck on its full socket trips the write
                 // timeout below.
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                line
-            }
-            PendingReply::Batch { id, ticket } => {
-                if dead {
-                    drop(ticket);
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                let line = match ticket.wait() {
-                    Ok(results) => proto::results_line(id, &results),
-                    Err(e) => proto::err_line(Some(id), proto::error_kind(&e), &e.to_string()),
-                };
                 in_flight.fetch_sub(1, Ordering::SeqCst);
                 line
             }

@@ -2,14 +2,13 @@
 //! JSON-lines exports (metrics, spans, events) and to carry the network
 //! front door's wire protocol (`crates/net`) without pulling in serde.
 //!
-//! Three layers, all sharing one recursive-descent core:
+//! Three layers over one recursive-descent parser:
 //!
 //! * [`check_object_line`] validates that a line is exactly one
 //!   syntactically well-formed JSON object (UTF-8 escapes included) and
-//!   returns its top-level keys in order of appearance. It does *not*
-//!   build a value tree: callers only need "is this parseable?" plus
-//!   "which keys are present?" — the contract the `verify.sh` trace-smoke
-//!   gate and `pool_server --trace` self-check assert.
+//!   returns its top-level keys in order of appearance — the contract the
+//!   `verify.sh` trace-smoke gate and `pool_server --trace` self-check
+//!   assert. It is [`parse_object_line`] with the values dropped.
 //! * [`parse_object_line`] builds the value tree as ordered
 //!   `(key, `[`JsonValue`]`)` pairs — the decode half of the wire frame
 //!   codec. [`JsonValue`] carries typed accessors ([`JsonValue::as_str`],
@@ -268,47 +267,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<(), JsonError> {
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => {
-                self.object()?;
-                Ok(())
-            }
+            Some(b'{') => Ok(JsonValue::Obj(self.object()?)),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true", "invalid literal"),
-            Some(b'f') => self.literal("false", "invalid literal"),
-            Some(b'n') => self.literal("null", "invalid literal"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => self.err("expected value"),
-        }
-    }
-
-    fn array(&mut self) -> Result<(), JsonError> {
-        self.expect(b'[', "expected array")?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b']') => return Ok(()),
-                Some(b',') => continue,
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    /// Value-building twin of [`Parser::value`].
-    fn value_tree(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => Ok(JsonValue::Obj(self.object_tree()?)),
-            Some(b'[') => self.array_tree(),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self
                 .literal("true", "invalid literal")
@@ -340,7 +303,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array_tree(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'[', "expected array")?;
         self.skip_ws();
         let mut items = Vec::new();
@@ -349,7 +312,7 @@ impl<'a> Parser<'a> {
             return Ok(JsonValue::Arr(items));
         }
         loop {
-            items.push(self.value_tree()?);
+            items.push(self.value()?);
             self.skip_ws();
             match self.bump() {
                 Some(b']') => return Ok(JsonValue::Arr(items)),
@@ -359,8 +322,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Value-building twin of [`Parser::object`].
-    fn object_tree(&mut self) -> Result<Vec<(String, JsonValue)>, JsonError> {
+    fn object(&mut self) -> Result<Vec<(String, JsonValue)>, JsonError> {
         self.expect(b'{', "expected object")?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -373,35 +335,11 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':', "expected ':'")?;
-            let value = self.value_tree()?;
+            let value = self.value()?;
             members.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b'}') => return Ok(members),
-                Some(b',') => continue,
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    /// Parse an object, returning its keys in order of appearance.
-    fn object(&mut self) -> Result<Vec<String>, JsonError> {
-        self.expect(b'{', "expected object")?;
-        let mut keys = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(keys);
-        }
-        loop {
-            self.skip_ws();
-            keys.push(self.string()?);
-            self.skip_ws();
-            self.expect(b':', "expected ':'")?;
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b'}') => return Ok(keys),
                 Some(b',') => continue,
                 _ => return self.err("expected ',' or '}'"),
             }
@@ -422,17 +360,7 @@ fn utf8_len(b: u8) -> Option<usize> {
 /// nothing but whitespace around it) and return its top-level keys in
 /// order of appearance.
 pub fn check_object_line(line: &str) -> Result<Vec<String>, JsonError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let keys = p.object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing content after object");
-    }
-    Ok(keys)
+    parse_object_line(line).map(|members| members.into_iter().map(|(key, _)| key).collect())
 }
 
 /// Parse `line` as exactly one JSON object (nothing but whitespace around
@@ -444,7 +372,7 @@ pub fn parse_object_line(line: &str) -> Result<Vec<(String, JsonValue)>, JsonErr
         pos: 0,
     };
     p.skip_ws();
-    let members = p.object_tree()?;
+    let members = p.object()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return p.err("trailing content after object");

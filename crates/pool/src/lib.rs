@@ -82,7 +82,7 @@ pub use polyview::obs::{
     NullEventSink, WallClock,
 };
 pub use polyview::StmtClass;
-pub use router::{BatchTicket, Pool, Submit, Ticket, WorkerGate};
+pub use router::{Pool, Submit, Ticket, WorkerGate};
 pub use stats::{PoolStats, WorkerStats};
 pub use telemetry::SlowRequest;
 pub use worker::WorkerReport;
@@ -355,10 +355,11 @@ pub enum PoolError {
     ///   a write ([`Pool::submit_read`]), in which case its entry may
     ///   already be in the log and will be applied like any sequenced
     ///   write.
-    /// * `sequenced: Some(offset)` — a **write**. It was already pushed
-    ///   into the declaration log at `offset` before the worker died, so
-    ///   every replica — including the dead worker's respawn, which
-    ///   replays from offset 0 — **will apply it**. Only its outcome
+    /// * `sequenced: Some(offset)` — a **write** (for a batch, its first
+    ///   write). It was already pushed into the declaration log at `offset`
+    ///   before the worker died, so every replica — including the dead
+    ///   worker's respawn, which restores the newest checkpoint and replays
+    ///   the log tail above it — **will apply it**. Only its outcome
     ///   string was lost. Resubmitting would sequence it a *second* time
     ///   and double-apply it (e.g. a duplicate `insert`). To observe the
     ///   outcome, re-run an equivalent read after a

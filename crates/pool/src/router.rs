@@ -12,7 +12,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::log::DeclLog;
 use crate::supervisor::{spawn_worker, WorkerHandle};
 use crate::telemetry::{RequestTrace, SlowRequest, Telemetry};
-use crate::worker::{BatchItem, Request};
+use crate::worker::{Item, Request};
 use crate::{PoolConfig, PoolError};
 use polyview::obs::{Clock, EventSink};
 use polyview::StmtClass;
@@ -44,13 +44,15 @@ impl<T> Submit<T> {
     }
 }
 
-/// A pending reply from a worker.
+/// A pending reply from a worker: one statement or a whole batch, one
+/// queue slot, one ticket.
 #[derive(Debug)]
 pub struct Ticket {
     worker: usize,
-    /// For writes, the log offset the statement was sequenced at.
+    /// For submissions with writes, the log offset of the first one (the
+    /// writes were sequenced contiguously from it).
     sequenced: Option<u64>,
-    rx: Receiver<Result<String, PoolError>>,
+    rx: Receiver<Vec<Result<String, PoolError>>>,
     /// Telemetry context, carried so a dead worker still yields a
     /// terminal `pool.worker_lost` event and an e2e observation.
     trace: Option<TicketTrace>,
@@ -77,9 +79,10 @@ impl Ticket {
         self.worker
     }
 
-    /// The log offset this request was sequenced at, if it is a write.
-    /// A write ticket's statement is durably in the declaration log — it
-    /// will be applied by every replica whether or not the reply arrives.
+    /// The log offset of the request's first write, if it has one. A
+    /// write is durably in the declaration log the moment its ticket
+    /// exists — it will be applied by every replica whether or not the
+    /// reply arrives.
     pub fn sequenced(&self) -> Option<u64> {
         self.sequenced
     }
@@ -93,79 +96,41 @@ impl Ticket {
         self.trace.as_ref().map(|tt| tt.trace.id)
     }
 
-    /// Block until the worker replies. If the worker dies first, resolves
-    /// to [`PoolError::WorkerLost`] (the supervisor respawns the worker on
-    /// the pool's next interaction). A lost *read* is safe to resubmit; a
-    /// lost *write* carries `sequenced: Some(offset)` and **must not be
-    /// resubmitted** — it is already in the log and will be applied by
-    /// every replica, only its outcome string was lost.
+    /// Block until the worker replies to a single statement. On a ticket
+    /// for several statements this is [`PoolError::Internal`]; use
+    /// [`Ticket::wait_all`]. If the worker dies first, resolves to
+    /// [`PoolError::WorkerLost`] (see [`Ticket::wait_all`]).
     pub fn wait(self) -> Result<String, PoolError> {
-        match self.rx.recv() {
-            Ok(res) => res,
-            Err(_) => {
-                // The serving worker died with the request in flight: the
-                // worker-side terminal event never fired, so the ticket
-                // emits it — the trace still ends, and the e2e histogram
-                // still counts the request.
-                if let Some(tt) = &self.trace {
-                    tt.telemetry.note_worker_lost(&tt.trace, self.worker);
-                }
-                Err(PoolError::WorkerLost {
-                    sequenced: self.sequenced,
-                })
-            }
+        match <[_; 1]>::try_from(self.wait_all()?) {
+            Ok([res]) => res,
+            Err(results) => Err(PoolError::Internal(format!(
+                "Ticket::wait on a {}-statement request; use Ticket::wait_all",
+                results.len()
+            ))),
         }
-    }
-}
-
-/// A pending reply for a pipelined batch ([`Pool::submit_batch`]): N
-/// statements, one queue slot, one ticket.
-#[derive(Debug)]
-pub struct BatchTicket {
-    worker: usize,
-    /// For batches containing writes: the contiguous log range
-    /// `[first, first + count)` the writes were sequenced at.
-    sequenced: Option<(u64, u64)>,
-    rx: Receiver<Vec<Result<String, PoolError>>>,
-    trace: Option<TicketTrace>,
-}
-
-impl BatchTicket {
-    /// Which worker is serving this batch.
-    pub fn worker(&self) -> usize {
-        self.worker
-    }
-
-    /// The `(first_offset, count)` log range this batch's writes were
-    /// sequenced at, if any. Like a single write's offset, the range is
-    /// durable the moment the ticket exists: every replica will apply the
-    /// writes whether or not the reply arrives.
-    pub fn sequenced(&self) -> Option<(u64, u64)> {
-        self.sequenced
-    }
-
-    /// The telemetry trace id of the batch (see [`Ticket::trace_id`]).
-    pub fn trace_id(&self) -> Option<u64> {
-        self.trace.as_ref().map(|tt| tt.trace.id)
     }
 
     /// Block until the worker replies with one result per statement, in
-    /// submission order. A lost worker resolves to
-    /// [`PoolError::WorkerLost`] carrying the first sequenced offset:
-    /// batch writes, like single writes, are already in the log and must
-    /// not be resubmitted.
-    pub fn wait(self) -> Result<Vec<Result<String, PoolError>>, PoolError> {
-        match self.rx.recv() {
-            Ok(res) => Ok(res),
-            Err(_) => {
-                if let Some(tt) = &self.trace {
-                    tt.telemetry.note_worker_lost(&tt.trace, self.worker);
-                }
-                Err(PoolError::WorkerLost {
-                    sequenced: self.sequenced.map(|(first, _)| first),
-                })
+    /// submission order. If the worker dies first, resolves to
+    /// [`PoolError::WorkerLost`] (the supervisor respawns the worker on
+    /// the pool's next interaction). A lost *read* is safe to resubmit; a
+    /// lost request with writes carries `sequenced: Some(first offset)` and
+    /// **must not be resubmitted** — its writes are already in the log and
+    /// will be applied by every replica, only their outcome strings were
+    /// lost.
+    pub fn wait_all(self) -> Result<Vec<Result<String, PoolError>>, PoolError> {
+        self.rx.recv().map_err(|_| {
+            // The serving worker died with the request in flight: the
+            // worker-side terminal event never fired, so the ticket emits
+            // it — the trace still ends, and the e2e histogram still
+            // counts the request.
+            if let Some(tt) = &self.trace {
+                tt.telemetry.note_worker_lost(&tt.trace, self.worker);
             }
-        }
+            PoolError::WorkerLost {
+                sequenced: self.sequenced,
+            }
+        })
     }
 }
 
@@ -184,8 +149,8 @@ impl WorkerGate {
 
 /// A replicated engine pool. See the crate docs for the model; the
 /// API surface is [`Pool::submit`] / [`Pool::submit_read`] /
-/// [`Pool::submit_write`] (non-blocking, backpressured), [`Pool::run`]
-/// (blocking convenience), [`Pool::barrier`], [`Pool::stats`] /
+/// [`Pool::submit_write`] / [`Pool::submit_batch`] (non-blocking,
+/// backpressured), [`Pool::run`] (blocking convenience), [`Pool::barrier`], [`Pool::stats`] /
 /// [`Pool::metrics_json`], and [`Pool::shutdown`].
 pub struct Pool {
     pub(crate) cfg: PoolConfig,
@@ -314,20 +279,10 @@ impl Pool {
     }
 
     /// Classify `src` ([`Pool::classify`]) and route it: reads to the
-    /// session's affinity worker, writes through the declaration log.
+    /// session's affinity worker, writes through the declaration log. A
+    /// statement is a batch of one ([`Pool::submit_batch`]).
     pub fn submit(&mut self, session: u64, src: &str) -> Result<Submit<Ticket>, PoolError> {
-        match self.classify(src)? {
-            StmtClass::Read => {
-                let worker = self.worker_for(session);
-                let trace = self.telemetry.begin(session, StmtClass::Read);
-                Ok(self.dispatch_read(worker, src, trace))
-            }
-            StmtClass::Write => {
-                let worker = self.worker_for(session);
-                let trace = self.telemetry.begin(session, StmtClass::Write);
-                Ok(self.dispatch_write(worker, src, trace))
-            }
-        }
+        self.submit_batch(session, &[src])
     }
 
     /// Submit a statement that must be a read; a syntactic write is
@@ -337,17 +292,7 @@ impl Pool {
     /// tail and applied on every replica, with the write's outcome as the
     /// reply.
     pub fn submit_read(&mut self, session: u64, src: &str) -> Result<Submit<Ticket>, PoolError> {
-        match self.classify(src)? {
-            StmtClass::Read => {
-                let worker = self.worker_for(session);
-                let trace = self.telemetry.begin(session, StmtClass::Read);
-                Ok(self.dispatch_read(worker, src, trace))
-            }
-            got @ StmtClass::Write => Err(PoolError::Misrouted {
-                expected: StmtClass::Read,
-                got,
-            }),
-        }
+        self.submit_as(session, src, StmtClass::Read)
     }
 
     /// Submit a statement that must be a write. Rejecting reads keeps the
@@ -357,126 +302,55 @@ impl Pool {
     /// it with [`Pool::submit`] or [`Pool::submit_read`], and the serving
     /// replica promotes it.
     pub fn submit_write(&mut self, session: u64, src: &str) -> Result<Submit<Ticket>, PoolError> {
-        match self.classify(src)? {
-            StmtClass::Write => {
-                let worker = self.worker_for(session);
-                let trace = self.telemetry.begin(session, StmtClass::Write);
-                Ok(self.dispatch_write(worker, src, trace))
-            }
-            got @ StmtClass::Read => Err(PoolError::Misrouted {
-                expected: StmtClass::Write,
-                got,
-            }),
-        }
+        self.submit_as(session, src, StmtClass::Write)
     }
 
     /// Submit a pipelined batch: N statements, one queue slot, one
-    /// [`BatchTicket`] — the front door's amortization lever. All write
-    /// items are sequenced **contiguously under one log-lock hold**
-    /// (instead of N lock acquisitions and N queue slots), and the batch
-    /// is served in order on the session's affinity replica, so a read
-    /// item observes every write item before it. Backpressure is
-    /// all-or-nothing: a full queue rejects the whole batch with
-    /// [`Submit::Full`] and sequences nothing.
+    /// [`Ticket`] ([`Ticket::wait_all`]) — the front door's amortization
+    /// lever. All write items are sequenced **contiguously under one
+    /// log-lock hold**, and the batch is served in order on the session's
+    /// affinity replica, so a read item observes every write item before
+    /// it. Backpressure is all-or-nothing: a full queue rejects the whole
+    /// batch with [`Submit::Full`] and sequences nothing.
     pub fn submit_batch(
         &mut self,
         session: u64,
         stmts: &[&str],
-    ) -> Result<Submit<BatchTicket>, PoolError> {
+    ) -> Result<Submit<Ticket>, PoolError> {
         if stmts.is_empty() {
             return Err(PoolError::Internal("empty batch".to_string()));
         }
-        let mut classes = Vec::with_capacity(stmts.len());
-        for src in stmts {
-            classes.push(self.classify(src)?);
+        let mut classified = Vec::with_capacity(stmts.len());
+        for &src in stmts {
+            classified.push((src, self.classify(src)?));
         }
+        Ok(self.submit_classified(session, &classified))
+    }
+
+    fn submit_as(
+        &mut self,
+        session: u64,
+        src: &str,
+        expected: StmtClass,
+    ) -> Result<Submit<Ticket>, PoolError> {
+        let got = self.classify(src)?;
+        if got != expected {
+            return Err(PoolError::Misrouted { expected, got });
+        }
+        Ok(self.submit_classified(session, &[(src, got)]))
+    }
+
+    /// Mint the trace (a write if any statement is one) and dispatch to
+    /// the session's affinity worker.
+    fn submit_classified(&mut self, session: u64, stmts: &[(&str, StmtClass)]) -> Submit<Ticket> {
         let worker = self.worker_for(session);
-        let class = if classes.iter().any(|c| matches!(c, StmtClass::Write)) {
+        let class = if stmts.iter().any(|&(_, c)| c == StmtClass::Write) {
             StmtClass::Write
         } else {
             StmtClass::Read
         };
-        let mut trace = self.telemetry.begin(session, class);
-        self.supervise();
-        let (reply, rx) = sync_channel(1);
-        // Same atomicity discipline as `dispatch_write`, generalized:
-        // reserve a contiguous offset range for the write items and
-        // enqueue the batch while holding the log lock — nothing is
-        // sequenced unless the queue accepted the request.
-        let mut entries = self.log.lock();
-        let base = entries.next_offset();
-        let mut next = base;
-        let mut items = Vec::with_capacity(stmts.len());
-        let mut writes = Vec::new();
-        for (src, class) in stmts.iter().zip(&classes) {
-            match class {
-                StmtClass::Write => {
-                    items.push(BatchItem::Write { offset: next });
-                    next += 1;
-                    writes.push(*src);
-                }
-                StmtClass::Read => items.push(BatchItem::Read {
-                    src: (*src).to_string(),
-                }),
-            }
-        }
-        let n_writes = writes.len() as u64;
-        if let Some(t) = trace.as_mut() {
-            self.telemetry.stamp_enqueue(t);
-        }
-        self.workers[worker]
-            .shared
-            .depth
-            .fetch_add(1, Ordering::Relaxed);
-        match self.workers[worker].tx.try_send(Request::Batch {
-            items,
-            min_offset: base,
-            src: stmts.join(" ; "),
-            reply,
-            trace,
-        }) {
-            Ok(()) => {
-                for src in &writes {
-                    entries.push(src);
-                }
-                drop(entries);
-                self.submitted_writes += n_writes;
-                self.submitted_reads += stmts.len() as u64 - n_writes;
-                let sequenced = (n_writes > 0).then_some(base);
-                if let Some(t) = &trace {
-                    self.telemetry.note_enqueued(t, worker, sequenced);
-                }
-                if n_writes > 0 {
-                    for i in 0..self.workers.len() {
-                        if i != worker {
-                            let _ = self.try_send(i, Request::CatchUp { upto: next });
-                        }
-                    }
-                    self.compact_log();
-                }
-                Ok(Submit::Queued(BatchTicket {
-                    worker,
-                    sequenced: (n_writes > 0).then_some((base, n_writes)),
-                    rx,
-                    trace: trace.map(|trace| TicketTrace {
-                        telemetry: Arc::clone(&self.telemetry),
-                        trace,
-                    }),
-                }))
-            }
-            Err(_) => {
-                self.workers[worker]
-                    .shared
-                    .depth
-                    .fetch_sub(1, Ordering::Relaxed);
-                drop(entries);
-                self.rejected_full += 1;
-                if let Some(t) = &trace {
-                    self.telemetry.note_rejected(t, worker);
-                }
-                Ok(Submit::Full)
-            }
-        }
+        let trace = self.telemetry.begin(session, class);
+        self.dispatch(worker, stmts, trace)
     }
 
     /// Whether request telemetry is enabled (fixed at construction).
@@ -522,18 +396,14 @@ impl Pool {
         let trace = self.telemetry.begin(session, class);
         let mut backoff = std::time::Duration::from_micros(50);
         loop {
-            let submit = match class {
-                StmtClass::Read => self.dispatch_read(worker, src, trace),
-                StmtClass::Write => self.dispatch_write(worker, src, trace),
-            };
-            match submit {
+            match self.dispatch(worker, &[(src, class)], trace) {
                 Submit::Queued(ticket) => return ticket.wait(),
                 Submit::Full => {
                     // The queue is full because the worker is busy (or
                     // paused): sleep rather than spin, backing off to a
                     // bound that keeps a wedged worker from pinning this
                     // core while staying responsive once it drains.
-                    // `dispatch_*` re-runs supervision each retry, so a
+                    // `dispatch` re-runs supervision each retry, so a
                     // *dead* worker is respawned, not waited on.
                     std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(std::time::Duration::from_millis(5));
@@ -557,19 +427,25 @@ impl Pool {
             });
         }
         self.supervise();
-        let min_offset = self.log.len();
         let (reply, rx) = sync_channel(1);
-        let req = Request::Read {
-            src: src.to_string(),
-            min_offset,
+        let req = Request::Serve {
+            items: vec![Item::Read {
+                src: src.to_string(),
+            }],
+            min_offset: self.log.len(),
             reply,
             trace: None,
         };
         if self.blocking_send(worker, req).is_err() {
             return Err(PoolError::WorkerLost { sequenced: None });
         }
-        rx.recv()
-            .unwrap_or(Err(PoolError::WorkerLost { sequenced: None }))
+        Ticket {
+            worker,
+            sequenced: None,
+            rx,
+            trace: None,
+        }
+        .wait()
     }
 
     /// The slow-request log, oldest first: every telemetry-tracked
@@ -628,7 +504,8 @@ impl Pool {
     /// Make `worker` panic, and wait until its thread is actually dead —
     /// a deterministic chaos hook for supervision tests. The next pool
     /// interaction ([`Pool::supervise`] runs on every submit, barrier, and
-    /// stats call) respawns it with a full log replay. Do not call while
+    /// stats call) respawns it from the newest checkpoint plus the log
+    /// tail (the whole log without one). Do not call while
     /// the worker is paused (it would never dequeue the crash); use
     /// [`Pool::queue_worker_panic`] + [`Pool::await_worker_exit`] there.
     pub fn inject_worker_panic(&mut self, worker: usize) {
@@ -699,14 +576,39 @@ impl Pool {
 
     // ----- dispatch internals -----
 
-    fn dispatch_read(
+    /// Enqueue `stmts` on `worker` as one request. Write offsets are
+    /// reserved and the request enqueued while holding the log lock:
+    /// nothing is sequenced unless the worker accepted the request
+    /// (backpressure must not grow the log, and is all-or-nothing), and no
+    /// other thread can observe an offset before its entry is in place. A
+    /// read-only request sequences nothing, so it releases the lock before
+    /// the send.
+    fn dispatch(
         &mut self,
         worker: usize,
-        src: &str,
+        stmts: &[(&str, StmtClass)],
         mut trace: Option<RequestTrace>,
     ) -> Submit<Ticket> {
         self.supervise();
-        let min_offset = self.log.len();
+        let (reply, rx) = sync_channel(1);
+        let entries = self.log.lock();
+        let min_offset = entries.next_offset();
+        let mut next = min_offset;
+        let items = stmts
+            .iter()
+            .map(|&(src, class)| match class {
+                StmtClass::Write => {
+                    next += 1;
+                    Item::Write { offset: next - 1 }
+                }
+                StmtClass::Read => Item::Read {
+                    src: src.to_string(),
+                },
+            })
+            .collect();
+        let writes = next - min_offset;
+        // A read-only request sequences nothing: drop the lock now.
+        let mut held = (writes > 0).then_some(entries);
         // Stamp the enqueue time *before* the send: the worker can
         // dequeue (and read the clock) the instant the send lands, and
         // its reading must be ordered after ours for the queue wait to be
@@ -714,39 +616,47 @@ impl Pool {
         if let Some(t) = trace.as_mut() {
             self.telemetry.stamp_enqueue(t);
         }
-        let (reply, rx) = sync_channel(1);
-        let req = Request::Read {
-            src: src.to_string(),
+        let req = Request::Serve {
+            items,
             min_offset,
             reply,
             trace,
         };
-        match self.try_send(worker, req) {
-            Ok(()) => {
-                self.submitted_reads += 1;
-                if let Some(t) = &trace {
-                    self.telemetry.note_enqueued(t, worker, None);
-                }
-                Submit::Queued(self.ticket(worker, None, rx, trace))
+        if self.try_send(worker, req).is_err() {
+            drop(held);
+            self.rejected_full += 1;
+            if let Some(t) = &trace {
+                self.telemetry.note_rejected(t, worker);
             }
-            Err(()) => {
-                self.rejected_full += 1;
-                if let Some(t) = &trace {
-                    self.telemetry.note_rejected(t, worker);
+            return Submit::Full;
+        }
+        if let Some(entries) = held.as_mut() {
+            for &(src, class) in stmts {
+                if class == StmtClass::Write {
+                    entries.push(src);
                 }
-                Submit::Full
             }
         }
-    }
-
-    fn ticket(
-        &self,
-        worker: usize,
-        sequenced: Option<u64>,
-        rx: Receiver<Result<String, PoolError>>,
-        trace: Option<RequestTrace>,
-    ) -> Ticket {
-        Ticket {
+        drop(held);
+        self.submitted_writes += writes;
+        self.submitted_reads += stmts.len() as u64 - writes;
+        let sequenced = (writes > 0).then_some(min_offset);
+        if let Some(t) = &trace {
+            self.telemetry.note_enqueued(t, worker, sequenced);
+        }
+        if writes > 0 {
+            // Eager propagation: nudge every other replica to replay the
+            // new entries now rather than on its next read. Best effort —
+            // a full queue just means that replica catches up lazily (its
+            // next offset-carrying request replays the gap).
+            for i in 0..self.workers.len() {
+                if i != worker {
+                    let _ = self.try_send(i, Request::CatchUp { upto: next });
+                }
+            }
+            self.compact_log();
+        }
+        Submit::Queued(Ticket {
             worker,
             sequenced,
             rx,
@@ -754,73 +664,7 @@ impl Pool {
                 telemetry: Arc::clone(&self.telemetry),
                 trace,
             }),
-        }
-    }
-
-    fn dispatch_write(
-        &mut self,
-        worker: usize,
-        src: &str,
-        mut trace: Option<RequestTrace>,
-    ) -> Submit<Ticket> {
-        self.supervise();
-        let (reply, rx) = sync_channel(1);
-        // Reserve the next offset and enqueue the apply-request while
-        // holding the log lock: nothing is sequenced unless the affinity
-        // worker accepted the request (backpressure must not grow the
-        // log), and no other thread can observe the offset before the
-        // entry is in place.
-        let mut entries = self.log.lock();
-        let offset = entries.next_offset();
-        // Enqueue stamp before the send (see `dispatch_read`).
-        if let Some(t) = trace.as_mut() {
-            self.telemetry.stamp_enqueue(t);
-        }
-        // Gauge before send, so the worker's decrement-on-dequeue can
-        // never observe (and wrap below) a count that excludes its own
-        // request; undone if the send fails.
-        self.workers[worker]
-            .shared
-            .depth
-            .fetch_add(1, Ordering::Relaxed);
-        match self.workers[worker].tx.try_send(Request::Write {
-            offset,
-            reply,
-            trace,
-        }) {
-            Ok(()) => {
-                entries.push(src);
-                drop(entries);
-                self.submitted_writes += 1;
-                if let Some(t) = &trace {
-                    self.telemetry.note_enqueued(t, worker, Some(offset));
-                }
-                // Eager propagation: nudge every other replica to replay
-                // the new entry now rather than on its next read. Best
-                // effort — a full queue just means that replica catches up
-                // lazily (its next offset-carrying request replays the
-                // gap).
-                for i in 0..self.workers.len() {
-                    if i != worker {
-                        let _ = self.try_send(i, Request::CatchUp { upto: offset + 1 });
-                    }
-                }
-                self.compact_log();
-                Submit::Queued(self.ticket(worker, Some(offset), rx, trace))
-            }
-            Err(_) => {
-                self.workers[worker]
-                    .shared
-                    .depth
-                    .fetch_sub(1, Ordering::Relaxed);
-                drop(entries);
-                self.rejected_full += 1;
-                if let Some(t) = &trace {
-                    self.telemetry.note_rejected(t, worker);
-                }
-                Submit::Full
-            }
-        }
+        })
     }
 
     /// Non-blocking send with depth accounting — the gauge is incremented
@@ -830,7 +674,7 @@ impl Pool {
     /// queue and a disconnected (dead) worker; for reads the caller
     /// reports backpressure either way and the dead worker is respawned on
     /// the next interaction.
-    fn try_send(&mut self, worker: usize, req: Request) -> Result<(), ()> {
+    fn try_send(&self, worker: usize, req: Request) -> Result<(), ()> {
         let depth = &self.workers[worker].shared.depth;
         depth.fetch_add(1, Ordering::Relaxed);
         match self.workers[worker].tx.try_send(req) {

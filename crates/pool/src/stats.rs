@@ -64,7 +64,8 @@ pub struct PoolStats {
     /// Reads a replica promoted to writes because they tried to change
     /// earlier state (each one appended one log entry).
     pub reads_promoted: u64,
-    /// Workers respawned after a panic, each caught up by full log replay.
+    /// Workers respawned after a panic, each caught up from the newest
+    /// checkpoint plus the log tail (the whole log without one).
     pub respawns: u64,
     /// Merged engine counters across all replicas.
     pub engine: EngineStats,

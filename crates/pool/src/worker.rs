@@ -7,20 +7,23 @@
 //!
 //! * The router is single-threaded per pool and assigns offsets under the
 //!   log lock, so offsets arriving on one queue are non-decreasing.
-//! * A `Write { offset }` therefore always finds `applied == offset` and
-//!   executes the entry itself, capturing its outcome for the caller; the
-//!   same entry reaches every other replica as plain replay.
-//! * A `Read { min_offset }` first replays to `min_offset` — the log length
-//!   at submit time — which is what makes read-your-writes hold on *any*
-//!   replica, not just the session's affinity worker.
-//! * A read runs as a region ([`polyview::Engine::read`]): it leaves no
+//! * Every statement travels in one request shape, `Serve { items,
+//!   min_offset }`; a single read or write is a batch of one. The worker
+//!   first replays to `min_offset` — the log length at submit time — which
+//!   is what makes read-your-writes hold on *any* replica, not just the
+//!   session's affinity worker.
+//! * A write item `Write { offset }` therefore always finds
+//!   `applied == offset` and executes the entry itself, capturing its
+//!   outcome for the caller; the same entry reaches every other replica as
+//!   plain replay.
+//! * A read item runs as a region ([`polyview::Engine::read`]): it leaves no
 //!   trace in the replica's machine. A read that tries to change earlier
 //!   state is *promoted*: the worker appends its source to the log, replays
 //!   up to it, and applies it as a write — every other replica replays the
 //!   entry on its next catch-up. This is the one place a worker appends, so
-//!   it is also the one place a catch-up can pass a `Write` request still
+//!   it is also the one place a catch-up can pass a write item still
 //!   waiting in this worker's queue; the outcomes of the entries it passes
-//!   are kept until those requests ask for them.
+//!   are kept until those items ask for them.
 //!
 //! The engine is constructed inside the spawned thread (its `Rc`-based
 //! values never cross threads), and the thread itself is spawned with the
@@ -44,34 +47,18 @@ use std::sync::Arc;
 /// blocks on a reply — if the caller dropped its ticket, the reply is
 /// discarded.
 pub(crate) enum Request {
-    /// Evaluate a read after replaying the log to at least `min_offset`.
-    Read {
-        src: String,
+    /// Serve statements: one queue slot, one reply, one catch-up to
+    /// `min_offset`, then every item in order on this replica. A single
+    /// read or write is a batch of one. Write items were sequenced
+    /// contiguously under the log lock at submit, so a read item placed
+    /// after a write item observes that write — batches are
+    /// read-your-writes *internally*, not just across requests.
+    Serve {
+        items: Vec<Item>,
         min_offset: u64,
-        reply: SyncSender<Result<String, PoolError>>,
+        reply: SyncSender<Vec<Result<String, PoolError>>>,
         /// Telemetry context minted at submit (`None` when disabled, and
         /// always for control-plane probes).
-        trace: Option<RequestTrace>,
-    },
-    /// Apply the log entry at `offset` (replaying any gap first) and reply
-    /// with its outcome.
-    Write {
-        offset: u64,
-        reply: SyncSender<Result<String, PoolError>>,
-        trace: Option<RequestTrace>,
-    },
-    /// Serve a pipelined batch: one queue slot, one reply, one catch-up to
-    /// `min_offset`, then every item in order on this replica. Write items
-    /// were sequenced contiguously under the log lock at submit, so a
-    /// read item placed after a write item observes that write — batches
-    /// are read-your-writes *internally*, not just across requests.
-    Batch {
-        items: Vec<BatchItem>,
-        min_offset: u64,
-        /// Truncated source summary for the slow log (the items themselves
-        /// carry only offsets for writes).
-        src: String,
-        reply: SyncSender<Vec<Result<String, PoolError>>>,
         trace: Option<RequestTrace>,
     },
     /// Replay the log to at least `upto` (eager write propagation; safe to
@@ -91,11 +78,11 @@ pub(crate) enum Request {
     Shutdown,
 }
 
-/// One statement of a pipelined batch ([`Request::Batch`]). Writes were
-/// already sequenced (the offset is the item's identity — the entry text
-/// lives in the log); reads carry their source.
+/// One statement of a [`Request::Serve`]. Writes were already sequenced
+/// (the offset is the item's identity — the entry text lives in the log);
+/// reads carry their source.
 #[derive(Debug)]
-pub(crate) enum BatchItem {
+pub(crate) enum Item {
     Write { offset: u64 },
     Read { src: String },
 }
@@ -247,7 +234,7 @@ pub(crate) fn worker_main(
     // thread* at spawn time, read *after* the checkpoint slot — that
     // order guarantees `backlog >= boot_offset`, and reading `log.len()`
     // here instead would race with a write sequenced after the spawn,
-    // whose `Write { offset }` request is already in this queue and must
+    // whose `Write { offset }` item is already in this queue and must
     // find its entry unapplied.
     w.catch_up(backlog);
     w.respawn_replayed = w.applied - boot_offset;
@@ -266,69 +253,38 @@ pub(crate) fn worker_main(
                 Some(d.saturating_sub(1))
             });
         match req {
-            Request::Read {
-                src,
-                min_offset,
-                reply,
-                trace,
-            } => {
-                let serve = w.begin_serve(telemetry, trace);
-                let before = w.applied;
-                w.catch_up(min_offset);
-                let serve = w.note_catchup(telemetry, serve, w.applied - before);
-                let sampled = w.maybe_profile_start();
-                let res = w.eval_read(&src, telemetry);
-                let profile = w.maybe_profile_stop(sampled);
-                w.finish_serve(telemetry, serve, res.is_ok(), &src, profile);
-                let _ = reply.try_send(res);
-            }
-            Request::Write {
-                offset,
-                reply,
-                trace,
-            } => {
-                let serve = w.begin_serve(telemetry, trace);
-                // Time the *gap* replay separately from the write itself:
-                // after this catch-up, `apply_write`'s own catch-up is a
-                // no-op and the write's cost lands in the engine phases.
-                let before = w.applied;
-                w.catch_up(offset);
-                let serve = w.note_catchup(telemetry, serve, w.applied - before);
-                let src = serve
-                    .is_some()
-                    .then(|| w.log.get(offset).ok().flatten())
-                    .flatten()
-                    .unwrap_or_default();
-                let sampled = w.maybe_profile_start();
-                let res = w.apply_write(offset);
-                let profile = w.maybe_profile_stop(sampled);
-                w.finish_serve(telemetry, serve, res.is_ok(), &src, profile);
-                let _ = reply.try_send(res);
-            }
-            Request::Batch {
+            Request::Serve {
                 items,
                 min_offset,
-                src,
                 reply,
                 trace,
             } => {
                 let serve = w.begin_serve(telemetry, trace);
+                // Time the *gap* replay separately from the items: after
+                // it, a write item's own catch-up is a no-op and its cost
+                // lands in the engine phases.
                 let before = w.applied;
                 w.catch_up(min_offset);
                 let serve = w.note_catchup(telemetry, serve, w.applied - before);
+                // The slow-log text, only for traced requests. Built before
+                // the items run: until then `applied` sits at or below every
+                // write item, so compaction cannot have dropped their text.
+                let src = if serve.is_some() {
+                    w.summary(&items)
+                } else {
+                    String::new()
+                };
                 let sampled = w.maybe_profile_start();
-                let mut results = Vec::with_capacity(items.len());
-                let mut all_ok = true;
-                for item in items {
-                    let res = match item {
-                        BatchItem::Write { offset } => w.apply_write(offset),
-                        BatchItem::Read { src } => w.eval_read(&src, telemetry),
-                    };
-                    all_ok &= res.is_ok();
-                    results.push(res);
-                }
+                let results: Vec<_> = items
+                    .into_iter()
+                    .map(|item| match item {
+                        Item::Write { offset } => w.apply_write(offset),
+                        Item::Read { src } => w.eval_read(&src, telemetry),
+                    })
+                    .collect();
                 let profile = w.maybe_profile_stop(sampled);
-                w.finish_serve(telemetry, serve, all_ok, &src, profile);
+                let ok = results.iter().all(Result::is_ok);
+                w.finish_serve(telemetry, serve, ok, &src, profile);
                 let _ = reply.try_send(results);
             }
             Request::CatchUp { upto } => w.catch_up(upto),
@@ -365,8 +321,8 @@ struct Worker {
     applied: u64,
     /// Profile every Nth served request (`None`: never).
     sample_every: Option<u64>,
-    /// Read/write requests served (the sampling counter; replay and
-    /// control requests don't count).
+    /// `Serve` requests served (the sampling counter; replay and control
+    /// requests don't count).
     served: u64,
     /// Merged profile of every sampled request on this replica.
     profile_acc: Profile,
@@ -377,8 +333,8 @@ struct Worker {
     checkpoint_every: Option<u64>,
     /// Entries this incarnation replayed at bootstrap.
     respawn_replayed: u64,
-    /// Outcomes of entries a promotion replayed ahead of their `Write`
-    /// requests, by offset (see the module docs).
+    /// Outcomes of entries a promotion replayed ahead of their write
+    /// items, by offset (see the module docs).
     owed: BTreeMap<u64, Result<String, PoolError>>,
 }
 
@@ -444,6 +400,25 @@ impl Worker {
             src,
             profile,
         );
+    }
+
+    /// The slow-log text of a request: its statements joined with `" ; "`,
+    /// write texts read back from the log.
+    fn summary(&self, items: &[Item]) -> String {
+        let texts: Vec<String> = items
+            .iter()
+            .map(|item| match item {
+                Item::Write { offset } => self
+                    .log
+                    .get(*offset)
+                    .ok()
+                    .flatten()
+                    .map(|entry| entry.to_string())
+                    .unwrap_or_default(),
+                Item::Read { src } => src.clone(),
+            })
+            .collect();
+        texts.join(" ; ")
     }
 
     /// Sampling prologue: count the request and, when it lands on the
@@ -594,8 +569,8 @@ impl Worker {
 
     /// Sequence `src` at the log tail and apply it here as a write. Entries
     /// sequenced between this replica's applied offset and the new one may
-    /// belong to `Write` requests already in this queue; their outcomes
-    /// are kept for [`Worker::apply_write`].
+    /// belong to write items already in this queue; their outcomes are
+    /// kept for [`Worker::apply_write`].
     fn promote(&mut self, src: &str) -> Result<String, PoolError> {
         let offset = self.log.append(src);
         loop {

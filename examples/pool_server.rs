@@ -276,7 +276,8 @@ fn run_in_process(tracing: bool, durability: &Durability) {
         served += 1;
         if n == 10 {
             // Chaos: kill a replica mid-stream. Supervision respawns it and
-            // the replacement replays the log from offset 0.
+            // the replacement restores the newest checkpoint (if any) and
+            // replays the log tail above it.
             pool.inject_worker_panic(1);
             say!("-- injected crash on worker 1 --");
         }

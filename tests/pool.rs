@@ -5,7 +5,10 @@
 //! dead before the call returns), and convergence is checked by probing
 //! every replica for the same query after a barrier.
 
-use polyview_pool::{Pool, PoolConfig, PoolError, StmtClass, Submit};
+use polyview_pool::{
+    CollectingEventSink, ManualClock, Pool, PoolConfig, PoolError, StmtClass, Submit,
+};
+use std::sync::Arc;
 
 const NAMES_QUERY: &str = "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Staff)";
 
@@ -1030,4 +1033,184 @@ fn snapshot_dir_survives_a_process_restart() {
     }
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Backpressure on a batch is all-or-nothing: against a full queue the
+/// whole batch is rejected, nothing is sequenced, and no submission is
+/// counted.
+#[test]
+fn batch_against_a_paused_worker_is_full_and_sequences_nothing() {
+    let mut pool = Pool::new(PoolConfig::default().workers(1).queue_capacity(2));
+    let s = 1;
+    pool.run(s, "val y = 10;").expect("write");
+    let gate = pool.pause_worker(0).expect("pause");
+    let mut tickets = Vec::new();
+    while let Submit::Queued(t) = pool.submit_read(s, "y + 1").expect("classified") {
+        tickets.push(t);
+    }
+
+    let before = pool.stats_local();
+    let log_before = pool.log_len();
+    let batch = pool
+        .submit_batch(s, &["val y = 11;", "y", "val z = y;"])
+        .expect("classified");
+    assert!(batch.is_full());
+    let after = pool.stats_local();
+    assert_eq!(
+        pool.log_len(),
+        log_before,
+        "a rejected batch sequences nothing"
+    );
+    assert_eq!(after.submitted_reads, before.submitted_reads);
+    assert_eq!(after.submitted_writes, before.submitted_writes);
+    assert_eq!(after.rejected_full, before.rejected_full + 1);
+
+    gate.release();
+    for t in tickets {
+        assert_eq!(t.wait().expect("drained"), "11");
+    }
+    assert_eq!(pool.run(s, "y").expect("unchanged"), "10");
+    pool.shutdown();
+}
+
+/// A batch lost with its worker reports its first write's offset, like a
+/// lost single write, and its writes still land on every replica.
+#[test]
+fn lost_batch_reports_its_first_write_and_still_applies() {
+    let mut pool = small_pool(2);
+    let s = 4;
+    let w = pool.worker_for(s);
+    pool.run(s, "class Staff = class {} end;").expect("class");
+
+    let gate = pool.pause_worker(w).expect("pause");
+    assert!(pool.queue_worker_panic(w), "crash queued");
+    let first = pool.log_len();
+    let t = pool
+        .submit_batch(
+            s,
+            &[
+                "insert(Staff, IDView([Name = \"Ada\"]))",
+                NAMES_QUERY,
+                "insert(Staff, IDView([Name = \"Bob\"]))",
+            ],
+        )
+        .expect("classified")
+        .queued()
+        .expect("queued");
+    assert_eq!(t.sequenced(), Some(first));
+    assert_eq!(
+        pool.log_len(),
+        first + 2,
+        "writes are sequenced contiguously"
+    );
+    gate.release();
+    pool.await_worker_exit(w);
+    assert_eq!(
+        t.wait_all().expect_err("lost"),
+        PoolError::WorkerLost {
+            sequenced: Some(first)
+        }
+    );
+
+    pool.barrier().expect("barrier");
+    for worker in 0..pool.worker_count() {
+        assert_eq!(
+            pool.probe_worker(worker, NAMES_QUERY).expect("probe"),
+            "{\"Ada\", \"Bob\"}",
+            "worker {worker}"
+        );
+    }
+    assert_eq!(pool.stats().respawns, 1);
+    pool.shutdown();
+}
+
+/// A batch is served in order on one replica and answers item by item;
+/// `wait` on a ticket for several statements is an error, not a panic.
+#[test]
+fn batch_items_are_served_in_order_and_wait_wants_one_item() {
+    let mut pool = small_pool(2);
+    let t = pool
+        .submit_batch(9, &["val a = 1;", "a + 1", "1 + true", "val a = 5;", "a"])
+        .expect("classified")
+        .queued()
+        .expect("queued");
+    assert_eq!(t.sequenced(), Some(0));
+    let results = t.wait_all().expect("served");
+    assert_eq!(results.len(), 5);
+    assert_eq!(results[0].as_deref(), Ok("a : int"));
+    assert_eq!(results[1].as_deref(), Ok("2"), "reads see earlier writes");
+    assert!(results[2].as_ref().expect_err("type error").is_type());
+    assert_eq!(results[4].as_deref(), Ok("5"));
+
+    let t = pool
+        .submit_batch(9, &["a", "a"])
+        .expect("classified")
+        .queued()
+        .expect("queued");
+    assert_eq!(t.sequenced(), None, "a read-only batch sequences nothing");
+    let err = t.wait().expect_err("two replies");
+    assert!(matches!(err, PoolError::Internal(_)), "got {err:?}");
+    assert!(
+        pool.submit_batch(9, &[]).is_err(),
+        "an empty batch is refused"
+    );
+    pool.shutdown();
+}
+
+/// A statement submitted alone and the same statement as a one-item batch
+/// are the same request: same reply, same submission counts, and on a
+/// traced pool the same event timeline, attributes included.
+#[test]
+fn a_statement_is_a_batch_of_one() {
+    type Timeline = Vec<(String, Vec<(String, u64)>)>;
+    fn serve(stmt: &str, as_batch: bool) -> (String, u64, u64, Timeline) {
+        let sink = Arc::new(CollectingEventSink::new());
+        let mut pool = Pool::new(
+            PoolConfig::default()
+                .workers(2)
+                .telemetry_clock(Arc::new(ManualClock::with_step(1)))
+                .event_sink(sink.clone()),
+        );
+        pool.run(1, "val x = 41;").expect("setup");
+        pool.barrier().expect("barrier");
+        let before = pool.stats_local();
+        let ticket = if as_batch {
+            pool.submit_batch(1, &[stmt])
+        } else {
+            pool.submit(1, stmt)
+        }
+        .expect("classified")
+        .queued()
+        .expect("queued");
+        let trace = ticket.trace_id().expect("traced");
+        let reply = ticket.wait().expect("served");
+        let after = pool.stats_local();
+        // Order by span end, then start: the step clock gives every
+        // event a distinct reading (see `tests/pool_tracing.rs`).
+        let mut events: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.trace_id == trace)
+            .collect();
+        events.sort_by_key(|e| (e.start_ns + e.dur_ns, e.start_ns));
+        pool.shutdown();
+        (
+            reply,
+            after.submitted_reads - before.submitted_reads,
+            after.submitted_writes - before.submitted_writes,
+            events.into_iter().map(|e| (e.name, e.attrs)).collect(),
+        )
+    }
+
+    for (stmt, reads, writes) in [("x + 1", 1, 0), ("val y = x;", 0, 1)] {
+        let alone = serve(stmt, false);
+        assert_eq!((alone.1, alone.2), (reads, writes), "{stmt}");
+        let classified = (
+            "pool.classified".to_string(),
+            vec![("class".to_string(), writes)],
+        );
+        assert!(alone.3.contains(&classified), "{stmt}: {:?}", alone.3);
+        assert_eq!(alone.3.last().expect("events").0, "pool.completed");
+        assert_eq!(serve(stmt, true), alone, "{stmt}");
+    }
 }
