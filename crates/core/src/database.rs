@@ -136,7 +136,7 @@ impl Database {
     /// Number of objects in the class's full (lazily materialized) extent.
     pub fn count(&mut self, class: &str) -> Result<usize, Error> {
         let v = self.class_value(class)?;
-        let extent = self.engine.machine().extent_of(&v)?;
+        let extent = self.engine.on_machine(|m| m.extent_of(&v)).0?;
         Ok(extent.len())
     }
 
@@ -144,11 +144,11 @@ impl Database {
     /// and render them.
     pub fn dump(&mut self, class: &str) -> Result<Vec<String>, Error> {
         let v = self.class_value(class)?;
-        let extent = self.engine.machine().extent_of(&v)?;
+        let extent = self.engine.on_machine(|m| m.extent_of(&v)).0?;
         let objs: Vec<Value> = extent.values().cloned().collect();
         let mut out = Vec::with_capacity(objs.len());
         for o in objs {
-            let mat = self.engine.machine().materialize(&o)?;
+            let mat = self.engine.on_machine(|m| m.materialize(&o)).0?;
             out.push(self.engine.show(&mat));
         }
         Ok(out)

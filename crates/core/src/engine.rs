@@ -24,7 +24,9 @@ use crate::profile::ProfileReport;
 use polyview_eval::{
     decode_machine, encode_machine, Machine, MachineStats, Profile, RuntimeError, Value,
 };
-use polyview_obs::{Clock, Counter, EventSink, Histogram, Registry, Span, Tracer};
+use polyview_obs::{
+    Clock, Counter, EventSink, Histogram, Registry, RegistrySnapshot, Span, Tracer,
+};
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
 use polyview_syntax::{sugar, ClassDef, Expr, Kind, Label, Mono, Name, Scheme, TyVar};
@@ -59,9 +61,11 @@ pub enum Outcome {
 
 /// Handles into the engine's metrics registry, resolved once at
 /// construction so the hot paths pay one relaxed atomic update per event
-/// and never hash a metric name. The last block mirrors counters owned by
-/// the inference context and the machine; they are synced into the
-/// registry only at export time ([`Engine::metrics_json`]).
+/// and never hash a metric name. [`PhaseMetrics::new`] is the one place
+/// an engine metric is named. The registry is live: the `types.*` and
+/// `eval.*` counters take each statement's inference and evaluation work
+/// as it finishes ([`Engine::infer_phase`], [`Engine::on_machine`]), so
+/// [`Engine::stats`] and every export read the same handles.
 struct PhaseMetrics {
     parses: Counter,
     inferences: Counter,
@@ -401,6 +405,11 @@ impl Engine {
             kind_merges: after.kind_merges - before.kind_merges,
             instantiations: after.instantiations - before.instantiations,
         };
+        let p = &self.phases;
+        p.unify_steps.add(work.unify_steps);
+        p.occurs_checks.add(work.occurs_checks);
+        p.kind_merges.add(work.kind_merges);
+        p.instantiations.add(work.instantiations);
         span.attr("unify_steps", work.unify_steps);
         span.attr("occurs_checks", work.occurs_checks);
         span.attr("kind_merges", work.kind_merges);
@@ -418,17 +427,8 @@ impl Engine {
     /// [`Engine::eval_phase`], also returning this run's evaluation work
     /// and duration.
     fn eval_measured(&mut self, e: &Expr) -> Result<(Value, MachineStats, u64), Error> {
-        let before = self.machine.stats();
         let mut span = self.tracer.span("engine.eval");
-        let r = self.machine.eval_global(e);
-        let after = self.machine.stats();
-        let work = MachineStats {
-            fuel_consumed: after.fuel_consumed - before.fuel_consumed,
-            records_allocated: after.records_allocated - before.records_allocated,
-            sets_allocated: after.sets_allocated - before.sets_allocated,
-            field_offsets_resolved: after.field_offsets_resolved - before.field_offsets_resolved,
-            dyn_field_fallbacks: after.dyn_field_fallbacks - before.dyn_field_fallbacks,
-        };
+        let (r, work) = self.on_machine(|m| m.eval_global(e));
         span.attr("fuel", work.fuel_consumed);
         span.attr("records", work.records_allocated);
         span.attr("sets", work.sets_allocated);
@@ -437,6 +437,29 @@ impl Engine {
         let dur = span.finish(&self.tracer);
         self.phases.eval_ns.observe(dur);
         Ok((r?, work, dur))
+    }
+
+    /// Run `f` on the machine, adding the evaluation work it did to the
+    /// registry's `eval.*` counters and returning that work. Every
+    /// evaluation the engine starts runs through here.
+    pub(crate) fn on_machine<T>(&mut self, f: impl FnOnce(&mut Machine) -> T) -> (T, MachineStats) {
+        let before = self.machine.stats();
+        let out = f(&mut self.machine);
+        let after = self.machine.stats();
+        let work = MachineStats {
+            fuel_consumed: after.fuel_consumed - before.fuel_consumed,
+            records_allocated: after.records_allocated - before.records_allocated,
+            sets_allocated: after.sets_allocated - before.sets_allocated,
+            field_offsets_resolved: after.field_offsets_resolved - before.field_offsets_resolved,
+            dyn_field_fallbacks: after.dyn_field_fallbacks - before.dyn_field_fallbacks,
+        };
+        let p = &self.phases;
+        p.fuel_consumed.add(work.fuel_consumed);
+        p.records_allocated.add(work.records_allocated);
+        p.sets_allocated.add(work.sets_allocated);
+        p.field_offsets_resolved.add(work.field_offsets_resolved);
+        p.dyn_field_fallbacks.add(work.dyn_field_fallbacks);
+        (out, work)
     }
 
     /// Compile one statement: inference with per-node type recording on
@@ -629,32 +652,32 @@ impl Engine {
 
     /// Execute a statement through the LRU statement cache: on a hit the
     /// cached compiled form runs directly; on a miss (or a stale entry)
-    /// `build` compiles a fresh [`Prepared`], which is cached for next
-    /// time.
+    /// `build` compiles a fresh [`Prepared`], which is cached as soon as
+    /// it compiles — so a statement whose run fails, or is refused inside
+    /// a read region and rerun, is compiled once.
     pub(crate) fn eval_cached(
         &mut self,
         key: StmtKey,
         build: impl FnOnce(&mut Self) -> Result<Prepared, Error>,
     ) -> Result<(Scheme, Value), Error> {
-        match self.stmts.lookup(&key, &self.name_epochs) {
+        let p = match self.stmts.lookup(&key, &self.name_epochs) {
             CacheLookup::Hit(p) => {
                 self.phases.stmt_cache_hits.inc();
-                let scheme = p.scheme().clone();
-                let v = self.eval_phase(p.code())?;
-                return Ok((scheme, v));
+                p
             }
-            CacheLookup::Stale => {
-                self.phases.stmt_cache_dep_invalidations.inc();
+            lookup => {
+                if matches!(lookup, CacheLookup::Stale) {
+                    self.phases.stmt_cache_dep_invalidations.inc();
+                }
                 self.phases.stmt_cache_misses.inc();
+                let p = build(self)?;
+                let evicted = self.stmts.insert(key, p.clone());
+                self.phases.stmt_cache_evictions.add(evicted as u64);
+                p
             }
-            CacheLookup::Miss => self.phases.stmt_cache_misses.inc(),
-        }
-        let p = build(self)?;
-        let scheme = p.scheme().clone();
+        };
         let v = self.eval_phase(p.code())?;
-        let evicted = self.stmts.insert(key, p);
-        self.phases.stmt_cache_evictions.add(evicted as u64);
-        Ok((scheme, v))
+        Ok((p.scheme().clone(), v))
     }
 
     fn parse_counted(&mut self, src: &str) -> Result<Expr, Error> {
@@ -675,68 +698,49 @@ impl Engine {
     }
 
     /// A snapshot of the pipeline counters: compilation work, statement
-    /// cache traffic, inference and evaluation work.
+    /// cache traffic, inference and evaluation work — the registry's
+    /// handles, read in place.
     pub fn stats(&self) -> EngineStats {
-        let i = self.cx.stats();
-        let m = self.machine.stats();
+        let p = &self.phases;
         EngineStats {
-            parses: self.phases.parses.get(),
-            inferences: self.phases.inferences.get(),
-            stmt_cache_hits: self.phases.stmt_cache_hits.get(),
-            stmt_cache_misses: self.phases.stmt_cache_misses.get(),
-            stmt_cache_evictions: self.phases.stmt_cache_evictions.get(),
-            stmt_cache_dep_invalidations: self.phases.stmt_cache_dep_invalidations.get(),
-            epoch_invalidations: self.phases.epoch_invalidations.get(),
-            tokens_lexed: self.phases.tokens_lexed.get(),
-            nodes_parsed: self.phases.nodes_parsed.get(),
-            unify_steps: i.unify_steps,
-            occurs_checks: i.occurs_checks,
-            kind_merges: i.kind_merges,
-            instantiations: i.instantiations,
-            fuel_consumed: m.fuel_consumed,
-            records_allocated: m.records_allocated,
-            sets_allocated: m.sets_allocated,
-            field_offsets_resolved: m.field_offsets_resolved,
-            dyn_field_fallbacks: m.dyn_field_fallbacks,
+            parses: p.parses.get(),
+            inferences: p.inferences.get(),
+            stmt_cache_hits: p.stmt_cache_hits.get(),
+            stmt_cache_misses: p.stmt_cache_misses.get(),
+            stmt_cache_evictions: p.stmt_cache_evictions.get(),
+            stmt_cache_dep_invalidations: p.stmt_cache_dep_invalidations.get(),
+            epoch_invalidations: p.epoch_invalidations.get(),
+            tokens_lexed: p.tokens_lexed.get(),
+            nodes_parsed: p.nodes_parsed.get(),
+            unify_steps: p.unify_steps.get(),
+            occurs_checks: p.occurs_checks.get(),
+            kind_merges: p.kind_merges.get(),
+            instantiations: p.instantiations.get(),
+            fuel_consumed: p.fuel_consumed.get(),
+            records_allocated: p.records_allocated.get(),
+            sets_allocated: p.sets_allocated.get(),
+            field_offsets_resolved: p.field_offsets_resolved.get(),
+            dyn_field_fallbacks: p.dyn_field_fallbacks.get(),
         }
     }
 
-    /// Zero every counter and histogram — the registry's metrics, the
-    /// inference work counters, and the machine work counters. Histogram
-    /// and counter handles stay live; environments and caches are
-    /// untouched.
+    /// Zero every counter and histogram in the registry. Handles stay
+    /// live; environments and caches are untouched.
     pub fn reset_stats(&mut self) {
         self.metrics.reset();
-        self.cx.reset_stats();
-        self.machine.reset_stats();
     }
 
     // ----- observability -----
 
-    /// The engine's metrics registry (counters and phase-latency
-    /// histograms, always on).
-    pub fn metrics_registry(&self) -> &Registry {
-        &self.metrics
+    /// A point-in-time copy of every metric (counters and phase-latency
+    /// histograms, always on), stamped 0.
+    pub fn metrics_snapshot(&self) -> RegistrySnapshot {
+        self.metrics.snapshot(0)
     }
 
     /// Export every metric as JSON lines — exactly one JSON object per
-    /// line. Counters owned by the inference context and the machine are
-    /// synced into the registry first, so the export is a complete,
-    /// self-consistent snapshot.
+    /// line ([`RegistrySnapshot::to_json_lines`]).
     pub fn metrics_json(&self) -> String {
-        let i = self.cx.stats();
-        let m = self.machine.stats();
-        self.phases.unify_steps.set(i.unify_steps);
-        self.phases.occurs_checks.set(i.occurs_checks);
-        self.phases.kind_merges.set(i.kind_merges);
-        self.phases.instantiations.set(i.instantiations);
-        self.phases.fuel_consumed.set(m.fuel_consumed);
-        self.phases.records_allocated.set(m.records_allocated);
-        self.phases.sets_allocated.set(m.sets_allocated);
-        self.phases
-            .field_offsets_resolved
-            .set(m.field_offsets_resolved);
-        self.phases.dyn_field_fallbacks.set(m.dyn_field_fallbacks);
         self.metrics.to_json_lines()
     }
 
@@ -979,9 +983,7 @@ impl Engine {
     /// keep the returned [`Value`]s use [`Engine::eval_expr`] or
     /// [`Engine::run`] instead, which never reclaim.
     pub fn eval_to_string(&mut self, src: &str) -> Result<String, Error> {
-        let mark = self.machine.begin_read();
-        let out = self.eval_expr(src).map(|(_, v)| self.machine.show(&v));
-        self.machine.end_read(mark);
+        let out = self.in_read_region(|e| e.eval_expr(src).map(|(_, v)| e.machine.show(&v)));
         match out {
             Err(Error::Runtime(RuntimeError::EffectInRead)) => {
                 let (_, v) = self.eval_expr(src)?;
@@ -1006,29 +1008,36 @@ impl Engine {
     /// so does a program containing a declaration. The caller decides
     /// what to do with such a statement (the pool sequences it as a write).
     pub fn read(&mut self, src: &str) -> Result<String, Error> {
-        let mark = self.machine.begin_read();
-        let out = self.read_in_region(src);
-        self.machine.end_read(mark);
-        out
-    }
-
-    fn read_in_region(&mut self, src: &str) -> Result<String, Error> {
-        match self.eval_expr(src) {
-            Ok((_, v)) => Ok(self.machine.show(&v)),
+        self.in_read_region(|eng| match eng.eval_expr(src) {
+            Ok((_, v)) => Ok(eng.machine.show(&v)),
             Err(Error::Parse(_)) => {
-                let decls = self.parse_program_phase(src)?;
+                let decls = eng.parse_program_phase(src)?;
                 let mut lines = Vec::with_capacity(decls.len());
                 for d in &decls {
                     let Decl::Expr(e) = d else {
                         return Err(RuntimeError::EffectInRead.into());
                     };
-                    let (_, v) = self.eval_ast(e)?;
-                    lines.push(self.machine.show(&v));
+                    let (_, v) = eng.eval_ast(e)?;
+                    lines.push(eng.machine.show(&v));
                 }
                 Ok(lines.join("\n"))
             }
             Err(e) => Err(e),
-        }
+        })
+    }
+
+    /// The one read-region bracket: run `f` between
+    /// [`Machine::begin_read`] and [`Machine::end_read`], so whatever it
+    /// allocates is reclaimed however it ends. `f` renders what it
+    /// returns before the region closes.
+    fn in_read_region(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<String, Error>,
+    ) -> Result<String, Error> {
+        let mark = self.machine.begin_read();
+        let out = f(self);
+        self.machine.end_read(mark);
+        out
     }
 
     /// Infer the principal scheme of an expression without evaluating it.
@@ -1263,6 +1272,7 @@ impl Engine {
     }
 
     /// Direct access to the evaluation machine (extents, stores, classes).
+    /// Work done on it directly is not counted in [`Engine::stats`].
     pub fn machine(&mut self) -> &mut Machine {
         &mut self.machine
     }

@@ -303,10 +303,11 @@ impl StmtCache {
     }
 }
 
-/// A snapshot of the engine's pipeline counters, assembled by
-/// [`crate::Engine::stats`] from the metrics registry plus the per-layer
-/// work counters ([`polyview_types::InferStats`],
-/// [`polyview_eval::MachineStats`]).
+/// A snapshot of the engine's pipeline counters, read by
+/// [`crate::Engine::stats`] from the live metrics registry. The
+/// inference and evaluation fields are the per-statement
+/// [`polyview_types::InferStats`] / [`polyview_eval::MachineStats`]
+/// deltas the engine adds there as each phase finishes.
 ///
 /// `parses` and `inferences` count compilation work; a warmed statement
 /// cache serves repeated statements with both counters flat — the property

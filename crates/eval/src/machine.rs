@@ -105,7 +105,8 @@ pub struct Machine {
     /// field `update` (extent predicates can read mutable fields); cache
     /// entries from older epochs are stale.
     class_epoch: u64,
-    /// Work counters; monotone until [`Machine::reset_stats`].
+    /// Work counters, monotone. The engine adds each evaluation's delta
+    /// of them to its metrics registry.
     stats: MachineStats,
     /// Inside a read region: the store length at its start. Slots below it
     /// are state a later statement can observe, so writing one fails with
@@ -306,11 +307,6 @@ impl Machine {
     /// Snapshot of the work counters.
     pub fn stats(&self) -> MachineStats {
         self.stats
-    }
-
-    /// Zero the work counters (store, classes, and globals are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = MachineStats::default();
     }
 
     /// Install the clock future [`Machine::profile_start`] calls will use.

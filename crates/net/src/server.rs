@@ -140,6 +140,20 @@ impl Metrics {
             registry,
         }
     }
+
+    fn stats(&self) -> NetStats {
+        NetStats {
+            conns_open: self.conns_open.get(),
+            conns_accepted: self.conns_accepted.get(),
+            rejected_busy: self.rejected_busy.get(),
+            frames_decoded: self.frames_decoded.get(),
+            frames_invalid: self.frames_invalid.get(),
+            responses: self.responses.get(),
+            watch_pushes: self.watch_pushes.get(),
+            write_errors: self.write_errors.get(),
+            read_to_decode: self.read_to_decode_ns.snapshot(),
+        }
+    }
 }
 
 /// Point-in-time snapshot of the server's own counters (the pool's
@@ -320,18 +334,7 @@ impl NetServer {
 
     /// Snapshot the server's own counters.
     pub fn stats(&self) -> NetStats {
-        let m = &self.shared().metrics;
-        NetStats {
-            conns_open: m.conns_open.get(),
-            conns_accepted: m.conns_accepted.get(),
-            rejected_busy: m.rejected_busy.get(),
-            frames_decoded: m.frames_decoded.get(),
-            frames_invalid: m.frames_invalid.get(),
-            responses: m.responses.get(),
-            watch_pushes: m.watch_pushes.get(),
-            write_errors: m.write_errors.get(),
-            read_to_decode: m.read_to_decode_ns.snapshot(),
-        }
+        self.shared().metrics.stats()
     }
 
     /// The introspection object the `stats` wire op serves, as one JSON
@@ -954,20 +957,17 @@ fn stats_object(shared: &Shared) -> String {
     }
     slow_arr.push(']');
 
-    let m = &shared.metrics;
+    let n = shared.metrics.stats();
     let net_obj = ObjectBuilder::new()
-        .field_u64("conns_open", m.conns_open.get())
-        .field_u64("conns_accepted", m.conns_accepted.get())
-        .field_u64("rejected_busy", m.rejected_busy.get())
-        .field_u64("frames_decoded", m.frames_decoded.get())
-        .field_u64("frames_invalid", m.frames_invalid.get())
-        .field_u64("responses", m.responses.get())
-        .field_u64("watch_pushes", m.watch_pushes.get())
-        .field_u64("write_errors", m.write_errors.get())
-        .field_raw(
-            "read_to_decode_ns",
-            &hist_object(&m.read_to_decode_ns.snapshot()),
-        )
+        .field_u64("conns_open", n.conns_open)
+        .field_u64("conns_accepted", n.conns_accepted)
+        .field_u64("rejected_busy", n.rejected_busy)
+        .field_u64("frames_decoded", n.frames_decoded)
+        .field_u64("frames_invalid", n.frames_invalid)
+        .field_u64("responses", n.responses)
+        .field_u64("watch_pushes", n.watch_pushes)
+        .field_u64("write_errors", n.write_errors)
+        .field_raw("read_to_decode_ns", &hist_object(&n.read_to_decode))
         .finish();
 
     ObjectBuilder::new()

@@ -18,7 +18,6 @@
 //! field is a value that existed) but not a consistent cut; under
 //! quiescence — barriers, test assertions — it is exact.
 
-use crate::jsonl::ObjectBuilder;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,12 +69,6 @@ impl Counter {
 
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the value — used to mirror counters owned by another layer
-    /// (e.g. the evaluator's fuel tally) into the registry at export time.
-    pub fn set(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -369,7 +362,7 @@ impl Registry {
     pub fn reset(&self) {
         let maps = self.lock();
         for c in maps.counters.values() {
-            c.set(0);
+            c.0.store(0, Ordering::Relaxed);
         }
         for g in maps.gauges.values() {
             g.set(0);
@@ -408,63 +401,14 @@ impl Registry {
         }
     }
 
-    /// Export the registry as JSON lines: exactly one JSON object per line
-    /// — counters first, then gauges, then histograms, each sorted by name.
-    ///
-    /// ```text
-    /// {"kind":"counter","name":"engine.parses","value":3}
-    /// {"kind":"gauge","name":"pool.worker0.queue_depth","value":2}
-    /// {"kind":"histogram","name":"phase.parse_ns","count":2,"sum":700,"min":300,"max":400,"buckets":[[9,2]]}
-    /// ```
-    ///
-    /// Bucket entries are `[index, count]` pairs where index `i` covers
-    /// values in `[2^(i-1), 2^i)` (index 0 is the value 0).
+    /// Export the registry as JSON lines: one
+    /// [`crate::window::RegistrySnapshot::to_json_lines`] rendering of its
+    /// current values, unprefixed.
     pub fn to_json_lines(&self) -> String {
-        let maps = self.lock();
-        let mut out = String::new();
-        for (name, c) in maps.counters.iter() {
-            json_metric_value_line(&mut out, "counter", name, c.get());
-        }
-        for (name, g) in maps.gauges.iter() {
-            json_metric_value_line(&mut out, "gauge", name, g.get());
-        }
-        for (name, h) in maps.histograms.iter() {
-            json_histogram_line(&mut out, name, &h.snapshot());
-        }
-        out
+        self.snapshot(0).to_json_lines("")
     }
 }
 
-/// Render one `{"kind":…,"name":…,"value":…}` metric line (plus newline).
-fn json_metric_value_line(out: &mut String, kind: &str, name: &str, value: u64) {
-    let line = ObjectBuilder::new()
-        .field_str("kind", kind)
-        .field_str("name", name)
-        .field_u64("value", value)
-        .finish();
-    out.push_str(&line);
-    out.push('\n');
-}
-
-/// Render one histogram metric line (plus newline) from a snapshot.
-fn json_histogram_line(out: &mut String, name: &str, s: &HistogramSnapshot) {
-    let buckets: Vec<String> = s
-        .buckets
-        .iter()
-        .map(|(idx, c)| format!("[{idx},{c}]"))
-        .collect();
-    let line = ObjectBuilder::new()
-        .field_str("kind", "histogram")
-        .field_str("name", name)
-        .field_u64("count", s.count)
-        .field_u64("sum", s.sum)
-        .field_u64("min", if s.count == 0 { 0 } else { s.min })
-        .field_u64("max", s.max)
-        .field_raw("buckets", &format!("[{}]", buckets.join(",")))
-        .finish();
-    out.push_str(&line);
-    out.push('\n');
-}
 #[cfg(test)]
 mod tests {
     use super::*;

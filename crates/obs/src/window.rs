@@ -26,6 +26,7 @@
 //! [`crate::ManualClock::reads`] — and under a manual clock the
 //! whole view is deterministic.
 
+use crate::jsonl::ObjectBuilder;
 use crate::metrics::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -39,6 +40,55 @@ pub struct RegistrySnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+impl RegistrySnapshot {
+    /// Render the snapshot as JSON lines, every name behind `prefix`:
+    /// exactly one JSON object per line — counters first, then gauges,
+    /// then histograms, each sorted by name. Every metrics export in the
+    /// workspace is this rendering.
+    ///
+    /// ```text
+    /// {"kind":"counter","name":"engine.parses","value":3}
+    /// {"kind":"gauge","name":"pool.worker0.queue_depth","value":2}
+    /// {"kind":"histogram","name":"phase.parse_ns","count":2,"sum":700,"min":300,"max":400,"buckets":[[9,2]]}
+    /// ```
+    ///
+    /// Bucket entries are `[index, count]` pairs where index `i` covers
+    /// values in `[2^(i-1), 2^i)` (index 0 is the value 0).
+    pub fn to_json_lines(&self, prefix: &str) -> String {
+        let mut out = String::new();
+        let mut line = |b: ObjectBuilder| {
+            out.push_str(&b.finish());
+            out.push('\n');
+        };
+        let metric = |kind: &str, name: &str| {
+            ObjectBuilder::new()
+                .field_str("kind", kind)
+                .field_str("name", &format!("{prefix}{name}"))
+        };
+        for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (name, &v) in values {
+                line(metric(kind, name).field_u64("value", v));
+            }
+        }
+        for (name, h) in &self.histograms {
+            let buckets: Vec<String> = h
+                .buckets
+                .iter()
+                .map(|(i, c)| format!("[{i},{c}]"))
+                .collect();
+            line(
+                metric("histogram", name)
+                    .field_u64("count", h.count)
+                    .field_u64("sum", h.sum)
+                    .field_u64("min", if h.count == 0 { 0 } else { h.min })
+                    .field_u64("max", h.max)
+                    .field_raw("buckets", &format!("[{}]", buckets.join(","))),
+            );
+        }
+        out
+    }
 }
 
 /// A bounded ring of [`RegistrySnapshot`]s: push evicts the oldest once

@@ -28,7 +28,7 @@
 //! proof) the disabled-telemetry path follows.
 
 use crate::router::Pool;
-use polyview::obs::window::{RegistrySnapshot, SnapshotRing, WindowView};
+use polyview::obs::window::{SnapshotRing, WindowView};
 use std::sync::atomic::Ordering;
 
 /// Windowed-stats knobs (see [`crate::PoolConfig::stats_window`]).
@@ -226,7 +226,7 @@ impl Pool {
                 return false;
             }
         }
-        let snap = self.window_snapshot(now_ns);
+        let snap = self.registry_snapshot(now_ns);
         let w = self.window.as_mut().expect("checked above");
         w.last_ns = Some(now_ns);
         w.ring.push(snap);
@@ -237,64 +237,6 @@ impl Pool {
     /// until windowing is enabled and two snapshots exist.
     pub fn window(&self) -> Option<WindowView> {
         self.window.as_ref().and_then(|w| w.ring.window())
-    }
-
-    /// A point-in-time copy of every cumulative pool metric — the shared
-    /// telemetry registry plus the router-only counters and per-worker
-    /// gauges — stamped with the caller-supplied time. This is both what
-    /// the window ring stores and what the `stats` wire op serializes as
-    /// its cumulative section.
-    pub fn registry_snapshot(&self, at_ns: u64) -> RegistrySnapshot {
-        self.window_snapshot(at_ns)
-    }
-
-    /// One windowed snapshot: the shared telemetry registry (latency
-    /// histograms) plus the pool counters and per-worker gauges only the
-    /// router can see. The timestamp is caller-supplied (see the module
-    /// docs on clock discipline).
-    fn window_snapshot(&self, at_ns: u64) -> RegistrySnapshot {
-        let mut snap = self.telemetry.registry.snapshot(at_ns);
-        let log_len = self.log.len();
-        let c = &mut snap.counters;
-        c.insert("pool.submitted_reads".to_string(), self.submitted_reads);
-        c.insert("pool.submitted_writes".to_string(), self.submitted_writes);
-        c.insert("pool.rejected_full".to_string(), self.rejected_full);
-        c.insert("pool.respawns".to_string(), self.respawns);
-        c.insert("pool.log_len".to_string(), log_len);
-        c.insert("pool.log_base".to_string(), self.log.base());
-        let mut replay_errors = 0u64;
-        let mut checkpoints = 0u64;
-        let mut checkpoint_ns = 0u64;
-        let mut respawn_replayed = 0u64;
-        for (i, w) in self.workers.iter().enumerate() {
-            let applied = w.shared.applied.load(Ordering::Relaxed);
-            snap.gauges.insert(
-                format!("pool.worker{i}.queue_depth"),
-                w.shared.depth.load(Ordering::Relaxed),
-            );
-            snap.gauges.insert(
-                format!("pool.worker{i}.replay_lag"),
-                log_len.saturating_sub(applied),
-            );
-            snap.gauges.insert(
-                format!("pool.worker{i}.respawn_replayed"),
-                w.shared.respawn_replayed.load(Ordering::Relaxed),
-            );
-            replay_errors =
-                replay_errors.saturating_add(w.shared.replay_errors.load(Ordering::Relaxed));
-            checkpoints = checkpoints.saturating_add(w.shared.checkpoints.load(Ordering::Relaxed));
-            checkpoint_ns =
-                checkpoint_ns.saturating_add(w.shared.checkpoint_ns.load(Ordering::Relaxed));
-            respawn_replayed =
-                respawn_replayed.saturating_add(w.shared.respawn_replayed.load(Ordering::Relaxed));
-        }
-        // Summed across replicas; a respawn resets one replica's tally,
-        // which the windowed saturating delta absorbs.
-        c.insert("pool.replay_errors".to_string(), replay_errors);
-        c.insert("pool.checkpoints".to_string(), checkpoints);
-        c.insert("pool.checkpoint_ns".to_string(), checkpoint_ns);
-        c.insert("pool.respawn_replayed".to_string(), respawn_replayed);
-        snap
     }
 
     /// Fold worker liveness, replay lag, queue watermarks, and windowed

@@ -85,7 +85,6 @@ pub use polyview::StmtClass;
 pub use router::{Pool, Submit, Ticket, WorkerGate};
 pub use stats::{PoolStats, WorkerStats};
 pub use telemetry::SlowRequest;
-pub use worker::WorkerReport;
 
 use std::sync::Arc;
 

@@ -1,23 +1,26 @@
-//! Pool-level observability: per-worker reports merged into one fleet
-//! snapshot, plus a JSON-lines metrics export.
+//! Pool-level observability: one snapshot function naming every pool
+//! metric, per-worker reports merged into one fleet snapshot, and a
+//! JSON-lines metrics export.
 //!
-//! Aggregation is by message, not by sharing a registry: each replica's
-//! inference and machine work counters live in its thread-confined engine
-//! and sync into the engine's registry only at export
-//! ([`polyview::Engine::metrics_json`]). So a `Stats` request makes the
-//! worker snapshot its own counters and render its own registry, and the
-//! pool merges the snapshots ([`polyview::EngineStats::merged`]) and
-//! re-namespaces the registries (`worker3.phase.eval_ns`, …). On top of
-//! the engine counters the pool adds what only it can see: queue depths,
-//! replay lag (log length minus applied offset), submit/backpressure
-//! counters, and respawns.
+//! [`Pool::registry_snapshot`] is the only list of `pool.*` counters and
+//! per-worker gauges: the shared telemetry registry plus what only the
+//! router can see — submit/backpressure counters, log length, respawns,
+//! and each replica's [`crate::worker::WorkerShared`] atomics (queue
+//! depth, applied offset, replay errors). The window ring, the `stats`
+//! wire op and [`Pool::metrics_json`] all read it.
+//!
+//! A replica's engine is thread-confined, so its metrics reach the router
+//! by message: a `Stats` request makes the worker copy its live registry
+//! into a [`RegistrySnapshot`]. [`Pool::metrics_json`] sums the replicas'
+//! counters under their usual names and renders each replica's snapshot
+//! again under a `workerN.` prefix (`worker3.phase.eval_ns`, …).
 
 use crate::router::Pool;
 use crate::telemetry::SlowRequest;
-use crate::worker::{Request, WorkerReport};
-use polyview::obs::{HistogramSnapshot, Registry};
+use crate::worker::{Request, WorkerReport, WorkerShared};
+use polyview::obs::{HistogramSnapshot, RegistrySnapshot};
 use polyview::EngineStats;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 
 /// One replica's slice of [`PoolStats`].
@@ -176,95 +179,88 @@ impl Pool {
     /// while a replica is paused or wedged (`per_worker` and the merged
     /// engine counters are empty).
     pub fn stats_local(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers.len(),
-            log_len: self.log.len(),
-            submitted_reads: self.submitted_reads,
-            submitted_writes: self.submitted_writes,
-            rejected_full: self.rejected_full,
-            reads_promoted: self.telemetry.reads_promoted.get(),
-            respawns: self.respawns,
-            engine: EngineStats::default(),
-            per_worker: Vec::new(),
-            queue_wait: self.telemetry.queue_wait_ns.snapshot(),
-            catchup: self.telemetry.catchup_ns.snapshot(),
-            e2e_read: self.telemetry.e2e_read_ns.snapshot(),
-            e2e_write: self.telemetry.e2e_write_ns.snapshot(),
-            slow_requests: self.telemetry.slow_requests(),
-        }
+        self.assemble(&[])
     }
 
-    /// Export pool metrics as JSON lines, in three layers:
+    /// A point-in-time copy of every cumulative pool metric, stamped with
+    /// the caller-supplied time (the `health` module docs explain why):
+    /// the shared telemetry registry (latency histograms,
+    /// `pool.reads_promoted`), the router's counters, and per-worker
+    /// `pool.workerN.*` gauges read lock-free from each replica's shared
+    /// atomics. This is the one place a pool metric is named; the window
+    /// ring stores it, the `stats` wire op serializes it as its
+    /// cumulative section, and [`Pool::metrics_json`] renders it.
+    pub fn registry_snapshot(&self, at_ns: u64) -> RegistrySnapshot {
+        let mut snap = self.telemetry.registry.snapshot(at_ns);
+        let log_len = self.log.len();
+        let c = &mut snap.counters;
+        c.insert("pool.workers".to_string(), self.workers.len() as u64);
+        c.insert("pool.submitted_reads".to_string(), self.submitted_reads);
+        c.insert("pool.submitted_writes".to_string(), self.submitted_writes);
+        c.insert("pool.rejected_full".to_string(), self.rejected_full);
+        c.insert("pool.respawns".to_string(), self.respawns);
+        c.insert("pool.log_len".to_string(), log_len);
+        c.insert("pool.log_base".to_string(), self.log.base());
+        // Summed across replicas; a respawn resets one replica's tally,
+        // which the windowed saturating delta absorbs.
+        let sum = |tally: fn(&WorkerShared) -> &AtomicU64| {
+            self.workers.iter().fold(0u64, |acc, w| {
+                acc.saturating_add(tally(&w.shared).load(Ordering::Relaxed))
+            })
+        };
+        c.insert("pool.replay_errors".to_string(), sum(|s| &s.replay_errors));
+        c.insert("pool.checkpoints".to_string(), sum(|s| &s.checkpoints));
+        c.insert("pool.checkpoint_ns".to_string(), sum(|s| &s.checkpoint_ns));
+        c.insert(
+            "pool.respawn_replayed".to_string(),
+            sum(|s| &s.respawn_replayed),
+        );
+        let g = &mut snap.gauges;
+        g.insert("pool.slow_requests".to_string(), self.telemetry.slow_len());
+        for (i, w) in self.workers.iter().enumerate() {
+            let applied = w.shared.applied.load(Ordering::Relaxed);
+            for (gauge, v) in [
+                ("queue_depth", w.shared.depth.load(Ordering::Relaxed)),
+                ("replay_lag", log_len.saturating_sub(applied)),
+                ("applied", applied),
+                (
+                    "respawn_replayed",
+                    w.shared.respawn_replayed.load(Ordering::Relaxed),
+                ),
+            ] {
+                g.insert(format!("pool.worker{i}.{gauge}"), v);
+            }
+        }
+        snap
+    }
+
+    /// Export pool metrics as JSON lines: [`Pool::registry_snapshot`],
+    /// plus what needs a worker round trip —
     ///
-    /// 1. `pool.*` counters — submissions, backpressure rejections,
-    ///    respawns, log length, promoted reads — and per-worker `pool.workerN.queue_depth`
-    ///    / `pool.workerN.replay_lag` / `pool.workerN.applied` **gauges**
-    ///    (`"kind":"gauge"`: levels, not monotone counts);
-    /// 2. merged engine counters under their usual names
-    ///    (`engine.parses`, `types.unify_steps`, …), summed across
-    ///    replicas;
-    /// 3. the pool's request-latency histograms (`pool.queue_wait_ns`,
-    ///    `pool.catchup_ns`, `pool.e2e_read_ns`, `pool.e2e_write_ns` —
-    ///    all zero while telemetry is disabled) and one
-    ///    `pool.slow_requests` gauge;
-    /// 4. every replica's full registry (histograms included),
-    ///    re-namespaced as `workerN.<metric>`.
+    /// 1. each replica's `pool.workerN.profile_samples` gauge;
+    /// 2. the replicas' engine counters (`engine.parses`,
+    ///    `types.unify_steps`, …) summed under their usual names;
+    /// 3. every replica's full registry (histograms included), again
+    ///    under a `workerN.` prefix.
     ///
     /// Same format contract as [`polyview::Engine::metrics_json`]: exactly
     /// one JSON object per line.
     pub fn metrics_json(&mut self) -> String {
         let reports = self.collect_reports();
-        let stats = self.assemble(&reports);
-
-        let reg = Registry::new();
-        reg.counter("pool.workers").set(stats.workers as u64);
-        reg.counter("pool.log_len").set(stats.log_len);
-        reg.counter("pool.submitted_reads")
-            .set(stats.submitted_reads);
-        reg.counter("pool.submitted_writes")
-            .set(stats.submitted_writes);
-        reg.counter("pool.rejected_full").set(stats.rejected_full);
-        reg.counter("pool.respawns").set(stats.respawns);
-        reg.counter("pool.log_base").set(self.log.base());
-        let mut checkpoints = 0u64;
-        let mut checkpoint_ns = 0u64;
-        let mut respawn_replayed = 0u64;
-        for w in &self.workers {
-            checkpoints = checkpoints.saturating_add(w.shared.checkpoints.load(Ordering::Relaxed));
-            checkpoint_ns =
-                checkpoint_ns.saturating_add(w.shared.checkpoint_ns.load(Ordering::Relaxed));
-            respawn_replayed =
-                respawn_replayed.saturating_add(w.shared.respawn_replayed.load(Ordering::Relaxed));
-        }
-        reg.counter("pool.checkpoints").set(checkpoints);
-        reg.counter("pool.checkpoint_ns").set(checkpoint_ns);
-        reg.counter("pool.respawn_replayed").set(respawn_replayed);
-        reg.gauge("pool.slow_requests")
-            .set(stats.slow_requests.len() as u64);
-        for w in &stats.per_worker {
-            let i = w.worker;
-            reg.gauge(&format!("pool.worker{i}.queue_depth"))
-                .set(w.queue_depth);
-            reg.gauge(&format!("pool.worker{i}.replay_lag"))
-                .set(w.replay_lag);
-            reg.gauge(&format!("pool.worker{i}.applied")).set(w.applied);
-            reg.gauge(&format!("pool.worker{i}.respawn_replayed"))
-                .set(w.respawn_replayed);
-            reg.gauge(&format!("pool.worker{i}.profile_samples"))
-                .set(w.profile_samples);
-        }
-        set_engine_counters(&reg, &stats.engine);
-        let mut out = reg.to_json_lines();
-        // The shared telemetry registry renders its own lines (same
-        // one-object-per-line contract): the latency histograms.
-        out.push_str(&self.telemetry.registry.to_json_lines());
-
+        let mut snap = self.registry_snapshot(0);
         for r in reports.iter().flatten() {
-            let prefix = format!("\"name\":\"worker{}.", r.worker);
-            for line in r.metrics_json.lines() {
-                out.push_str(&line.replacen("\"name\":\"", &prefix, 1));
-                out.push('\n');
+            snap.gauges.insert(
+                format!("pool.worker{}.profile_samples", r.worker),
+                r.profile_samples,
+            );
+            for (name, &v) in &r.registry.counters {
+                let sum = snap.counters.entry(name.clone()).or_default();
+                *sum = sum.saturating_add(v);
             }
+        }
+        let mut out = snap.to_json_lines("");
+        for r in reports.iter().flatten() {
+            out.push_str(&r.registry.to_json_lines(&format!("worker{}.", r.worker)));
         }
         out
     }
@@ -295,17 +291,18 @@ impl Pool {
         let log_len = self.log.len();
         let mut engine = EngineStats::default();
         let mut per_worker = Vec::with_capacity(reports.len());
-        for (i, report) in reports.iter().enumerate() {
-            let Some(r) = report else { continue };
+        for r in reports.iter().flatten() {
             engine = engine.merged(r.stats);
+            let shared = &self.workers[r.worker].shared;
+            let applied = shared.applied.load(Ordering::Relaxed);
             per_worker.push(WorkerStats {
                 worker: r.worker,
                 generation: r.generation,
-                applied: r.applied,
-                replay_lag: log_len.saturating_sub(r.applied),
-                queue_depth: self.workers[i].shared.depth.load(Ordering::Relaxed),
-                replay_errors: r.replay_errors,
-                respawn_replayed: r.respawn_replayed,
+                applied,
+                replay_lag: log_len.saturating_sub(applied),
+                queue_depth: shared.depth.load(Ordering::Relaxed),
+                replay_errors: shared.replay_errors.load(Ordering::Relaxed),
+                respawn_replayed: shared.respawn_replayed.load(Ordering::Relaxed),
                 env_epoch: r.env_epoch,
                 engine: r.stats,
                 profile_samples: r.profile_samples,
@@ -329,34 +326,4 @@ impl Pool {
             slow_requests: self.telemetry.slow_requests(),
         }
     }
-}
-
-/// Mirror a merged [`EngineStats`] into a registry under the same metric
-/// names each engine uses locally, so fleet dashboards read one namespace.
-fn set_engine_counters(reg: &Registry, s: &EngineStats) {
-    reg.counter("engine.parses").set(s.parses);
-    reg.counter("engine.inferences").set(s.inferences);
-    reg.counter("engine.stmt_cache_hits").set(s.stmt_cache_hits);
-    reg.counter("engine.stmt_cache_misses")
-        .set(s.stmt_cache_misses);
-    reg.counter("engine.stmt_cache_evictions")
-        .set(s.stmt_cache_evictions);
-    reg.counter("engine.stmt_cache_dep_invalidations")
-        .set(s.stmt_cache_dep_invalidations);
-    reg.counter("engine.epoch_invalidations")
-        .set(s.epoch_invalidations);
-    reg.counter("parser.tokens_lexed").set(s.tokens_lexed);
-    reg.counter("parser.nodes_parsed").set(s.nodes_parsed);
-    reg.counter("types.unify_steps").set(s.unify_steps);
-    reg.counter("types.occurs_checks").set(s.occurs_checks);
-    reg.counter("types.kind_merges").set(s.kind_merges);
-    reg.counter("types.instantiations").set(s.instantiations);
-    reg.counter("eval.fuel_consumed").set(s.fuel_consumed);
-    reg.counter("eval.records_allocated")
-        .set(s.records_allocated);
-    reg.counter("eval.sets_allocated").set(s.sets_allocated);
-    reg.counter("eval.field_offsets_resolved")
-        .set(s.field_offsets_resolved);
-    reg.counter("eval.dyn_field_fallbacks")
-        .set(s.dyn_field_fallbacks);
 }

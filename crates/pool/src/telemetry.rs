@@ -347,6 +347,11 @@ impl Telemetry {
         }
     }
 
+    /// Entries in the slow-request ring.
+    pub(crate) fn slow_len(&self) -> u64 {
+        self.slow.lock().unwrap_or_else(|e| e.into_inner()).len() as u64
+    }
+
     /// The slow-request ring, oldest first.
     pub(crate) fn slow_requests(&self) -> Vec<SlowRequest> {
         self.slow

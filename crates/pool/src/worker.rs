@@ -36,6 +36,7 @@ use crate::log::DeclLog;
 use crate::telemetry::{RequestTrace, Telemetry};
 use crate::PoolError;
 use polyview::eval::RuntimeError;
+use polyview::obs::RegistrySnapshot;
 use polyview::{Engine, EngineStats, Outcome, Profile};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,29 +88,20 @@ pub(crate) enum Item {
     Read { src: String },
 }
 
-/// One worker's observability snapshot, produced on its own thread (the
-/// engine itself is thread-confined, and its inference and machine
-/// counters sync into its registry only at export, so the JSON export is
-/// rendered worker-side).
+/// What only a worker's own thread can read, produced there: the engine
+/// is thread-confined, so its live registry travels to the router as a
+/// copy. Replay progress lives in [`WorkerShared`] and is read there.
 #[derive(Clone, Debug)]
-pub struct WorkerReport {
+pub(crate) struct WorkerReport {
     pub worker: usize,
     /// Respawn generation: 0 for the original spawn, +1 per respawn.
     pub generation: u64,
-    /// Log offset this replica has applied up to (exclusive).
-    pub applied: u64,
-    /// Replayed entries that failed (deterministic across replicas).
-    pub replay_errors: u64,
-    /// Log entries this incarnation replayed at bootstrap — the log tail
-    /// above its boot checkpoint (or the whole log without one). The
-    /// number the checkpoint tier exists to bound.
-    pub respawn_replayed: u64,
     /// The replica's declaration epoch — equal on all replicas that have
     /// applied the same log prefix.
     pub env_epoch: u64,
     pub stats: EngineStats,
-    /// The replica's full metrics registry as JSON lines.
-    pub metrics_json: String,
+    /// The replica's full metrics registry.
+    pub registry: RegistrySnapshot,
     /// Requests whose evaluation was profiled
     /// ([`crate::PoolConfig::profile_sample_every`]).
     pub profile_samples: u64,
@@ -201,7 +193,6 @@ pub(crate) fn worker_main(
         profile_samples: 0,
         checkpoints,
         checkpoint_every: cfg.checkpoint_every,
-        respawn_replayed: 0,
         owed: BTreeMap::new(),
     };
     w.shared.applied.store(w.applied, Ordering::Relaxed);
@@ -237,10 +228,9 @@ pub(crate) fn worker_main(
     // whose `Write { offset }` item is already in this queue and must
     // find its entry unapplied.
     w.catch_up(backlog);
-    w.respawn_replayed = w.applied - boot_offset;
     w.shared
         .respawn_replayed
-        .store(w.respawn_replayed, Ordering::Relaxed);
+        .store(w.applied - boot_offset, Ordering::Relaxed);
 
     while let Ok(req) = rx.recv() {
         // Saturating: every routed request increments the gauge before it
@@ -331,8 +321,6 @@ struct Worker {
     checkpoints: Arc<CheckpointStore>,
     /// Publish a checkpoint every N applied entries (`None`: never).
     checkpoint_every: Option<u64>,
-    /// Entries this incarnation replayed at bootstrap.
-    respawn_replayed: u64,
     /// Outcomes of entries a promotion replayed ahead of their write
     /// items, by offset (see the module docs).
     owed: BTreeMap<u64, Result<String, PoolError>>,
@@ -589,12 +577,9 @@ impl Worker {
         WorkerReport {
             worker: index,
             generation,
-            applied: self.applied,
-            replay_errors: self.shared.replay_errors.load(Ordering::Relaxed),
-            respawn_replayed: self.respawn_replayed,
             env_epoch: self.engine.env_epoch(),
             stats: self.engine.stats(),
-            metrics_json: self.engine.metrics_json(),
+            registry: self.engine.metrics_snapshot(),
             profile_samples: self.profile_samples,
             profile: (self.profile_samples > 0).then(|| self.profile_acc.clone()),
         }

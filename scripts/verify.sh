@@ -268,6 +268,14 @@ reads = last["cumulative"]["counters"]["pool.submitted_reads"]
 assert reads == 36, f"expected 36 cumulative reads (90% of 40), got {reads}"
 promoted = last["cumulative"]["counters"]["pool.reads_promoted"]
 assert promoted == 0, f"ordinary traffic promoted {promoted} read(s) to writes"
+# The cumulative section is the pool snapshot: one applied-offset gauge
+# per replica (presence only: a replica may still be catching up), and
+# no sequenced write failed on any replica.
+gauges = last["cumulative"]["gauges"]
+missing = [i for i in range(last["workers"]) if f"pool.worker{i}.applied" not in gauges]
+assert not missing, f"no pool.worker{{i}}.applied gauge for workers {missing}"
+replay_errors = last["cumulative"]["counters"]["pool.replay_errors"]
+assert replay_errors == 0, f"{replay_errors} replay error(s) under ordinary traffic"
 windowed = [s for s in snaps
             if s["window"] and s["window"]["rates"]["pool.submitted_reads"] > 0]
 assert windowed, "no snapshot windowed a nonzero read rate"

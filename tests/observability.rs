@@ -329,6 +329,34 @@ fn metrics_json_is_one_object_per_line_and_mirrors_layers() {
     )));
     assert!(out.contains("\"name\":\"phase.parse_ns\""));
     assert!(out.contains("\"name\":\"phase.eval_ns\""));
+    // Every `EngineStats` field is its registry counter, read live.
+    for (name, value) in [
+        ("engine.parses", s.parses),
+        ("engine.inferences", s.inferences),
+        ("engine.stmt_cache_hits", s.stmt_cache_hits),
+        ("engine.stmt_cache_misses", s.stmt_cache_misses),
+        ("engine.stmt_cache_evictions", s.stmt_cache_evictions),
+        (
+            "engine.stmt_cache_dep_invalidations",
+            s.stmt_cache_dep_invalidations,
+        ),
+        ("engine.epoch_invalidations", s.epoch_invalidations),
+        ("parser.tokens_lexed", s.tokens_lexed),
+        ("parser.nodes_parsed", s.nodes_parsed),
+        ("types.unify_steps", s.unify_steps),
+        ("types.occurs_checks", s.occurs_checks),
+        ("types.kind_merges", s.kind_merges),
+        ("types.instantiations", s.instantiations),
+        ("eval.fuel_consumed", s.fuel_consumed),
+        ("eval.records_allocated", s.records_allocated),
+        ("eval.sets_allocated", s.sets_allocated),
+        ("eval.field_offsets_resolved", s.field_offsets_resolved),
+        ("eval.dyn_field_fallbacks", s.dyn_field_fallbacks),
+    ] {
+        let line = format!("{{\"kind\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}");
+        assert!(out.lines().any(|l| l == line), "missing {line} in:\n{out}");
+    }
+    assert!(s.unify_steps > 0 && s.fuel_consumed > 0 && s.records_allocated > 0);
 }
 
 // ----- span emission -----

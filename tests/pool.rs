@@ -599,6 +599,38 @@ fn pool_metrics_are_aggregated_json_lines() {
     pool.shutdown();
 }
 
+/// `metrics_json` renders the pool snapshot: every counter and gauge the
+/// window ring and the `stats` op see is exported under the same name.
+#[test]
+fn metrics_json_exports_every_pool_snapshot_metric() {
+    let mut pool = small_pool(2);
+    pool.run(4, "val m = 2;").expect("write");
+    pool.run(4, "m + m").expect("read");
+    pool.barrier().expect("barrier");
+
+    let snap = pool.registry_snapshot(0);
+    let out = pool.metrics_json();
+    for (kind, names) in [("counter", &snap.counters), ("gauge", &snap.gauges)] {
+        for name in names.keys() {
+            let needle = format!("{{\"kind\":\"{kind}\",\"name\":\"{name}\",");
+            assert!(out.contains(&needle), "missing {needle} in:\n{out}");
+        }
+    }
+    for name in [
+        "pool.workers",
+        "pool.replay_errors",
+        "pool.slow_requests",
+        "pool.worker0.applied",
+        "pool.worker1.applied",
+    ] {
+        assert!(
+            snap.counters.contains_key(name) || snap.gauges.contains_key(name),
+            "{name} missing from the snapshot"
+        );
+    }
+    pool.shutdown();
+}
+
 /// The pool serves the same language the single engine does — a smoke
 /// test that the paper's workflow (classes, views, queries) survives
 /// replication end to end.

@@ -338,3 +338,19 @@ fn eval_to_string_applies_effects_exactly_once() {
     );
     assert_eq!(e.eval_to_string("boxed.F").expect("read"), "2");
 }
+
+/// The rerun of a refused effectful statement reuses its compilation: the
+/// statement is cached as soon as it compiles, so the region attempt and
+/// the rerun share one inference, and the effect still applies once.
+#[test]
+fn effectful_eval_to_string_compiles_once() {
+    let mut e = Engine::new();
+    for w in SETUP {
+        e.exec(w).expect("setup");
+    }
+    let count = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), Staff)";
+    let before = e.stats().inferences;
+    assert_eq!(e.eval_to_string("hire(\"Ada\")").expect("write"), "()");
+    assert_eq!(e.stats().inferences, before + 1);
+    assert_eq!(e.eval_to_string(count).expect("count"), "1");
+}
