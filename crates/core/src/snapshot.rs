@@ -5,19 +5,19 @@
 //! counter, with object-identity sharing preserved — is produced by
 //! [`polyview_eval::encode_machine`] and embedded here as one
 //! length-prefixed byte string. The envelope adds everything else a
-//! session is: the type side (globally bound schemes resolved through the
-//! current substitution, the fresh-variable counter, and the kinds of the
-//! variables left free in those schemes) and the engine bookkeeping
+//! session is: the type side (the settled global schemes, the
+//! fresh-variable counter, and the kinds of the variables left free in
+//! those schemes) and the engine bookkeeping
 //! (declaration epochs, per-name epochs, index signatures, alias
 //! edges). What is *not* serialized — the statement
 //! cache, metrics, tracer — is a cold-start derivative of what is.
 //!
-//! Why resolved schemes: the substitution itself (`Infer`'s union-find
-//! state) is session history, not session state. Resolving every scheme
-//! body through it at encode time and carrying only the kinds of the
-//! variables that remain free yields a closed description: restore needs
-//! no substitution, only `ensure_vars_above` so freshly minted variables
-//! never collide with restored ids.
+//! Why no substitution: it is one statement's history, not session
+//! state. After every statement that keeps its effects the engine settles
+//! (`TypeEnv::settle`): schemes resolved, only the kinds of their free
+//! variables kept, the substitution cleared. So encoding copies the live
+//! context and restoring rebuilds it (`Infer::restore`); the counter keeps
+//! fresh variables clear of restored ids.
 //!
 //! All maps are serialized in sorted order, so identical engine state
 //! encodes to identical bytes (the machine section's node numbering is
@@ -49,7 +49,7 @@ pub(crate) struct EngineParts {
     /// Kinds of type variables that remain free in the resolved global
     /// schemes (only non-`U` kinds; everything absent is universal).
     pub free_kinds: Vec<(TyVar, Kind)>,
-    /// Every globally bound scheme, resolved through the substitution.
+    /// Every globally bound scheme, as the last statement settled it.
     pub globals: Vec<(Name, Scheme)>,
     pub env_epoch: u64,
     pub name_epochs: Vec<(Name, u64)>,

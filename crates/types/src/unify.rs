@@ -43,43 +43,49 @@ impl Infer {
     }
 
     /// Merge the kinds of two distinct unbound variables and link them.
+    /// The younger variable is bound to the older one, so unifying a free
+    /// variable of a global scheme with a fresh one leaves the free one
+    /// unbound (it is not a touch, [`Infer::touched`]).
     fn unify_vars(&mut self, v: TyVar, u: TyVar) -> Result<(), TypeError> {
-        let kv = self.kind_of(v);
-        let ku = self.kind_of(u);
-        // Link u to v first so that recursive field unifications see the
-        // union through v.
-        let merged = match (kv, ku) {
+        let (old, young) = (v.min(u), v.max(u));
+        let ko = self.kind_of(old);
+        let ky = self.kind_of(young);
+        // Link young to old first so that recursive field unifications
+        // see the union through old.
+        let merged = match (ko, ky) {
             (Kind::Univ, k) | (k, Kind::Univ) => {
-                self.bind_raw(u, Mono::Var(v));
+                self.bind_raw(young, Mono::Var(old));
                 k
             }
-            (Kind::Record(rv), Kind::Record(ru)) => {
+            (Kind::Record(ro), Kind::Record(ry)) => {
                 self.note(|s| s.kind_merges += 1);
-                self.bind_raw(u, Mono::Var(v));
-                let mut merged: BTreeMap<_, FieldReq> = rv;
+                self.bind_raw(young, Mono::Var(old));
+                let mut merged: BTreeMap<_, FieldReq> = ro;
                 let mut pending = Vec::new();
-                for (l, req_u) in ru {
+                for (l, req_y) in ry {
                     match merged.get_mut(&l) {
-                        Some(req_v) => {
-                            req_v.req = req_v.req.join(req_u.req);
-                            pending.push((req_v.ty.clone(), req_u.ty));
+                        Some(req_o) => {
+                            req_o.req = req_o.req.join(req_y.req);
+                            // Keep `v`'s side first, for error messages.
+                            let (a, b) = (req_o.ty.clone(), req_y.ty);
+                            pending.push(if old == v { (a, b) } else { (b, a) });
                         }
                         None => {
-                            merged.insert(l, req_u);
+                            merged.insert(l, req_y);
                         }
                     }
                 }
-                self.set_kind(v, Kind::Record(merged));
+                self.set_kind(old, Kind::Record(merged));
                 for (a, b) in pending {
                     self.unify(&a, &b)?;
                 }
-                // Field unification may have bound v itself (through a
-                // field type mentioning v — an occurs situation caught in
+                // Field unification may have bound old itself (through a
+                // field type mentioning it — an occurs situation caught in
                 // bind_var). Nothing more to do here.
                 return Ok(());
             }
         };
-        self.set_kind(v, merged);
+        self.set_kind(old, merged);
         Ok(())
     }
 

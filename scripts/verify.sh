@@ -18,6 +18,8 @@ echo "==> pool smoke: serving-layer suite under --release"
 # injection, backpressure); run it under the release profile too so
 # timing-sensitive regressions surface in both profiles.
 cargo test -q --release --test pool
+# Read regions: its pool cases run real worker threads too.
+cargo test -q --release --test read_regions
 # One serve arm stamps dequeue, catch-up and completion for every
 # request; this suite pins their order and exact timestamps.
 cargo test -q --release --test pool_tracing

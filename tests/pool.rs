@@ -440,6 +440,39 @@ fn read_regions_promote_exactly_the_effectful_reads() {
     }
 }
 
+/// A read that instantiates a weak type variable leaves it free: the
+/// type side of a read is a region too, so the write that later fixes the
+/// variable applies identically on a replica that served the read and on
+/// one that did not, and nothing is promoted.
+#[test]
+fn a_read_through_a_weak_type_variable_keeps_replicas_identical() {
+    let mut pool = small_pool(2);
+    // Not a value, so `f : t -> t` with `t` free, not quantified.
+    pool.run(1, "val f = (fn x => x)(fn y => y);")
+        .expect("weak f");
+    pool.barrier().expect("barrier");
+    assert_eq!(pool.probe_worker(0, "f(1)").expect("read"), "1");
+    assert_eq!(pool.run(1, "val z = f(true);").expect("write"), "z : bool");
+    pool.barrier().expect("barrier");
+    for w in 0..pool.worker_count() {
+        assert_eq!(
+            pool.probe_worker(w, "z").expect("probe"),
+            "true",
+            "replica {w}"
+        );
+    }
+    // `t` is bool everywhere now, so `f(1)` is one type error everywhere.
+    let errors: Vec<PoolError> = (0..pool.worker_count())
+        .map(|w| pool.probe_worker(w, "f(1)").expect_err("ill typed"))
+        .collect();
+    assert!(matches!(errors[0], PoolError::Type(_)), "{:?}", errors[0]);
+    assert_eq!(errors[0], errors[1]);
+    let stats = pool.stats();
+    assert_eq!(stats.reads_promoted, 0);
+    assert!(stats.per_worker.iter().all(|w| w.replay_errors == 0));
+    pool.shutdown();
+}
+
 /// A write lost in flight was sequenced *before* it was enqueued, so the
 /// respawned worker replays it from the log: the error carries the offset
 /// (`sequenced: Some(_)`) and the caller must NOT resubmit — the effect
