@@ -24,8 +24,8 @@
 //! read costs one rolled-back evaluation, never a diverged replica.
 //!
 //! [`crate::Database`]'s facade methods follow the same split (`query` is a
-//! read, `insert`/`delete`/`exec` are writes), and
-//! [`crate::Prepared::class`] classifies a compiled statement without
+//! read, `insert`/`delete`/`exec` are writes), and [`classify_expr`] on
+//! [`crate::Prepared::ast`] classifies a compiled statement without
 //! reparsing.
 
 use polyview_parser::{parse_program, Decl, ParseError};

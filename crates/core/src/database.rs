@@ -95,9 +95,9 @@ impl Database {
             class: class.to_string(),
             set_fn: set_fn.to_string(),
         };
-        let (_, v) = self.engine.eval_cached(key, |eng| {
-            let f = eng.parse_operand(set_fn)?;
-            eng.prepare_expr(Expr::cquery(f, Expr::var(class)))
+        let (_, v) = self.engine.eval_statement(key, |eng| {
+            let f = eng.parse_counted(set_fn)?;
+            eng.prepare_parsed(None, Expr::cquery(f, Expr::var(class)))
         })?;
         Ok(self.engine.show(&v))
     }
@@ -112,9 +112,9 @@ impl Database {
             class: class.to_string(),
             obj: obj.to_string(),
         };
-        self.engine.eval_cached(key, |eng| {
-            let o = eng.parse_operand(obj)?;
-            eng.prepare_expr(Expr::insert(Expr::var(class), o))
+        self.engine.eval_statement(key, |eng| {
+            let o = eng.parse_counted(obj)?;
+            eng.prepare_parsed(None, Expr::insert(Expr::var(class), o))
         })?;
         Ok(())
     }
@@ -126,9 +126,9 @@ impl Database {
             class: class.to_string(),
             obj: obj.to_string(),
         };
-        self.engine.eval_cached(key, |eng| {
-            let o = eng.parse_operand(obj)?;
-            eng.prepare_expr(Expr::delete(Expr::var(class), o))
+        self.engine.eval_statement(key, |eng| {
+            let o = eng.parse_counted(obj)?;
+            eng.prepare_parsed(None, Expr::delete(Expr::var(class), o))
         })?;
         Ok(())
     }

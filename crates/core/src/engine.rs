@@ -29,22 +29,13 @@ use polyview_obs::{
 };
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
-use polyview_syntax::{sugar, ClassDef, Expr, Kind, Label, Mono, Name, Scheme, TyVar};
+use polyview_syntax::{sugar, ClassDef, Expr, Label, Mono, Name, Scheme};
 use polyview_trans::{lower_binding, lower_statement, IndexSig, LowerStats};
 use polyview_types::table::node_id;
 use polyview_types::{builtins_sig, infer, Infer, InferStats, TypeEnv, TypeError, TypeTable};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// What a declaration-log replay did ([`Engine::replay`]): entries
-/// applied, and how many of them failed (failures are deterministic across
-/// replicas, so they are counted rather than propagated).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplaySummary {
-    pub applied: u64,
-    pub errors: u64,
-}
 
 /// Result of executing one declaration.
 #[derive(Clone, Debug)]
@@ -143,6 +134,14 @@ struct Compiled<T, L> {
     lower_ns: u64,
 }
 
+/// How [`Engine::statement`] ends a statement the parser and the type
+/// checker accepted: keep its type work, or put it back ([`Engine::read`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Commit,
+    Read,
+}
+
 /// A persistent session: parser + inference + evaluation with shared
 /// top-level environments, and a statement cache serving the
 /// compile-once/run-many path.
@@ -154,11 +153,12 @@ struct Compiled<T, L> {
 /// [`Engine::set_tracing`]).
 pub struct Engine {
     /// Settled between public calls: no substitution, only the kinds of
-    /// variables free in global schemes ([`TypeEnv::settle`]).
+    /// variables free in global schemes, the counter at the mark
+    /// ([`Engine::statement`]).
     cx: Infer,
     tenv: TypeEnv,
-    /// Inside [`Engine::read`]: the counter and kinds it puts back.
-    read_types: Option<(TyVar, Vec<(TyVar, Kind)>)>,
+    /// Inside [`Engine::statement`], which never nests.
+    in_statement: bool,
     machine: Machine,
     stmts: StmtCache,
     metrics: Registry,
@@ -202,7 +202,7 @@ impl Engine {
         Engine {
             cx: Infer::new(),
             tenv: builtins_sig::builtin_env(),
-            read_types: None,
+            in_statement: false,
             machine: Machine::new(),
             stmts: StmtCache::new(DEFAULT_STMT_CACHE_CAPACITY),
             metrics,
@@ -226,32 +226,12 @@ impl Engine {
         e
     }
 
-    /// Apply a sequence of already-sequenced declaration-log entries.
-    ///
-    /// Replay is *deterministic*: the engine's pipeline has no hidden
-    /// nondeterminism, so two engines replaying the same entries in the
-    /// same order end with the same `env_epoch`, the same top-level
-    /// bindings, and extents that render identically. An entry that fails
-    /// (parse, type, or runtime error) fails identically on every replica —
-    /// its error is *counted*, not propagated, so replicas that already
-    /// accepted the log's order never diverge on error handling.
-    pub fn replay<'a>(&mut self, entries: impl IntoIterator<Item = &'a str>) -> ReplaySummary {
-        let mut summary = ReplaySummary::default();
-        for src in entries {
-            summary.applied += 1;
-            if self.exec(src).is_err() {
-                summary.errors += 1;
-            }
-        }
-        summary
-    }
-
     /// Serialize the complete session state to the versioned snapshot
     /// format (DESIGN.md §17): the machine section (store, classes, value
     /// globals — object-identity sharing preserved) plus the type side
     /// (the settled global schemes, the kinds of their free variables, the
-    /// fresh-variable counter) and the engine bookkeeping (epochs, index
-    /// signatures, alias edges). The type side is copied as it stands:
+    /// mark as the fresh-variable counter) and the engine bookkeeping
+    /// (epochs, index signatures, alias edges). The type side is copied as it stands:
     /// between public calls the context is settled, so it is already this
     /// closed form. Identical session state encodes to identical bytes.
     ///
@@ -289,7 +269,7 @@ impl Engine {
         alias_edges.sort_by(|a, b| a.0.cmp(&b.0));
         crate::snapshot::encode_parts(&crate::snapshot::EngineParts {
             machine_bytes: encode_machine(&self.machine),
-            next_var: self.cx.vars_minted(),
+            next_var: self.tenv.mark(),
             free_kinds: self.cx.settled_kinds(),
             globals,
             env_epoch: self.env_epoch,
@@ -313,10 +293,11 @@ impl Engine {
         let machine = decode_machine(&p.machine_bytes)?;
         let mut e = Engine::new();
         e.machine = machine;
-        e.cx.restore(p.next_var, p.free_kinds);
         for (n, s) in p.globals {
             e.tenv.define_global(n, s);
         }
+        e.tenv.raise_mark(p.next_var);
+        e.cx.restore(e.tenv.mark(), p.free_kinds);
         e.env_epoch = p.env_epoch;
         e.name_epochs = p.name_epochs.into_iter().collect();
         e.index_sigs = p
@@ -379,13 +360,32 @@ impl Engine {
         Ok((r?, work, dur))
     }
 
-    /// End a statement's type-side work: commit it ([`TypeEnv::settle`]),
-    /// unless the statement runs inside [`Engine::read`], which puts the
-    /// type state back instead.
-    fn settle(&mut self) {
-        if self.read_types.is_none() {
+    /// The one place a statement's type work ends (DESIGN.md §10): `body`
+    /// starts from the committed type state, and its work is committed
+    /// ([`TypeEnv::settle`]) in [`Mode::Commit`] unless it was rejected
+    /// before evaluation started, or else the committed kinds are put back.
+    /// A commit that bound or re-kinded an older variable evicts the cached
+    /// statements whose schemes have free variables (DESIGN.md §12).
+    fn statement<T>(
+        &mut self,
+        mode: Mode,
+        body: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        debug_assert!(!self.in_statement, "statements never nest");
+        self.in_statement = true;
+        let kinds = self.cx.settled_kinds();
+        let out = body(self);
+        if mode == Mode::Commit && !matches!(out, Err(Error::Parse(_) | Error::Type(_))) {
+            if self.cx.touched() {
+                let evicted = self.stmts.evict_open();
+                self.phases.stmt_cache_evictions.add(evicted as u64);
+            }
             self.tenv.settle(&mut self.cx);
+        } else {
+            self.cx.restore(self.tenv.mark(), kinds);
         }
+        self.in_statement = false;
+        out
     }
 
     /// Evaluate an expression as the timed "eval" phase.
@@ -459,16 +459,13 @@ impl Engine {
         })
     }
 
-    /// Execute a program: a sequence of declarations.
+    /// Execute a program: a sequence of declarations, one statement each.
     pub fn exec(&mut self, src: &str) -> Result<Vec<Outcome>, Error> {
         let decls = self.parse_program_phase(src)?;
-        let mut out = Vec::with_capacity(decls.len());
-        for d in &decls {
-            let r = self.exec_decl(d);
-            self.settle();
-            out.push(r?);
-        }
-        Ok(out)
+        decls
+            .iter()
+            .map(|d| self.statement(Mode::Commit, |eng| eng.exec_decl(d)))
+            .collect()
     }
 
     fn parse_program_phase(&mut self, src: &str) -> Result<Vec<Decl>, Error> {
@@ -485,6 +482,10 @@ impl Engine {
     /// returned [`Prepared`] can be executed any number of times with
     /// [`Engine::run`] without touching the parser or inference again.
     pub fn prepare(&mut self, src: &str) -> Result<Prepared, Error> {
+        self.statement(Mode::Commit, |eng| eng.prepare_src(src))
+    }
+
+    fn prepare_src(&mut self, src: &str) -> Result<Prepared, Error> {
         let ast = self.parse_counted(src)?;
         self.prepare_parsed(Some(src.to_string()), ast)
     }
@@ -494,35 +495,35 @@ impl Engine {
     /// [`crate::Database`] facade uses — operands are spliced as AST nodes,
     /// never as source text.
     pub fn prepare_expr(&mut self, ast: Expr) -> Result<Prepared, Error> {
-        self.prepare_parsed(None, ast)
+        self.statement(Mode::Commit, |eng| eng.prepare_parsed(None, ast))
     }
 
-    fn prepare_parsed(&mut self, src: Option<String>, ast: Expr) -> Result<Prepared, Error> {
+    pub(crate) fn prepare_parsed(
+        &mut self,
+        src: Option<String>,
+        ast: Expr,
+    ) -> Result<Prepared, Error> {
         // Pin the AST behind `Rc` *before* inference: the type table keys
         // per-node results by node address, and the lowering pass must see
         // exactly the nodes inference recorded.
         let ast = Rc::new(ast);
-        let c = self.compile(
-            |cx, tenv| cx.infer_scheme(tenv, &ast),
-            |_, table, sigs| lower_statement(&ast, table, sigs),
-        );
-        self.settle();
-        Ok(self.prepared(src, ast, c?))
+        let c = self.compile_expr(&ast)?;
+        Ok(self.prepared(src, ast, c))
+    }
+
+    /// [`Engine::compile`] for one expression statement.
+    fn compile_expr(&mut self, e: &Expr) -> Result<Compiled<Scheme, Expr>, Error> {
+        self.compile(
+            |cx, tenv| cx.infer_scheme(tenv, e),
+            |_, table, sigs| lower_statement(e, table, sigs),
+        )
     }
 
     /// Package a compiled statement for the statement cache and
     /// [`Engine::run`], snapshotting its dependencies now.
     fn prepared(&self, src: Option<String>, ast: Rc<Expr>, c: Compiled<Scheme, Expr>) -> Prepared {
         let deps = self.snapshot_deps(&ast);
-        Prepared::new(
-            src,
-            ast,
-            Rc::new(c.code),
-            c.lower,
-            c.out,
-            deps,
-            self.env_epoch,
-        )
+        Prepared::new(src, ast, Rc::new(c.code), c.lower, c.out, deps)
     }
 
     /// The dependency snapshot for an AST about to be prepared: every free
@@ -622,17 +623,23 @@ impl Engine {
         Ok(self.machine.show(&v))
     }
 
+    /// [`Engine::eval_cached`] as one kept statement.
+    pub(crate) fn eval_statement(
+        &mut self,
+        key: StmtKey,
+        build: impl FnOnce(&mut Self) -> Result<Prepared, Error>,
+    ) -> Result<(Scheme, Value), Error> {
+        self.statement(Mode::Commit, |e| e.eval_cached(Mode::Commit, key, build))
+    }
+
     /// Execute a statement through the LRU statement cache: on a hit the
     /// cached compiled form runs directly; on a miss (or a stale entry)
-    /// `build` compiles a fresh [`Prepared`], which is cached as soon as
-    /// it compiles — so a statement whose run fails, or is refused inside
-    /// a read region and rerun, is compiled once. A read is not cached if
-    /// it bound or re-kinded a free variable of a global scheme (the
-    /// binding is dropped when the read ends, and a later write may fix
-    /// the variable differently) or if its scheme names a variable the
-    /// read minted (the number is reused once the read ends).
-    pub(crate) fn eval_cached(
+    /// `build` compiles a fresh [`Prepared`], which [`Engine::cache`] keeps
+    /// as soon as it compiles — so a statement whose run fails, or is
+    /// refused inside a read region and rerun, is compiled once.
+    fn eval_cached(
         &mut self,
+        mode: Mode,
         key: StmtKey,
         build: impl FnOnce(&mut Self) -> Result<Prepared, Error>,
     ) -> Result<(Scheme, Value), Error> {
@@ -647,16 +654,7 @@ impl Engine {
                 }
                 self.phases.stmt_cache_misses.inc();
                 let p = build(self)?;
-                let keep = match &self.read_types {
-                    None => true,
-                    Some((floor, _)) => {
-                        !self.cx.touched() && p.scheme().free_vars().iter().all(|v| v < floor)
-                    }
-                };
-                if keep {
-                    let evicted = self.stmts.insert(key, p.clone());
-                    self.phases.stmt_cache_evictions.add(evicted as u64);
-                }
+                self.cache(mode, key, &p);
                 p
             }
         };
@@ -664,21 +662,27 @@ impl Engine {
         Ok((p.scheme().clone(), v))
     }
 
-    fn parse_counted(&mut self, src: &str) -> Result<Expr, Error> {
+    /// Keep a statement just compiled if a later hit answers what a cold
+    /// compile would: every free variable of its scheme predates the
+    /// statement (a younger one dies with it), and a read bound or
+    /// re-kinded no older variable (that work is put back when it ends).
+    fn cache(&mut self, mode: Mode, key: StmtKey, p: &Prepared) {
+        let old = p.scheme().free_vars().iter().all(|v| *v < self.tenv.mark());
+        if old && (mode == Mode::Commit || !self.cx.touched()) {
+            let evicted = self.stmts.insert(key, p.clone());
+            self.phases.stmt_cache_evictions.add(evicted as u64);
+        }
+    }
+
+    /// Parse one complete expression: trailing input is a parse error, so a
+    /// [`crate::Database`] operand, spliced in as an AST node, can never
+    /// smuggle in another statement.
+    pub(crate) fn parse_counted(&mut self, src: &str) -> Result<Expr, Error> {
         self.phases.parses.inc();
         let span = self.tracer.span("engine.parse");
         let (ast, ps) = parse_expr_counted(src)?;
         self.note_parse(span, ps);
         Ok(ast)
-    }
-
-    /// Parse one complete expression to be spliced into a larger statement
-    /// *as an AST node* (the [`crate::Database`] facade's operands).
-    /// Trailing input is a parse error here — an operand can never smuggle
-    /// in additional statements — and typing happens once, on the
-    /// assembled statement.
-    pub(crate) fn parse_operand(&mut self, src: &str) -> Result<Expr, Error> {
-        self.parse_counted(src)
     }
 
     /// A snapshot of the pipeline counters: compilation work, statement
@@ -778,82 +782,76 @@ impl Engine {
     /// Explain always compiles fresh — a cached compilation would report
     /// zero parse and inference work — but it consults the cache first to
     /// report whether a plain [`Engine::eval_expr`] would have hit, and it
-    /// stores the fresh compilation so subsequent calls do.
+    /// keeps the fresh compilation by [`Engine::cache`]'s rule, so later
+    /// calls do.
     pub fn explain(&mut self, src: &str) -> Result<Explain, Error> {
-        let key = StmtKey::Src(src.to_string());
-        let cached_before = self.stmts.contains_valid(&key, &self.name_epochs);
-        if cached_before {
-            self.phases.stmt_cache_hits.inc();
-        } else {
-            self.phases.stmt_cache_misses.inc();
-        }
+        self.statement(Mode::Commit, |eng| {
+            let key = StmtKey::Src(src.to_string());
+            let cached_before = eng.stmts.contains_valid(&key, &eng.name_epochs);
+            if cached_before {
+                eng.phases.stmt_cache_hits.inc();
+            } else {
+                eng.phases.stmt_cache_misses.inc();
+            }
 
-        self.phases.parses.inc();
-        let span = self.tracer.span("engine.parse");
-        let (ast, ps) = parse_expr_counted(src)?;
-        let parse_ns = self.note_parse(span, ps);
+            eng.phases.parses.inc();
+            let span = eng.tracer.span("engine.parse");
+            let (ast, ps) = parse_expr_counted(src)?;
+            let parse_ns = eng.note_parse(span, ps);
 
-        let ast = Rc::new(ast);
-        let c = self.compile(
-            |cx, tenv| cx.infer_scheme(tenv, &ast),
-            |_, table, sigs| lower_statement(&ast, table, sigs),
-        );
-        self.settle();
-        let c = c?;
-        let (i, infer_ns, lower_ns) = (c.infer, c.infer_ns, c.lower_ns);
-        let p = self.prepared(Some(src.to_string()), ast.clone(), c);
-        let lower = p.lower_stats();
-        let offset_rows = polyview_trans::offset_report(p.code());
+            let ast = Rc::new(ast);
+            let c = eng.compile_expr(&ast)?;
+            let (i, infer_ns, lower_ns) = (c.infer, c.infer_ns, c.lower_ns);
+            let p = eng.prepared(Some(src.to_string()), ast.clone(), c);
+            let lower = p.lower_stats();
+            let offset_rows = polyview_trans::offset_report(p.code());
 
-        let mut span = self.tracer.span("engine.translate");
-        let (_core, ts) = polyview_trans::translate_measured(&ast);
-        span.attr("core_nodes", ts.translated_size);
-        let translate_ns = span.finish(&self.tracer);
-        self.phases.translate_ns.observe(translate_ns);
-        self.phases.translated_size.observe(ts.translated_size);
+            let mut span = eng.tracer.span("engine.translate");
+            let (_core, ts) = polyview_trans::translate_measured(&ast);
+            span.attr("core_nodes", ts.translated_size);
+            let translate_ns = span.finish(&eng.tracer);
+            eng.phases.translate_ns.observe(translate_ns);
+            eng.phases.translated_size.observe(ts.translated_size);
 
-        let (v, m, eval_ns) = self.eval_measured(p.code())?;
-        let rendered = self.machine.show(&v);
+            let (v, m, eval_ns) = eng.eval_measured(p.code())?;
+            let rendered = eng.machine.show(&v);
+            eng.cache(Mode::Commit, key, &p);
 
-        let scheme = p.scheme().clone();
-        let dep_rows = p
-            .deps()
-            .names()
-            .iter()
-            .map(|(n, at)| (n.as_str().to_string(), *at))
-            .collect();
-        let evicted = self.stmts.insert(key, p);
-        self.phases.stmt_cache_evictions.add(evicted as u64);
-
-        Ok(Explain {
-            src: src.to_string(),
-            scheme,
-            rendered,
-            cached_before,
-            deps: dep_rows,
-            parse_ns,
-            infer_ns,
-            lower_ns,
-            translate_ns,
-            eval_ns,
-            tokens: ps.tokens,
-            nodes: ps.nodes,
-            unify_steps: i.unify_steps,
-            occurs_checks: i.occurs_checks,
-            kind_merges: i.kind_merges,
-            instantiations: i.instantiations,
-            offsets_resolved: lower.offsets_resolved,
-            index_params_used: lower.index_params_used,
-            index_abstractions: lower.index_abstractions,
-            dynamic_residue: lower.dynamic_residue,
-            records_lowered: lower.records_lowered,
-            offset_rows,
-            translated_size: ts.translated_size,
-            fuel_consumed: m.fuel_consumed,
-            records_allocated: m.records_allocated,
-            sets_allocated: m.sets_allocated,
-            field_offsets_resolved: m.field_offsets_resolved,
-            dyn_field_fallbacks: m.dyn_field_fallbacks,
+            Ok(Explain {
+                src: src.to_string(),
+                scheme: p.scheme().clone(),
+                rendered,
+                cached_before,
+                deps: p
+                    .deps()
+                    .names()
+                    .iter()
+                    .map(|(n, at)| (n.as_str().to_string(), *at))
+                    .collect(),
+                parse_ns,
+                infer_ns,
+                lower_ns,
+                translate_ns,
+                eval_ns,
+                tokens: ps.tokens,
+                nodes: ps.nodes,
+                unify_steps: i.unify_steps,
+                occurs_checks: i.occurs_checks,
+                kind_merges: i.kind_merges,
+                instantiations: i.instantiations,
+                offsets_resolved: lower.offsets_resolved,
+                index_params_used: lower.index_params_used,
+                index_abstractions: lower.index_abstractions,
+                dynamic_residue: lower.dynamic_residue,
+                records_lowered: lower.records_lowered,
+                offset_rows,
+                translated_size: ts.translated_size,
+                fuel_consumed: m.fuel_consumed,
+                records_allocated: m.records_allocated,
+                sets_allocated: m.sets_allocated,
+                field_offsets_resolved: m.field_offsets_resolved,
+                dyn_field_fallbacks: m.dyn_field_fallbacks,
+            })
         })
     }
 
@@ -867,21 +865,20 @@ impl Engine {
     /// The profiler is scoped to the eval phase, so parse/infer/lower work
     /// never appears in the tree.
     pub fn profile(&mut self, src: &str) -> Result<ProfileReport, Error> {
-        let ast = self.parse_counted(src)?;
-        let p = self.prepare_parsed(Some(src.to_string()), ast)?;
-        self.machine.profile_start();
-        let r = self.eval_phase(p.code());
-        let profile = self.machine.profile_stop().unwrap_or_default();
-        let v = r?;
-        let rendered = self.machine.show(&v);
-        let class_names = self.class_names();
-        Ok(ProfileReport {
-            src: src.to_string(),
-            scheme: p.scheme().clone(),
-            rendered,
-            eval_ns: profile.total_ns(),
-            profile,
-            class_names,
+        self.statement(Mode::Commit, |eng| {
+            let p = eng.prepare_src(src)?;
+            eng.machine.profile_start();
+            let r = eng.eval_phase(p.code());
+            let profile = eng.machine.profile_stop().unwrap_or_default();
+            let rendered = eng.machine.show(&r?);
+            Ok(ProfileReport {
+                src: src.to_string(),
+                scheme: p.scheme().clone(),
+                rendered,
+                eval_ns: profile.total_ns(),
+                profile,
+                class_names: eng.class_names(),
+            })
         })
     }
 
@@ -956,18 +953,20 @@ impl Engine {
     /// statement cache: repeating the same source performs no parsing and
     /// no inference.
     pub fn eval_expr(&mut self, src: &str) -> Result<(Scheme, Value), Error> {
-        self.eval_cached(StmtKey::Src(src.to_string()), |eng| eng.prepare(src))
+        self.eval_statement(StmtKey::Src(src.to_string()), |eng| eng.prepare_src(src))
     }
 
     /// Evaluate an expression and render the result.
     ///
-    /// The expression runs as a read region first ([`Engine::read`], minus
-    /// its program fallback), so a pure one leaves no allocation behind and
-    /// keeps the extents it filled cached. One that writes earlier state
-    /// was refused before mutating and left nothing behind, so it reruns
-    /// outside a region and its effects apply exactly once. Callers that
-    /// keep the returned [`Value`]s use [`Engine::eval_expr`] or
-    /// [`Engine::run`] instead, which never reclaim.
+    /// Two statements at most, both kept. The expression runs inside a
+    /// machine read region first ([`Engine::read`], minus its program
+    /// fallback and its type-side put-back), so a pure one leaves no
+    /// allocation behind and keeps the extents it filled cached. One that
+    /// writes earlier state was refused before mutating and left nothing
+    /// behind, so it reruns outside a region and its effects apply exactly
+    /// once. Callers that keep the returned [`Value`]s use
+    /// [`Engine::eval_expr`] or [`Engine::run`] instead, which never
+    /// reclaim.
     pub fn eval_to_string(&mut self, src: &str) -> Result<String, Error> {
         let out = self.in_read_region(|e| e.eval_expr(src).map(|(_, v)| e.machine.show(&v)));
         match out {
@@ -994,33 +993,30 @@ impl Engine {
     /// so does a program containing a declaration. The caller decides
     /// what to do with such a statement (the pool sequences it as a write).
     ///
-    /// The type side is a region too: the read is checked on the settled
-    /// context, and its bindings, kinds and fresh variables are dropped
-    /// when it ends, so a weak type variable a read instantiates stays
+    /// The type side is a region too: the read is one [`Mode::Read`]
+    /// statement, so its bindings, kinds and fresh variables are dropped
+    /// when it ends, and a weak type variable a read instantiates stays
     /// free for the writes every replica applies.
     pub fn read(&mut self, src: &str) -> Result<String, Error> {
-        debug_assert!(self.cx.is_settled(), "a statement was left open");
-        self.read_types = Some((self.cx.vars_minted(), self.cx.settled_kinds()));
-        let out = self.in_read_region(|eng| match eng.eval_expr(src) {
-            Ok((_, v)) => Ok(eng.machine.show(&v)),
-            Err(Error::Parse(_)) => {
-                let decls = eng.parse_program_phase(src)?;
-                let mut lines = Vec::with_capacity(decls.len());
-                for d in &decls {
-                    let Decl::Expr(e) = d else {
-                        return Err(RuntimeError::EffectInRead.into());
-                    };
-                    let (_, v) = eng.eval_ast(e)?;
-                    lines.push(eng.machine.show(&v));
+        let key = StmtKey::Src(src.to_string());
+        self.statement(Mode::Read, |eng| {
+            eng.in_read_region(|eng| {
+                match eng.eval_cached(Mode::Read, key, |eng| eng.prepare_src(src)) {
+                    Ok((_, v)) => Ok(eng.machine.show(&v)),
+                    Err(Error::Parse(_)) => {
+                        let decls = eng.parse_program_phase(src)?;
+                        let lines = decls.iter().map(|d| match d {
+                            Decl::Expr(e) => {
+                                eng.eval_uncached(e).map(|(_, v)| eng.machine.show(&v))
+                            }
+                            _ => Err(RuntimeError::EffectInRead.into()),
+                        });
+                        Ok(lines.collect::<Result<Vec<_>, Error>>()?.join("\n"))
+                    }
+                    Err(e) => Err(e),
                 }
-                Ok(lines.join("\n"))
-            }
-            Err(e) => Err(e),
-        });
-        if let Some((next_var, kinds)) = self.read_types.take() {
-            self.cx.restore(next_var, kinds);
-        }
-        out
+            })
+        })
     }
 
     /// The one read-region bracket: run `f` between
@@ -1039,21 +1035,20 @@ impl Engine {
 
     /// Infer the principal scheme of an expression without evaluating it.
     pub fn infer_expr(&mut self, src: &str) -> Result<Scheme, Error> {
-        let e = self.parse_counted(src)?;
-        let r = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e));
-        self.settle();
-        Ok(r?.0)
+        self.statement(Mode::Commit, |eng| {
+            let e = eng.parse_counted(src)?;
+            Ok(eng.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))?.0)
+        })
     }
 
     /// Type-check and evaluate a pre-built AST (uncached; see
     /// [`Engine::prepare_expr`] for the compile-once path).
     pub fn eval_ast(&mut self, e: &Expr) -> Result<(Scheme, Value), Error> {
-        let c = self.compile(
-            |cx, tenv| cx.infer_scheme(tenv, e),
-            |_, table, sigs| lower_statement(e, table, sigs),
-        );
-        self.settle();
-        let c = c?;
+        self.statement(Mode::Commit, |eng| eng.eval_uncached(e))
+    }
+
+    fn eval_uncached(&mut self, e: &Expr) -> Result<(Scheme, Value), Error> {
+        let c = self.compile_expr(e)?;
         let v = self.eval_phase(&c.code)?;
         Ok((c.out, v))
     }
@@ -1089,7 +1084,7 @@ impl Engine {
             Decl::Fun(defs) => self.exec_fun(defs),
             Decl::Classes(binds) => self.exec_classes(binds),
             Decl::Expr(e) => {
-                let (scheme, v) = self.eval_ast(e)?;
+                let (scheme, v) = self.eval_uncached(e)?;
                 Ok(Outcome::Value {
                     scheme,
                     rendered: self.machine.show(&v),
@@ -1286,17 +1281,17 @@ impl Engine {
     /// a pure core-language term (type-checked first). For the cached
     /// equivalent, use [`Engine::prepare`] + [`Prepared::translation`].
     pub fn translate_expr(&mut self, src: &str) -> Result<Expr, Error> {
-        let e = self.parse_counted(src)?;
-        let r = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e));
-        self.settle();
-        r?;
-        let mut span = self.tracer.span("engine.translate");
-        let (core, ts) = polyview_trans::translate_measured(&e);
-        span.attr("core_nodes", ts.translated_size);
-        let dur = span.finish(&self.tracer);
-        self.phases.translate_ns.observe(dur);
-        self.phases.translated_size.observe(ts.translated_size);
-        Ok(core)
+        self.statement(Mode::Commit, |eng| {
+            let e = eng.parse_counted(src)?;
+            eng.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))?;
+            let mut span = eng.tracer.span("engine.translate");
+            let (core, ts) = polyview_trans::translate_measured(&e);
+            span.attr("core_nodes", ts.translated_size);
+            let dur = span.finish(&eng.tracer);
+            eng.phases.translate_ns.observe(dur);
+            eng.phases.translated_size.observe(ts.translated_size);
+            Ok(core)
+        })
     }
 }
 

@@ -80,7 +80,6 @@ pub struct Prepared {
     lower: LowerStats,
     scheme: Scheme,
     deps: Deps,
-    env_epoch: u64,
     translation: OnceCell<Rc<Expr>>,
 }
 
@@ -92,7 +91,6 @@ impl Prepared {
         lower: LowerStats,
         scheme: Scheme,
         deps: Deps,
-        env_epoch: u64,
     ) -> Self {
         Prepared {
             src,
@@ -101,7 +99,6 @@ impl Prepared {
             lower,
             scheme,
             deps,
-            env_epoch,
             translation: OnceCell::new(),
         }
     }
@@ -145,25 +142,11 @@ impl Prepared {
         self.deps.is_fresh(name_epochs)
     }
 
-    /// The global declaration epoch this statement was compiled under
-    /// (observability; staleness is decided by [`Prepared::deps`]).
-    pub fn env_epoch(&self) -> u64 {
-        self.env_epoch
-    }
-
     /// The paper's Figs. 3/5 translation of the statement into the pure
     /// core language, computed on first request and cached.
     pub fn translation(&self) -> &Expr {
         self.translation
             .get_or_init(|| Rc::new(polyview_trans::translate(&self.ast)))
-    }
-
-    /// Read/write classification of the compiled statement
-    /// ([`crate::classify::classify_expr`]): a serving pool routes `Read`
-    /// statements to any replica and sequences `Write` statements through
-    /// its declaration log.
-    pub fn class(&self) -> crate::classify::StmtClass {
-        crate::classify::classify_expr(&self.ast)
     }
 }
 
@@ -262,6 +245,15 @@ impl StmtCache {
         self.tick += 1;
         self.map.insert(key, (self.tick, p));
         evicted
+    }
+
+    /// Drop every entry whose scheme has a free variable, returning how
+    /// many went (DESIGN.md §12).
+    pub fn evict_open(&mut self) -> usize {
+        let before = self.map.len();
+        self.map
+            .retain(|_, (_, p)| p.scheme().free_vars().is_empty());
+        before - self.map.len()
     }
 
     pub fn len(&self) -> usize {
@@ -468,7 +460,6 @@ mod tests {
             LowerStats::default(),
             Scheme::mono(polyview_syntax::Mono::int()),
             Deps::new(deps.into_iter().map(|(n, e)| (Label::new(n), e)).collect()),
-            0,
         )
     }
 

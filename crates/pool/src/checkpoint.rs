@@ -5,10 +5,9 @@
 //! after applying the log prefix `[0, offset)`. Replay is deterministic
 //! and reads run as regions that leave no trace in the machine
 //! ([`polyview::Engine::read`]), so *which* worker took it does not
-//! matter — every replica at `offset` has a byte-identical machine
-//! section, whatever reads it served (the type side may still differ in
-//! inference bookkeeping such as its fresh-variable counter) — and one
-//! shared slot holding the newest checkpoint serves the whole pool:
+//! matter — every replica at `offset` encodes to the same snapshot bytes,
+//! type side included, whatever reads it served — and one shared slot
+//! holding the newest checkpoint serves the whole pool:
 //!
 //! * a respawned (or newly added) worker restores the checkpointed engine
 //!   and replays only the log tail `[offset, head)` instead of the whole

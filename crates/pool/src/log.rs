@@ -3,11 +3,16 @@
 //! Every write (`val`/`fun`/`class` declaration, `insert`/`delete`,
 //! `update`) is appended here exactly once — at submit time, or by the
 //! serving replica when it promotes a read — and replayed by every replica
-//! in offset order. Because the engine pipeline is
-//! deterministic ([`polyview::Engine::replay`]), replicas that have applied
-//! the same prefix of the log are in identical states — same `env_epoch`,
-//! same top-level bindings, extents that render identically — regardless of
-//! how many reads each has served in between.
+//! in offset order, each entry through [`polyview::Engine::exec`].
+//!
+//! Replay is deterministic: the engine pipeline has no hidden
+//! nondeterminism, so replicas that have applied the same entries in the
+//! same order are in identical states — same `env_epoch`, same top-level
+//! bindings and schemes, extents that render identically — regardless of
+//! how many reads each has served in between. An entry that fails (parse,
+//! type or runtime error) fails alike on every replica, so its error is
+//! counted (`replay_errors`), not propagated: replicas that accepted the
+//! log's order never diverge on error handling.
 //!
 //! The log is append-only at the head and **truncatable at the tail**:
 //! once every replica is past an offset *and* a checkpoint at or above it

@@ -439,8 +439,8 @@ impl Worker {
 
     /// Replay log entries until `applied >= upto`. Entry errors are
     /// deterministic across replicas (same entry, same engine state), so
-    /// they are counted, never propagated — exactly
-    /// [`polyview::Engine::replay`]'s contract, incrementalized.
+    /// they are counted, never propagated — the replay contract of
+    /// [`crate::log`], incrementalized.
     fn catch_up(&mut self, upto: u64) {
         while self.applied < upto && self.replay_next().is_some() {}
     }

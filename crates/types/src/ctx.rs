@@ -6,7 +6,8 @@
 //! variables); [`Infer::resolve`] applies it exhaustively.
 //!
 //! A context holds one statement's work: variables below its *floor*
-//! predate the statement, and [`crate::TypeEnv::settle`] ends it.
+//! predate the statement, which ends with the counter back at
+//! [`crate::TypeEnv::mark`], committed or put back.
 
 use crate::table::{NodeId, TypeTable};
 use polyview_syntax::{FieldReq, Kind, Mono, Scheme, TyVar};
@@ -95,8 +96,8 @@ impl Infer {
     }
 
     /// Make this a settled context: no substitution, exactly `kinds`, and
-    /// `next_var` as the counter and the next statement's floor. Settling,
-    /// ending a read and restoring a snapshot all go through here.
+    /// `next_var` as the counter and the next statement's floor. Committing,
+    /// putting back and restoring a snapshot all go through here.
     pub fn restore(&mut self, next_var: TyVar, kinds: impl IntoIterator<Item = (TyVar, Kind)>) {
         self.next_var = next_var;
         self.floor = next_var;
@@ -240,11 +241,6 @@ impl Infer {
                 }
             }
         }
-    }
-
-    /// Number of fresh variables minted so far (diagnostics / benches).
-    pub fn vars_minted(&self) -> u32 {
-        self.next_var
     }
 
     /// Snapshot of the inference work counters.
@@ -399,7 +395,7 @@ mod tests {
     fn with_older(k: Kind) -> (Infer, TyVar) {
         let mut cx = Infer::new();
         let old = cx.fresh_var_id();
-        cx.restore(cx.vars_minted(), [(old, k)]);
+        cx.restore(old + 1, [(old, k)]);
         (cx, old)
     }
 

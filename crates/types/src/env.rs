@@ -12,6 +12,9 @@ pub struct TypeEnv {
     /// Globals whose schemes have free (weak) variables.
     open: HashSet<Name>,
     scope: Vec<(Name, Scheme)>,
+    /// One past the highest variable a defined scheme has named: where
+    /// every statement's counter starts and ends (DESIGN.md §10).
+    mark: TyVar,
 }
 
 impl TypeEnv {
@@ -22,7 +25,10 @@ impl TypeEnv {
     /// Install a top-level binding (builtin or `val`-defined).
     pub fn define_global(&mut self, name: impl Into<Name>, s: Scheme) {
         let name = name.into();
-        if s.free_vars().is_empty() {
+        let free = s.free_vars();
+        let named = free.iter().chain(s.binders.iter().map(|(v, _)| v));
+        self.raise_mark(named.map(|v| v + 1).max().unwrap_or(0));
+        if free.is_empty() {
             self.open.remove(&name);
         } else {
             self.open.insert(name.clone());
@@ -67,9 +73,19 @@ impl TypeEnv {
             .collect()
     }
 
-    /// End a statement that keeps its effects (DESIGN.md §10): resolve the
-    /// global schemes, keep only the kinds of variables free in them, and
-    /// clear the substitution. Only the open globals are walked, so the
+    /// No global scheme or settled kind names a variable at or above this.
+    pub fn mark(&self) -> TyVar {
+        self.mark
+    }
+
+    /// Raise the mark to at least `past` (a restored snapshot's counter).
+    pub fn raise_mark(&mut self, past: TyVar) {
+        self.mark = self.mark.max(past);
+    }
+
+    /// Commit a statement (DESIGN.md §10): resolve the global schemes, keep
+    /// only the kinds of variables free in them, raise the mark past those,
+    /// and clear the substitution. Only the open globals are walked, so the
     /// cost follows them, not the session's length.
     pub fn settle(&mut self, cx: &mut Infer) {
         let mut kinds = BTreeMap::new();
@@ -81,6 +97,7 @@ impl TypeEnv {
             }
             let free = scheme_free_vars(cx, s);
             for &v in &free {
+                self.mark = self.mark.max(v + 1);
                 let k = cx.resolve_kind(&cx.kind_of(v));
                 if !k.is_univ() {
                     kinds.insert(v, k);
@@ -88,7 +105,7 @@ impl TypeEnv {
             }
             !free.is_empty()
         });
-        cx.restore(cx.vars_minted(), kinds);
+        cx.restore(self.mark, kinds);
     }
 
     /// Iterate over the global bindings (for documentation / listing).

@@ -41,6 +41,34 @@ echo "==> polybench: builds offline and its smoke run passes"
 # every workload at 1% of its ops, untraced and traced.
 polybench/smoke.sh
 
+echo "==> polybench counter gate: seed-1 work counters equal the committed ones"
+# Deterministic per-op work counters (ROADMAP item 5): a seed-1 traced run
+# of the two in-process workloads must reproduce them exactly, so a change
+# that moves parse, inference, lowering or evaluation work fails here with
+# no timing noise. write_churn and wire_views are left out: their two
+# concurrent clients interleave differently from run to run. When a change
+# moves a counter on purpose, update its constant here and say why in
+# CHANGES.md.
+bench_bin="${CARGO_TARGET_DIR:-polybench/target}/release/polybench"
+for gate in \
+    "adhoc_compile 92.7852 2.2868 1.402 41.0832 1.5436 10.1816 5.2516" \
+    "extent_storm 1221.2628 7.4368 0 0.6216 0 0.2072 0"; do
+    read -r workload want <<<"$gate"
+    "$bench_bin" --workload "$workload" --seed 1 --ops 20000 --trace 1 | tail -n 1 \
+        | python3 -c '
+import json, sys
+workload, want = sys.argv[1], [float(x) for x in sys.argv[2].split()]
+names = ["eval.fuel_per_op", "eval.records_per_op", "eval.sets_per_op",
+         "types.unify_steps_per_op", "types.kind_merges_per_op",
+         "types.instantiations_per_op", "trans.offsets_resolved_per_op"]
+metrics = json.loads(sys.stdin.read())["metrics"]
+got = [metrics[n]["value"] for n in names]
+bad = [f"{n}: {g} != {w}" for n, g, w in zip(names, got, want) if g != w]
+assert not bad, f"{workload} counters moved: " + "; ".join(bad)
+print(f"  {workload}: all {len(names)} counters equal the committed ones")
+' "$workload" "$want"
+done
+
 echo "==> dependency hygiene: crates/obs declares no dependencies at all"
 # The observability crate must stay std-only (DESIGN.md §9/§11): not even
 # path dependencies, so it can never grow a transitive external edge.

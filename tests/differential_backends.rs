@@ -203,7 +203,7 @@ const SESSIONS: &[&[(&str, &str)]] = &[
         ("1 + \"no\"", "error: type error: type mismatch: int vs string"),
         (
             "query(fn x => x.A, 3)",
-            "error: type error: type mismatch: int vs obj(t3)",
+            "error: type error: type mismatch: int vs obj(t0)",
         ),
     ],
 ];

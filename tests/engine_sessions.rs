@@ -176,3 +176,69 @@ fn fuel_limited_engine_reports_exhaustion_not_crash() {
     let mut e2 = Engine::new();
     assert_eq!(e2.eval_to_string("1 + 1").expect("runs"), "2");
 }
+
+/// `val f = (fn x => x)(fn y => y);` is not a value, so `f : t -> t` with
+/// `t` weak: free in `f`'s scheme until a statement fixes it.
+const WEAK_F: &str = "val f = (fn x => x)(fn y => y);";
+
+/// A declaration the type checker rejects leaves the type state as it
+/// found it: the weak variable its inference bound before failing is
+/// still free, so a later statement may fix it another way.
+#[test]
+fn a_rejected_declaration_leaves_weak_variables_free() {
+    let mut e = Engine::new();
+    e.exec(WEAK_F).expect("weak f");
+    let weak = e.scheme_of("f").expect("f");
+    assert_eq!(weak.free_vars().len(), 1, "{weak}");
+    let err = e
+        .exec("val z = (f(1), f(true));")
+        .expect_err("f cannot be both");
+    assert!(err.is_type_error(), "got {err:?}");
+    assert_eq!(e.scheme_of("f"), Some(weak), "f is still weak");
+    assert_eq!(e.read("f(true)").expect("types"), "true");
+    let out = e.exec("val z = f(true);").expect("fixes f");
+    assert!(matches!(&out[0], Outcome::Defined(b) if b[0].1.to_string() == "bool"));
+    assert_eq!(e.scheme_of("f").expect("f").to_string(), "bool -> bool");
+}
+
+/// A cached statement whose scheme names a weak variable is dropped when a
+/// later statement fixes that variable: a hit answers what a cold compile
+/// would.
+#[test]
+fn a_cached_scheme_follows_the_write_that_fixes_its_weak_variable() {
+    let mut e = Engine::new();
+    e.exec(WEAK_F).expect("weak f");
+    let (before, _) = e.eval_expr("f").expect("f");
+    assert_eq!(before.free_vars().len(), 1, "{before}");
+    e.exec("val z = f(true);").expect("fixes f");
+    let (after, _) = e.eval_expr("f").expect("f");
+    assert_eq!(after.to_string(), "bool -> bool");
+    let mut cold = Engine::new();
+    cold.set_stmt_cache_capacity(0);
+    cold.exec(WEAK_F).expect("weak f");
+    cold.eval_expr("f").expect("f");
+    cold.exec("val z = f(true);").expect("fixes f");
+    assert_eq!(cold.eval_expr("f").expect("f").0, after);
+}
+
+/// A statement whose evaluation started keeps its type work even when it
+/// then fails: its effects are already in the machine, so the types must
+/// describe them.
+#[test]
+fn a_statement_that_fails_while_running_keeps_its_type_work() {
+    let names = "cquery(fn s => map(fn o => query(fn x => x.A, o), s), C)";
+    let failing = "let u = insert(C, IDView([A = 1])) in 1 / 0 end";
+    for through_exec in [false, true] {
+        let mut e = Engine::new();
+        e.exec("class C = class {} end;").expect("class");
+        let err = if through_exec {
+            e.exec(&format!("{failing};")).map(drop)
+        } else {
+            e.eval_expr(failing).map(drop)
+        }
+        .expect_err("divides by zero");
+        assert!(err.is_runtime_error(), "got {err:?}");
+        assert_eq!(e.scheme_of("C").expect("C").to_string(), "class([A = int])");
+        assert_eq!(e.eval_to_string(names).expect("typed"), "{1}");
+    }
+}

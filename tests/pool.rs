@@ -473,6 +473,48 @@ fn a_read_through_a_weak_type_variable_keeps_replicas_identical() {
     pool.shutdown();
 }
 
+/// A write the type checker rejects changes no replica's types. `val tags`
+/// gives the empty class `C0` a `Tag` requirement; worker 0 then serves
+/// (and caches) a read that relies on it. The insert of a record without
+/// `Tag` is rejected on every replica and leaves the requirement in place,
+/// so the replica with the cached read and the one without still answer
+/// alike, and a record with `Tag` still goes in.
+#[test]
+fn a_rejected_write_leaves_every_replica_typed_alike() {
+    let tags = "cquery(fn s => map(fn o => query(fn x => x.Tag ^ \"!\", o), s), C0)";
+    let mut pool = small_pool(2);
+    pool.run(1, "class C0 = class {} end;").expect("class");
+    pool.run(1, &format!("val tags = {tags};")).expect("tags");
+    pool.barrier().expect("barrier");
+    assert_eq!(pool.probe_worker(0, tags).expect("read"), "{}");
+    let err = pool
+        .run(1, "insert(C0, IDView([Name = \"n1\", Salary := 410]));")
+        .expect_err("C0 needs a Tag");
+    assert!(err.is_type(), "got {err:?}");
+    pool.barrier().expect("barrier");
+    for w in 0..pool.worker_count() {
+        assert_eq!(
+            pool.probe_worker(w, tags).expect("typed"),
+            "{}",
+            "replica {w}"
+        );
+    }
+    pool.run(1, "insert(C0, IDView([Tag = \"t\"]))")
+        .expect("a Tag record fits");
+    pool.barrier().expect("barrier");
+    for w in 0..pool.worker_count() {
+        assert_eq!(
+            pool.probe_worker(w, tags).expect("typed"),
+            "{\"t!\"}",
+            "replica {w}"
+        );
+    }
+    let stats = pool.stats();
+    let errors: Vec<u64> = stats.per_worker.iter().map(|w| w.replay_errors).collect();
+    assert_eq!(errors, vec![1, 1]);
+    pool.shutdown();
+}
+
 /// A write lost in flight was sequenced *before* it was enqueued, so the
 /// respawned worker replays it from the log: the error carries the offset
 /// (`sequenced: Some(_)`) and the caller must NOT resubmit — the effect

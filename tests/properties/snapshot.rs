@@ -13,7 +13,9 @@
 //!   statements snapshots to the same bytes as one that served none;
 //! * the live engine is the one its snapshot restores: after every
 //!   statement, whichever entry point ran it, both take the next
-//!   statement to the same bytes and answer reads alike.
+//!   statement to the same bytes and answer reads alike;
+//! * the statement cache cannot be seen: an engine with it and one without
+//!   it agree on every outcome, scheme, epoch and read.
 
 use crate::common::{cases_where, sized_cases, Gen};
 use polyview::Engine;
@@ -256,19 +258,18 @@ fn apply(e: &mut Engine, stmt: &str, entry: u64) {
 /// restored from the snapshot takes the next statement (through the same,
 /// randomly chosen entry point) to the same snapshot bytes, and answers a
 /// random read (some binding `C0`'s weak element type) the same way. The
-/// statement cache is not in the snapshot, and a hit skips the inference
-/// (and the fresh variables) a cold engine spends, so a statement seen
-/// before goes through `exec`, which never consults the cache.
+/// restored engine starts with a cold statement cache, so a statement the
+/// live engine has seen before is a hit on one side and a compile on the
+/// other.
 #[test]
 fn the_live_engine_is_the_one_its_snapshot_restores() {
     sized_cases(24, 3..16, |g, len| {
         let session = gen_session(g, len);
         let mut live = Engine::new();
         live.load_prelude().expect("prelude");
-        let mut seen = std::collections::HashSet::new();
         for stmt in &session.stmts {
             let mut restored = Engine::from_snapshot(&live.snapshot()).expect("snapshot decodes");
-            let entry = if seen.insert(stmt) { g.below(4) } else { 0 };
+            let entry = g.below(4);
             apply(&mut live, stmt, entry);
             apply(&mut restored, stmt, entry);
             assert_eq!(
@@ -284,6 +285,96 @@ fn the_live_engine_is_the_one_its_snapshot_restores() {
                 restored.read(&read),
                 live.read(&read),
                 "the read {read} after {stmt} through entry {entry}"
+            );
+        }
+    });
+}
+
+/// The names `e` has declared.
+fn in_scope<'a>(e: &Engine, names: &'a [String]) -> Vec<&'a String> {
+    names.iter().filter(|n| e.scheme_of(n).is_some()).collect()
+}
+
+/// Run `stmt` through the entry point `entry` picks, as [`apply`] does, and
+/// render what it gave: its outcomes, its value, or its error, with the
+/// scheme `eval_expr` returned.
+fn observe(e: &mut Engine, stmt: &str, entry: u64) -> String {
+    let decl = stmt.ends_with(';');
+    let out = match if decl { 0 } else { entry } {
+        0 => e.exec(stmt).map(|out| format!("{out:?}")),
+        1 => e.eval_to_string(stmt),
+        2 => e
+            .eval_expr(stmt)
+            .map(|(s, v)| format!("{} : {s}", e.show(&v))),
+        _ => e.prepare(stmt).and_then(|p| e.run_to_string(&p)),
+    };
+    out.unwrap_or_else(|err| format!("error: {err}"))
+}
+
+/// The statement cache cannot be seen. An engine with the default cache
+/// and one with none run a random session through the same random entry
+/// points, with a weak function `w` declared first. Between statements
+/// they also run, as statements, an earlier expression statement again or
+/// a read, so hits happen, and some statements fix or re-kind a weak
+/// variable (`C0`'s element type, `w`'s type) that cached schemes name,
+/// or are rejected after binding one. Both engines agree on every
+/// outcome, every declared name's scheme and epoch, and the answer to a
+/// random read after each statement. Machine bytes are not compared: the
+/// snapshot encoder shares a hit's code by pointer.
+#[test]
+fn the_statement_cache_cannot_be_seen() {
+    sized_cases(48, 3..16, |g, len| {
+        let session = gen_session(g, len);
+        let mut cached = Engine::new();
+        let mut cold = Engine::new();
+        cold.set_stmt_cache_capacity(0);
+        let weak = "val w = (fn x => x)(fn y => y);".to_string();
+        let mut names = session.names.clone();
+        names.push("w".to_string());
+        for e in [&mut cached, &mut cold] {
+            e.load_prelude().expect("prelude");
+            e.exec(&weak).expect("weak w");
+        }
+        let mut exprs: Vec<String> = Vec::new();
+        for stmt in &session.stmts {
+            let mut s = stmt.clone();
+            for extra in 0..=g.below(3) {
+                if extra > 0 {
+                    let (classes, known) =
+                        (in_scope(&cold, &session.classes), in_scope(&cold, &names));
+                    s = match g.below(4) {
+                        0 if !exprs.is_empty() => exprs[g.pick(exprs.len())].clone(),
+                        1 => ["w", "w(1)", "w(true)", "(w, C0)"][g.pick(4)].to_string(),
+                        _ => gen_read(g, &classes, &known),
+                    };
+                }
+                let entry = g.below(4);
+                assert_eq!(
+                    observe(&mut cached, &s, entry),
+                    observe(&mut cold, &s, entry),
+                    "{s} through entry {entry}"
+                );
+                if !s.ends_with(';') {
+                    exprs.push(s.clone());
+                }
+            }
+            for name in in_scope(&cold, &names) {
+                assert_eq!(cached.name_epoch(name), cold.name_epoch(name), "{name}");
+                assert_eq!(
+                    cached.scheme_of(name),
+                    cold.scheme_of(name),
+                    "scheme of {name} after {stmt}"
+                );
+            }
+            let read = gen_read(
+                g,
+                &in_scope(&cold, &session.classes),
+                &in_scope(&cold, &names),
+            );
+            assert_eq!(
+                cached.read(&read),
+                cold.read(&read),
+                "the read {read} after {stmt}"
             );
         }
     });
