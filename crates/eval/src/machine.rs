@@ -390,11 +390,14 @@ impl Machine {
                 .or_else(|| self.globals.get(x))
                 .cloned()
                 .ok_or_else(|| RuntimeError::Unbound(x.clone())),
-            Expr::App(f, a) => {
-                let vf = self.eval_in(f, env)?;
-                let va = self.eval_in(a, env)?;
-                self.apply(vf, va)
-            }
+            Expr::App(f, a) => match &**f {
+                Expr::App(g, x) if self.profiler.is_none() => self.eval_app2(g, x, a, env),
+                _ => {
+                    let vf = self.eval_in(f, env)?;
+                    let va = self.eval_in(a, env)?;
+                    self.apply(vf, va)
+                }
+            },
             Expr::Let(x, rhs, body) => {
                 let v = self.eval_in(rhs, env)?;
                 let env2 = env.bind(x.clone(), v);
@@ -577,12 +580,14 @@ impl Machine {
                 })))
             }
             Expr::SetLit(es) => {
-                let mut elems = Vec::with_capacity(es.len());
+                // The first occurrence of a key wins, as in `from_elems`.
+                let mut elems = SetMap::new();
                 for e in es {
-                    elems.push(self.eval_in(e, env)?);
+                    let v = self.eval_in(e, env)?;
+                    elems.entry(v.key()).or_insert(v);
                 }
                 self.stats.sets_allocated += 1;
-                Ok(Value::Set(SetVal::from_elems(elems)))
+                Ok(Value::Set(SetVal(Rc::new(elems))))
             }
             Expr::Union(a, b) => {
                 let va = self.eval_in(a, env)?;
@@ -846,25 +851,103 @@ impl Machine {
         self.burn()?;
         match f {
             Value::Closure(c) => {
-                let mut env = c.env.clone();
-                if let Some(fx) = &c.fix_name {
-                    env = env.bind(fx.clone(), Value::Closure(c.clone()));
-                }
-                let env = env.bind(c.param.clone(), arg);
+                let env = Self::call_env(&c, arg);
                 self.eval_in(&c.body, &env)
             }
             Value::Builtin(b) => {
-                let mut nb = (*b).clone();
-                nb.args.push(arg);
-                if nb.args.len() == nb.arity {
-                    (nb.f)(&nb.args)
-                } else {
-                    nb.id = self.fresh_id();
-                    Ok(Value::Builtin(Rc::new(nb)))
+                if b.args.len() + 1 == b.arity {
+                    return match &b.args[..] {
+                        [] => (b.f)(&[arg]),
+                        [x] => (b.f)(&[x.clone(), arg]),
+                        more => {
+                            let mut args = more.to_vec();
+                            args.push(arg);
+                            (b.f)(&args)
+                        }
+                    };
                 }
+                let mut args = Vec::with_capacity(b.args.len() + 1);
+                args.extend(b.args.iter().cloned());
+                args.push(arg);
+                Ok(Value::Builtin(Rc::new(Builtin {
+                    id: self.fresh_id(),
+                    name: b.name,
+                    arity: b.arity,
+                    args,
+                    f: b.f,
+                })))
             }
             other => Err(RuntimeError::NotAFunction(other.shape())),
         }
+    }
+
+    /// The environment a closure's body runs in when applied to `arg`:
+    /// its captured environment, the closure itself under its `fix` name,
+    /// and the parameter.
+    fn call_env(c: &Rc<Closure>, arg: Value) -> Env {
+        let mut env = c.env.clone();
+        if let Some(fx) = &c.fix_name {
+            env = env.bind(fx.clone(), Value::Closure(c.clone()));
+        }
+        env.bind(c.param.clone(), arg)
+    }
+
+    /// `g x a` — an application whose function is itself an application —
+    /// with the inner App node's charge taken here (DESIGN.md §13).
+    #[inline(never)]
+    fn eval_app2(
+        &mut self,
+        g: &Expr,
+        x: &Expr,
+        a: &Expr,
+        env: &Env,
+    ) -> Result<Value, RuntimeError> {
+        self.burn()?;
+        let vg = self.eval_in(g, env)?;
+        let vx = self.eval_in(x, env)?;
+        self.apply2(vg, vx, |m| m.eval_in(a, env))
+    }
+
+    /// `apply(apply(f, x), a())` without building the value in between
+    /// when `f` is a closure whose body is a `λ` or a binary builtin with
+    /// no arguments yet (DESIGN.md §13). Every observable effect is the
+    /// generic path's, in its order: each `burn`, the identity the
+    /// intermediate closure or partial application would have been minted
+    /// with (before `a` runs), and the bindings the body sees. While a
+    /// profiler runs, the generic path is taken, so attribution sees the
+    /// intermediate value's frames.
+    fn apply2(
+        &mut self,
+        f: Value,
+        x: Value,
+        a: impl FnOnce(&mut Self) -> Result<Value, RuntimeError>,
+    ) -> Result<Value, RuntimeError> {
+        if self.profiler.is_none() {
+            match &f {
+                Value::Closure(c) => {
+                    if let Expr::Lam(y, body) = &*c.body {
+                        self.burn()?; // apply f to x
+                        let env = Self::call_env(c, x);
+                        self.burn()?; // the λ node
+                        self.fresh_id(); // the inner closure's id
+                        let va = a(self)?;
+                        self.burn()?; // apply the inner closure to a
+                        return self.eval_in(body, &env.bind(y.clone(), va));
+                    }
+                }
+                Value::Builtin(b) if b.arity == 2 && b.args.is_empty() => {
+                    self.burn()?; // apply f to x
+                    self.fresh_id(); // the partial application's id
+                    let va = a(self)?;
+                    self.burn()?; // apply the partial application to a
+                    return (b.f)(&[x, va]);
+                }
+                _ => {}
+            }
+        }
+        let vf = self.apply(f, x)?;
+        let va = a(self)?;
+        self.apply(vf, va)
     }
 
     /// `hom(S, f, op, z) = op(f(e1), op(f(e2), … op(f(en), z)…))`,
@@ -873,8 +956,7 @@ impl Machine {
         let mut acc = z;
         for e in s.values().rev() {
             let fe = self.apply(f.clone(), e.clone())?;
-            let partial = self.apply(op.clone(), fe)?;
-            acc = self.apply(partial, acc)?;
+            acc = self.apply2(op.clone(), fe, move |_| Ok(acc))?;
         }
         Ok(acc)
     }
@@ -889,8 +971,14 @@ impl Machine {
         let mut out = SetMap::new();
         for e in s.values().rev() {
             let fe = self.apply(f.clone(), e.clone())?;
-            for (k, v) in fe.as_set()?.0.iter() {
-                out.insert(k.clone(), v.clone());
+            let Value::Set(SetVal(elems)) = fe else {
+                return Err(RuntimeError::NotASet(fe.shape()));
+            };
+            match Rc::try_unwrap(elems) {
+                Ok(owned) => out.extend(owned),
+                Err(shared) => {
+                    out.extend(shared.iter().map(|(k, v)| (k.clone(), v.clone())));
+                }
             }
         }
         self.stats.sets_allocated += 1;

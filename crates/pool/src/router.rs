@@ -487,15 +487,20 @@ impl Pool {
     /// Hold `worker` inside a `Pause` request until the returned gate is
     /// dropped. While paused, the worker dequeues nothing, so submissions
     /// to it observe real [`Submit::Full`] backpressure — the hook the
-    /// tier-1 backpressure test and the example server use. (The pause
-    /// request itself is sent blocking, so it always lands.)
+    /// tier-1 backpressure test and the example server use. Returns once
+    /// the worker has dequeued the request, so the whole queue is free
+    /// for the caller to fill; a worker that dies first is
+    /// [`PoolError::WorkerLost`]. Pausing a worker that is already paused
+    /// blocks until its first gate is released.
     pub fn pause_worker(&mut self, worker: usize) -> Result<WorkerGate, PoolError> {
         self.supervise();
         let (gtx, grx) = channel();
-        if self
-            .blocking_send(worker, Request::Pause { gate: grx })
-            .is_err()
-        {
+        let (atx, arx) = sync_channel(1);
+        let pause = Request::Pause {
+            ack: atx,
+            gate: grx,
+        };
+        if self.blocking_send(worker, pause).is_err() || arx.recv().is_err() {
             return Err(PoolError::WorkerLost { sequenced: None });
         }
         Ok(WorkerGate { _tx: gtx })

@@ -70,9 +70,13 @@ pub(crate) enum Request {
     Barrier { upto: u64, reply: SyncSender<u64> },
     /// Reply with a full observability report.
     Stats { reply: SyncSender<WorkerReport> },
-    /// Block until the gate's sender is dropped — a deterministic way to
-    /// hold a worker busy (backpressure tests, demos).
-    Pause { gate: Receiver<()> },
+    /// Send on `ack`, then block until the gate's sender is dropped — a
+    /// deterministic way to hold a worker busy (backpressure tests, demos).
+    /// The ack tells the sender the request has left the queue.
+    Pause {
+        ack: SyncSender<()>,
+        gate: Receiver<()>,
+    },
     /// Panic on purpose (supervision tests).
     Crash,
     /// Exit the serve loop (queue disconnection does the same).
@@ -285,8 +289,9 @@ pub(crate) fn worker_main(
             Request::Stats { reply } => {
                 let _ = reply.try_send(w.report(index, generation));
             }
-            Request::Pause { gate } => {
+            Request::Pause { ack, gate } => {
                 // Held until the router-side WorkerGate drops its sender.
+                let _ = ack.send(());
                 let _ = gate.recv();
             }
             Request::Crash => panic!("pool worker {index}: injected crash"),

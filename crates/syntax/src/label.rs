@@ -6,17 +6,22 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A record label (also used for the numeric labels `1`, `2`, … of tuples).
 ///
 /// Cheap to clone; equality, ordering and hashing are by the label text.
+/// The text is shared through an `Rc`, not an `Arc`: evaluation clones a
+/// name on every environment binding, and a non-atomic count makes that
+/// clone an ordinary increment. So names, and the terms, types and values
+/// that hold them, are not `Send`. An engine lives on one thread; threads
+/// exchange statement text and rendered results, never terms.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Label(Arc<str>);
+pub struct Label(Rc<str>);
 
 impl Label {
     pub fn new(s: impl AsRef<str>) -> Self {
-        Label(Arc::from(s.as_ref()))
+        Label(Rc::from(s.as_ref()))
     }
 
     /// The numeric label `n`, used for tuple fields (`τ1 × τ2` is

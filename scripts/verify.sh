@@ -43,16 +43,18 @@ polybench/smoke.sh
 
 echo "==> polybench counter gate: seed-1 work counters equal the committed ones"
 # Deterministic per-op work counters (ROADMAP item 5): a seed-1 traced run
-# of the two in-process workloads must reproduce them exactly, so a change
-# that moves parse, inference, lowering or evaluation work fails here with
-# no timing noise. write_churn and wire_views are left out: their two
-# concurrent clients interleave differently from run to run. When a change
-# moves a counter on purpose, update its constant here and say why in
-# CHANGES.md.
+# of three workloads must reproduce them exactly, so a change that moves
+# parse, inference, lowering or evaluation work fails here with no timing
+# noise. wire_views has two concurrent clients, but its counters repeated
+# exactly in 10 of 10 seed-1 runs. write_churn is left out: half its ops
+# are writes, and its counters depend on how its clients interleave. When
+# a change moves a counter on purpose, update its constant here and say
+# why in CHANGES.md.
 bench_bin="${CARGO_TARGET_DIR:-polybench/target}/release/polybench"
 for gate in \
     "adhoc_compile 92.7852 2.2868 1.402 41.0832 1.5436 10.1816 5.2516" \
-    "extent_storm 1221.2628 7.4368 0 0.6216 0 0.2072 0"; do
+    "extent_storm 1221.2628 7.4368 0 0.6216 0 0.2072 0" \
+    "wire_views 3462.5548 90.84 91.7484 0.7792 0 0.2384 0.0552"; do
     read -r workload want <<<"$gate"
     "$bench_bin" --workload "$workload" --seed 1 --ops 20000 --trace 1 | tail -n 1 \
         | python3 -c '
