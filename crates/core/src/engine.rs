@@ -47,14 +47,20 @@ pub enum Outcome {
     Value { scheme: Scheme, rendered: String },
 }
 
-/// Handles into the engine's metrics registry, resolved once at
-/// construction so the hot paths pay one relaxed atomic update per event
-/// and never hash a metric name. [`PhaseMetrics::new`] is the one place
+/// The engine's metrics registry and the handles resolved from it at
+/// construction, so the hot paths pay one relaxed atomic update per event
+/// and never hash a metric name. [`EngineMetrics::new`] is the one place
 /// an engine metric is named. The registry is live: the `types.*` and
 /// `eval.*` counters take each statement's inference and evaluation work
-/// as it finishes ([`Engine::infer_phase`], [`Engine::on_machine`]), so
-/// [`Engine::stats`] and every export read the same handles.
-struct PhaseMetrics {
+/// as it finishes ([`Engine::infer_phase`], [`Engine::on_machine`]).
+///
+/// Every part is atomic, so the value is `Send + Sync` and shared behind
+/// an `Arc` ([`Engine::metrics`]): an embedding layer (a pool replica)
+/// hands a clone to another thread, which reads the live counters while
+/// the engine runs, with no message to the engine's own thread.
+#[derive(Debug)]
+pub struct EngineMetrics {
+    registry: Registry,
     parses: Counter,
     inferences: Counter,
     stmt_cache_hits: Counter,
@@ -89,9 +95,10 @@ struct PhaseMetrics {
     lower_residue: Counter,
 }
 
-impl PhaseMetrics {
-    fn new(reg: &Registry) -> Self {
-        PhaseMetrics {
+impl EngineMetrics {
+    fn new() -> Self {
+        let reg = Registry::new();
+        EngineMetrics {
             parses: reg.counter("engine.parses"),
             inferences: reg.counter("engine.inferences"),
             stmt_cache_hits: reg.counter("engine.stmt_cache_hits"),
@@ -118,7 +125,39 @@ impl PhaseMetrics {
             dyn_field_fallbacks: reg.counter("eval.dyn_field_fallbacks"),
             lower_offsets: reg.counter("trans.offsets_resolved"),
             lower_residue: reg.counter("trans.dynamic_residue"),
+            registry: reg,
         }
+    }
+
+    /// The pipeline counters: compilation work, statement cache traffic,
+    /// inference and evaluation work, read in place.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            parses: self.parses.get(),
+            inferences: self.inferences.get(),
+            stmt_cache_hits: self.stmt_cache_hits.get(),
+            stmt_cache_misses: self.stmt_cache_misses.get(),
+            stmt_cache_evictions: self.stmt_cache_evictions.get(),
+            stmt_cache_dep_invalidations: self.stmt_cache_dep_invalidations.get(),
+            epoch_invalidations: self.epoch_invalidations.get(),
+            tokens_lexed: self.tokens_lexed.get(),
+            nodes_parsed: self.nodes_parsed.get(),
+            unify_steps: self.unify_steps.get(),
+            occurs_checks: self.occurs_checks.get(),
+            kind_merges: self.kind_merges.get(),
+            instantiations: self.instantiations.get(),
+            fuel_consumed: self.fuel_consumed.get(),
+            records_allocated: self.records_allocated.get(),
+            sets_allocated: self.sets_allocated.get(),
+            field_offsets_resolved: self.field_offsets_resolved.get(),
+            dyn_field_fallbacks: self.dyn_field_fallbacks.get(),
+        }
+    }
+
+    /// A point-in-time copy of every metric (counters and phase-latency
+    /// histograms), stamped `at_ns`.
+    pub fn snapshot(&self, at_ns: u64) -> RegistrySnapshot {
+        self.registry.snapshot(at_ns)
     }
 }
 
@@ -161,9 +200,8 @@ pub struct Engine {
     in_statement: bool,
     machine: Machine,
     stmts: StmtCache,
-    metrics: Registry,
+    metrics: Arc<EngineMetrics>,
     tracer: Tracer,
-    phases: PhaseMetrics,
     /// Bumped by every declaration (`val`/`fun`/`class`). Staleness of
     /// prepared statements is decided per name ([`Engine::name_epoch`]);
     /// the global epoch is an observability signal only
@@ -197,17 +235,14 @@ impl Default for Engine {
 
 impl Engine {
     pub fn new() -> Self {
-        let metrics = Registry::new();
-        let phases = PhaseMetrics::new(&metrics);
         Engine {
             cx: Infer::new(),
             tenv: builtins_sig::builtin_env(),
             in_statement: false,
             machine: Machine::new(),
             stmts: StmtCache::new(DEFAULT_STMT_CACHE_CAPACITY),
-            metrics,
+            metrics: Arc::new(EngineMetrics::new()),
             tracer: Tracer::disabled(),
-            phases,
             env_epoch: 0,
             name_epochs: HashMap::new(),
             index_sigs: HashMap::new(),
@@ -323,9 +358,9 @@ impl Engine {
         span.attr("tokens", ps.tokens);
         span.attr("nodes", ps.nodes);
         let dur = span.finish(&self.tracer);
-        self.phases.parse_ns.observe(dur);
-        self.phases.tokens_lexed.add(ps.tokens);
-        self.phases.nodes_parsed.add(ps.nodes);
+        self.metrics.parse_ns.observe(dur);
+        self.metrics.tokens_lexed.add(ps.tokens);
+        self.metrics.nodes_parsed.add(ps.nodes);
         dur
     }
 
@@ -335,7 +370,7 @@ impl Engine {
         &mut self,
         f: impl FnOnce(&mut Infer, &mut TypeEnv) -> Result<T, TypeError>,
     ) -> Result<(T, InferStats, u64), Error> {
-        self.phases.inferences.inc();
+        self.metrics.inferences.inc();
         let before = self.cx.stats();
         let mut span = self.tracer.span("engine.infer");
         let r = f(&mut self.cx, &mut self.tenv);
@@ -346,7 +381,7 @@ impl Engine {
             kind_merges: after.kind_merges - before.kind_merges,
             instantiations: after.instantiations - before.instantiations,
         };
-        let p = &self.phases;
+        let p = &self.metrics;
         p.unify_steps.add(work.unify_steps);
         p.occurs_checks.add(work.occurs_checks);
         p.kind_merges.add(work.kind_merges);
@@ -356,7 +391,7 @@ impl Engine {
         span.attr("kind_merges", work.kind_merges);
         span.attr("instantiations", work.instantiations);
         let dur = span.finish(&self.tracer);
-        self.phases.infer_ns.observe(dur);
+        self.metrics.infer_ns.observe(dur);
         Ok((r?, work, dur))
     }
 
@@ -378,7 +413,7 @@ impl Engine {
         if mode == Mode::Commit && !matches!(out, Err(Error::Parse(_) | Error::Type(_))) {
             if self.cx.touched() {
                 let evicted = self.stmts.evict_open();
-                self.phases.stmt_cache_evictions.add(evicted as u64);
+                self.metrics.stmt_cache_evictions.add(evicted as u64);
             }
             self.tenv.settle(&mut self.cx);
         } else {
@@ -404,7 +439,7 @@ impl Engine {
         span.attr("offsets", work.field_offsets_resolved);
         span.attr("dyn_fallbacks", work.dyn_field_fallbacks);
         let dur = span.finish(&self.tracer);
-        self.phases.eval_ns.observe(dur);
+        self.metrics.eval_ns.observe(dur);
         Ok((r?, work, dur))
     }
 
@@ -422,7 +457,7 @@ impl Engine {
             field_offsets_resolved: after.field_offsets_resolved - before.field_offsets_resolved,
             dyn_field_fallbacks: after.dyn_field_fallbacks - before.dyn_field_fallbacks,
         };
-        let p = &self.phases;
+        let p = &self.metrics;
         p.fuel_consumed.add(work.fuel_consumed);
         p.records_allocated.add(work.records_allocated);
         p.sets_allocated.add(work.sets_allocated);
@@ -469,7 +504,7 @@ impl Engine {
     }
 
     fn parse_program_phase(&mut self, src: &str) -> Result<Vec<Decl>, Error> {
-        self.phases.parses.inc();
+        self.metrics.parses.inc();
         let span = self.tracer.span("engine.parse");
         let (decls, ps) = parse_program_counted(src)?;
         self.note_parse(span, ps);
@@ -591,15 +626,15 @@ impl Engine {
     ) -> (T, LowerStats, u64) {
         let mut span = self.tracer.span("engine.lower");
         let (out, stats) = f(&self.index_sigs);
-        self.phases.lower_offsets.add(stats.offsets_resolved);
-        self.phases.lower_residue.add(stats.dynamic_residue);
+        self.metrics.lower_offsets.add(stats.offsets_resolved);
+        self.metrics.lower_residue.add(stats.dynamic_residue);
         span.attr("offsets", stats.offsets_resolved);
         span.attr("index_params", stats.index_params_used);
         span.attr("abstractions", stats.index_abstractions);
         span.attr("residue", stats.dynamic_residue);
         span.attr("records", stats.records_lowered);
         let dur = span.finish(&self.tracer);
-        self.phases.lower_ns.observe(dur);
+        self.metrics.lower_ns.observe(dur);
         (out, stats, dur)
     }
 
@@ -611,7 +646,7 @@ impl Engine {
     /// automatically). Declarations of unrelated names do not invalidate.
     pub fn run(&mut self, p: &Prepared) -> Result<Value, Error> {
         if !p.is_fresh(&self.name_epochs) {
-            self.phases.epoch_invalidations.inc();
+            self.metrics.epoch_invalidations.inc();
             return Err(Error::StalePrepared);
         }
         self.eval_phase(p.code())
@@ -645,14 +680,14 @@ impl Engine {
     ) -> Result<(Scheme, Value), Error> {
         let p = match self.stmts.lookup(&key, &self.name_epochs) {
             CacheLookup::Hit(p) => {
-                self.phases.stmt_cache_hits.inc();
+                self.metrics.stmt_cache_hits.inc();
                 p
             }
             lookup => {
                 if matches!(lookup, CacheLookup::Stale) {
-                    self.phases.stmt_cache_dep_invalidations.inc();
+                    self.metrics.stmt_cache_dep_invalidations.inc();
                 }
-                self.phases.stmt_cache_misses.inc();
+                self.metrics.stmt_cache_misses.inc();
                 let p = build(self)?;
                 self.cache(mode, key, &p);
                 p
@@ -670,7 +705,7 @@ impl Engine {
         let old = p.scheme().free_vars().iter().all(|v| *v < self.tenv.mark());
         if old && (mode == Mode::Commit || !self.cx.touched()) {
             let evicted = self.stmts.insert(key, p.clone());
-            self.phases.stmt_cache_evictions.add(evicted as u64);
+            self.metrics.stmt_cache_evictions.add(evicted as u64);
         }
     }
 
@@ -678,58 +713,36 @@ impl Engine {
     /// [`crate::Database`] operand, spliced in as an AST node, can never
     /// smuggle in another statement.
     pub(crate) fn parse_counted(&mut self, src: &str) -> Result<Expr, Error> {
-        self.phases.parses.inc();
+        self.metrics.parses.inc();
         let span = self.tracer.span("engine.parse");
         let (ast, ps) = parse_expr_counted(src)?;
         self.note_parse(span, ps);
         Ok(ast)
     }
 
-    /// A snapshot of the pipeline counters: compilation work, statement
-    /// cache traffic, inference and evaluation work — the registry's
-    /// handles, read in place.
+    /// A snapshot of the pipeline counters ([`EngineMetrics::stats`]).
     pub fn stats(&self) -> EngineStats {
-        let p = &self.phases;
-        EngineStats {
-            parses: p.parses.get(),
-            inferences: p.inferences.get(),
-            stmt_cache_hits: p.stmt_cache_hits.get(),
-            stmt_cache_misses: p.stmt_cache_misses.get(),
-            stmt_cache_evictions: p.stmt_cache_evictions.get(),
-            stmt_cache_dep_invalidations: p.stmt_cache_dep_invalidations.get(),
-            epoch_invalidations: p.epoch_invalidations.get(),
-            tokens_lexed: p.tokens_lexed.get(),
-            nodes_parsed: p.nodes_parsed.get(),
-            unify_steps: p.unify_steps.get(),
-            occurs_checks: p.occurs_checks.get(),
-            kind_merges: p.kind_merges.get(),
-            instantiations: p.instantiations.get(),
-            fuel_consumed: p.fuel_consumed.get(),
-            records_allocated: p.records_allocated.get(),
-            sets_allocated: p.sets_allocated.get(),
-            field_offsets_resolved: p.field_offsets_resolved.get(),
-            dyn_field_fallbacks: p.dyn_field_fallbacks.get(),
-        }
+        self.metrics.stats()
     }
 
     /// Zero every counter and histogram in the registry. Handles stay
     /// live; environments and caches are untouched.
     pub fn reset_stats(&mut self) {
-        self.metrics.reset();
+        self.metrics.registry.reset();
     }
 
     // ----- observability -----
 
-    /// A point-in-time copy of every metric (counters and phase-latency
-    /// histograms, always on), stamped 0.
-    pub fn metrics_snapshot(&self) -> RegistrySnapshot {
-        self.metrics.snapshot(0)
+    /// A shared handle on the live metrics: clones read every counter
+    /// and histogram from any thread while this engine runs.
+    pub fn metrics(&self) -> Arc<EngineMetrics> {
+        Arc::clone(&self.metrics)
     }
 
     /// Export every metric as JSON lines — exactly one JSON object per
     /// line ([`RegistrySnapshot::to_json_lines`]).
     pub fn metrics_json(&self) -> String {
-        self.metrics.to_json_lines()
+        self.metrics.registry.to_json_lines()
     }
 
     /// Replace the tracer clock (inject a
@@ -789,12 +802,12 @@ impl Engine {
             let key = StmtKey::Src(src.to_string());
             let cached_before = eng.stmts.contains_valid(&key, &eng.name_epochs);
             if cached_before {
-                eng.phases.stmt_cache_hits.inc();
+                eng.metrics.stmt_cache_hits.inc();
             } else {
-                eng.phases.stmt_cache_misses.inc();
+                eng.metrics.stmt_cache_misses.inc();
             }
 
-            eng.phases.parses.inc();
+            eng.metrics.parses.inc();
             let span = eng.tracer.span("engine.parse");
             let (ast, ps) = parse_expr_counted(src)?;
             let parse_ns = eng.note_parse(span, ps);
@@ -810,8 +823,8 @@ impl Engine {
             let (_core, ts) = polyview_trans::translate_measured(&ast);
             span.attr("core_nodes", ts.translated_size);
             let translate_ns = span.finish(&eng.tracer);
-            eng.phases.translate_ns.observe(translate_ns);
-            eng.phases.translated_size.observe(ts.translated_size);
+            eng.metrics.translate_ns.observe(translate_ns);
+            eng.metrics.translated_size.observe(ts.translated_size);
 
             let (v, m, eval_ns) = eng.eval_measured(p.code())?;
             let rendered = eng.machine.show(&v);
@@ -930,7 +943,7 @@ impl Engine {
     /// [`EngineStats::stmt_cache_evictions`].
     pub fn set_stmt_cache_capacity(&mut self, capacity: usize) {
         let evicted = self.stmts.set_capacity(capacity);
-        self.phases.stmt_cache_evictions.add(evicted as u64);
+        self.metrics.stmt_cache_evictions.add(evicted as u64);
     }
 
     /// The current declaration epoch (bumped by `val`/`fun`/`class`).
@@ -1288,8 +1301,8 @@ impl Engine {
             let (core, ts) = polyview_trans::translate_measured(&e);
             span.attr("core_nodes", ts.translated_size);
             let dur = span.finish(&eng.tracer);
-            eng.phases.translate_ns.observe(dur);
-            eng.phases.translated_size.observe(ts.translated_size);
+            eng.metrics.translate_ns.observe(dur);
+            eng.metrics.translated_size.observe(ts.translated_size);
             Ok(core)
         })
     }

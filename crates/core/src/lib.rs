@@ -49,7 +49,7 @@ pub mod snapshot;
 
 pub use classify::{classify_decl, classify_expr, classify_program, StmtClass};
 pub use database::Database;
-pub use engine::{Engine, Outcome};
+pub use engine::{Engine, EngineMetrics, Outcome};
 pub use error::Error;
 pub use explain::Explain;
 pub use prepare::{EngineStats, Prepared};

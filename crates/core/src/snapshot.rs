@@ -287,6 +287,29 @@ mod tests {
         );
     }
 
+    /// A statement-cache hit reuses its cached code and a recompile
+    /// allocates fresh code, so the two share code by different pointers.
+    /// The encoder shares code by content, so the bytes agree (both were
+    /// 1,591 and 1,641 bytes when code was shared by pointer).
+    #[test]
+    fn the_statement_cache_does_not_reach_the_bytes() {
+        let insert = r#"insert(C1, IDView([Name = "n2", Salary := 516]))"#;
+        let run = |capacity: Option<usize>| {
+            let mut e = Engine::new();
+            if let Some(c) = capacity {
+                e.set_stmt_cache_capacity(c);
+            }
+            e.exec("class C1 = class {} end;").expect("class");
+            for _ in 0..3 {
+                e.eval_expr(insert).expect("insert");
+            }
+            e.snapshot()
+        };
+        let (cached, cold) = (run(None), run(Some(0)));
+        assert_eq!(cached.len(), 1591);
+        assert!(cached == cold, "{} vs {} bytes", cached.len(), cold.len());
+    }
+
     #[test]
     fn corrupt_envelope_is_loud() {
         let e = session_engine();

@@ -76,7 +76,7 @@ mod telemetry;
 mod worker;
 
 pub use crate::log::{DeclLog, TruncatedRead};
-pub use health::{Health, HealthReport, HealthThresholds, WindowConfig, WorkerRow};
+pub use health::{Health, HealthReport, HealthThresholds, WindowConfig};
 pub use polyview::obs::{
     Clock, CollectingEventSink, EventRecord, EventSink, JsonLinesEventSink, ManualClock,
     NullEventSink, WallClock,

@@ -308,6 +308,10 @@ missing = [i for i in range(last["workers"]) if f"pool.worker{i}.applied" not in
 assert not missing, f"no pool.worker{{i}}.applied gauge for workers {missing}"
 replay_errors = last["cumulative"]["counters"]["pool.replay_errors"]
 assert replay_errors == 0, f"{replay_errors} replay error(s) under ordinary traffic"
+# It also sums the engine counters of the replicas, read through the handle
+# each replica shares with the router: the load was parsed somewhere.
+parses = last["cumulative"]["counters"].get("engine.parses", 0)
+assert parses > 0, f"no replica engine counter in the stats op (engine.parses={parses})"
 windowed = [s for s in snaps
             if s["window"] and s["window"]["rates"]["pool.submitted_reads"] > 0]
 assert windowed, "no snapshot windowed a nonzero read rate"

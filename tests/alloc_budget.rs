@@ -8,8 +8,13 @@
 //! and the values it returns. A regression that puts an intermediate value
 //! back costs at least one block per element and fails here.
 //!
+//! The same allocator counts live bytes, which gates the memory a long
+//! session keeps: distinct reads and rebinds of one name leave the heap
+//! where a tenth as many left it (DESIGN.md §10: a statement's type work
+//! ends with the statement).
+//!
 //! This file is its own test binary because it installs a counting global
-//! allocator. The counter is per thread, so tests running in parallel do
+//! allocator. The counters are per thread, so tests running in parallel do
 //! not see each other's blocks.
 
 use polyview::Engine;
@@ -20,31 +25,40 @@ struct Counting;
 
 thread_local! {
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (negative when it
+    /// frees more than it allocated, e.g. blocks from another thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_block() {
+fn count_block(grown: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+    count_bytes(grown);
+}
+
+fn count_bytes(grown: i64) {
+    let _ = LIVE.try_with(|l| l.set(l.get() + grown));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_block();
+        count_block(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_block();
+        count_block(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_block();
+        count_block(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -105,4 +119,54 @@ fn a_count_over_a_view_class_allocates_at_most_four_blocks_per_element() {
 fn the_view_read_allocates_at_most_twelve_blocks_per_element() {
     let per = blocks_per_element(VIEW_NAMES);
     assert!(per <= 12.0, "{per} blocks per element");
+}
+
+/// Live heap bytes after 2,000 and after 20,000 runs of `step`, on an
+/// engine that has run it 200 times first (so its statement cache is full).
+fn live_bytes_at_2k_and_20k(mut step: impl FnMut(&mut Engine, u64)) -> (i64, i64) {
+    let mut e = Engine::new();
+    let live = || LIVE.with(Cell::get);
+    for i in 0..200 {
+        step(&mut e, i);
+    }
+    let base = live();
+    for i in 200..2_200 {
+        step(&mut e, i);
+    }
+    let at_2k = live() - base;
+    for i in 2_200..20_200 {
+        step(&mut e, i);
+    }
+    (at_2k, live() - base)
+}
+
+/// Live bytes may grow by this much between 2,000 and 20,000 statements,
+/// under 15 bytes a statement. Distinct reads churn the full statement
+/// cache, and its hash table doubles once (about 120 KB) when deletions
+/// use up its free buckets; with random hashing that can come after the
+/// 2,000th read.
+const LIVE_SLACK: i64 = 256 * 1024;
+
+#[test]
+fn distinct_reads_keep_live_heap_flat() {
+    let (at_2k, at_20k) = live_bytes_at_2k_and_20k(|e, i| {
+        let src = format!("(fn r => (r.A + {i}, r.B))([A = {i}, B = (fn x => x)(true)])");
+        e.read(&src).expect("read");
+    });
+    assert!(
+        at_20k - at_2k <= LIVE_SLACK,
+        "live heap grew {at_2k} -> {at_20k} bytes"
+    );
+}
+
+#[test]
+fn rebinds_keep_live_heap_flat() {
+    let (at_2k, at_20k) = live_bytes_at_2k_and_20k(|e, i| {
+        let src = format!("fun h x = (x.Name, x.K{} + {i});", i % 7);
+        e.exec(&src).expect("rebind");
+    });
+    assert!(
+        at_20k - at_2k <= LIVE_SLACK,
+        "live heap grew {at_2k} -> {at_20k} bytes"
+    );
 }

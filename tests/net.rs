@@ -500,6 +500,60 @@ fn health_answers_while_every_queue_is_full() {
     server.shutdown();
 }
 
+/// A paused replica stalls no observation and no other replica's
+/// clients. With worker 0 parked in its pause gate, the server's
+/// `metrics_json` returns, the `stats` op reports the replicas' summed
+/// engine counters, and a client whose session maps to worker 1 is
+/// answered. Each waits on a channel with a timeout; on a timeout the
+/// gate is released first, so a stall fails the test instead of hanging
+/// it.
+#[test]
+fn a_paused_replica_does_not_stall_observation() {
+    let server = serve(NetConfig::default().pool(PoolConfig::default().workers(2)));
+    let session = (0..u64::MAX)
+        .find(|s| server.with_pool(|p| p.worker_for(*s)) == 1)
+        .expect("some session maps to worker 1");
+    let mut client = connect(&server);
+    client.hello(session).expect("hello");
+    client.call("val paused = 1;").expect("write");
+    server.with_pool(|p| p.barrier()).expect("barrier");
+
+    let gate = server.with_pool(|p| p.pause_worker(0)).expect("pause");
+    let (metrics, answer) = std::thread::scope(|s| {
+        let (metrics_tx, metrics_rx) = std::sync::mpsc::channel();
+        let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+        let (server, client) = (&server, &mut client);
+        s.spawn(move || {
+            let _ = metrics_tx.send(server.metrics_json());
+        });
+        s.spawn(move || {
+            let _ = answer_tx.send(client.call("paused + 1").and_then(|_| client.stats()));
+        });
+        let wait = std::time::Duration::from_secs(3);
+        let metrics = metrics_rx.recv_timeout(wait);
+        let answer = answer_rx.recv_timeout(wait);
+        drop(gate);
+        (
+            metrics.expect("NetServer::metrics_json returns while worker 0 is paused"),
+            answer.expect("worker 1's client is answered while worker 0 is paused"),
+        )
+    });
+    for needle in [
+        "\"name\":\"engine.parses\"",
+        "\"name\":\"worker0.engine.parses\"",
+        "\"name\":\"worker1.phase.eval_ns\"",
+        "\"name\":\"net.frames_decoded\"",
+    ] {
+        assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
+    }
+    let stats = answer.expect("answer and stats op");
+    let parses = member(&stats, &["cumulative", "counters", "engine.parses"])
+        .and_then(JsonValue::as_u64)
+        .expect("the stats op carries the replicas' engine counters");
+    assert!(parses > 0, "engine.parses = {parses}");
+    server.shutdown();
+}
+
 /// `watch` turns the connection push-capable: the server emits
 /// `{"push":seq,"stats":{...}}` frames on its own initiative until
 /// `unwatch`, whose ack arrives in order even with pushes in flight.

@@ -318,9 +318,10 @@ fn observe(e: &mut Engine, stmt: &str, entry: u64) -> String {
 /// a read, so hits happen, and some statements fix or re-kind a weak
 /// variable (`C0`'s element type, `w`'s type) that cached schemes name,
 /// or are rejected after binding one. Both engines agree on every
-/// outcome, every declared name's scheme and epoch, and the answer to a
-/// random read after each statement. Machine bytes are not compared: the
-/// snapshot encoder shares a hit's code by pointer.
+/// outcome, every declared name's scheme and epoch, the answer to a
+/// random read, and their full snapshot bytes after each statement: the
+/// snapshot encoder shares code by content, so a hit's reused code and a
+/// recompile's fresh code encode alike.
 #[test]
 fn the_statement_cache_cannot_be_seen() {
     sized_cases(48, 3..16, |g, len| {
@@ -358,6 +359,10 @@ fn the_statement_cache_cannot_be_seen() {
                     exprs.push(s.clone());
                 }
             }
+            assert!(
+                cached.snapshot() == cold.snapshot(),
+                "snapshot bytes after {stmt}"
+            );
             for name in in_scope(&cold, &names) {
                 assert_eq!(cached.name_epoch(name), cold.name_epoch(name), "{name}");
                 assert_eq!(

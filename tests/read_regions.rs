@@ -385,7 +385,7 @@ fn pool_replicas_keep_read_extents_until_a_write_invalidates_them() {
             );
         }
     }
-    assert_eq!(pool.stats_local().reads_promoted, 0);
+    assert_eq!(pool.stats().reads_promoted, 0);
     pool.shutdown();
 }
 
