@@ -543,6 +543,7 @@ mod tests {
             busy_rate: 0.5,
             error_rate: 0.0,
             window_span_ns: 2_000_000_000,
+            per_worker: Vec::new(),
         }
     }
 
