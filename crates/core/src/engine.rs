@@ -29,7 +29,7 @@ use polyview_obs::{
 };
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
-use polyview_syntax::{sugar, ClassDef, Expr, Label, Mono, Name, Scheme};
+use polyview_syntax::{sugar, ClassDef, Expr, GlobalNames, Label, Mono, Name, Scheme};
 use polyview_trans::{lower_binding, lower_statement, IndexSig, LowerStats};
 use polyview_types::table::node_id;
 use polyview_types::{builtins_sig, infer, Infer, InferStats, TypeEnv, TypeError, TypeTable};
@@ -432,7 +432,7 @@ impl Engine {
     /// and duration.
     fn eval_measured(&mut self, e: &Expr) -> Result<(Value, MachineStats, u64), Error> {
         let mut span = self.tracer.span("engine.eval");
-        let (r, work) = self.on_machine(|m| m.eval_global(e));
+        let (r, work) = self.on_machine(|m| m.eval_code(e));
         span.attr("fuel", work.fuel_consumed);
         span.attr("records", work.records_allocated);
         span.attr("sets", work.sets_allocated);
@@ -475,7 +475,12 @@ impl Engine {
     fn compile<T, L>(
         &mut self,
         infer: impl FnOnce(&mut Infer, &mut TypeEnv) -> Result<T, TypeError>,
-        lower: impl FnOnce(&T, &TypeTable, &HashMap<Name, Rc<IndexSig>>) -> (L, LowerStats),
+        lower: impl FnOnce(
+            &T,
+            &TypeTable,
+            &HashMap<Name, Rc<IndexSig>>,
+            &mut GlobalNames,
+        ) -> (L, LowerStats),
     ) -> Result<Compiled<T, L>, Error> {
         self.cx.enable_table();
         let (out, infer, infer_ns) = self.infer_phase(infer)?;
@@ -483,7 +488,8 @@ impl Engine {
             .cx
             .take_table()
             .ok_or_else(|| Error::Internal("inference recorded no type table".into()))?;
-        let (code, lower, lower_ns) = self.lower_phase(|sigs| lower(&out, &table, sigs));
+        let (code, lower, lower_ns) =
+            self.lower_phase(|sigs, slots| lower(&out, &table, sigs, slots));
         Ok(Compiled {
             out,
             code,
@@ -550,7 +556,7 @@ impl Engine {
     fn compile_expr(&mut self, e: &Expr) -> Result<Compiled<Scheme, Expr>, Error> {
         self.compile(
             |cx, tenv| cx.infer_scheme(tenv, e),
-            |_, table, sigs| lower_statement(e, table, sigs),
+            |_, table, sigs, slots| lower_statement(e, table, sigs, slots),
         )
     }
 
@@ -618,14 +624,15 @@ impl Engine {
     }
 
     /// Run the compile tier on one statement as the timed "lower" phase:
-    /// `f` lowers it against the top-level index signatures. Returns the
-    /// lowered form, its work counters, and the duration.
+    /// `f` lowers it against the top-level index signatures, resolving its
+    /// variables against the machine's global slots. Returns the lowered
+    /// form, its work counters, and the duration.
     fn lower_phase<T>(
         &mut self,
-        f: impl FnOnce(&HashMap<Name, Rc<IndexSig>>) -> (T, LowerStats),
+        f: impl FnOnce(&HashMap<Name, Rc<IndexSig>>, &mut GlobalNames) -> (T, LowerStats),
     ) -> (T, LowerStats, u64) {
         let mut span = self.tracer.span("engine.lower");
-        let (out, stats) = f(&self.index_sigs);
+        let (out, stats) = f(&self.index_sigs, self.machine.global_names());
         self.metrics.lower_offsets.add(stats.offsets_resolved);
         self.metrics.lower_residue.add(stats.dynamic_residue);
         span.attr("offsets", stats.offsets_resolved);
@@ -639,11 +646,15 @@ impl Engine {
     }
 
     /// Execute a prepared statement against the current store. No parsing,
-    /// no inference: the cached AST is evaluated directly under the global
-    /// environment. Fails with [`Error::StalePrepared`] if a name the
-    /// statement depends on has been rebound since it was prepared
+    /// no inference: the cached code, its variables already resolved to
+    /// slots, runs directly against the current globals. Fails with
+    /// [`Error::StalePrepared`] if a name the statement depends on has
+    /// been rebound since it was prepared
     /// (re-`prepare` it; the internal statement cache does this
     /// automatically). Declarations of unrelated names do not invalidate.
+    /// Run a `Prepared` on the engine that prepared it: its code reads
+    /// that engine's global slots, and an engine restored from a snapshot
+    /// numbers them afresh.
     pub fn run(&mut self, p: &Prepared) -> Result<Value, Error> {
         if !p.is_fresh(&self.name_epochs) {
             self.metrics.epoch_invalidations.inc();
@@ -1076,8 +1087,8 @@ impl Engine {
                         cx.check_ground_mutables(&scheme.body)?;
                         Ok(scheme)
                     },
-                    |scheme, table, sigs| {
-                        let (c, s, st) = lower_binding(e, &scheme.binders, table, sigs);
+                    |scheme, table, sigs, slots| {
+                        let (c, s, st) = lower_binding(e, &scheme.binders, table, sigs, slots);
                         ((c, s), st)
                     },
                 )?;
@@ -1140,7 +1151,7 @@ impl Engine {
         let single = names.len() == 1;
         let c = self.compile(
             |cx, tenv| infer::infer(cx, tenv, &group),
-            |_, table, sigs| match &group {
+            |_, table, sigs, slots| match &group {
                 // A single definition elaborates to `let f = fix f => λ… in
                 // f end`; index-abstract the `fix` itself (the same node
                 // inference recorded) so a record-polymorphic function
@@ -1160,7 +1171,7 @@ impl Engine {
                         .get(&node_id(&group))
                         .cloned()
                         .unwrap_or_default();
-                    let (code, sig, st) = lower_binding(rhs, &binders, table, sigs);
+                    let (code, sig, st) = lower_binding(rhs, &binders, table, sigs, slots);
                     let sig = match sig {
                         None => Ok(None),
                         Some(s) => rename_sig(&s, table, body).map(|r| Some(Rc::new(r))),
@@ -1168,7 +1179,7 @@ impl Engine {
                     (sig.map(|s| (code, s)), st)
                 }
                 _ => {
-                    let (code, st) = lower_statement(&group, table, sigs);
+                    let (code, st) = lower_statement(&group, table, sigs, slots);
                     (Ok((code, None)), st)
                 }
             },
@@ -1245,7 +1256,7 @@ impl Engine {
         let wrapped = Expr::LetClasses(binds.to_vec(), Box::new(body));
         let c = self.compile(
             |cx, tenv| infer::infer(cx, tenv, &wrapped),
-            |_, table, sigs| lower_statement(&wrapped, table, sigs),
+            |_, table, sigs, slots| lower_statement(&wrapped, table, sigs, slots),
         )?;
         let t = self.cx.resolve(&c.out);
         let v = self.eval_phase(&c.code)?;

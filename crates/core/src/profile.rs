@@ -68,8 +68,7 @@ impl ProfileReport {
                     .field_str("span", &n.span)
                     .field_u64("hits", n.hits)
                     .field_u64("total_ns", n.total_ns)
-                    .field_u64("self_ns", n.self_ns)
-                    .field_u64("env_hops", n.env_hops),
+                    .field_u64("self_ns", n.self_ns),
             );
             path.push(format!("{} {}", n.kind, n.span));
             for c in &n.children {
@@ -204,16 +203,12 @@ mod tests {
                     hits: 1,
                     total_ns: 30,
                     self_ns: 20,
-                    env_hops: 0,
-                    env_hops_max: 0,
                     children: vec![ProfileNode {
                         kind: "var",
                         span: "q".into(),
                         hits: 1,
                         total_ns: 10,
                         self_ns: 10,
-                        env_hops: 2,
-                        env_hops_max: 2,
                         children: vec![],
                     }],
                 }],
@@ -245,7 +240,7 @@ mod tests {
         let keys0 = jsonl::check_object_line(lines[0]).expect("valid node line");
         assert_eq!(
             keys0,
-            ["kind", "path", "node", "span", "hits", "total_ns", "self_ns", "env_hops"]
+            ["kind", "path", "node", "span", "hits", "total_ns", "self_ns"]
         );
         // The child's path carries the parent frame, escaped.
         assert!(

@@ -34,8 +34,10 @@ use polyview_syntax::{Kind, Label, Name, Scheme, TyVar};
 pub const ENGINE_MAGIC: [u8; 4] = *b"PVES";
 /// Envelope version; decoding any other version is a loud error. Version
 /// 1 carried a compile-tier flag byte after the name epochs; version 2
-/// drops it (lowering is unconditional).
-pub const ENGINE_VERSION: u32 = 2;
+/// dropped it (lowering is unconditional). Version 3 carries a `PVMS` v2
+/// machine section, whose closures are flat: resolved code and the
+/// values it captured, not named environment chains.
+pub const ENGINE_VERSION: u32 = 3;
 
 /// The flattened session state the envelope carries — the bridge between
 /// [`crate::Engine`]'s private fields and the byte format. Vectors are
@@ -325,19 +327,22 @@ mod tests {
     }
 
     #[test]
-    fn version_one_envelope_is_rejected() {
-        // A v1 envelope (it carried the compile-tier flag byte) must fail
-        // on its version field, never be misread as v2.
-        let mut v1 = session_engine().snapshot();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = Engine::from_snapshot(&v1)
-            .map(|_| ())
-            .expect_err("v1 refused");
-        assert!(
-            err.to_string()
-                .contains("unsupported engine snapshot version 1"),
-            "got {err}"
-        );
+    fn older_envelopes_are_rejected() {
+        // A v1 envelope (it carried the compile-tier flag byte) and a v2
+        // one (its closures held named environment chains) must fail on
+        // their version field, never be misread as v3.
+        for version in [1u32, 2] {
+            let mut old = session_engine().snapshot();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = Engine::from_snapshot(&old)
+                .map(|_| ())
+                .expect_err("older version refused");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported engine snapshot version {version}")),
+                "got {err}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! two are compared by differential tests.
 
 pub mod builtins;
-pub mod env;
 pub mod error;
 pub mod machine;
 pub mod profile;
@@ -21,7 +20,6 @@ pub mod snapshot;
 pub mod store;
 pub mod value;
 
-pub use env::Env;
 pub use error::RuntimeError;
 pub use machine::{Machine, MachineStats, ReadMark};
 pub use profile::{FallbackSite, HotNode, Profile, ProfileNode, ViewRecompute};

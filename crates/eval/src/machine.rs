@@ -1,13 +1,14 @@
 //! The evaluator.
 //!
-//! A [`Machine`] owns the slot store, the class table, the global value
-//! environment, and the identity counter. Expression evaluation is a plain
-//! tree walk; classes and objects are interpreted natively with exactly the
+//! A [`Machine`] owns the slot store, the class table, the global values,
+//! the value stack, and the identity counter. Expression evaluation is a
+//! plain tree walk over resolved code (`polyview_syntax::resolve`): a
+//! variable is a stack, capture or global slot, never a name (DESIGN.md
+//! §13). Classes and objects are interpreted natively with exactly the
 //! meaning the paper's translations assign to them (Figs. 3 and 5 and the
 //! `f^i` functions of Section 4.4).
 
 use crate::builtins;
-use crate::env::Env;
 use crate::error::RuntimeError;
 use crate::profile::{Profile, Profiler};
 use crate::store::Store;
@@ -15,7 +16,8 @@ use crate::value::{
     Builtin, ClassId, Closure, Key, ObjVal, RecordVal, SetMap, SetVal, SlotId, Value, ViewFn,
 };
 use polyview_obs::{Clock, WallClock};
-use polyview_syntax::{ClassDef, Expr, Idx, Label, Layout, Lit, Name};
+use polyview_syntax::resolve::{is_resolved, resolve};
+use polyview_syntax::{ClassDef, Expr, GlobalNames, Idx, Label, Lambda, Layout, Lit, Name, Slot};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -93,7 +95,15 @@ pub struct ReadMark {
 pub struct Machine {
     pub store: Store,
     classes: Vec<ClassData>,
-    globals: HashMap<Name, Value>,
+    /// Top-level names and their slots in `globals`. Only resolution
+    /// consults it; evaluation reads `globals` by slot.
+    global_names: GlobalNames,
+    /// Top-level values by slot; `None` for a name code mentions but no
+    /// declaration has bound. Rebinding a name overwrites its slot.
+    globals: Vec<Option<Value>>,
+    /// The value stack: the frames of the functions being applied, each
+    /// its captured variables, then its locals (DESIGN.md §13).
+    stack: Vec<Value>,
     next_id: u64,
     /// Remaining evaluation fuel; `None` means unbounded. Each expression
     /// node costs one unit.
@@ -135,7 +145,9 @@ impl Machine {
         let mut m = Machine {
             store: Store::new(),
             classes: Vec::new(),
-            globals: HashMap::new(),
+            global_names: GlobalNames::default(),
+            globals: Vec::new(),
+            stack: Vec::new(),
             next_id: 0,
             fuel: None,
             extent_cache: HashMap::new(),
@@ -147,8 +159,8 @@ impl Machine {
         };
         for (name, arity, f) in builtins::natives() {
             let id = m.fresh_id();
-            m.globals.insert(
-                Label::new(name),
+            m.define_global(
+                name,
                 Value::Builtin(Rc::new(Builtin {
                     id,
                     name,
@@ -260,15 +272,17 @@ impl Machine {
     pub(crate) fn restore(
         store: Store,
         classes: Vec<ClassData>,
-        globals: HashMap<Name, Value>,
+        globals: Vec<(Name, Value)>,
         next_id: u64,
         class_epoch: u64,
         fuel: Option<u64>,
     ) -> Machine {
-        Machine {
+        let mut m = Machine {
             store,
             classes,
-            globals,
+            global_names: GlobalNames::default(),
+            globals: Vec::with_capacity(globals.len()),
+            stack: Vec::new(),
             next_id,
             fuel,
             extent_cache: HashMap::new(),
@@ -277,23 +291,44 @@ impl Machine {
             read_floor: None,
             profiler: None,
             profile_clock: Arc::new(WallClock::new()),
+        };
+        for (name, v) in globals {
+            m.define_global(name, v);
         }
+        m
     }
 
     /// Install a global value binding (used by the engine for top-level
-    /// `val` definitions).
+    /// `val` definitions). A name that was bound before keeps its slot, so
+    /// the old value lives on only in the closures that captured it.
     pub fn define_global(&mut self, name: impl Into<Name>, v: Value) {
-        self.globals.insert(name.into(), v);
+        let g = self.global_names.slot(&name.into()) as usize;
+        if self.globals.len() <= g {
+            self.globals.resize(g + 1, None);
+        }
+        self.globals[g] = Some(v);
     }
 
     pub fn global(&self, name: &Name) -> Option<&Value> {
-        self.globals.get(name)
+        let g = self.global_names.get(name)?;
+        self.globals.get(g as usize)?.as_ref()
     }
 
-    /// Iterate the global value environment (the engine uses this to
-    /// resolve class ids back to their bound names in profile reports).
+    /// Iterate the bound globals (the engine uses this to resolve class
+    /// ids back to their bound names in profile reports).
     pub fn globals_iter(&self) -> impl Iterator<Item = (&Name, &Value)> {
-        self.globals.iter()
+        let names = self.global_names.names();
+        self.globals
+            .iter()
+            .enumerate()
+            .filter_map(|(g, v)| Some((&names[g], v.as_ref()?)))
+    }
+
+    /// The numbering of top-level names that code for this machine is
+    /// resolved against (the lowering pass numbers the globals a
+    /// statement reads with it).
+    pub fn global_names(&mut self) -> &mut GlobalNames {
+        &mut self.global_names
     }
 
     pub fn class_data(&self, id: ClassId) -> &ClassData {
@@ -343,33 +378,47 @@ impl Machine {
         Ok(())
     }
 
-    /// Evaluate a closed expression in the global environment.
+    /// Evaluate a closed expression that was not resolved (a test's or a
+    /// translation's AST): resolve it against this machine's globals, then
+    /// run it.
     pub fn eval(&mut self, e: &Expr) -> Result<Value, RuntimeError> {
         self.eval_global(e)
     }
 
-    /// Evaluate a cached AST under the persistent global environment — the
-    /// entry point for prepared (compile-once/run-many) execution. The AST
-    /// is only borrowed: nothing is cloned up front, and closure creation
-    /// during the run shares `Lam`/`Fix` bodies with the cached tree via
-    /// `Rc` instead of deep-copying them.
+    /// [`Machine::eval`]. Resolution is a walk over the whole term, so
+    /// code run many times is resolved once and run with
+    /// [`Machine::eval_code`]; the engine's lowering pass does that.
     pub fn eval_global(&mut self, e: &Expr) -> Result<Value, RuntimeError> {
-        self.eval_in(e, &Env::empty())
+        let code = resolve(e, &mut self.global_names);
+        self.eval_code(&code)
     }
 
-    /// Evaluate under a local environment.
+    /// Run resolved code — the entry point for prepared
+    /// (compile-once/run-many) execution. The code is only borrowed, and a
+    /// closure made during the run shares its `λ`'s code with the cached
+    /// tree. The value stack ends at the height it began at, however the
+    /// run ends.
+    pub fn eval_code(&mut self, code: &Expr) -> Result<Value, RuntimeError> {
+        debug_assert!(is_resolved(code), "eval_code takes resolved code: {code}");
+        let fp = self.stack.len();
+        let r = self.eval_in(code, fp);
+        self.stack.truncate(fp);
+        r
+    }
+
+    /// Evaluate in the frame whose locals start at stack index `fp`.
     ///
     /// The profiler check is the *only* cost the profiler adds to normal
     /// runs: one `Option::is_none` on a field already in cache (fuel was
     /// just touched). With a profiler installed, dispatch detours through
     /// [`Machine::eval_profiled`] which brackets the node with two clock
     /// reads.
-    pub fn eval_in(&mut self, e: &Expr, env: &Env) -> Result<Value, RuntimeError> {
+    fn eval_in(&mut self, e: &Expr, fp: usize) -> Result<Value, RuntimeError> {
         self.burn()?;
         if self.profiler.is_none() {
-            self.eval_dispatch(e, env)
+            self.eval_dispatch(e, fp)
         } else {
-            self.eval_profiled(e, env)
+            self.eval_profiled(e, fp)
         }
     }
 
@@ -377,7 +426,17 @@ impl Machine {
     /// application, let, if) stays in this function with a deliberately
     /// small stack frame; everything else is dispatched to a cold helper
     /// with its own frame.
-    fn eval_dispatch(&mut self, e: &Expr, env: &Env) -> Result<Value, RuntimeError> {
+    ///
+    /// Stack discipline: when a node of a frame runs, the stack holds
+    /// exactly that frame's live locals above `fp`, and every node leaves
+    /// the stack as it found it (an error may leave more; whoever pushed
+    /// below truncates).
+    fn eval_dispatch(&mut self, e: &Expr, fp: usize) -> Result<Value, RuntimeError> {
+        debug_assert!(
+            !matches!(e, Expr::Var(_) | Expr::Lam(..))
+                && !matches!(e, Expr::Fix(_, b) if matches!(**b, Expr::Lam(..))),
+            "unresolved node reached the machine: {e}"
+        );
         match e {
             Expr::Lit(l) => Ok(match l {
                 Lit::Unit => Value::Unit,
@@ -385,54 +444,76 @@ impl Machine {
                 Lit::Bool(b) => Value::Bool(*b),
                 Lit::Str(s) => Value::str(s),
             }),
-            Expr::Var(x) => env
-                .lookup(x)
-                .or_else(|| self.globals.get(x))
-                .cloned()
-                .ok_or_else(|| RuntimeError::Unbound(x.clone())),
+            Expr::VarAt(_, s) => self.read(*s, fp),
             Expr::App(f, a) => match &**f {
-                Expr::App(g, x) if self.profiler.is_none() => self.eval_app2(g, x, a, env),
+                Expr::App(g, x) if self.profiler.is_none() => self.eval_app2(g, x, a, fp),
                 _ => {
-                    let vf = self.eval_in(f, env)?;
-                    let va = self.eval_in(a, env)?;
+                    let vf = self.eval_in(f, fp)?;
+                    let va = self.eval_in(a, fp)?;
                     self.apply(vf, va)
                 }
             },
-            Expr::Let(x, rhs, body) => {
-                let v = self.eval_in(rhs, env)?;
-                let env2 = env.bind(x.clone(), v);
-                self.eval_in(body, &env2)
+            Expr::Let(_, rhs, body) => {
+                let v = self.eval_in(rhs, fp)?;
+                let height = self.stack.len();
+                self.stack.push(v);
+                let r = self.eval_in(body, fp);
+                self.stack.truncate(height);
+                r
             }
             Expr::If(c, t, e2) => {
-                if self.eval_in(c, env)?.as_bool()? {
-                    self.eval_in(t, env)
+                if self.eval_in(c, fp)?.as_bool()? {
+                    self.eval_in(t, fp)
                 } else {
-                    self.eval_in(e2, env)
+                    self.eval_in(e2, fp)
                 }
             }
-            other => self.eval_cold(other, env),
+            other => self.eval_cold(other, fp),
+        }
+    }
+
+    /// The value in `slot` of the frame at `fp`.
+    #[inline(always)]
+    fn read(&self, slot: Slot, fp: usize) -> Result<Value, RuntimeError> {
+        match slot {
+            Slot::Global(g) => self.global_at(g),
+            local => Ok(self.frame_value(local, fp)),
+        }
+    }
+
+    /// The value in a local or captured `slot` of the frame at `fp`:
+    /// captured variables sit below `fp`, the last-captured lowest, and
+    /// locals from `fp` up. Inlined, so the hot reads return in registers.
+    #[inline(always)]
+    fn frame_value(&self, slot: Slot, fp: usize) -> Value {
+        match slot {
+            Slot::Local(i) => self.stack[fp + i as usize].clone(),
+            Slot::Captured(i) => self.stack[fp - 1 - i as usize].clone(),
+            Slot::Global(g) => unreachable!("code in a λ reads no global (slot {g})"),
+        }
+    }
+
+    /// A global's value; only code outside every λ reads one.
+    #[cold]
+    #[inline(never)]
+    fn global_at(&self, g: u32) -> Result<Value, RuntimeError> {
+        match self.globals.get(g as usize) {
+            Some(Some(v)) => Ok(v.clone()),
+            _ => Err(RuntimeError::Unbound(self.global_names.name(g).clone())),
         }
     }
 
     /// Profiled dispatch: open a frame keyed by this node (unless past the
-    /// depth cap), attribute env-lookup depth for variables, evaluate, and
-    /// close the frame — on errors too, so the tree stays balanced.
-    /// Out-of-line so the unprofiled path carries none of this code.
+    /// depth cap), evaluate, and close the frame — on errors too, so the
+    /// tree stays balanced. Out-of-line so the unprofiled path carries
+    /// none of this code.
     #[inline(never)]
-    fn eval_profiled(&mut self, e: &Expr, env: &Env) -> Result<Value, RuntimeError> {
+    fn eval_profiled(&mut self, e: &Expr, fp: usize) -> Result<Value, RuntimeError> {
         let entered = match &mut self.profiler {
             Some(p) => p.enter(e),
             None => unreachable!("checked by eval_in"),
         };
-        if entered {
-            if let Expr::Var(x) = e {
-                let hops = env.lookup_cost(x);
-                if let Some(p) = &mut self.profiler {
-                    p.note_env_lookup(hops);
-                }
-            }
-        }
-        let r = self.eval_dispatch(e, env);
+        let r = self.eval_dispatch(e, fp);
         if entered {
             // A nested profile_stop (impossible today: stop is a machine
             // API, not an expression) would take the profiler; guard
@@ -454,24 +535,27 @@ impl Machine {
     }
 
     #[inline(never)]
-    fn eval_cold(&mut self, e: &Expr, env: &Env) -> Result<Value, RuntimeError> {
+    fn eval_cold(&mut self, e: &Expr, fp: usize) -> Result<Value, RuntimeError> {
         match e {
-            Expr::Lit(_) | Expr::Var(_) | Expr::App(..) | Expr::Let(..) | Expr::If(..) => {
+            Expr::Lit(_) | Expr::VarAt(..) | Expr::App(..) | Expr::Let(..) | Expr::If(..) => {
                 unreachable!("handled by eval_dispatch")
             }
+            Expr::Var(_) | Expr::Lam(..) => unreachable!("the resolver leaves no {e}"),
             Expr::Eq(a, b) => {
-                let va = self.eval_in(a, env)?;
-                let vb = self.eval_in(b, env)?;
+                let va = self.eval_in(a, fp)?;
+                let vb = self.eval_in(b, fp)?;
                 Ok(Value::Bool(va.value_eq(&vb)))
             }
-            Expr::Lam(x, body) => {
+            Expr::LamAt(code) => {
                 let id = self.fresh_id();
+                let mut captured = Vec::with_capacity(code.captures.len());
+                for s in &code.captures {
+                    captured.push(self.read(*s, fp)?);
+                }
                 Ok(Value::Closure(Rc::new(Closure {
                     id,
-                    fix_name: None,
-                    param: x.clone(),
-                    body: body.clone(),
-                    env: env.clone(),
+                    code: code.clone(),
+                    captured: captured.into_boxed_slice(),
                 })))
             }
             Expr::Record(fields) => {
@@ -479,7 +563,7 @@ impl Machine {
                 // from the labels at runtime (counted as fallback work).
                 let mut triples = Vec::with_capacity(fields.len());
                 for f in fields {
-                    let v = self.eval_in(&f.expr, env)?;
+                    let v = self.eval_in(&f.expr, fp)?;
                     let slot = match v {
                         // The paper's (rec) rule: an extracted L-value
                         // becomes the field's slot — sharing, not copying.
@@ -492,13 +576,13 @@ impl Machine {
                 Ok(self.build_record(triples))
             }
             Expr::Dot(e, l) => {
-                let v = self.eval_in(e, env)?;
+                let v = self.eval_in(e, fp)?;
                 let r = v.as_record()?;
                 let (_, slot) = self.field_slot(r, l, None)?;
                 Ok(self.store.get(slot).clone())
             }
             Expr::Extract(e, l) => {
-                let v = self.eval_in(e, env)?;
+                let v = self.eval_in(e, fp)?;
                 let r = v.as_record()?;
                 let (i, slot) = self.field_slot(r, l, None)?;
                 if !r.layout.is_mutable(i) {
@@ -507,7 +591,7 @@ impl Machine {
                 Ok(Value::LValue(slot))
             }
             Expr::Update(e, l, rhs) => {
-                let v = self.eval_in(e, env)?;
+                let v = self.eval_in(e, fp)?;
                 let slot = {
                     let r = v.as_record()?;
                     let (i, slot) = self.field_slot(r, l, None)?;
@@ -516,21 +600,21 @@ impl Machine {
                     }
                     slot
                 };
-                let nv = self.eval_in(rhs, env)?;
+                let nv = self.eval_in(rhs, fp)?;
                 self.write_slot(slot, nv)?;
                 Ok(Value::Unit)
             }
             // ---------- lowered field operations (the compile tier) ----------
             Expr::DotAt(e, l, idx) => {
-                let v = self.eval_in(e, env)?;
-                let off = self.resolve_idx(idx, env)?;
+                let v = self.eval_in(e, fp)?;
+                let off = self.resolve_idx(idx, fp)?;
                 let r = v.as_record()?;
                 let (_, slot) = self.field_slot(r, l, off)?;
                 Ok(self.store.get(slot).clone())
             }
             Expr::ExtractAt(e, l, idx) => {
-                let v = self.eval_in(e, env)?;
-                let off = self.resolve_idx(idx, env)?;
+                let v = self.eval_in(e, fp)?;
+                let off = self.resolve_idx(idx, fp)?;
                 let r = v.as_record()?;
                 let (i, slot) = self.field_slot(r, l, off)?;
                 if !r.layout.is_mutable(i) {
@@ -539,8 +623,8 @@ impl Machine {
                 Ok(Value::LValue(slot))
             }
             Expr::UpdateAt(e, l, idx, rhs) => {
-                let v = self.eval_in(e, env)?;
-                let off = self.resolve_idx(idx, env)?;
+                let v = self.eval_in(e, fp)?;
+                let off = self.resolve_idx(idx, fp)?;
                 let slot = {
                     let r = v.as_record()?;
                     let (i, slot) = self.field_slot(r, l, off)?;
@@ -549,7 +633,7 @@ impl Machine {
                     }
                     slot
                 };
-                let nv = self.eval_in(rhs, env)?;
+                let nv = self.eval_in(rhs, fp)?;
                 self.write_slot(slot, nv)?;
                 Ok(Value::Unit)
             }
@@ -559,7 +643,7 @@ impl Machine {
                 // with every record built here, not recomputed.
                 let mut slots: Vec<SlotId> = vec![usize::MAX; layout.len()];
                 for (off, fe) in entries {
-                    let v = self.eval_in(fe, env)?;
+                    let v = self.eval_in(fe, fp)?;
                     let slot = match v {
                         Value::LValue(s) => s,
                         other => self.store.alloc(other),
@@ -583,48 +667,37 @@ impl Machine {
                 // The first occurrence of a key wins, as in `from_elems`.
                 let mut elems = SetMap::new();
                 for e in es {
-                    let v = self.eval_in(e, env)?;
+                    let v = self.eval_in(e, fp)?;
                     elems.entry(v.key()).or_insert(v);
                 }
                 self.stats.sets_allocated += 1;
                 Ok(Value::Set(SetVal(Rc::new(elems))))
             }
             Expr::Union(a, b) => {
-                let va = self.eval_in(a, env)?;
-                let vb = self.eval_in(b, env)?;
+                let va = self.eval_in(a, fp)?;
+                let vb = self.eval_in(b, fp)?;
                 let sa = va.as_set()?;
                 let sb = vb.as_set()?;
                 self.stats.sets_allocated += 1;
                 Ok(Value::Set(sa.union_left(sb)))
             }
             Expr::Hom(s, f, op, z) => {
-                let vs = self.eval_in(s, env)?;
-                let vf = self.eval_in(f, env)?;
-                let vop = self.eval_in(op, env)?;
-                let vz = self.eval_in(z, env)?;
+                let vs = self.eval_in(s, fp)?;
+                let vf = self.eval_in(f, fp)?;
+                let vop = self.eval_in(op, fp)?;
+                let vz = self.eval_in(z, fp)?;
                 self.hom(vs.as_set()?.clone(), vf, vop, vz)
             }
             Expr::Collect(s, f) => {
-                let vs = self.eval_in(s, env)?;
-                let vf = self.eval_in(f, env)?;
+                let vs = self.eval_in(s, fp)?;
+                let vf = self.eval_in(f, fp)?;
                 self.collect(vs.as_set()?.clone(), vf)
             }
-            Expr::Fix(x, body) => match &**body {
-                Expr::Lam(p, lam_body) => {
-                    let id = self.fresh_id();
-                    Ok(Value::Closure(Rc::new(Closure {
-                        id,
-                        fix_name: Some(x.clone()),
-                        param: p.clone(),
-                        body: lam_body.clone(),
-                        env: env.clone(),
-                    })))
-                }
-                _ => Err(RuntimeError::FixNonFunction),
-            },
+            // A `fix` over a λ was resolved to a `LamAt`.
+            Expr::Fix(..) => Err(RuntimeError::FixNonFunction),
             // ---------- views (the meaning of Fig. 3) ----------
             Expr::IdView(e) => {
-                let raw = self.eval_in(e, env)?;
+                let raw = self.eval_in(e, fp)?;
                 raw.as_record()?; // raw objects are records
                 let id = self.fresh_id();
                 Ok(Value::Obj(Rc::new(ObjVal {
@@ -634,8 +707,8 @@ impl Machine {
                 })))
             }
             Expr::AsView(o, f) => {
-                let vo = self.eval_in(o, env)?;
-                let vf = self.eval_in(f, env)?;
+                let vo = self.eval_in(o, fp)?;
+                let vf = self.eval_in(f, fp)?;
                 let o = vo.as_obj()?;
                 let id = self.fresh_id();
                 Ok(Value::Obj(Rc::new(ObjVal {
@@ -644,16 +717,31 @@ impl Machine {
                     view: ViewFn::Compose(Rc::new(o.view.clone()), Rc::new(ViewFn::Fn(vf))),
                 })))
             }
-            Expr::Query(f, o) => {
-                let vf = self.eval_in(f, env)?;
-                let vo = self.eval_in(o, env)?;
-                let o = vo.as_obj()?.clone();
-                let materialized = self.apply_view(&o.view, o.raw.clone())?;
-                self.apply(vf, materialized)
-            }
+            Expr::Query(f, o) => match &**f {
+                Expr::LamAt(l) if self.profiler.is_none() && frame_only(l) => {
+                    // `query(λx.e, o)` runs the λ's body without making
+                    // the closure, with the generic path's effects in its
+                    // order: the λ node's burn and id, `o`, the view, the
+                    // application's burn (DESIGN.md §13).
+                    self.burn()?;
+                    self.fresh_id();
+                    let vo = self.eval_in(o, fp)?;
+                    let o = vo.as_obj()?.clone();
+                    let materialized = self.apply_view(&o.view, o.raw.clone())?;
+                    self.burn()?;
+                    self.run_body(l, fp, materialized)
+                }
+                _ => {
+                    let vf = self.eval_in(f, fp)?;
+                    let vo = self.eval_in(o, fp)?;
+                    let o = vo.as_obj()?.clone();
+                    let materialized = self.apply_view(&o.view, o.raw.clone())?;
+                    self.apply(vf, materialized)
+                }
+            },
             Expr::Fuse(a, b) => {
-                let va = self.eval_in(a, env)?;
-                let vb = self.eval_in(b, env)?;
+                let va = self.eval_in(a, fp)?;
+                let vb = self.eval_in(b, fp)?;
                 let oa = va.as_obj()?.clone();
                 let ob = vb.as_obj()?.clone();
                 Ok(Value::Set(self.fuse_objs(&[oa, ob])))
@@ -662,7 +750,7 @@ impl Machine {
                 let mut raw_fields = Vec::with_capacity(fields.len());
                 let mut views = Vec::with_capacity(fields.len());
                 for (l, e) in fields {
-                    let v = self.eval_in(e, env)?;
+                    let v = self.eval_in(e, fp)?;
                     let o = v.as_obj()?.clone();
                     let slot = self.store.alloc(o.raw.clone());
                     raw_fields.push((l.clone(), false, slot));
@@ -680,19 +768,19 @@ impl Machine {
 
             // ---------- classes (the meaning of Fig. 5 / Section 4.4) ----------
             Expr::ClassExpr(cd) => {
-                let cid = self.eval_class_def(cd, env)?;
+                let cid = self.eval_class_def(cd, fp)?;
                 Ok(Value::Class(cid))
             }
             Expr::CQuery(f, c) => {
-                let vf = self.eval_in(f, env)?;
-                let vc = self.eval_in(c, env)?;
+                let vf = self.eval_in(f, fp)?;
+                let vc = self.eval_in(c, fp)?;
                 let cid = vc.as_class()?;
                 let extent = self.top_level_extent(cid)?;
                 self.apply(vf, Value::Set(extent))
             }
             Expr::Insert(c, e) => {
-                let vc = self.eval_in(c, env)?;
-                let ve = self.eval_in(e, env)?;
+                let vc = self.eval_in(c, fp)?;
+                let ve = self.eval_in(e, fp)?;
                 ve.as_obj()?;
                 let cid = vc.as_class()?;
                 let slot = self.classes[cid].own_slot;
@@ -705,8 +793,8 @@ impl Machine {
                 Ok(Value::Unit)
             }
             Expr::Delete(c, e) => {
-                let vc = self.eval_in(c, env)?;
-                let ve = self.eval_in(e, env)?;
+                let vc = self.eval_in(c, fp)?;
+                let ve = self.eval_in(e, fp)?;
                 ve.as_obj()?;
                 let cid = vc.as_class()?;
                 let slot = self.classes[cid].own_slot;
@@ -717,41 +805,56 @@ impl Machine {
             }
             Expr::LetClasses(binds, body) => {
                 // Pre-allocate every class id so include sources can refer
-                // to siblings cyclically, then fill the definitions.
-                let mut env2 = env.clone();
+                // to siblings cyclically, then fill the definitions. The
+                // class values are the frame's next locals.
+                let height = self.stack.len();
                 let first_id = self.classes.len();
-                for (i, (name, _)) in binds.iter().enumerate() {
+                for i in 0..binds.len() {
                     let own_slot = self.store.alloc(Value::Set(SetVal::empty()));
                     self.classes.push(ClassData {
                         own_slot,
                         includes: Vec::new(),
                     });
-                    env2 = env2.bind(name.clone(), Value::Class(first_id + i));
+                    self.stack.push(Value::Class(first_id + i));
                 }
-                for (i, (_, cd)) in binds.iter().enumerate() {
-                    let cid = first_id + i;
-                    let own = self.eval_in(&cd.own, &env2)?;
-                    own.as_set()?;
-                    let slot = self.classes[cid].own_slot;
-                    self.store.set(slot, own);
-                    // Filling a class in place bumps no epoch, so an
-                    // extent read earlier in the group is now stale.
-                    self.extent_cache.clear();
-                    let includes = self.eval_includes(cd, &env2)?;
-                    self.classes[cid].includes = includes;
-                    self.extent_cache.clear();
-                }
-                self.eval_in(body, &env2)
+                let r = self.fill_classes(binds, first_id, fp, body);
+                self.stack.truncate(height);
+                r
             }
         }
     }
 
+    /// Fill a `let class … and …` group's pre-allocated classes in order,
+    /// then evaluate the body.
+    fn fill_classes(
+        &mut self,
+        binds: &[(Name, ClassDef)],
+        first_id: ClassId,
+        fp: usize,
+        body: &Expr,
+    ) -> Result<Value, RuntimeError> {
+        for (i, (_, cd)) in binds.iter().enumerate() {
+            let cid = first_id + i;
+            let own = self.eval_in(&cd.own, fp)?;
+            own.as_set()?;
+            let slot = self.classes[cid].own_slot;
+            self.store.set(slot, own);
+            // Filling a class in place bumps no epoch, so an extent read
+            // earlier in the group is now stale.
+            self.extent_cache.clear();
+            let includes = self.eval_includes(cd, fp)?;
+            self.classes[cid].includes = includes;
+            self.extent_cache.clear();
+        }
+        self.eval_in(body, fp)
+    }
+
     /// Evaluate a non-recursive class definition to a fresh class id.
-    fn eval_class_def(&mut self, cd: &ClassDef, env: &Env) -> Result<ClassId, RuntimeError> {
-        let own = self.eval_in(&cd.own, env)?;
+    fn eval_class_def(&mut self, cd: &ClassDef, fp: usize) -> Result<ClassId, RuntimeError> {
+        let own = self.eval_in(&cd.own, fp)?;
         own.as_set()?;
         let own_slot = self.store.alloc(own);
-        let includes = self.eval_includes(cd, env)?;
+        let includes = self.eval_includes(cd, fp)?;
         let cid = self.classes.len();
         self.classes.push(ClassData { own_slot, includes });
         Ok(cid)
@@ -760,17 +863,17 @@ impl Machine {
     fn eval_includes(
         &mut self,
         cd: &ClassDef,
-        env: &Env,
+        fp: usize,
     ) -> Result<Vec<IncludeSpec>, RuntimeError> {
         let mut includes = Vec::with_capacity(cd.includes.len());
         for inc in &cd.includes {
             let mut sources = Vec::with_capacity(inc.sources.len());
             for s in &inc.sources {
-                let v = self.eval_in(s, env)?;
+                let v = self.eval_in(s, fp)?;
                 sources.push(v.as_class()?);
             }
-            let view = self.eval_in(&inc.view, env)?;
-            let pred = self.eval_in(&inc.pred, env)?;
+            let view = self.eval_in(&inc.view, fp)?;
+            let pred = self.eval_in(&inc.pred, fp)?;
             includes.push(IncludeSpec {
                 sources,
                 view,
@@ -831,18 +934,14 @@ impl Machine {
     /// is an ordinary λ-bound variable holding an int; a negative value is
     /// the lowering's "could not resolve" sentinel and yields `None`
     /// (dynamic fallback).
-    fn resolve_idx(&mut self, idx: &Idx, env: &Env) -> Result<Option<usize>, RuntimeError> {
+    fn resolve_idx(&mut self, idx: &Idx, fp: usize) -> Result<Option<usize>, RuntimeError> {
         match idx {
             Idx::Const(n) => Ok(Some(*n)),
-            Idx::Var(x) => {
-                let v = env
-                    .lookup(x)
-                    .or_else(|| self.globals.get(x))
-                    .cloned()
-                    .ok_or_else(|| RuntimeError::Unbound(x.clone()))?;
-                let n = v.as_int()?;
+            Idx::At(_, s) => {
+                let n = self.read(*s, fp)?.as_int()?;
                 Ok(usize::try_from(n).ok())
             }
+            Idx::Var(x) => unreachable!("the resolver leaves no index parameter {x}"),
         }
     }
 
@@ -851,8 +950,12 @@ impl Machine {
         self.burn()?;
         match f {
             Value::Closure(c) => {
-                let env = Self::call_env(&c, arg);
-                self.eval_in(&c.body, &env)
+                let height = self.stack.len();
+                let fp = self.push_frame(&c);
+                self.stack.push(arg);
+                let r = self.eval_in(&c.code.body, fp);
+                self.stack.truncate(height);
+                r
             }
             Value::Builtin(b) => {
                 if b.args.len() + 1 == b.arity {
@@ -881,15 +984,16 @@ impl Machine {
         }
     }
 
-    /// The environment a closure's body runs in when applied to `arg`:
-    /// its captured environment, the closure itself under its `fix` name,
-    /// and the parameter.
-    fn call_env(c: &Rc<Closure>, arg: Value) -> Env {
-        let mut env = c.env.clone();
-        if let Some(fx) = &c.fix_name {
-            env = env.bind(fx.clone(), Value::Closure(c.clone()));
+    /// Push the frame `c`'s body runs in, less its argument: the captured
+    /// variables (the last-captured lowest), then for a `fix` closure the
+    /// closure itself. Returns the frame pointer.
+    fn push_frame(&mut self, c: &Rc<Closure>) -> usize {
+        self.stack.extend(c.captured.iter().rev().cloned());
+        let fp = self.stack.len();
+        if c.code.fix.is_some() {
+            self.stack.push(Value::Closure(c.clone()));
         }
-        env.bind(c.param.clone(), arg)
+        fp
     }
 
     /// `g x a` — an application whose function is itself an application —
@@ -900,12 +1004,12 @@ impl Machine {
         g: &Expr,
         x: &Expr,
         a: &Expr,
-        env: &Env,
+        fp: usize,
     ) -> Result<Value, RuntimeError> {
         self.burn()?;
-        let vg = self.eval_in(g, env)?;
-        let vx = self.eval_in(x, env)?;
-        self.apply2(vg, vx, |m| m.eval_in(a, env))
+        let vg = self.eval_in(g, fp)?;
+        let vx = self.eval_in(x, fp)?;
+        self.apply2(vg, vx, |m| m.eval_in(a, fp))
     }
 
     /// `apply(apply(f, x), a())` without building the value in between
@@ -913,8 +1017,10 @@ impl Machine {
     /// no arguments yet (DESIGN.md §13). Every observable effect is the
     /// generic path's, in its order: each `burn`, the identity the
     /// intermediate closure or partial application would have been minted
-    /// with (before `a` runs), and the bindings the body sees. While a
-    /// profiler runs, the generic path is taken, so attribution sees the
+    /// with (before `a` runs), and the frame the body sees: the inner λ's
+    /// captures are read straight from `f`'s frame. `a` runs before either
+    /// frame is pushed, so it sees its own frame on top. While a profiler
+    /// runs, the generic path is taken, so attribution sees the
     /// intermediate value's frames.
     fn apply2(
         &mut self,
@@ -925,14 +1031,15 @@ impl Machine {
         if self.profiler.is_none() {
             match &f {
                 Value::Closure(c) => {
-                    if let Expr::Lam(y, body) = &*c.body {
-                        self.burn()?; // apply f to x
-                        let env = Self::call_env(c, x);
-                        self.burn()?; // the λ node
-                        self.fresh_id(); // the inner closure's id
-                        let va = a(self)?;
-                        self.burn()?; // apply the inner closure to a
-                        return self.eval_in(body, &env.bind(y.clone(), va));
+                    if let Expr::LamAt(inner) = &c.code.body {
+                        if inner.fix.is_none() {
+                            self.burn()?; // apply f to x
+                            self.burn()?; // the λ node
+                            self.fresh_id(); // the inner closure's id
+                            let va = a(self)?;
+                            self.burn()?; // apply the inner closure to a
+                            return self.call2(c, x, inner, va);
+                        }
                     }
                 }
                 Value::Builtin(b) if b.arity == 2 && b.args.is_empty() => {
@@ -948,6 +1055,39 @@ impl Machine {
         let vf = self.apply(f, x)?;
         let va = a(self)?;
         self.apply(vf, va)
+    }
+
+    /// Run `inner`, the λ that `c`'s body is, applied to `va`, in the frame
+    /// the closure `c x` would have given it.
+    fn call2(
+        &mut self,
+        c: &Rc<Closure>,
+        x: Value,
+        inner: &Lambda,
+        va: Value,
+    ) -> Result<Value, RuntimeError> {
+        let height = self.stack.len();
+        let outer = self.push_frame(c);
+        self.stack.push(x);
+        let r = self.run_body(inner, outer, va);
+        self.stack.truncate(height);
+        r
+    }
+
+    /// Run the body of `l`, a λ evaluated in the frame at `from`, applied
+    /// to `arg`, without making its closure: its captures are read straight
+    /// from that frame into the new one.
+    fn run_body(&mut self, l: &Lambda, from: usize, arg: Value) -> Result<Value, RuntimeError> {
+        let height = self.stack.len();
+        for s in l.captures.iter().rev() {
+            let v = self.frame_value(*s, from);
+            self.stack.push(v);
+        }
+        let fp = self.stack.len();
+        self.stack.push(arg);
+        let r = self.eval_in(&l.body, fp);
+        self.stack.truncate(height);
+        r
     }
 
     /// `hom(S, f, op, z) = op(f(e1), op(f(e2), … op(f(en), z)…))`,
@@ -1278,6 +1418,12 @@ impl Machine {
     pub fn key_of(v: &Value) -> Key {
         v.key()
     }
+}
+
+/// Does `l` capture only frame slots — no global, whose read can fail —
+/// and bind no `fix` self, so its body can run without its closure?
+fn frame_only(l: &Lambda) -> bool {
+    l.fix.is_none() && !l.captures.iter().any(|s| matches!(s, Slot::Global(_)))
 }
 
 #[cfg(test)]

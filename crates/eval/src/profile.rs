@@ -7,12 +7,9 @@
 //! **zero clock reads** — the property the `ManualClock` read-counter
 //! tests pin. While on, every `eval_in` dispatch opens a frame: two clock
 //! reads bracket the node, a per-frame child-time accumulator splits
-//! total time into self time, and three attribution channels hang off the
+//! total time into self time, and two attribution channels hang off the
 //! current frame:
 //!
-//! * **env-lookup depth** — how many environment links a `Var` node
-//!   walked (a miss walks the whole chain before falling back to the
-//!   globals map);
 //! * **dynamic-fallback sites** — which nodes executed a field operation
 //!   through the counted dynamic-label path (the residue the lowering
 //!   left behind), label by label;
@@ -47,7 +44,7 @@ pub const SPAN_MAX: usize = 48;
 pub const MAX_DEPTH: usize = 128;
 
 /// One node of the hierarchical profile tree: an eval node kind × source
-/// span, with timing, hit, and env-lookup attribution.
+/// span, with timing and hit attribution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileNode {
     /// Eval dispatch kind (`"app"`, `"var"`, `"cquery"`, `"dot@"`, …).
@@ -61,11 +58,6 @@ pub struct ProfileNode {
     /// Wall time spent in this node excluding children, in ns. Invariant:
     /// `total_ns == self_ns + Σ children.total_ns` at every node.
     pub self_ns: u64,
-    /// Environment links walked by `var` lookups at this node, summed over
-    /// hits (a global/builtin hit walks the entire local chain first).
-    pub env_hops: u64,
-    /// Largest single env-lookup walk observed at this node.
-    pub env_hops_max: u64,
     pub children: Vec<ProfileNode>,
 }
 
@@ -230,8 +222,6 @@ impl Profile {
                         d.hits += s.hits;
                         d.total_ns += s.total_ns;
                         d.self_ns += s.self_ns;
-                        d.env_hops += s.env_hops;
-                        d.env_hops_max = d.env_hops_max.max(s.env_hops_max);
                         merge_into(&mut d.children, &s.children);
                     }
                     None => dst.push(s.clone()),
@@ -268,9 +258,11 @@ impl Profile {
 pub fn kind_of(e: &Expr) -> &'static str {
     match e {
         Expr::Lit(_) => "lit",
-        Expr::Var(_) => "var",
+        Expr::Var(_) | Expr::VarAt(..) => "var",
         Expr::Eq(..) => "eq",
         Expr::Lam(..) => "lam",
+        Expr::LamAt(l) if l.fix.is_some() => "fix",
+        Expr::LamAt(_) => "lam",
         Expr::App(..) => "app",
         Expr::Record(_) => "record",
         Expr::Dot(..) => "dot",
@@ -335,8 +327,6 @@ struct BuildNode {
     hits: u64,
     total_ns: u64,
     self_ns: u64,
-    env_hops: u64,
-    env_hops_max: u64,
     /// Children in first-entered order (deterministic: evaluation order).
     children: Vec<usize>,
     /// Child arena id by child expression address.
@@ -403,8 +393,6 @@ impl Profiler {
             hits: 0,
             total_ns: 0,
             self_ns: 0,
-            env_hops: 0,
-            env_hops_max: 0,
             children: Vec::new(),
             child_index: HashMap::new(),
         });
@@ -467,15 +455,6 @@ impl Profiler {
         }
     }
 
-    /// A `var` node walked `hops` environment links.
-    pub(crate) fn note_env_lookup(&mut self, hops: u64) {
-        if let Some(f) = self.stack.last() {
-            let n = &mut self.nodes[f.node];
-            n.env_hops += hops;
-            n.env_hops_max = n.env_hops_max.max(hops);
-        }
-    }
-
     /// A dynamic field fallback executed under the current frame.
     pub(crate) fn note_fallback(&mut self, label: &str) {
         let site = self.stack.last().map_or(usize::MAX, |f| f.node);
@@ -526,8 +505,6 @@ impl Profiler {
                 hits: n.hits,
                 total_ns: n.total_ns,
                 self_ns: n.self_ns,
-                env_hops: n.env_hops,
-                env_hops_max: n.env_hops_max,
                 children: n.children.iter().map(|&c| build(nodes, c)).collect(),
             }
         }

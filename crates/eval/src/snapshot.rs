@@ -1,13 +1,13 @@
 //! Machine snapshots: a versioned byte encoding of the complete evaluator
-//! state — store, class table, global value environment, identity counter,
+//! state — store, class table, global values, identity counter,
 //! and mutation epoch — with **object-identity sharing preserved**.
 //!
 //! The encoding follows the no-serde discipline of `polyview_syntax::wire`
 //! (hand-rolled, std-only, versioned header, loud decode errors). What it
 //! adds over plain structural encoding is a *node table*: every shared
 //! allocation (`Rc<RecordVal>`, `Rc<Closure>`, `Rc<Builtin>`, `Rc<ObjVal>`,
-//! set maps, environment chain nodes, closure bodies, layouts, and view
-//! functions) is serialized once at its first visit (`NODE_DEF`, which
+//! set maps, closure code, layouts, and view functions) is serialized
+//! once at its first visit (`NODE_DEF`, which
 //! implicitly assigns the next table index) and referenced by index
 //! everywhere else (`NODE_REF`). The decoder memoizes indexes back to
 //! fresh `Rc`s, so a record reachable from two globals decodes to one
@@ -15,7 +15,17 @@
 //! shared, never duplicated. Slot-level sharing (the paper's `extract`)
 //! is free: `SlotId`s are indexes into the one flat store section.
 //!
-//! Code is shared by content, not by allocation: a closure body or a
+//! A closure is flat: its code (a code node) and the values it captured,
+//! in capture order. The code is the λ's `fix` name, parameter and body;
+//! where the λ took its captures from was used when the closure was made
+//! and is not kept, since it may name global slots, whose numbering
+//! depends on the order names were first bound. A body never reads a
+//! global (a λ captures the globals it uses), so the bytes depend only on
+//! the value graph. Code is checked on decode
+//! (`polyview_syntax::resolve::well_scoped`), so a restored closure reads
+//! only slots its frame has.
+//!
+//! Code is shared by content, not by allocation: a closure's λ or a
 //! layout whose encoding equals one already written is a `NODE_REF` to
 //! it, whichever `Rc` holds it. No program can tell two equal pieces of
 //! code apart, and which allocation holds a piece depends on history the
@@ -25,8 +35,8 @@
 //!
 //! Soundness leans on an invariant of the evaluator: the value graph is
 //! **acyclic**. Recursion ties its knot at application time (a `fix`
-//! closure re-binds itself into its environment when applied, it does not
-//! capture itself), so a pre-order `NODE_DEF` walk terminates and every
+//! closure is pushed into its own frame when applied, it does not capture
+//! itself), so a pre-order `NODE_DEF` walk terminates and every
 //! `NODE_REF` points at a node whose contents were already decoded.
 //!
 //! What is deliberately *not* serialized: the extent cache, work-counter
@@ -38,15 +48,15 @@
 //! names the running binary does not know.
 
 use crate::builtins;
-use crate::env::Env;
 use crate::machine::{ClassData, IncludeSpec, Machine};
 use crate::store::Store;
 use crate::value::{Builtin, Closure, ObjVal, RecordVal, SetVal, Value, ViewFn};
+use polyview_syntax::resolve::well_scoped;
 use polyview_syntax::wire::{
     read_expr, read_label, read_layout, read_name, write_expr, write_label, write_layout,
     write_name, ByteReader, ByteWriter, WireError,
 };
-use polyview_syntax::{Expr, Layout, Name};
+use polyview_syntax::{Lambda, Layout, Name};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -55,8 +65,10 @@ use std::rc::Rc;
 
 /// First bytes of every machine snapshot.
 pub const MACHINE_MAGIC: [u8; 4] = *b"PVMS";
-/// Format version; decoding any other version is a loud error.
-pub const MACHINE_VERSION: u32 = 1;
+/// Format version; decoding any other version is a loud error. Version 2
+/// encodes flat closures (resolved code and captured values) where
+/// version 1 encoded named environment chains.
+pub const MACHINE_VERSION: u32 = 2;
 
 const NODE_DEF: u8 = 0;
 const NODE_REF: u8 = 1;
@@ -66,10 +78,9 @@ const KIND_SET: u8 = 1;
 const KIND_CLOSURE: u8 = 2;
 const KIND_BUILTIN: u8 = 3;
 const KIND_OBJ: u8 = 4;
-const KIND_ENV: u8 = 5;
-const KIND_EXPR: u8 = 6;
-const KIND_LAYOUT: u8 = 7;
-const KIND_VIEW: u8 = 8;
+const KIND_CODE: u8 = 5;
+const KIND_LAYOUT: u8 = 6;
+const KIND_VIEW: u8 = 7;
 
 fn kind_name(kind: u8) -> &'static str {
     match kind {
@@ -78,8 +89,7 @@ fn kind_name(kind: u8) -> &'static str {
         KIND_CLOSURE => "closure",
         KIND_BUILTIN => "builtin",
         KIND_OBJ => "object",
-        KIND_ENV => "env node",
-        KIND_EXPR => "expr",
+        KIND_CODE => "code",
         KIND_LAYOUT => "layout",
         KIND_VIEW => "view fn",
         _ => "unknown",
@@ -246,22 +256,22 @@ impl Enc {
     fn closure(&mut self, c: &Rc<Closure>) {
         self.node(Rc::as_ptr(c) as usize, KIND_CLOSURE, |e| {
             e.w.u64(c.id);
-            match &c.fix_name {
-                None => e.w.bool(false),
-                Some(n) => {
-                    e.w.bool(true);
-                    write_name(&mut e.w, n);
+            e.code(Rc::as_ptr(&c.code) as usize, KIND_CODE, |w| {
+                let code = &c.code;
+                match &code.fix {
+                    None => w.bool(false),
+                    Some(f) => {
+                        w.bool(true);
+                        write_name(w, f);
+                    }
                 }
+                write_name(w, &code.param);
+                write_expr(w, &code.body);
+            });
+            e.w.usize(c.captured.len());
+            for v in c.captured.iter() {
+                e.value(v);
             }
-            write_name(&mut e.w, &c.param);
-            e.expr(&c.body);
-            e.env(&c.env);
-        });
-    }
-
-    fn expr(&mut self, body: &Rc<Expr>) {
-        self.code(Rc::as_ptr(body) as usize, KIND_EXPR, |w| {
-            write_expr(w, body)
         });
     }
 
@@ -319,21 +329,6 @@ impl Enc {
         self.node(Rc::as_ptr(vf) as usize, KIND_VIEW, |e| {
             e.viewfn(vf);
         });
-    }
-
-    fn env(&mut self, env: &Env) {
-        match env.head() {
-            None => self.w.u8(0),
-            Some((name, value, next)) => {
-                self.w.u8(1);
-                let ptr = env.node_ptr().expect("non-empty env has a node") as usize;
-                self.node(ptr, KIND_ENV, |e| {
-                    write_name(&mut e.w, name);
-                    e.value(value);
-                    e.env(next);
-                });
-            }
-        }
     }
 }
 
@@ -401,8 +396,7 @@ enum DecNode {
     Closure(Rc<Closure>),
     Builtin(Rc<Builtin>),
     Obj(Rc<ObjVal>),
-    Env(Env),
-    Expr(Rc<Expr>),
+    Code(Rc<Lambda>),
     Layout(Rc<Layout>),
     View(Rc<ViewFn>),
 }
@@ -470,8 +464,7 @@ impl<'a> Dec<'a> {
             DecNode::Closure(_) => KIND_CLOSURE,
             DecNode::Builtin(_) => KIND_BUILTIN,
             DecNode::Obj(_) => KIND_OBJ,
-            DecNode::Env(_) => KIND_ENV,
-            DecNode::Expr(_) => KIND_EXPR,
+            DecNode::Code(_) => KIND_CODE,
             DecNode::Layout(_) => KIND_LAYOUT,
             DecNode::View(_) => KIND_VIEW,
         };
@@ -515,20 +508,25 @@ impl<'a> Dec<'a> {
             }
             KIND_CLOSURE => {
                 let id = self.id("closure id")?;
-                let fix_name = if self.r.bool("fix-name present")? {
-                    Some(read_name(&mut self.r)?)
-                } else {
-                    None
+                let code = match self.node(KIND_CODE)? {
+                    DecNode::Code(c) => c,
+                    _ => unreachable!("kind checked"),
                 };
-                let param = read_name(&mut self.r)?;
-                let body = self.expr()?;
-                let env = self.env()?;
+                let n = self.r.count("captured values")?;
+                if !well_scoped(&code, n) {
+                    return Err(WireError::Malformed(format!(
+                        "closure {id} code reads a slot its frame does not have: {}",
+                        polyview_syntax::Expr::LamAt(code)
+                    )));
+                }
+                let mut captured = Vec::with_capacity(n);
+                for _ in 0..n {
+                    captured.push(self.value()?);
+                }
                 Ok(DecNode::Closure(Rc::new(Closure {
                     id,
-                    fix_name,
-                    param,
-                    body,
-                    env,
+                    code,
+                    captured: captured.into_boxed_slice(),
                 })))
             }
             KIND_BUILTIN => {
@@ -577,13 +575,21 @@ impl<'a> Dec<'a> {
                 let view = self.viewfn()?;
                 Ok(DecNode::Obj(Rc::new(ObjVal { id, raw, view })))
             }
-            KIND_ENV => {
-                let name = read_name(&mut self.r)?;
-                let value = self.value()?;
-                let next = self.env()?;
-                Ok(DecNode::Env(next.bind(name, value)))
+            KIND_CODE => {
+                let fix = if self.r.bool("fix present")? {
+                    Some(read_name(&mut self.r)?)
+                } else {
+                    None
+                };
+                let param = read_name(&mut self.r)?;
+                let body = read_expr(&mut self.r)?;
+                Ok(DecNode::Code(Rc::new(Lambda {
+                    fix,
+                    param,
+                    captures: Vec::new(),
+                    body,
+                })))
             }
-            KIND_EXPR => Ok(DecNode::Expr(Rc::new(read_expr(&mut self.r)?))),
             KIND_LAYOUT => Ok(DecNode::Layout(Rc::new(read_layout(&mut self.r)?))),
             KIND_VIEW => Ok(DecNode::View(Rc::new(self.viewfn()?))),
             tag => Err(WireError::BadTag {
@@ -637,13 +643,6 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn expr(&mut self) -> Result<Rc<Expr>, WireError> {
-        match self.node(KIND_EXPR)? {
-            DecNode::Expr(e) => Ok(e),
-            _ => unreachable!("kind checked"),
-        }
-    }
-
     fn viewfn(&mut self) -> Result<ViewFn, WireError> {
         Ok(match self.r.u8("view-fn tag")? {
             0 => ViewFn::Identity,
@@ -683,20 +682,6 @@ impl<'a> Dec<'a> {
         match self.node(KIND_VIEW)? {
             DecNode::View(v) => Ok(v),
             _ => unreachable!("kind checked"),
-        }
-    }
-
-    fn env(&mut self) -> Result<Env, WireError> {
-        match self.r.u8("env tag")? {
-            0 => Ok(Env::empty()),
-            1 => match self.node(KIND_ENV)? {
-                DecNode::Env(e) => Ok(e),
-                _ => unreachable!("kind checked"),
-            },
-            tag => Err(WireError::BadTag {
-                what: "env tag",
-                tag,
-            }),
         }
     }
 
@@ -802,11 +787,11 @@ pub fn decode_machine(bytes: &[u8]) -> Result<Machine, WireError> {
     }
 
     let count = d.r.count("global count")?;
-    let mut globals = HashMap::with_capacity(count);
+    let mut globals = Vec::with_capacity(count);
     for _ in 0..count {
         let name: Name = read_name(&mut d.r)?;
         let v = d.value()?;
-        globals.insert(name, v);
+        globals.push((name, v));
     }
 
     if !d.r.finished() {
@@ -829,7 +814,17 @@ pub fn decode_machine(bytes: &[u8]) -> Result<Machine, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyview_syntax::{Label, Lit};
+    use polyview_syntax::{Expr, Label, Lit, Slot};
+
+    /// The code of `fn x => body`, capturing `captures`.
+    fn code(captures: Vec<Slot>, body: Expr) -> Rc<Lambda> {
+        Rc::new(Lambda {
+            fix: None,
+            param: Label::new("x"),
+            captures,
+            body,
+        })
+    }
 
     fn roundtrip(m: &Machine) -> Machine {
         decode_machine(&encode_machine(m)).expect("roundtrip decodes")
@@ -916,26 +911,21 @@ mod tests {
     }
 
     #[test]
-    fn closure_env_and_body_sharing_survives() {
+    fn closure_code_sharing_and_captures_survive() {
         let mut m = Machine::new();
-        let env = Env::empty().bind(Label::new("n"), Value::Int(7));
-        let body = Rc::new(Expr::Var(Label::new("n")));
-        let c1 = Closure {
-            id: m.fresh_id(),
-            fix_name: None,
-            param: Label::new("x"),
-            body: body.clone(),
-            env: env.clone(),
-        };
-        let c2 = Closure {
-            id: m.fresh_id(),
-            fix_name: None,
-            param: Label::new("y"),
-            body,
-            env,
-        };
-        m.define_global("f", Value::Closure(Rc::new(c1)));
-        m.define_global("g", Value::Closure(Rc::new(c2)));
+        // fn x => n, with n captured as 7 by one closure and 8 by another.
+        let body = code(
+            vec![Slot::Local(0)],
+            Expr::VarAt(Label::new("n"), Slot::Captured(0)),
+        );
+        for (name, n) in [("f", 7), ("g", 8)] {
+            let c = Closure {
+                id: m.fresh_id(),
+                code: body.clone(),
+                captured: Box::new([Value::Int(n)]),
+            };
+            m.define_global(name, Value::Closure(Rc::new(c)));
+        }
         let mut r = roundtrip(&m);
         let (f, g) = match (
             r.global(&Label::new("f")).unwrap().clone(),
@@ -944,12 +934,32 @@ mod tests {
             (Value::Closure(f), Value::Closure(g)) => (f, g),
             other => panic!("expected closures, got {other:?}"),
         };
-        assert!(Rc::ptr_eq(&f.body, &g.body), "shared body stays shared");
-        assert_eq!(f.env.node_ptr(), g.env.node_ptr(), "shared env chain");
-        let v = r
-            .eval(&Expr::app(Expr::Var(Label::new("f")), Expr::Lit(Lit::Unit)))
-            .expect("captured binding applies");
-        assert!(matches!(v, Value::Int(7)));
+        assert!(Rc::ptr_eq(&f.code, &g.code), "shared code stays shared");
+        for (name, want) in [("f", 7), ("g", 8)] {
+            let v = r
+                .eval(&Expr::app(
+                    Expr::Var(Label::new(name)),
+                    Expr::Lit(Lit::Unit),
+                ))
+                .expect("captured binding applies");
+            assert!(matches!(v, Value::Int(n) if n == want), "{name}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn closure_code_reading_a_missing_slot_is_refused() {
+        let mut m = Machine::new();
+        let c = Closure {
+            id: m.fresh_id(),
+            code: code(Vec::new(), Expr::VarAt(Label::new("y"), Slot::Local(1))),
+            captured: Box::new([]),
+        };
+        m.define_global("f", Value::Closure(Rc::new(c)));
+        let err = decode_machine(&encode_machine(&m)).err().expect("refused");
+        assert!(
+            err.to_string().contains("slot its frame does not have"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -996,10 +1006,8 @@ mod tests {
                 sources: vec![0],
                 view: Value::Closure(Rc::new(Closure {
                     id: 100,
-                    fix_name: None,
-                    param: Label::new("x"),
-                    body: Rc::new(Expr::Var(Label::new("x"))),
-                    env: Env::empty(),
+                    code: code(Vec::new(), Expr::VarAt(Label::new("x"), Slot::Local(0))),
+                    captured: Box::new([]),
                 })),
                 pred: Value::Bool(true),
             }],
@@ -1028,8 +1036,18 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(decode_machine(&trailing).is_err(), "trailing bytes");
-        let mut wrong_version = good;
+        let mut wrong_version = good.clone();
         wrong_version[4] = 0xFF;
         assert!(decode_machine(&wrong_version).is_err(), "version skew");
+        // A version-1 snapshot (named environment chains) is refused by
+        // name, before any of its closures is read.
+        let mut v1 = good;
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = decode_machine(&v1).err().expect("version 1 refused");
+        assert!(
+            err.to_string()
+                .contains("unsupported machine snapshot version 1"),
+            "{err}"
+        );
     }
 }

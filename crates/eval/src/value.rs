@@ -10,9 +10,8 @@
 //! * Sets are canonical ordered maps from dedup keys to representative
 //!   elements; union is left-biased on key collision.
 
-use crate::env::Env;
 use crate::error::RuntimeError;
-use polyview_syntax::{Expr, Label, Layout, Name};
+use polyview_syntax::{Label, Lambda, Layout};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -53,20 +52,17 @@ impl RecordVal {
     }
 }
 
-/// A user function: one parameter, a body, and the captured environment.
-/// `fix_name`, when present, re-binds the closure itself on application
-/// (this is how `fix x.λy.e` ties the knot without reference cycles).
-/// The body is shared with the source AST (`Expr::Lam` stores `Rc<Expr>`),
-/// so creating a closure never deep-clones the function body — important
-/// on the prepared-statement path, where one cached AST is evaluated many
-/// times.
+/// A user function: a flat closure. `code` is the resolved λ, shared
+/// with the code that made the closure (creating one never copies a
+/// body), and `captured[i]` is the value of its `i`-th free variable when
+/// it was made. A `fix` closure is pushed into its own frame on
+/// application (this is how `fix x.λy.e` ties the knot without reference
+/// cycles).
 #[derive(Debug)]
 pub struct Closure {
     pub id: u64,
-    pub fix_name: Option<Name>,
-    pub param: Name,
-    pub body: Rc<Expr>,
-    pub env: Env,
+    pub code: Rc<Lambda>,
+    pub captured: Box<[Value]>,
 }
 
 /// A builtin primitive, possibly partially applied.
@@ -183,7 +179,14 @@ impl SetVal {
 }
 
 /// Runtime values.
+///
+/// `repr(u64)` puts every payload at offset 8, after a word-sized tag, so
+/// a clone copies whole words. With the default layout `Bool`'s payload
+/// sits at offset 1, and every clone copied bytes 1..8 with overlapping
+/// narrow moves that stall store forwarding; evaluation clones a value on
+/// every variable read. The size stays 24 bytes.
 #[derive(Clone, Debug)]
+#[repr(u64)]
 pub enum Value {
     Unit,
     Int(i64),

@@ -200,19 +200,21 @@ fn eval_global_runs_cached_ast_against_live_globals() {
 }
 
 #[test]
-fn closures_share_lam_bodies_with_the_source_ast() {
-    // `Expr::Lam` stores its body behind `Rc`; creating a closure must
-    // share that allocation, not deep-copy the body.
+fn closures_share_their_code_with_the_resolved_tree() {
+    // A resolved λ holds its code behind `Rc`; every closure made from it
+    // must share that allocation, not copy the body.
+    use polyview_syntax::resolve::resolve;
     use polyview_syntax::Expr;
-    let lam = b::lam("y", b::add(b::v("y"), b::int(1)));
-    let body = match &lam {
-        Expr::Lam(_, b) => Rc::clone(b),
-        other => panic!("expected lam, got {other}"),
-    };
     let mut m = Machine::new();
-    let v = m.eval_global(&lam).expect("closure");
-    match v {
-        Value::Closure(c) => assert!(Rc::ptr_eq(&c.body, &body)),
-        other => panic!("expected closure, got {other:?}"),
+    let lam = resolve(&b::lam("y", b::add(b::v("y"), b::int(1))), m.global_names());
+    let code = match &lam {
+        Expr::LamAt(l) => Rc::clone(l),
+        other => panic!("expected a resolved λ, got {other}"),
+    };
+    for _ in 0..2 {
+        match m.eval_code(&lam).expect("closure") {
+            Value::Closure(c) => assert!(Rc::ptr_eq(&c.code, &code)),
+            other => panic!("expected closure, got {other:?}"),
+        }
     }
 }

@@ -176,7 +176,7 @@ impl fmt::Display for Lit {
 fn fmt_expr(e: &Expr, out: &mut String) {
     match e {
         Expr::Lit(l) => out.push_str(&l.to_string()),
-        Expr::Var(x) => out.push_str(x.as_str()),
+        Expr::Var(x) | Expr::VarAt(x, _) => out.push_str(x.as_str()),
         Expr::Eq(a, b) => fmt_call(out, "eq", [a.as_ref(), b.as_ref()]),
         Expr::Lam(x, b) => {
             out.push_str("fn ");
@@ -245,6 +245,18 @@ fn fmt_expr(e: &Expr, out: &mut String) {
             out.push_str(x.as_str());
             out.push_str(" => ");
             fmt_expr(b, out);
+        }
+        // A resolved λ renders as its source form.
+        Expr::LamAt(l) => {
+            if let Some(f) = &l.fix {
+                out.push_str("fix ");
+                out.push_str(f.as_str());
+                out.push_str(" => ");
+            }
+            out.push_str("fn ");
+            out.push_str(l.param.as_str());
+            out.push_str(" => ");
+            fmt_expr(&l.body, out);
         }
         Expr::Let(x, rhs, body) => {
             out.push_str("let ");
@@ -364,7 +376,7 @@ fn fmt_idx(idx: &crate::term::Idx, out: &mut String) {
             out.push('@');
             out.push_str(&n.to_string());
         }
-        crate::term::Idx::Var(x) => {
+        crate::term::Idx::Var(x) | crate::term::Idx::At(x, _) => {
             out.push_str("@?");
             out.push_str(x.as_str());
         }
@@ -395,7 +407,12 @@ fn fmt_class(cd: &ClassDef, out: &mut String) {
 fn fmt_app_operand(e: &Expr, out: &mut String) {
     let needs_parens = matches!(
         e,
-        Expr::If(..) | Expr::Let(..) | Expr::Lam(..) | Expr::Fix(..) | Expr::LetClasses(..)
+        Expr::If(..)
+            | Expr::Let(..)
+            | Expr::Lam(..)
+            | Expr::Fix(..)
+            | Expr::LamAt(_)
+            | Expr::LetClasses(..)
     ) || matches!(e, Expr::Lit(Lit::Int(n)) if *n < 0);
     if needs_parens {
         out.push('(');

@@ -11,8 +11,8 @@ use std::rc::Rc;
 /// A record label (also used for the numeric labels `1`, `2`, … of tuples).
 ///
 /// Cheap to clone; equality, ordering and hashing are by the label text.
-/// The text is shared through an `Rc`, not an `Arc`: evaluation clones a
-/// name on every environment binding, and a non-atomic count makes that
+/// The text is shared through an `Rc`, not an `Arc`: inference and
+/// lowering clone names constantly, and a non-atomic count makes that
 /// clone an ordinary increment. So names, and the terms, types and values
 /// that hold them, are not `Send`. An engine lives on one thread; threads
 /// exchange statement text and rendered results, never terms.

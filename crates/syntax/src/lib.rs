@@ -22,6 +22,7 @@ pub mod display;
 pub mod kind;
 pub mod label;
 pub mod layout;
+pub mod resolve;
 pub mod scheme;
 pub mod sugar;
 pub mod term;
@@ -32,6 +33,7 @@ pub mod wire;
 pub use kind::{FieldReq, Kind, MutReq};
 pub use label::{Label, Name};
 pub use layout::Layout;
+pub use resolve::GlobalNames;
 pub use scheme::Scheme;
-pub use term::{ClassDef, Expr, Field, Idx, IncludeClause, Lit};
+pub use term::{ClassDef, Expr, Field, Idx, IncludeClause, Lambda, Lit, Slot};
 pub use types::{BaseTy, FieldTy, Mono, RecordTy, TyVar};

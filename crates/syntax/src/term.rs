@@ -155,6 +155,47 @@ pub enum Expr {
     /// fold's left-biased result. The lowering pass emits it for that
     /// union-fold shape only.
     Collect(Box<Expr>, Box<Expr>),
+
+    // ----- resolved variable forms (the resolver's output) -----
+    //
+    // Produced by `crate::resolve` and by the lowering pass, which runs the
+    // same scope resolution in its walk; the parser never emits them and
+    // inference rejects them. The machine evaluates only code in which
+    // every variable and λ is resolved (DESIGN.md §13).
+    /// A variable resolved to where the machine finds it. The name is
+    /// kept for rendering only.
+    VarAt(Name, Slot),
+    /// A λ (or a `fix`-bound λ) resolved to the code of a flat closure.
+    LamAt(Rc<Lambda>),
+}
+
+/// Where a resolved variable lives at run time, relative to the frame of
+/// the function whose code mentions it (DESIGN.md §13).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Slot {
+    /// The `i`-th local of the frame: a `fix` closure itself (0), then the
+    /// parameter, then each enclosing `let` and class binder, outermost
+    /// first.
+    Local(u32),
+    /// The `i`-th variable the closure captured when it was made.
+    Captured(u32),
+    /// A top-level binding, read from the machine's global vector. Only
+    /// code outside every λ reads one; a λ captures the globals it uses.
+    Global(u32),
+}
+
+/// A resolved λ: the code of a flat closure.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Lambda {
+    /// The `fix` name bound to the closure itself, when this is the λ of a
+    /// `fix` (it takes local 0).
+    pub fix: Option<Name>,
+    pub param: Name,
+    /// Where the enclosing frame holds each free variable of the body:
+    /// evaluating the λ copies `captures[i]` into the closure, and the
+    /// body reads it as `Slot::Captured(i)`.
+    pub captures: Vec<Slot>,
+    pub body: Expr,
 }
 
 /// How a lowered field operation finds its slot.
@@ -170,6 +211,9 @@ pub enum Idx {
     /// site. A negative value is the "unresolved" sentinel: the operation
     /// falls back to dynamic lookup by label, and the evaluator counts it.
     Var(Name),
+    /// An index parameter resolved to its slot (the resolver's output for
+    /// [`Idx::Var`]); the name is kept for rendering only.
+    At(Name, Slot),
 }
 
 impl Expr {

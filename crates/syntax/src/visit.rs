@@ -16,7 +16,8 @@ pub fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
 /// Immediate sub-expressions of `e`, in syntactic order.
 pub fn children(e: &Expr) -> Vec<&Expr> {
     match e {
-        Expr::Lit(_) | Expr::Var(_) => Vec::new(),
+        Expr::Lit(_) | Expr::Var(_) | Expr::VarAt(..) => Vec::new(),
+        Expr::LamAt(l) => vec![&l.body],
         Expr::Eq(a, b)
         | Expr::App(a, b)
         | Expr::Union(a, b)

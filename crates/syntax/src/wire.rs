@@ -14,16 +14,17 @@
 //! value.
 //!
 //! `Expr` trees are encoded structurally (the parser produces trees, not
-//! DAGs); sharing of `Rc<Expr>` closure *bodies* across values is
+//! DAGs), resolved forms included: a variable's slot and a resolved λ's
+//! capture list are plain data. Sharing of closure code across values is
 //! preserved one level up, by the evaluator's node table
-//! (`polyview_eval::snapshot`), which memoizes whole bodies by pointer
-//! before delegating to [`write_expr`] for their contents.
+//! (`polyview_eval::snapshot`), which shares whole closure bodies by
+//! content before delegating to [`write_expr`] for their contents.
 
 use crate::kind::{FieldReq, Kind, MutReq};
 use crate::label::{Label, Name};
 use crate::layout::Layout;
 use crate::scheme::Scheme;
-use crate::term::{ClassDef, Expr, Field, Idx, IncludeClause, Lit};
+use crate::term::{ClassDef, Expr, Field, Idx, IncludeClause, Lambda, Lit, Slot};
 use crate::types::{BaseTy, FieldTy, Mono};
 use std::fmt;
 
@@ -291,13 +292,40 @@ fn write_idx(w: &mut ByteWriter, i: &Idx) {
             w.u8(1);
             write_label(w, name);
         }
+        Idx::At(name, slot) => {
+            w.u8(2);
+            write_label(w, name);
+            write_slot(w, *slot);
+        }
     }
+}
+
+fn write_slot(w: &mut ByteWriter, s: Slot) {
+    let (tag, i) = match s {
+        Slot::Local(i) => (0, i),
+        Slot::Captured(i) => (1, i),
+        Slot::Global(i) => (2, i),
+    };
+    w.u8(tag);
+    w.u32(i);
+}
+
+fn read_slot(r: &mut ByteReader) -> Result<Slot, WireError> {
+    let tag = r.u8("slot tag")?;
+    let i = r.u32("slot index")?;
+    Ok(match tag {
+        0 => Slot::Local(i),
+        1 => Slot::Captured(i),
+        2 => Slot::Global(i),
+        tag => return Err(WireError::BadTag { what: "slot", tag }),
+    })
 }
 
 fn read_idx(r: &mut ByteReader) -> Result<Idx, WireError> {
     Ok(match r.u8("idx tag")? {
         0 => Idx::Const(r.usize("const idx")?),
         1 => Idx::Var(read_label(r)?),
+        2 => Idx::At(read_label(r)?, read_slot(r)?),
         tag => return Err(WireError::BadTag { what: "idx", tag }),
     })
 }
@@ -514,7 +542,55 @@ pub fn write_expr(w: &mut ByteWriter, e: &Expr) {
             write_expr(w, s);
             write_expr(w, f);
         }
+        Expr::VarAt(x, slot) => {
+            w.u8(30);
+            write_label(w, x);
+            write_slot(w, *slot);
+        }
+        Expr::LamAt(l) => {
+            w.u8(31);
+            write_lambda(w, l);
+        }
     }
+}
+
+/// Encode a resolved λ: its `fix` name, parameter, capture list and body.
+fn write_lambda(w: &mut ByteWriter, l: &Lambda) {
+    match &l.fix {
+        None => w.bool(false),
+        Some(f) => {
+            w.bool(true);
+            write_label(w, f);
+        }
+    }
+    write_label(w, &l.param);
+    w.usize(l.captures.len());
+    for s in &l.captures {
+        write_slot(w, *s);
+    }
+    write_expr(w, &l.body);
+}
+
+/// Decode a resolved λ written by [`write_lambda`].
+fn read_lambda(r: &mut ByteReader) -> Result<Lambda, WireError> {
+    let fix = if r.bool("fix present")? {
+        Some(read_label(r)?)
+    } else {
+        None
+    };
+    let param = read_label(r)?;
+    let n = r.count("captures")?;
+    let mut captures = Vec::with_capacity(n);
+    for _ in 0..n {
+        captures.push(read_slot(r)?);
+    }
+    let body = read_expr(r)?;
+    Ok(Lambda {
+        fix,
+        param,
+        captures,
+        body,
+    })
 }
 
 /// Decode an expression tree written by [`write_expr`].
@@ -629,6 +705,8 @@ pub fn read_expr(r: &mut ByteReader) -> Result<Expr, WireError> {
             Expr::RecordAt(std::rc::Rc::new(layout), entries)
         }
         29 => Expr::collect(read_expr(r)?, read_expr(r)?),
+        30 => Expr::VarAt(read_label(r)?, read_slot(r)?),
+        31 => Expr::LamAt(std::rc::Rc::new(read_lambda(r)?)),
         tag => return Err(WireError::BadTag { what: "expr", tag }),
     })
 }
@@ -897,6 +975,38 @@ mod tests {
                 ),
             ),
         );
+        assert_eq!(roundtrip_expr(&e), e);
+    }
+
+    #[test]
+    fn expr_roundtrip_covers_resolved_forms() {
+        // fix f => fn #i => fn x => f #i (x.N@#i), resolved: every slot
+        // kind, a capture list, and a resolved index parameter.
+        let e = crate::resolve::resolve(
+            &Expr::let_(
+                "k",
+                Expr::var("g"),
+                Expr::fix(
+                    "f",
+                    Expr::lam(
+                        "#i",
+                        Expr::lam(
+                            "x",
+                            Expr::apps(
+                                Expr::var("f"),
+                                [
+                                    Expr::var("#i"),
+                                    Expr::dot_at(Expr::var("x"), "N", Idx::Var(Label::new("#i"))),
+                                    Expr::var("k"),
+                                ],
+                            ),
+                        ),
+                    ),
+                ),
+            ),
+            &mut crate::GlobalNames::default(),
+        );
+        assert!(crate::resolve::is_resolved(&e));
         assert_eq!(roundtrip_expr(&e), e);
     }
 

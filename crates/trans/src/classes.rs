@@ -375,7 +375,9 @@ pub fn translate_classes(e: &Expr) -> Expr {
         }
 
         // ----- homomorphic cases -----
-        Expr::Lit(_) | Expr::Var(_) => e.clone(),
+        // Resolved forms come from lowering, which runs after this
+        // pass; they hold no view or class construct.
+        Expr::Lit(_) | Expr::Var(_) | Expr::VarAt(..) | Expr::LamAt(_) => e.clone(),
         Expr::Eq(a, b) => Expr::eq(translate_classes(a), translate_classes(b)),
         Expr::Lam(x, b) => Expr::lam(x.clone(), translate_classes(b)),
         Expr::App(f, a) => Expr::app(translate_classes(f), translate_classes(a)),

@@ -26,6 +26,11 @@
 //!   `Collect(S, f)`, which the evaluator runs as one linear pass with the
 //!   fold's exact result (DESIGN.md §13). Every other `hom` stays a fold.
 //!
+//! The same walk resolves every variable (`polyview_syntax::resolve`):
+//! locals to frame slots, globals to global slots, and each `λ` to a
+//! flat closure, so the code a statement caches looks nothing up by name
+//! (DESIGN.md §13).
+//!
 //! Index parameters are ordinary λ-bound variables named `#i{var}.{label}`
 //! (`#`-prefixed names are unreachable from the parser, so capture is
 //! impossible), and index application is ordinary application — no new
@@ -42,7 +47,8 @@
 //! `λ`, or an alias of an already-abstracted name keep their dynamic
 //! field operations as documented residue.
 
-use polyview_syntax::{visit, Expr, Idx, Kind, Label, Layout, Mono, Name, TyVar};
+use polyview_syntax::resolve::Scope;
+use polyview_syntax::{visit, Expr, GlobalNames, Idx, Kind, Label, Layout, Mono, Name, TyVar};
 use polyview_types::table::{node_id, NodeId, TypeTable};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -82,13 +88,15 @@ impl LowerStats {
 
 /// Lower a statement expression that is not itself a polymorphic binding
 /// (bare expressions, class declarations). `globals` maps the names of
-/// already-abstracted top-level bindings to their index signatures.
+/// already-abstracted top-level bindings to their index signatures, and
+/// `slots` numbers the top-level names the statement reads.
 pub fn lower_statement(
     e: &Expr,
     table: &TypeTable,
     globals: &HashMap<Name, Rc<IndexSig>>,
+    slots: &mut GlobalNames,
 ) -> (Expr, LowerStats) {
-    let mut lw = Lowerer::new(table, globals);
+    let mut lw = Lowerer::new(table, globals, slots);
     let out = lw.lower(e);
     (out, lw.stats)
 }
@@ -102,8 +110,9 @@ pub fn lower_binding(
     binders: &[(TyVar, Kind)],
     table: &TypeTable,
     globals: &HashMap<Name, Rc<IndexSig>>,
+    slots: &mut GlobalNames,
 ) -> (Expr, Option<Rc<IndexSig>>, LowerStats) {
-    let mut lw = Lowerer::new(table, globals);
+    let mut lw = Lowerer::new(table, globals, slots);
     let sig = sig_from_binders(binders);
     if !sig.is_empty() && lw.wrappable(rhs) {
         let sig = Rc::new(sig);
@@ -137,6 +146,8 @@ fn param_name(v: TyVar, l: &Label) -> Name {
 struct Lowerer<'a> {
     table: &'a TypeTable,
     globals: &'a HashMap<Name, Rc<IndexSig>>,
+    /// Where each variable lives, frame by frame.
+    scope: Scope<'a>,
     /// Local binders, innermost last. `Some(sig)` marks an
     /// index-abstracted binding; `None` is a plain binder (which shadows
     /// any outer signature of the same name).
@@ -147,10 +158,15 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(table: &'a TypeTable, globals: &'a HashMap<Name, Rc<IndexSig>>) -> Self {
+    fn new(
+        table: &'a TypeTable,
+        globals: &'a HashMap<Name, Rc<IndexSig>>,
+        slots: &'a mut GlobalNames,
+    ) -> Self {
         Lowerer {
             table,
             globals,
+            scope: Scope::new(slots),
             locals: Vec::new(),
             index_params: Vec::new(),
             stats: LowerStats::default(),
@@ -196,35 +212,72 @@ impl<'a> Lowerer<'a> {
     fn wrap_and_lower(&mut self, rhs: &Expr, sig: &Rc<IndexSig>) -> Expr {
         self.stats.index_abstractions += 1;
         let depth = self.index_params.len();
-        for (v, l) in sig.iter() {
-            self.index_params.push(((*v, l.clone()), param_name(*v, l)));
+        let params: Vec<Name> = sig.iter().map(|(v, l)| param_name(*v, l)).collect();
+        for ((v, l), p) in sig.iter().zip(&params) {
+            self.index_params.push(((*v, l.clone()), p.clone()));
         }
         let out = match rhs {
             Expr::Fix(f, inner) if matches!(**inner, Expr::Lam(..)) => {
                 self.locals.push((f.clone(), Some(sig.clone())));
-                let inner_low = self.lower(inner);
+                self.scope.enter(Some(f), &params[0]);
+                let body = self.index_lams(&params[1..], |lw| lw.lower(inner));
                 self.locals.pop();
-                Expr::fix(f.clone(), wrap_index_lams(sig, inner_low))
+                self.scope.leave(Some(f.clone()), params[0].clone(), body)
             }
-            // Alias of an abstracted binding. Bare η-expansion
-            // (`λ#i… x #i…`) would leave `x` a *name* in the closure body,
-            // re-resolved against the global environment on every call —
-            // late binding, while `val g = x` snapshots x's value at
-            // definition time. Bind the source value once
-            // (`let #src = x`) and re-apply the indices through the
-            // snapshot, so rebinding `x` can never reach the alias.
+            // Alias of an abstracted binding. Bind the source value once
+            // (`let #src = x`) and re-apply the indices through that
+            // binder: the alias is the value `x` had at definition time.
+            // (The index λs would capture `x` at definition time too; the
+            // binder keeps the alias's code, and so its fuel, unchanged.)
             Expr::Var(x) => {
-                let applied = self.lower(rhs);
                 let src = snapshot_name(x);
-                let body = replace_app_head(applied, x, &src);
-                Expr::let_(src, Expr::Var(x.clone()), wrap_index_lams(sig, body))
+                let bare = Expr::VarAt(x.clone(), self.scope.var(x));
+                let src_sig = self
+                    .sig_of(x)
+                    .expect("an alias is wrapped only when its source is");
+                self.scope.bind(&src);
+                let lams = self.index_lams(&params, |lw| {
+                    let head = Expr::VarAt(src.clone(), lw.scope.var(&src));
+                    lw.index_apply(head, &src_sig, node_id(rhs))
+                });
+                self.scope.unbind(1);
+                Expr::let_(src, bare, lams)
             }
-            _ => {
-                let low = self.lower(rhs);
-                wrap_index_lams(sig, low)
-            }
+            _ => self.index_lams(&params, |lw| lw.lower(rhs)),
         };
         self.index_params.truncate(depth);
+        out
+    }
+
+    /// One λ per index parameter around the code `body` lowers.
+    fn index_lams(&mut self, params: &[Name], body: impl FnOnce(&mut Self) -> Expr) -> Expr {
+        for p in params {
+            self.scope.enter(None, p);
+        }
+        let mut out = body(self);
+        for p in params.iter().rev() {
+            out = self.scope.leave(None, p.clone(), out);
+        }
+        out
+    }
+
+    /// Apply `head`, an occurrence of a binding with signature `sig`, to
+    /// every index argument. The instantiation recorded at `node` says
+    /// what each scheme binder became there; a monomorphic occurrence (a
+    /// recursive call) has no entry and uses the binder itself, picking
+    /// up the enclosing parameters.
+    fn index_apply(&mut self, head: Expr, sig: &IndexSig, node: NodeId) -> Expr {
+        let table = self.table;
+        let inst = table.instantiations.get(&node);
+        let mut out = head;
+        for (v, l) in sig.iter() {
+            let ty = inst
+                .and_then(|pairs| pairs.iter().find(|(b, _)| b == v))
+                .map(|(_, t)| t.clone())
+                .unwrap_or(Mono::Var(*v));
+            let arg = self.index_arg(&ty, l);
+            out = Expr::app(out, arg);
+        }
         out
     }
 
@@ -241,7 +294,8 @@ impl<'a> Lowerer<'a> {
             Mono::Var(w) => {
                 let p = self.index_param(*w, l)?;
                 self.stats.index_params_used += 1;
-                Some(Idx::Var(p))
+                let slot = self.scope.var(&p);
+                Some(Idx::At(p, slot))
             }
             _ => None,
         }
@@ -263,7 +317,8 @@ impl<'a> Lowerer<'a> {
             Mono::Var(w) => match self.index_param(*w, l) {
                 Some(p) => {
                     self.stats.index_params_used += 1;
-                    Expr::Var(p)
+                    let slot = self.scope.var(&p);
+                    Expr::VarAt(p, slot)
                 }
                 None => {
                     self.stats.dynamic_residue += 1;
@@ -281,25 +336,11 @@ impl<'a> Lowerer<'a> {
         match e {
             Expr::Lit(_) => e.clone(),
             Expr::Var(x) => {
-                let Some(sig) = self.sig_of(x) else {
-                    return e.clone();
-                };
-                // Apply every index argument of the callee's signature.
-                // The instantiation recorded at this node says what each
-                // scheme binder became here; a monomorphic occurrence
-                // (e.g. a recursive call) has no entry and uses the
-                // binder itself, picking up the enclosing parameters.
-                let inst = self.table.instantiations.get(&node_id(e));
-                let mut out = Expr::Var(x.clone());
-                for (v, l) in sig.iter() {
-                    let ty = inst
-                        .and_then(|pairs| pairs.iter().find(|(b, _)| b == v))
-                        .map(|(_, t)| t.clone())
-                        .unwrap_or(Mono::Var(*v));
-                    let arg = self.index_arg(&ty, l);
-                    out = Expr::app(out, arg);
+                let head = Expr::VarAt(x.clone(), self.scope.var(x));
+                match self.sig_of(x) {
+                    Some(sig) => self.index_apply(head, &sig, node_id(e)),
+                    None => head,
                 }
-                out
             }
             Expr::Record(fields) => {
                 let layout = Rc::new(Layout::new(
@@ -355,36 +396,39 @@ impl<'a> Lowerer<'a> {
                     .get(&node_id(e))
                     .map(|bs| sig_from_binders(bs))
                     .filter(|s| !s.is_empty());
-                match sig {
+                let (r, sig) = match sig {
                     Some(sig) if self.wrappable(rhs) => {
                         let sig = Rc::new(sig);
-                        let wrapped = self.wrap_and_lower(rhs, &sig);
-                        self.locals.push((x.clone(), Some(sig)));
-                        let b = self.lower(body);
-                        self.locals.pop();
-                        Expr::let_(x.clone(), wrapped, b)
+                        (self.wrap_and_lower(rhs, &sig), Some(sig))
                     }
-                    _ => {
-                        let r = self.lower(rhs);
-                        self.locals.push((x.clone(), None));
-                        let b = self.lower(body);
-                        self.locals.pop();
-                        Expr::let_(x.clone(), r, b)
-                    }
-                }
+                    _ => (self.lower(rhs), None),
+                };
+                self.locals.push((x.clone(), sig));
+                self.scope.bind(x);
+                let b = self.lower(body);
+                self.scope.unbind(1);
+                self.locals.pop();
+                Expr::let_(x.clone(), r, b)
             }
             Expr::Lam(x, b) => {
                 self.locals.push((x.clone(), None));
+                self.scope.enter(None, x);
                 let lb = self.lower(b);
                 self.locals.pop();
-                Expr::lam(x.clone(), lb)
+                self.scope.leave(None, x.clone(), lb)
             }
-            Expr::Fix(x, b) => {
-                self.locals.push((x.clone(), None));
-                let lb = self.lower(b);
-                self.locals.pop();
-                Expr::fix(x.clone(), lb)
-            }
+            Expr::Fix(f, lam) => match &**lam {
+                Expr::Lam(x, b) => {
+                    self.locals.push((f.clone(), None));
+                    self.locals.push((x.clone(), None));
+                    self.scope.enter(Some(f), x);
+                    let lb = self.lower(b);
+                    self.locals.truncate(self.locals.len() - 2);
+                    self.scope.leave(Some(f.clone()), x.clone(), lb)
+                }
+                // Evaluating it fails without running the body.
+                _ => e.clone(),
+            },
             Expr::Eq(a, b) => Expr::eq(self.lower(a), self.lower(b)),
             Expr::App(f, a) => Expr::app(self.lower(f), self.lower(a)),
             Expr::If(c, t, e2) => Expr::if_(self.lower(c), self.lower(t), self.lower(e2)),
@@ -415,32 +459,38 @@ impl<'a> Lowerer<'a> {
                 let depth = self.locals.len();
                 for (n, _) in binds {
                     self.locals.push((n.clone(), None));
+                    self.scope.bind(n);
                 }
                 let lowered_binds = binds
                     .iter()
                     .map(|(n, cd)| (n.clone(), self.lower_class(cd)))
                     .collect();
                 let lb = self.lower(body);
+                self.scope.unbind(binds.len());
                 self.locals.truncate(depth);
                 Expr::LetClasses(lowered_binds, Box::new(lb))
             }
             // Already lowered (idempotence guard; a second pass is a no-op
             // on these).
-            Expr::DotAt(b, l, i) => Expr::DotAt(Box::new(self.lower(b)), l.clone(), i.clone()),
-            Expr::ExtractAt(b, l, i) => {
-                Expr::ExtractAt(Box::new(self.lower(b)), l.clone(), i.clone())
+            Expr::DotAt(b, l, i) => {
+                let b = Box::new(self.lower(b));
+                Expr::DotAt(b, l.clone(), self.scope.idx(i))
             }
-            Expr::UpdateAt(b, l, i, v) => Expr::UpdateAt(
-                Box::new(self.lower(b)),
-                l.clone(),
-                i.clone(),
-                Box::new(self.lower(v)),
-            ),
+            Expr::ExtractAt(b, l, i) => {
+                let b = Box::new(self.lower(b));
+                Expr::ExtractAt(b, l.clone(), self.scope.idx(i))
+            }
+            Expr::UpdateAt(b, l, i, v) => {
+                let b = Box::new(self.lower(b));
+                let i = self.scope.idx(i);
+                Expr::UpdateAt(b, l.clone(), i, Box::new(self.lower(v)))
+            }
             Expr::RecordAt(layout, fs) => Expr::RecordAt(
                 layout.clone(),
                 fs.iter().map(|(off, fe)| (*off, self.lower(fe))).collect(),
             ),
             Expr::Collect(s, f) => Expr::collect(self.lower(s), self.lower(f)),
+            Expr::VarAt(..) | Expr::LamAt(_) => e.clone(),
         }
     }
 
@@ -482,27 +532,10 @@ fn is_union_fold(op: &Expr, z: &Expr) -> bool {
         && matches!(z, Expr::SetLit(es) if es.is_empty())
 }
 
-fn wrap_index_lams(sig: &IndexSig, body: Expr) -> Expr {
-    sig.iter()
-        .rev()
-        .fold(body, |acc, (v, l)| Expr::lam(param_name(*v, l), acc))
-}
-
 /// The reserved name binding an alias's definition-time snapshot of its
 /// source value.
 fn snapshot_name(src: &Name) -> Name {
     Label::new(format!("#src.{src}"))
-}
-
-/// Replace the head variable of an application spine: `x a₁ … aₙ` with
-/// head `from` becomes `to a₁ … aₙ`. Used to route an alias's index
-/// application through its snapshot binder.
-fn replace_app_head(e: Expr, from: &Name, to: &Name) -> Expr {
-    match e {
-        Expr::App(f, a) => Expr::app(replace_app_head(*f, from, to), *a),
-        Expr::Var(x) if &x == from => Expr::Var(to.clone()),
-        other => other,
-    }
 }
 
 /// Human-readable rows describing every field operation of a compiled
@@ -527,7 +560,7 @@ pub fn offset_report(e: &Expr) -> Vec<String> {
 fn show_idx(i: &Idx) -> String {
     match i {
         Idx::Const(n) => format!("@{n}"),
-        Idx::Var(x) => format!("@{x}"),
+        Idx::Var(x) | Idx::At(x, _) => format!("@{x}"),
     }
 }
 
@@ -550,6 +583,7 @@ pub fn has_dynamic_field_ops(e: &Expr) -> bool {
 mod tests {
     use super::*;
     use polyview_syntax::builder as b;
+    use polyview_syntax::Slot;
     use polyview_types::{builtins_sig, Infer};
 
     /// Run inference with recording on, as the engine does, and return
@@ -575,7 +609,7 @@ mod tests {
             b::dot(b::v("joe"), "Salary"),
         );
         let (_, table) = infer_table(&e);
-        let (low, stats) = lower_statement(&e, &table, &no_globals());
+        let (low, stats) = lower_statement(&e, &table, &no_globals(), &mut GlobalNames::default());
         assert!(!has_dynamic_field_ops(&low));
         assert_eq!(stats.offsets_resolved, 1);
         assert_eq!(stats.records_lowered, 1);
@@ -603,7 +637,13 @@ mod tests {
             ),
         );
         let (scheme, table) = infer_table(&f);
-        let (low, sig, stats) = lower_binding(&f, &scheme.binders, &table, &no_globals());
+        let (low, sig, stats) = lower_binding(
+            &f,
+            &scheme.binders,
+            &table,
+            &no_globals(),
+            &mut GlobalNames::default(),
+        );
         let sig = sig.expect("record-kinded scheme must abstract");
         // Two labels in the kind → two index parameters, and both dots go
         // through them (kind field order: Bonus before Income).
@@ -615,9 +655,9 @@ mod tests {
         assert!(stats.index_abstractions == 1);
         // Shape: λ#i.λ#i.λp. …
         match &low {
-            Expr::Lam(p1, inner) => {
-                assert!(p1.as_str().starts_with("#i"));
-                assert!(matches!(**inner, Expr::Lam(..)));
+            Expr::LamAt(l) => {
+                assert!(l.param.as_str().starts_with("#i"));
+                assert!(matches!(l.body, Expr::LamAt(..)));
             }
             other => panic!("expected index λ, got {other}"),
         }
@@ -636,7 +676,7 @@ mod tests {
             ),
         );
         let (_, table) = infer_table(&e);
-        let (low, stats) = lower_statement(&e, &table, &no_globals());
+        let (low, stats) = lower_statement(&e, &table, &no_globals(), &mut GlobalNames::default());
         assert!(!has_dynamic_field_ops(&low));
         assert_eq!(stats.dynamic_residue, 0);
         // The call must apply the constant 0 (Bonus's rank in the record)
@@ -644,7 +684,7 @@ mod tests {
         let mut saw_const_arg = false;
         visit::walk(&low, &mut |n| {
             if let Expr::App(fun, arg) = n {
-                if matches!(**fun, Expr::Var(ref x) if x.as_str() == "f")
+                if matches!(**fun, Expr::VarAt(ref x, _) if x.as_str() == "f")
                     && matches!(**arg, Expr::Lit(polyview_syntax::Lit::Int(0)))
                 {
                     saw_const_arg = true;
@@ -669,23 +709,29 @@ mod tests {
             ),
         );
         let (scheme, table) = infer_table(&f);
-        let (low, sig, stats) = lower_binding(&f, &scheme.binders, &table, &no_globals());
+        let (low, sig, stats) = lower_binding(
+            &f,
+            &scheme.binders,
+            &table,
+            &no_globals(),
+            &mut GlobalNames::default(),
+        );
         assert!(sig.is_some());
         assert_eq!(stats.dynamic_residue, 0);
         // Index λs are inside the fix, and the recursive call re-passes
         // the parameter: (go #iN.Stop) r.
         match &low {
-            Expr::Fix(_, inner) => match &**inner {
-                Expr::Lam(p, _) => assert!(p.as_str().starts_with("#i")),
-                other => panic!("expected index λ inside fix, got {other}"),
-            },
+            Expr::LamAt(l) => {
+                assert_eq!(l.fix.as_ref().map(|f| f.as_str()), Some("go"));
+                assert!(l.param.as_str().starts_with("#i"), "index λ inside fix");
+            }
             other => panic!("expected fix, got {other}"),
         }
         let mut rec_call_indexed = false;
         visit::walk(&low, &mut |n| {
             if let Expr::App(fun, arg) = n {
-                if matches!(**fun, Expr::Var(ref x) if x.as_str() == "go")
-                    && matches!(**arg, Expr::Var(ref a) if a.as_str().starts_with("#i"))
+                if matches!(**fun, Expr::VarAt(ref x, _) if x.as_str() == "go")
+                    && matches!(**arg, Expr::VarAt(ref a, _) if a.as_str().starts_with("#i"))
                 {
                     rec_call_indexed = true;
                 }
@@ -703,7 +749,7 @@ mod tests {
         // type, so the index argument cannot be resolved.
         let e = b::let_("f", b::lam("x", b::dot(b::v("x"), "a")), b::v("f"));
         let (_, table) = infer_table(&e);
-        let (low, stats) = lower_statement(&e, &table, &no_globals());
+        let (low, stats) = lower_statement(&e, &table, &no_globals(), &mut GlobalNames::default());
         assert!(stats.dynamic_residue >= 1);
         let mut saw_sentinel = false;
         visit::walk(&low, &mut |n| {
@@ -720,10 +766,7 @@ mod tests {
     fn alias_of_abstracted_binding_snapshots_and_eta_expands() {
         // Global f is abstracted over (t, Bonus); val g = f must become
         // let #src = f in λ#i. #src #i end — an index-taking function
-        // again, but one that captured f's *value* at definition time
-        // (referencing f by name in the λ body would late-bind: rebinding
-        // f would change g's behaviour, which `val` snapshot semantics
-        // forbid).
+        // again, holding f's *value* at definition time.
         let g_rhs = b::v("f");
         let mut cx = Infer::new();
         cx.enable_table();
@@ -738,32 +781,38 @@ mod tests {
         let table = cx.take_table().expect("table");
         let mut globals = HashMap::new();
         globals.insert(Label::new("f"), Rc::new(vec![(77, Label::new("Bonus"))]));
-        let (low, sig, stats) = lower_binding(&g_rhs, &scheme.binders, &table, &globals);
+        let (low, sig, stats) = lower_binding(
+            &g_rhs,
+            &scheme.binders,
+            &table,
+            &globals,
+            &mut GlobalNames::default(),
+        );
         let sig = sig.expect("alias of abstracted binding must abstract");
         assert_eq!(sig.len(), 1);
         assert_eq!(stats.index_params_used, 1);
         assert_eq!(stats.dynamic_residue, 0);
-        // let #src.f = f in λ#i. (#src.f #i) end
+        // let #src.f = f in λ#i. (#src.f #i) end, with #src.f captured
+        // by the λ from the statement's local 0.
         match &low {
             Expr::Let(src, rhs, body) => {
                 assert_eq!(src.as_str(), "#src.f");
                 assert!(
-                    matches!(**rhs, Expr::Var(ref x) if x.as_str() == "f"),
+                    matches!(**rhs, Expr::VarAt(ref x, Slot::Global(_)) if x.as_str() == "f"),
                     "snapshot must bind the bare source, got {rhs}"
                 );
                 match &**body {
-                    Expr::Lam(p, inner) => {
-                        assert!(p.as_str().starts_with("#i"));
-                        match &**inner {
-                            Expr::App(fun, arg) => {
-                                assert!(
-                                    matches!(**fun, Expr::Var(ref x) if x == src),
-                                    "index application must go through the snapshot, got {fun}"
-                                );
-                                assert!(matches!(**arg, Expr::Var(ref a) if a == p));
-                            }
-                            other => panic!("expected application, got {other}"),
-                        }
+                    Expr::LamAt(l) => {
+                        assert!(l.param.as_str().starts_with("#i"));
+                        assert_eq!(l.captures, vec![Slot::Local(0)]);
+                        assert_eq!(
+                            l.body,
+                            Expr::app(
+                                Expr::VarAt(src.clone(), Slot::Captured(0)),
+                                Expr::VarAt(l.param.clone(), Slot::Local(0)),
+                            ),
+                            "index application must go through the snapshot"
+                        );
                     }
                     other => panic!("expected index λ, got {other}"),
                 }
@@ -779,7 +828,13 @@ mod tests {
         let e = b::set([b::lam("x", b::dot(b::v("x"), "a"))]);
         let (scheme, table) = infer_table(&e);
         assert!(!sig_from_binders(&scheme.binders).is_empty());
-        let (low, sig, _) = lower_binding(&e, &scheme.binders, &table, &no_globals());
+        let (low, sig, _) = lower_binding(
+            &e,
+            &scheme.binders,
+            &table,
+            &no_globals(),
+            &mut GlobalNames::default(),
+        );
         assert!(sig.is_none());
         assert!(matches!(low, Expr::SetLit(_)));
     }
@@ -792,7 +847,7 @@ mod tests {
             b::dot(b::v("joe"), "Name"),
         );
         let (_, table) = infer_table(&e);
-        let (low, _) = lower_statement(&e, &table, &no_globals());
+        let (low, _) = lower_statement(&e, &table, &no_globals(), &mut GlobalNames::default());
         let rows = offset_report(&low);
         assert!(rows.iter().any(|r| r.contains("dot .Name @0")), "{rows:?}");
         assert!(
@@ -805,7 +860,7 @@ mod tests {
     /// `Hom` nodes.
     fn fold_nodes(e: &Expr) -> (usize, usize) {
         let (_, table) = infer_table(e);
-        let (low, _) = lower_statement(e, &table, &no_globals());
+        let (low, _) = lower_statement(e, &table, &no_globals(), &mut GlobalNames::default());
         let (mut collects, mut homs) = (0, 0);
         visit::walk(&low, &mut |n| match n {
             Expr::Collect(..) => collects += 1,
@@ -874,13 +929,13 @@ mod tests {
         let (_, table) = infer_table(&e);
         let mut globals = HashMap::new();
         globals.insert(Label::new("f"), Rc::new(vec![(5u32, Label::new("a"))]));
-        let (low, stats) = lower_statement(&e, &table, &globals);
+        let (low, stats) = lower_statement(&e, &table, &globals, &mut GlobalNames::default());
         assert_eq!(stats.dynamic_residue, 0);
         // The body must be exactly (f 1) — no index args inserted.
         match &low {
-            Expr::Lam(_, body) => match &**body {
+            Expr::LamAt(l) => match &l.body {
                 Expr::App(fun, _) => {
-                    assert!(matches!(**fun, Expr::Var(_)), "got {low}")
+                    assert!(matches!(**fun, Expr::VarAt(_, Slot::Local(0))), "got {low}")
                 }
                 other => panic!("unexpected body {other}"),
             },

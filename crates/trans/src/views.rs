@@ -153,7 +153,9 @@ pub fn translate_views(e: &Expr) -> Expr {
         }
 
         // ----- homomorphic cases -----
-        Expr::Lit(_) | Expr::Var(_) => e.clone(),
+        // Resolved forms come from lowering, which runs after this
+        // pass; they hold no view or class construct.
+        Expr::Lit(_) | Expr::Var(_) | Expr::VarAt(..) | Expr::LamAt(_) => e.clone(),
         Expr::Eq(a, b) => Expr::eq(translate_views(a), translate_views(b)),
         Expr::Lam(x, b) => Expr::lam(x.clone(), translate_views(b)),
         Expr::App(f, a) => Expr::app(translate_views(f), translate_views(a)),

@@ -252,6 +252,8 @@ pub fn infer(cx: &mut Infer, env: &mut TypeEnv, e: &Expr) -> Result<Mono, TypeEr
         Expr::UpdateAt(..) => Err(TypeError::LoweredForm("update@i")),
         Expr::RecordAt(..) => Err(TypeError::LoweredForm("record@layout")),
         Expr::Collect(..) => Err(TypeError::LoweredForm("collect")),
+        Expr::VarAt(..) => Err(TypeError::LoweredForm("var@slot")),
+        Expr::LamAt(_) => Err(TypeError::LoweredForm("fn@captures")),
     }
 }
 

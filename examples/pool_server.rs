@@ -306,10 +306,14 @@ fn run_in_process(tracing: bool, durability: &Durability) {
     }
     say!("served {served} statements; all replicas agree on {expected}");
 
-    // One backpressure demonstration: saturate a paused replica's queue.
+    // One backpressure demonstration: saturate a paused replica's queue,
+    // through a session that replica serves.
     let gate = pool.pause_worker(0).expect("pause");
+    let session = (0..)
+        .find(|&s| pool.worker_for(s) == 0)
+        .expect("a session maps to replica 0");
     let mut queued = 0;
-    while let Submit::Queued(_) = pool.submit_read(0, "1 + 1").expect("classified") {
+    while let Submit::Queued(_) = pool.submit_read(session, "1 + 1").expect("classified") {
         queued += 1;
     }
     gate.release();

@@ -22,7 +22,6 @@
 //! (but no profiler) evaluates the same shape of work, and the clock's
 //! read counter must still be 0.
 
-use polyview::eval::Env;
 use polyview::obs::{jsonl, ManualClock};
 use polyview::{Engine, Machine};
 use std::sync::Arc;
@@ -90,7 +89,7 @@ fn main() {
     machine.set_profile_clock(counting.clone());
     let e = polyview::parser::parse_expr("let f = fn x => x + 1 in f (f 40) end")
         .expect("probe parses");
-    let v = machine.eval_in(&e, &Env::empty()).expect("probe evaluates");
+    let v = machine.eval(&e).expect("probe evaluates");
     assert_eq!(format!("{v:?}"), "Int(42)");
     let line = format!(
         "{{\"kind\":\"profile.disabled_check\",\"disabled_clock_reads\":{},\"profiling\":{}}}",

@@ -3,10 +3,12 @@
 //! view read (`map` lowered to `Collect`, with an index-passing function).
 //!
 //! A two-argument application builds no intermediate closure or partial
-//! builtin, and a comprehension moves the entries out of each element set
-//! it owns (DESIGN.md §13), so each element costs a few environment nodes
-//! and the values it returns. A regression that puts an intermediate value
-//! back costs at least one block per element and fails here.
+//! builtin, `query(λx.e, o)` builds no closure, a comprehension moves the
+//! entries out of each element set it owns, and a binding is a push on the
+//! machine's value stack, not a heap node (DESIGN.md §13), so each element
+//! costs only the values it returns.
+//! A regression that puts an intermediate value or a binding node back
+//! costs at least one block per element and fails here.
 //!
 //! The same allocator counts live bytes, which gates the memory a long
 //! session keeps: distinct reads and rebinds of one name leave the heap
@@ -110,15 +112,15 @@ fn blocks_per_element(src: &str) -> f64 {
 }
 
 #[test]
-fn a_count_over_a_view_class_allocates_at_most_four_blocks_per_element() {
+fn a_count_over_a_view_class_allocates_under_half_a_block_per_element() {
     let per = blocks_per_element(COUNT);
-    assert!(per <= 4.0, "{per} blocks per element");
+    assert!(per <= 0.5, "{per} blocks per element");
 }
 
 #[test]
-fn the_view_read_allocates_at_most_twelve_blocks_per_element() {
+fn the_view_read_allocates_at_most_six_blocks_per_element() {
     let per = blocks_per_element(VIEW_NAMES);
-    assert!(per <= 12.0, "{per} blocks per element");
+    assert!(per <= 6.0, "{per} blocks per element");
 }
 
 /// Live heap bytes after 2,000 and after 20,000 runs of `step`, on an

@@ -1,10 +1,10 @@
 //! A two-argument application builds no intermediate value (DESIGN.md
 //! §13): `g x a` with `g` a closure whose body is a `λ`, or a binary
 //! builtin, binds both arguments at once, and `hom` applies its curried
-//! `op` the same way. The intermediate closure or partial application is
-//! never built, yet everything it would have done stays observable: its
-//! fuel, the identity it would have been minted with, and where fuel runs
-//! out.
+//! `op` the same way; `query(λx.e, o)` runs the λ's body without making
+//! its closure. The intermediate closure or partial application is never
+//! built, yet everything it would have done stays observable: its fuel,
+//! the identity it would have been minted with, and where fuel runs out.
 //!
 //! While a profiler runs, every application takes the generic path, so
 //! each test here runs one engine plainly and a copy restored from its
@@ -230,6 +230,14 @@ fn maps_and_filters_over_index_abstracted_functions_agree() {
                 "cquery(fn s => filter(fn o => query(fn x => older [Age = 1, Name = x.Name] 0, o), s), Female)",
                 "obj",
             ),
+            // A query λ that captures a local, and one that captures a
+            // global (made as a closure on both paths).
+            (
+                "let t = \"!\" in query(fn x => concat x.Name t, IDView([Name = \"a\"])) end",
+                "a!",
+            ),
+            ("query(fn x => name x, IDView([Name = \"g\"]))", "g"),
+            ("query(fn x => 1 / 0, IDView([Name = \"z\"]))", "DivisionByZero"),
         ],
     );
 }
@@ -255,6 +263,14 @@ fn every_fuel_budget_runs_out_at_the_same_node() {
         (
             VIEWS,
             "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), Female)",
+        ),
+        (
+            VIEWS,
+            "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Female)",
+        ),
+        (
+            VIEWS,
+            "let t = \"!\" in query(fn x => concat x.Name t, IDView([Name = \"a\"])) end",
         ),
     ] {
         fuel_sweep(setup, stmt);

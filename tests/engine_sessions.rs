@@ -242,3 +242,72 @@ fn a_statement_that_fails_while_running_keeps_its_type_work() {
         assert_eq!(e.eval_to_string(names).expect("typed"), "{1}");
     }
 }
+
+/// `g` was typed against `f : int -> int`; rebinding `f` at another type
+/// must not reach it.
+const REBIND_CALLEE: [&str; 4] = [
+    "val f = fn x => x + 1;",
+    "val g = fn y => f y;",
+    "val f = \"s\";",
+    "g 1;",
+];
+
+/// `h` returns the `f` in scope where it was written, at that `f`'s type.
+const REBIND_CAPTURED: [&str; 4] = [
+    "val f = \"s\";",
+    "val h = fn u => f;",
+    "val f = 3;",
+    "h ();",
+];
+
+/// The rendering of a session's last statement, run one statement at a
+/// time.
+fn last_rendering(stmts: &[&str]) -> String {
+    let mut e = Engine::new();
+    let mut last = None;
+    for stmt in stmts {
+        last = e.exec(stmt).expect("statement runs").pop();
+    }
+    match last {
+        Some(Outcome::Value { rendered, .. }) => rendered,
+        other => panic!("expected a value, got {other:?}"),
+    }
+}
+
+/// A closure sees the bindings in scope where it was written, globals
+/// included: a later declaration of the same name does not reach it
+/// (Prop. 1 over a session). Before closures captured their globals,
+/// `g 1` failed with `NotAFunction("string")`.
+#[test]
+fn a_closure_keeps_the_function_it_was_typed_against() {
+    assert_eq!(last_rendering(&REBIND_CALLEE), "2");
+}
+
+/// Before closures captured their globals, `h ()` returned `3` at type
+/// `string`.
+#[test]
+fn a_closure_keeps_the_value_it_captured() {
+    assert_eq!(last_rendering(&REBIND_CAPTURED), "\"s\"");
+}
+
+/// Both rebinding sessions through a 2-replica pool: every replica
+/// answers the final calls as a bare engine does.
+#[test]
+fn replicas_answer_rebinding_sessions_alike() {
+    use polyview_pool::{Pool, PoolConfig};
+    let mut pool = Pool::new(PoolConfig::default().workers(2).queue_capacity(8));
+    let sessions: Vec<u64> = (0..2)
+        .map(|w| (0..).find(|&s| pool.worker_for(s) == w).expect("a session"))
+        .collect();
+    for (session, want) in [(REBIND_CALLEE, "2"), (REBIND_CAPTURED, "\"s\"")] {
+        let (call, decls) = session.split_last().expect("a call");
+        for decl in decls {
+            pool.run(sessions[0], decl).expect("declaration applies");
+        }
+        let call = call.trim_end_matches(';');
+        for &s in &sessions {
+            assert_eq!(pool.run(s, call).expect("call"), want, "{call} on {s}");
+        }
+    }
+    pool.shutdown();
+}

@@ -6,7 +6,6 @@
 //! epoch, the JSON-lines / folded-stack renderers, and the mechanical
 //! zero-cost-when-off proof (no clock reads while disabled).
 
-use polyview::eval::Env;
 use polyview::obs::{jsonl, ManualClock};
 use polyview::{Engine, Machine, Profile, ProfileNode};
 use std::sync::Arc;
@@ -186,7 +185,7 @@ fn json_lines_validate_with_pinned_key_order() {
         match line.split('"').nth(3).unwrap() {
             "profile.node" => assert_eq!(
                 keys,
-                ["kind", "path", "node", "span", "hits", "total_ns", "self_ns", "env_hops"]
+                ["kind", "path", "node", "span", "hits", "total_ns", "self_ns"]
             ),
             "profile.fallback_site" => {
                 assert_eq!(keys, ["kind", "site", "span", "label", "count"])
@@ -332,19 +331,19 @@ fn disabled_profiler_never_reads_the_clock() {
     assert!(!m.profiling());
     let e = polyview::parser::parse_expr("let f = fn x => x + 1 in f (f 40) end")
         .expect("probe parses");
-    let v = m.eval_in(&e, &Env::empty()).expect("probe evaluates");
+    let v = m.eval(&e).expect("probe evaluates");
     assert_eq!(format!("{v:?}"), "Int(42)");
     assert_eq!(counting.reads(), 0, "off path must not touch the clock");
 
     // Switched on, the same machine reads it — and stop drains the state.
     m.profile_start();
-    m.eval_in(&e, &Env::empty()).expect("profiled run");
+    m.eval(&e).expect("profiled run");
     let p = m.profile_stop().expect("profile built");
     assert!(counting.reads() > 0);
     assert!(p.total_ns() > 0);
     assert!(!m.profiling(), "stop turns the profiler off");
     let before = counting.reads();
-    m.eval_in(&e, &Env::empty()).expect("post-stop run");
+    m.eval(&e).expect("post-stop run");
     assert_eq!(counting.reads(), before, "off again after stop");
 }
 

@@ -3,6 +3,7 @@
 //! error, and the resulting value has the program's type.
 
 use crate::common::{sized_cases, Gen};
+use polyview::{Engine, Error, Outcome};
 use polyview_eval::{Machine, Value};
 use polyview_syntax::Mono;
 use polyview_types::{builtins_sig, infer, instance, Infer};
@@ -28,6 +29,8 @@ fn value_has_type(m: &Machine, v: &Value, t: &Mono) -> bool {
         (Value::Obj(_), Mono::Obj(_)) => true, // view application checked by queries
         (Value::Class(_), Mono::Class(_)) => true,
         (Value::Closure(_) | Value::Builtin(_), Mono::Arrow(..)) => true,
+        // A generalized variable: the type says nothing of the value.
+        (_, Mono::Var(_)) => true,
         _ => false,
     }
 }
@@ -117,6 +120,88 @@ fn evaluation_repeats(g: &mut Gen, depth: usize) {
         m.eval(&e).map(|v| m.show(&v))
     };
     assert_eq!(run().ok(), run().ok(), "two runs disagree on {e}");
+}
+
+/// Names a session binds and rebinds.
+const NAMES: [&str; 2] = ["f", "g"];
+
+/// One statement of a rebinding session: a `val` or `fun` that binds a
+/// name, at one of several types, often to a closure over another name,
+/// or an expression statement that uses one.
+fn session_stmt(g: &mut Gen) -> String {
+    let n = NAMES[g.pick(NAMES.len())];
+    let m = NAMES[g.pick(NAMES.len())];
+    let k = g.range(0, 9);
+    match g.below(12) {
+        0 => format!("val {n} = {k};"),
+        1 => format!("val {n} = \"s{k}\";"),
+        2 => format!("val {n} = [A = {k}, B = \"b\"];"),
+        3 => format!("val {n} = fn x => x + {k};"),
+        4 => format!("val {n} = fn x => concat x \"!\";"),
+        5 => format!("val {n} = fn u => {m};"),
+        6 => format!("val {n} = fn y => {m} y;"),
+        7 => format!("fun {n} x = {m} (x + {k});"),
+        8 => format!("fun {n} x = if x = 0 then {m} else {n} (x - 1);"),
+        9 => format!("{n} {k}"),
+        10 => format!("{n} ()"),
+        _ => format!("({n} \"a\", {m})"),
+    }
+}
+
+/// Prop. 1 over sessions: statements that rebind names, at other types,
+/// that earlier closures use. Every statement that type-checks evaluates
+/// without a type-category error, and its value — or each value it
+/// binds — inhabits its inferred type. A closure that read its globals
+/// when called would see the later binding, at a type it was not checked
+/// against.
+#[test]
+fn rebinding_sessions_cannot_go_wrong() {
+    sized_cases(96, 4..20, |g, len| {
+        let mut e = Engine::new();
+        let stmts: Vec<String> = (0..len).map(|_| session_stmt(g)).collect();
+        for (i, stmt) in stmts.iter().enumerate() {
+            let session = || stmts[..=i].join(" ");
+            // `fun f x = f (x + 1)` never ends; fuel stops each statement.
+            e.machine().fuel = Some(5_000);
+            if stmt.ends_with(';') {
+                match e.exec(stmt) {
+                    Ok(outcomes) => {
+                        for o in outcomes {
+                            let Outcome::Defined(binds) = o else { continue };
+                            for (name, scheme) in binds {
+                                let v = e.value_of(name.as_str()).expect("bound");
+                                assert!(
+                                    value_has_type(e.machine(), &v, &scheme.body),
+                                    "{name} = {} is not a {scheme} after {}",
+                                    e.show(&v),
+                                    session()
+                                );
+                            }
+                        }
+                    }
+                    Err(err) => check_failure(&err, &session()),
+                }
+            } else {
+                match e.eval_expr(stmt) {
+                    Ok((scheme, v)) => assert!(
+                        value_has_type(e.machine(), &v, &scheme.body),
+                        "{} is not a {scheme} after {}",
+                        e.show(&v),
+                        session()
+                    ),
+                    Err(err) => check_failure(&err, &session()),
+                }
+            }
+        }
+    });
+}
+
+/// A statement may be rejected, or fail for a reason no type rules out,
+/// but never go wrong.
+fn check_failure(err: &Error, session: &str) {
+    if let Error::Runtime(r) = err {
+        assert!(!r.is_type_error(), "went wrong ({r}) after {session}");
+    }
 }
 
 /// The case recorded in `prop_soundness.proptest-regressions` when these

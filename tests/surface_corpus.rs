@@ -2,13 +2,70 @@
 //! results, one engine per case. Broad, shallow coverage that catches
 //! regressions anywhere in the parse → infer → evaluate pipeline.
 
+//!
+//! Every program is also prepared, and its cached code must be resolved:
+//! no variable, `λ` or index parameter left to look up by name (DESIGN.md
+//! §13).
+
+use polyview::syntax::resolve::is_resolved;
 use polyview::Engine;
 
 fn run(src: &str) -> String {
     let mut e = Engine::new();
     e.load_prelude().expect("prelude");
+    assert_resolved(&mut e, src);
     e.eval_to_string(src)
         .unwrap_or_else(|err| panic!("corpus program failed ({err}): {src}"))
+}
+
+#[track_caller]
+fn assert_resolved(e: &mut Engine, src: &str) {
+    let p = e
+        .prepare(src)
+        .unwrap_or_else(|err| panic!("corpus program failed ({err}): {src}"));
+    assert!(
+        is_resolved(p.code()),
+        "unresolved code for {src}: {}",
+        p.code()
+    );
+}
+
+/// The benchmark's read shapes, on the schemas its workloads set up,
+/// prepare to resolved code.
+#[test]
+fn benchmark_read_shapes_prepare_to_resolved_code() {
+    let mut e = Engine::new();
+    e.exec(
+        "val e0 = IDView([Name = \"s0\", Sex = \"female\", Salary := 1000]);
+         class Staff = class {e0} end;
+         class Female = class {} include Staff as fn x => [Name = x.Name]
+           where fn x => query(fn p => p.Sex = \"female\", x) end;
+         val pick = fn o => query(fn p => p.Name, o);
+         val joe = IDView([Name = \"Joe\", BirthYear = 1955, Salary := 2000, Bonus := 5000]);
+         val joe_view = joe as fn x => [Name = x.Name, Age = this_year() - x.BirthYear,
+           Income = x.Salary, Bonus := extract(x, Bonus)];
+         class RC0 = class {IDView([Name = \"o0\", V = 0])} include RC1 as fn x => x where fn x => true end
+           and RC1 = class {IDView([Name = \"o1\", V = 1])} include RC0 as fn x => x where fn x => true end;
+         val c0 = IDView([v0 = 42]);
+         val c1 = c0 as fn x => [v1 = x.v0];",
+    )
+    .expect("schemas");
+    for src in [
+        // wire_views and write_churn
+        "cquery(fn s => map(fn o => query(fn x => x.Name, o), s), Female)",
+        "cquery(fn s => map(pick, s), Female)",
+        // adhoc_compile
+        "let g = fn r => r.f0 + r.f1 + r.f2 + r.f3 in \
+         g [f0 = 1, f1 = 1, f2 = 2, f3 = 3] + g [f0 = 1, f1 = 1, f2 = 2, f3 = 3, f4 = 4] end",
+        "query(fn p => p.Income * 12 + p.Bonus + 1, joe_view)",
+        "hom(map(fn o => query(fn x => x.A, o), {IDView([A = 1]), IDView([A = 5])}), \
+         fn x => x, fn a => fn b => a + b, 0)",
+        // extent_storm
+        "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC0)",
+        "query(fn x => x.v1, c1)",
+    ] {
+        assert_resolved(&mut e, src);
+    }
 }
 
 #[track_caller]
