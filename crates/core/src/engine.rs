@@ -27,13 +27,15 @@ use polyview_eval::{
 use polyview_obs::{
     Clock, Counter, EventSink, Histogram, Registry, RegistrySnapshot, Span, Tracer,
 };
-use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
+use polyview_parser::{
+    fun_decl_to_expr, parse_expr_counted, parse_program_counted, Decl, ParseStats,
+};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
-use polyview_syntax::{sugar, ClassDef, Expr, GlobalNames, Label, Mono, Name, Scheme};
+use polyview_syntax::{ClassDef, Expr, GlobalNames, Label, Mono, Name, Scheme};
 use polyview_trans::{lower_binding, lower_statement, IndexSig, LowerStats};
 use polyview_types::table::node_id;
 use polyview_types::{builtins_sig, infer, Infer, InferStats, TypeEnv, TypeError, TypeTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -219,12 +221,6 @@ pub struct Engine {
     /// lock-step with the value environment — entries are cleared when
     /// their name is rebound ([`Engine::bump_epochs`]).
     index_sigs: HashMap<Name, Rc<IndexSig>>,
-    /// `val g = f;` alias edges (alias → source). When a name is rebound,
-    /// every alias that points at it (transitively) has its epoch bumped
-    /// too: the alias's *value* still holds the old binding, so statements
-    /// depending on the alias must go stale with the source (DESIGN.md
-    /// §12).
-    alias_edges: HashMap<Name, Name>,
 }
 
 impl Default for Engine {
@@ -246,7 +242,6 @@ impl Engine {
             env_epoch: 0,
             name_epochs: HashMap::new(),
             index_sigs: HashMap::new(),
-            alias_edges: HashMap::new(),
         }
     }
 
@@ -266,7 +261,7 @@ impl Engine {
     /// globals — object-identity sharing preserved) plus the type side
     /// (the settled global schemes, the kinds of their free variables, the
     /// mark as the fresh-variable counter) and the engine bookkeeping
-    /// (epochs, index signatures, alias edges). The type side is copied as it stands:
+    /// (epochs, index signatures). The type side is copied as it stands:
     /// between public calls the context is settled, so it is already this
     /// closed form. Identical session state encodes to identical bytes.
     ///
@@ -296,12 +291,6 @@ impl Engine {
             .map(|(n, s)| (n.clone(), s.as_ref().clone()))
             .collect();
         index_sigs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut alias_edges: Vec<(Name, Name)> = self
-            .alias_edges
-            .iter()
-            .map(|(a, s)| (a.clone(), s.clone()))
-            .collect();
-        alias_edges.sort_by(|a, b| a.0.cmp(&b.0));
         crate::snapshot::encode_parts(&crate::snapshot::EngineParts {
             machine_bytes: encode_machine(&self.machine),
             next_var: self.tenv.mark(),
@@ -310,7 +299,6 @@ impl Engine {
             env_epoch: self.env_epoch,
             name_epochs,
             index_sigs,
-            alias_edges,
         })
     }
 
@@ -340,7 +328,6 @@ impl Engine {
             .into_iter()
             .map(|(n, s)| (n, Rc::new(s)))
             .collect();
-        e.alias_edges = p.alias_edges.into_iter().collect();
         Ok(e)
     }
 
@@ -590,36 +577,15 @@ impl Engine {
     /// [`Engine::define_group`]), and cached statements must never keep
     /// validating against a partially-applied group.
     ///
-    /// Aliases are invalidated transitively: if `g` was declared as
-    /// `val g = f;`, its value snapshot of `f` is now stale, so `g`'s
-    /// epoch moves with `f`'s — and so on through chains of aliases. Only
-    /// the *directly* rebound names lose their alias/index-signature
-    /// registry entries: a cascaded alias keeps its (old) value, which its
-    /// recorded signature still describes.
+    /// Only the rebound names move. An alias `val g = f;` holds `f`'s
+    /// value from when it was defined, under its own index signature, so
+    /// rebinding `f` changes nothing a statement on `g` was compiled
+    /// against (DESIGN.md §12).
     fn bump_epochs(&mut self, names: &[Name]) {
         self.env_epoch += 1;
-        let mut bumped: HashSet<Name> = HashSet::new();
         for n in names {
             *self.name_epochs.entry(n.clone()).or_insert(0) += 1;
             self.index_sigs.remove(n);
-            self.alias_edges.remove(n);
-            bumped.insert(n.clone());
-        }
-        // Transitive closure over reverse alias edges: a worklist over a
-        // src → aliases index, each alias bumped at most once (the
-        // `bumped` guard also terminates (impossible) cyclic edge sets).
-        let mut rev: HashMap<&Name, Vec<&Name>> = HashMap::new();
-        for (alias, src) in &self.alias_edges {
-            rev.entry(src).or_default().push(alias);
-        }
-        let mut work: Vec<Name> = names.to_vec();
-        while let Some(n) = work.pop() {
-            for alias in rev.get(&n).into_iter().flatten() {
-                if bumped.insert((*alias).clone()) {
-                    *self.name_epochs.entry((*alias).clone()).or_insert(0) += 1;
-                    work.push((*alias).clone());
-                }
-            }
         }
     }
 
@@ -1098,9 +1064,6 @@ impl Engine {
                 if let Some(s) = sig {
                     self.index_sigs.insert(name.clone(), s);
                 }
-                if let Expr::Var(src) = e {
-                    self.alias_edges.insert(name.clone(), src.clone());
-                }
                 self.tenv.define_global(name.clone(), scheme.clone());
                 self.machine.define_global(name.clone(), v);
                 Ok(Outcome::Defined(vec![(name.clone(), scheme)]))
@@ -1129,25 +1092,13 @@ impl Engine {
     /// previous implementation re-elaborated the entire group per bound
     /// name, O(n²) in the group size.)
     fn exec_fun(&mut self, defs: &[(Name, Vec<Name>, Expr)]) -> Result<Outcome, Error> {
-        let singles: Vec<(Label, Label, Expr)> = defs
-            .iter()
-            .map(|(f, params, e)| {
-                let mut params = params.clone();
-                let first = params.remove(0);
-                let curried = params
-                    .into_iter()
-                    .rev()
-                    .fold(e.clone(), |acc, p| Expr::lam(p, acc));
-                (f.clone(), first, curried)
-            })
-            .collect();
         let names: Vec<Name> = defs.iter().map(|(f, _, _)| f.clone()).collect();
         let body = if names.len() == 1 {
             Expr::Var(names[0].clone())
         } else {
             Expr::tuple(names.iter().map(|n| Expr::Var(n.clone())))
         };
-        let group = sugar::fun_and(singles, body);
+        let group = fun_decl_to_expr(defs.to_vec(), body);
         let single = names.len() == 1;
         let c = self.compile(
             |cx, tenv| infer::infer(cx, tenv, &group),

@@ -8,8 +8,8 @@
 //! session is: the type side (the settled global schemes, the
 //! fresh-variable counter, and the kinds of the variables left free in
 //! those schemes) and the engine bookkeeping
-//! (declaration epochs, per-name epochs, index signatures, alias
-//! edges). What is *not* serialized — the statement
+//! (declaration epochs, per-name epochs, index signatures). What is *not*
+//! serialized — the statement
 //! cache, metrics, tracer — is a cold-start derivative of what is.
 //!
 //! Why no substitution: it is one statement's history, not session
@@ -36,8 +36,11 @@ pub const ENGINE_MAGIC: [u8; 4] = *b"PVES";
 /// 1 carried a compile-tier flag byte after the name epochs; version 2
 /// dropped it (lowering is unconditional). Version 3 carries a `PVMS` v2
 /// machine section, whose closures are flat: resolved code and the
-/// values it captured, not named environment chains.
-pub const ENGINE_VERSION: u32 = 3;
+/// values it captured, not named environment chains. Version 4 dropped
+/// the alias-edge section (an alias holds its source's value, so
+/// rebinding the source leaves it current) and carries a `PVMS` v3
+/// machine section, whose code has only resolved forms.
+pub const ENGINE_VERSION: u32 = 4;
 
 /// The flattened session state the envelope carries — the bridge between
 /// [`crate::Engine`]'s private fields and the byte format. Vectors are
@@ -57,8 +60,6 @@ pub(crate) struct EngineParts {
     pub name_epochs: Vec<(Name, u64)>,
     /// Index signatures of index-abstracted bindings (compile tier).
     pub index_sigs: Vec<(Name, Vec<(TyVar, Label)>)>,
-    /// `val g = f;` alias edges (alias → source).
-    pub alias_edges: Vec<(Name, Name)>,
 }
 
 pub(crate) fn encode_parts(p: &EngineParts) -> Vec<u8> {
@@ -93,11 +94,6 @@ pub(crate) fn encode_parts(p: &EngineParts) -> Vec<u8> {
             w.u32(*v);
             write_label(&mut w, l);
         }
-    }
-    w.usize(p.alias_edges.len());
-    for (alias, src) in &p.alias_edges {
-        write_name(&mut w, alias);
-        write_name(&mut w, src);
     }
     w.into_bytes()
 }
@@ -150,12 +146,6 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<EngineParts, WireError> {
         }
         index_sigs.push((name, sig));
     }
-    let n = r.count("alias-edge count")?;
-    let mut alias_edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let alias = read_name(&mut r)?;
-        alias_edges.push((alias, read_name(&mut r)?));
-    }
     if !r.finished() {
         return Err(WireError::Malformed(format!(
             "{} trailing bytes after engine snapshot",
@@ -170,7 +160,6 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<EngineParts, WireError> {
         env_epoch,
         name_epochs,
         index_sigs,
-        alias_edges,
     })
 }
 
@@ -291,8 +280,9 @@ mod tests {
 
     /// A statement-cache hit reuses its cached code and a recompile
     /// allocates fresh code, so the two share code by different pointers.
-    /// The encoder shares code by content, so the bytes agree (both were
-    /// 1,591 and 1,641 bytes when code was shared by pointer).
+    /// The encoder shares code by content, so the bytes agree (1,591 and
+    /// 1,641 bytes when code was shared by pointer and the envelope still
+    /// carried an alias-edge count).
     #[test]
     fn the_statement_cache_does_not_reach_the_bytes() {
         let insert = r#"insert(C1, IDView([Name = "n2", Salary := 516]))"#;
@@ -308,7 +298,7 @@ mod tests {
             e.snapshot()
         };
         let (cached, cold) = (run(None), run(Some(0)));
-        assert_eq!(cached.len(), 1591);
+        assert_eq!(cached.len(), 1583);
         assert!(cached == cold, "{} vs {} bytes", cached.len(), cold.len());
     }
 
@@ -328,10 +318,11 @@ mod tests {
 
     #[test]
     fn older_envelopes_are_rejected() {
-        // A v1 envelope (it carried the compile-tier flag byte) and a v2
-        // one (its closures held named environment chains) must fail on
-        // their version field, never be misread as v3.
-        for version in [1u32, 2] {
+        // A v1 envelope (it carried the compile-tier flag byte), a v2 one
+        // (its closures held named environment chains) and a v3 one (it
+        // carried alias edges) must fail on their version field, never be
+        // misread as v4.
+        for version in [1u32, 2, 3] {
             let mut old = session_engine().snapshot();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             let err = Engine::from_snapshot(&old)
@@ -342,6 +333,39 @@ mod tests {
                     .contains(&format!("unsupported engine snapshot version {version}")),
                 "got {err}"
             );
+        }
+        // A current envelope around a v2 machine section (its code could
+        // hold un-resolved forms) fails on the section's version.
+        let mut old = session_engine().snapshot();
+        let pvms = old
+            .windows(4)
+            .position(|w| w == b"PVMS")
+            .expect("the machine section is embedded");
+        old[pvms + 4..pvms + 8].copy_from_slice(&2u32.to_le_bytes());
+        let err = Engine::from_snapshot(&old)
+            .map(|_| ())
+            .expect_err("older machine section refused");
+        assert!(
+            err.to_string()
+                .contains("unsupported machine snapshot version 2"),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn a_closure_over_a_fix_of_no_function_round_trips() {
+        // `fix x => [a = x.a]` is well typed but fails when run, before its
+        // body runs. A closure holding it keeps the body, resolved like
+        // all code, so it encodes.
+        let mut e = Engine::new();
+        e.exec("val f = fn y => fix x => [a = x.a];")
+            .expect("defines");
+        let bytes = e.snapshot();
+        let mut r = Engine::from_snapshot(&bytes).expect("decodes");
+        assert_eq!(r.snapshot(), bytes);
+        for eng in [&mut e, &mut r] {
+            let err = eng.eval_to_string("f 1").expect_err("fix of a record");
+            assert!(err.to_string().contains("fix"), "{err}");
         }
     }
 

@@ -52,17 +52,18 @@ pub struct MachineStats {
     pub records_allocated: u64,
     /// Sets constructed by set-producing primitives.
     pub sets_allocated: u64,
-    /// Field operations executed through a compile-time integer offset:
-    /// lowered `dot@i`/`extract@i`/`update@i` with a resolved index, and
-    /// lowered record constructions. The compile tier's success metric.
+    /// Field operations executed through a known integer offset:
+    /// `dot@i`/`extract@i`/`update@i` with a resolved index, and record
+    /// constructions (every one has its layout). The compile tier's
+    /// success metric.
     pub field_offsets_resolved: u64,
-    /// Field operations that fell back to dynamic label lookup: un-lowered
-    /// `dot`/`extract`/`update`/record constructions (an AST evaluated
-    /// without lowering, or residue the lowering could not resolve) and
-    /// lowered ops whose index
-    /// parameter carried the unresolved sentinel. Machine-internal record
-    /// building (view materialization, relobj raws) is *not* counted — it
-    /// has no source field operation to lower (DESIGN.md §13).
+    /// Field operations that looked their label up: `dot`/`extract`/
+    /// `update` with an [`Idx::Dynamic`] offset (an AST evaluated without
+    /// lowering, or residue the lowering could not resolve) and ops whose
+    /// index parameter carried the unresolved sentinel. Record
+    /// constructions are laid out by their labels when resolved, so none
+    /// is counted here, and neither is machine-internal record building
+    /// (view materialization, relobj raws) (DESIGN.md §13).
     pub dyn_field_fallbacks: u64,
 }
 
@@ -380,15 +381,11 @@ impl Machine {
 
     /// Evaluate a closed expression that was not resolved (a test's or a
     /// translation's AST): resolve it against this machine's globals, then
-    /// run it.
+    /// run it. Its field operations look their labels up. Resolution is a
+    /// walk over the whole term, so code run many times is resolved once
+    /// and run with [`Machine::eval_code`]; the engine's lowering pass does
+    /// that.
     pub fn eval(&mut self, e: &Expr) -> Result<Value, RuntimeError> {
-        self.eval_global(e)
-    }
-
-    /// [`Machine::eval`]. Resolution is a walk over the whole term, so
-    /// code run many times is resolved once and run with
-    /// [`Machine::eval_code`]; the engine's lowering pass does that.
-    pub fn eval_global(&mut self, e: &Expr) -> Result<Value, RuntimeError> {
         let code = resolve(e, &mut self.global_names);
         self.eval_code(&code)
     }
@@ -540,7 +537,12 @@ impl Machine {
             Expr::Lit(_) | Expr::VarAt(..) | Expr::App(..) | Expr::Let(..) | Expr::If(..) => {
                 unreachable!("handled by eval_dispatch")
             }
-            Expr::Var(_) | Expr::Lam(..) => unreachable!("the resolver leaves no {e}"),
+            Expr::Var(_)
+            | Expr::Lam(..)
+            | Expr::Record(_)
+            | Expr::Dot(..)
+            | Expr::Extract(..)
+            | Expr::Update(..) => unreachable!("the resolver leaves no {e}"),
             Expr::Eq(a, b) => {
                 let va = self.eval_in(a, fp)?;
                 let vb = self.eval_in(b, fp)?;
@@ -558,53 +560,7 @@ impl Machine {
                     captured: captured.into_boxed_slice(),
                 })))
             }
-            Expr::Record(fields) => {
-                // Un-lowered construction: the layout must be computed
-                // from the labels at runtime (counted as fallback work).
-                let mut triples = Vec::with_capacity(fields.len());
-                for f in fields {
-                    let v = self.eval_in(&f.expr, fp)?;
-                    let slot = match v {
-                        // The paper's (rec) rule: an extracted L-value
-                        // becomes the field's slot — sharing, not copying.
-                        Value::LValue(s) => s,
-                        other => self.store.alloc(other),
-                    };
-                    triples.push((f.label.clone(), f.mutable, slot));
-                }
-                self.note_dyn_fallback("[record]");
-                Ok(self.build_record(triples))
-            }
-            Expr::Dot(e, l) => {
-                let v = self.eval_in(e, fp)?;
-                let r = v.as_record()?;
-                let (_, slot) = self.field_slot(r, l, None)?;
-                Ok(self.store.get(slot).clone())
-            }
-            Expr::Extract(e, l) => {
-                let v = self.eval_in(e, fp)?;
-                let r = v.as_record()?;
-                let (i, slot) = self.field_slot(r, l, None)?;
-                if !r.layout.is_mutable(i) {
-                    return Err(RuntimeError::ImmutableField(l.clone()));
-                }
-                Ok(Value::LValue(slot))
-            }
-            Expr::Update(e, l, rhs) => {
-                let v = self.eval_in(e, fp)?;
-                let slot = {
-                    let r = v.as_record()?;
-                    let (i, slot) = self.field_slot(r, l, None)?;
-                    if !r.layout.is_mutable(i) {
-                        return Err(RuntimeError::ImmutableField(l.clone()));
-                    }
-                    slot
-                };
-                let nv = self.eval_in(rhs, fp)?;
-                self.write_slot(slot, nv)?;
-                Ok(Value::Unit)
-            }
-            // ---------- lowered field operations (the compile tier) ----------
+            // ---------- field operations ----------
             Expr::DotAt(e, l, idx) => {
                 let v = self.eval_in(e, fp)?;
                 let off = self.resolve_idx(idx, fp)?;
@@ -638,13 +594,15 @@ impl Machine {
                 Ok(Value::Unit)
             }
             Expr::RecordAt(layout, entries) => {
-                // Lowered construction: entries are in source (evaluation)
-                // order, each carrying its target slot; the layout is shared
-                // with every record built here, not recomputed.
+                // Entries are in source (evaluation) order, each carrying
+                // its target slot; the layout is shared with every record
+                // built here, not recomputed.
                 let mut slots: Vec<SlotId> = vec![usize::MAX; layout.len()];
                 for (off, fe) in entries {
                     let v = self.eval_in(fe, fp)?;
                     let slot = match v {
+                        // The paper's (rec) rule: an extracted L-value
+                        // becomes the field's slot — sharing, not copying.
                         Value::LValue(s) => s,
                         other => self.store.alloc(other),
                     };
@@ -652,7 +610,7 @@ impl Machine {
                 }
                 debug_assert!(
                     slots.iter().all(|s| *s != usize::MAX),
-                    "lowered record construction left a slot unfilled"
+                    "a record construction left a slot unfilled"
                 );
                 let id = self.fresh_id();
                 self.stats.records_allocated += 1;
@@ -884,10 +842,10 @@ impl Machine {
     }
 
     /// Build a record value from `(label, mutable, slot)` triples (any
-    /// order; slots already allocated). Used by un-lowered record
-    /// expressions and by machine-internal constructions (relobj raws,
-    /// view materialization) — the latter have no source field operation,
-    /// so this helper does not touch the offset/fallback counters.
+    /// order; slots already allocated). Used by machine-internal
+    /// constructions (relobj raws, view materialization), which have no
+    /// source field operation, so this helper does not touch the
+    /// offset/fallback counters.
     fn build_record(&mut self, mut triples: Vec<(Label, bool, SlotId)>) -> Value {
         triples.sort_by(|a, b| a.0.cmp(&b.0));
         let layout = Layout::new(triples.iter().map(|(l, m, _)| (l.clone(), *m)));
@@ -906,9 +864,10 @@ impl Machine {
     /// guarded by one label compare against the layout, in release builds
     /// too: a wrong-but-in-bounds compiled offset must degrade into the
     /// counted dynamic path below, never silently read the wrong field.
-    /// Without a resolved offset (un-lowered op, or an index parameter
+    /// Without a resolved offset ([`Idx::Dynamic`], or an index parameter
     /// that carried the unresolved sentinel) the label is looked up in
-    /// the layout, and the fallback counter records the residue.
+    /// the layout, and the fallback counter records it: the one place a
+    /// dynamic lookup is counted.
     fn field_slot(
         &mut self,
         r: &RecordVal,
@@ -930,10 +889,10 @@ impl Machine {
         }
     }
 
-    /// Resolve a lowered index operand to an offset. An index *parameter*
-    /// is an ordinary λ-bound variable holding an int; a negative value is
-    /// the lowering's "could not resolve" sentinel and yields `None`
-    /// (dynamic fallback).
+    /// Resolve an index operand to an offset. An index *parameter* is an
+    /// ordinary λ-bound variable holding an int; a negative value is the
+    /// lowering's "could not resolve" sentinel and yields `None`, as
+    /// [`Idx::Dynamic`] does (dynamic fallback).
     fn resolve_idx(&mut self, idx: &Idx, fp: usize) -> Result<Option<usize>, RuntimeError> {
         match idx {
             Idx::Const(n) => Ok(Some(*n)),
@@ -941,7 +900,7 @@ impl Machine {
                 let n = self.read(*s, fp)?.as_int()?;
                 Ok(usize::try_from(n).ok())
             }
-            Idx::Var(x) => unreachable!("the resolver leaves no index parameter {x}"),
+            Idx::Dynamic => Ok(None),
         }
     }
 

@@ -28,7 +28,7 @@
 //! [`Profile::truncated_frames`]).
 
 use polyview_obs::Clock;
-use polyview_syntax::Expr;
+use polyview_syntax::{Expr, Idx};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -69,8 +69,7 @@ pub struct FallbackSite {
     pub kind: &'static str,
     /// Span of that node.
     pub span: String,
-    /// The field label looked up dynamically (`"[record]"` for un-lowered
-    /// record constructions, which recompute a whole layout).
+    /// The field label looked up dynamically.
     pub label: String,
     pub count: u64,
 }
@@ -265,9 +264,10 @@ pub fn kind_of(e: &Expr) -> &'static str {
         Expr::LamAt(_) => "lam",
         Expr::App(..) => "app",
         Expr::Record(_) => "record",
-        Expr::Dot(..) => "dot",
-        Expr::Extract(..) => "extract",
-        Expr::Update(..) => "update",
+        // A dynamic lookup reads as its source form.
+        Expr::Dot(..) | Expr::DotAt(_, _, Idx::Dynamic) => "dot",
+        Expr::Extract(..) | Expr::ExtractAt(_, _, Idx::Dynamic) => "extract",
+        Expr::Update(..) | Expr::UpdateAt(_, _, Idx::Dynamic, _) => "update",
         Expr::SetLit(_) => "set",
         Expr::Union(..) => "union",
         Expr::Hom(..) => "hom",

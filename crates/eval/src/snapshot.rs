@@ -67,8 +67,9 @@ use std::rc::Rc;
 pub const MACHINE_MAGIC: [u8; 4] = *b"PVMS";
 /// Format version; decoding any other version is a loud error. Version 2
 /// encodes flat closures (resolved code and captured values) where
-/// version 1 encoded named environment chains.
-pub const MACHINE_VERSION: u32 = 2;
+/// version 1 encoded named environment chains; version 3 encodes only the
+/// resolved code form, with the un-resolved expression tags retired.
+pub const MACHINE_VERSION: u32 = 3;
 
 const NODE_DEF: u8 = 0;
 const NODE_REF: u8 = 1;
@@ -814,7 +815,7 @@ pub fn decode_machine(bytes: &[u8]) -> Result<Machine, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyview_syntax::{Expr, Label, Lit, Slot};
+    use polyview_syntax::{Expr, Idx, Label, Lit, Slot};
 
     /// The code of `fn x => body`, capturing `captures`.
     fn code(captures: Vec<Slot>, body: Expr) -> Rc<Lambda> {
@@ -947,6 +948,51 @@ mod tests {
     }
 
     #[test]
+    fn code_with_a_retired_tag_is_refused() {
+        // A closure whose code holds a marker, so the tag before it can be
+        // found in the bytes and overwritten.
+        const MARK: i64 = 0x0123_4567_89ab_cdef;
+        let encoded = |body: Expr| {
+            let mut m = Machine::new();
+            let c = Closure {
+                id: m.fresh_id(),
+                code: code(Vec::new(), body),
+                captured: Box::new([]),
+            };
+            m.define_global("f", Value::Closure(Rc::new(c)));
+            let bytes = encode_machine(&m);
+            let at = bytes
+                .windows(8)
+                .position(|w| w == MARK.to_le_bytes())
+                .expect("the marker is encoded");
+            (bytes, at)
+        };
+        // `Lit(Int(MARK))`: the expression tag, the literal tag, the int.
+        let (bytes, at) = encoded(Expr::Lit(Lit::Int(MARK)));
+        // Var, λ, record, dot, extract, update: the un-resolved forms.
+        for tag in [1, 3, 5, 6, 7, 8] {
+            let mut bad = bytes.clone();
+            bad[at - 2] = tag;
+            assert_eq!(
+                decode_machine(&bad).err(),
+                Some(WireError::BadTag { what: "expr", tag })
+            );
+        }
+        // `x.N@MARK`: the index tag, then the offset. Tag 1 was a named
+        // index parameter.
+        let at_x = Expr::VarAt(Label::new("x"), Slot::Local(0));
+        let (mut bad, at) = encoded(Expr::dot_at(at_x, "N", Idx::Const(MARK as usize)));
+        bad[at - 1] = 1;
+        assert_eq!(
+            decode_machine(&bad).err(),
+            Some(WireError::BadTag {
+                what: "idx",
+                tag: 1
+            })
+        );
+    }
+
+    #[test]
     fn closure_code_reading_a_missing_slot_is_refused() {
         let mut m = Machine::new();
         let c = Closure {
@@ -1039,15 +1085,18 @@ mod tests {
         let mut wrong_version = good.clone();
         wrong_version[4] = 0xFF;
         assert!(decode_machine(&wrong_version).is_err(), "version skew");
-        // A version-1 snapshot (named environment chains) is refused by
-        // name, before any of its closures is read.
-        let mut v1 = good;
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = decode_machine(&v1).err().expect("version 1 refused");
-        assert!(
-            err.to_string()
-                .contains("unsupported machine snapshot version 1"),
-            "{err}"
-        );
+        // A version-1 snapshot (named environment chains) or version-2 one
+        // (un-resolved code tags) is refused by name, before any of its
+        // closures is read.
+        for old in [1u32, 2] {
+            let mut bytes = good.clone();
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            let err = decode_machine(&bytes).err().expect("older version refused");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported machine snapshot version {old}")),
+                "{err}"
+            );
+        }
     }
 }

@@ -188,15 +188,15 @@ fn class_count_and_data_access() {
 }
 
 #[test]
-fn eval_global_runs_cached_ast_against_live_globals() {
-    // The prepared-statement entry point: one AST, evaluated repeatedly,
-    // observing the current global bindings and store each run.
+fn eval_runs_one_ast_against_live_globals() {
+    // One AST, evaluated repeatedly, observing the current global
+    // bindings and store each run.
     let mut m = Machine::new();
     m.define_global("x", Value::Int(1));
     let ast = b::add(b::v("x"), b::int(1));
-    assert!(matches!(m.eval_global(&ast), Ok(Value::Int(2))));
+    assert!(matches!(m.eval(&ast), Ok(Value::Int(2))));
     m.define_global("x", Value::Int(41));
-    assert!(matches!(m.eval_global(&ast), Ok(Value::Int(42))));
+    assert!(matches!(m.eval(&ast), Ok(Value::Int(42))));
 }
 
 #[test]

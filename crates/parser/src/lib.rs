@@ -26,5 +26,6 @@ pub mod token;
 
 pub use error::ParseError;
 pub use parser::{
-    parse_expr, parse_expr_counted, parse_program, parse_program_counted, Decl, ParseStats,
+    fun_decl_to_expr, parse_expr, parse_expr_counted, parse_program, parse_program_counted, Decl,
+    ParseStats,
 };

@@ -356,7 +356,7 @@ impl Parser {
                 self.expect(&Tok::In)?;
                 let body = self.expr()?;
                 self.expect(&Tok::End)?;
-                Ok(fun_defs_to_expr(defs, body))
+                Ok(fun_decl_to_expr(defs, body))
             }
             _ => {
                 let name = self.ident()?;
@@ -826,8 +826,9 @@ impl Parser {
 
 /// Encode `let fun f x y = e and … in body end` using the paper's
 /// `fix`/record construction (via [`sugar::fun_and`]); multi-parameter
-/// functions curry into nested lambdas.
-fn fun_defs_to_expr(defs: Vec<(Name, Vec<Name>, Expr)>, body: Expr) -> Expr {
+/// functions curry into nested lambdas. The engine encodes top-level
+/// `fun` declarations with it too.
+pub fn fun_decl_to_expr(defs: Vec<(Name, Vec<Name>, Expr)>, body: Expr) -> Expr {
     let singles = defs
         .into_iter()
         .map(|(f, mut params, e)| {
@@ -837,11 +838,6 @@ fn fun_defs_to_expr(defs: Vec<(Name, Vec<Name>, Expr)>, body: Expr) -> Expr {
         })
         .collect();
     sugar::fun_and(singles, body)
-}
-
-/// Public helper used by the engine for top-level `fun` declarations.
-pub fn fun_decl_to_expr(defs: Vec<(Name, Vec<Name>, Expr)>, body: Expr) -> Expr {
-    fun_defs_to_expr(defs, body)
 }
 
 #[cfg(test)]

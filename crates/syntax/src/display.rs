@@ -369,17 +369,19 @@ fn fmt_expr(e: &Expr, out: &mut String) {
     }
 }
 
-/// `@3` for a resolved constant offset, `@?x` for an index parameter.
+/// `@3` for a resolved constant offset, `@?x` for an index parameter, and
+/// nothing for a dynamic lookup, which renders as its source form.
 fn fmt_idx(idx: &crate::term::Idx, out: &mut String) {
     match idx {
         crate::term::Idx::Const(n) => {
             out.push('@');
             out.push_str(&n.to_string());
         }
-        crate::term::Idx::Var(x) | crate::term::Idx::At(x, _) => {
+        crate::term::Idx::At(x, _) => {
             out.push_str("@?");
             out.push_str(x.as_str());
         }
+        crate::term::Idx::Dynamic => {}
     }
 }
 

@@ -30,8 +30,8 @@ impl Layout {
     /// Build a layout from `(label, mutable)` pairs in any order; the
     /// fields are sorted into canonical label order.
     ///
-    /// Labels must be distinct (record fields are — enforced upstream by
-    /// the parser and the record typing rule).
+    /// Labels must be distinct (the record typing rule refuses a
+    /// construction that repeats one).
     pub fn new(fields: impl IntoIterator<Item = (Label, bool)>) -> Self {
         let mut fs: Vec<(Label, bool)> = fields.into_iter().collect();
         fs.sort_by(|a, b| a.0.cmp(&b.0));

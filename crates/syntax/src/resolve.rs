@@ -8,7 +8,14 @@
 //!   top-level slot numbered by [`GlobalNames`];
 //! * each `λ` (and each `fix`-bound `λ`) into [`Expr::LamAt`], a flat
 //!   closure that lists where its free variables come from;
-//! * each index parameter ([`Idx::Var`]) into [`Idx::At`].
+//! * each record construction into [`Expr::RecordAt`], laid out by its
+//!   sorted labels ([`Expr::record_at`], the rule lowering uses too);
+//! * each `e·l`, `extract` and `update` into its `…At` form with an
+//!   [`Idx::Dynamic`] offset: with no types, the label is looked up when
+//!   the operation runs.
+//!
+//! So the machine has one input form: lowered and resolved code differ
+//! only in which offsets are known.
 //!
 //! A λ captures its free variables when it is evaluated, globals included,
 //! so a later rebinding of a top-level name never reaches an existing
@@ -20,7 +27,7 @@
 //! is the walk for code that is not lowered (a bare machine's input).
 
 use crate::label::Name;
-use crate::term::{ClassDef, Expr, Field, Idx, IncludeClause, Lambda, Slot};
+use crate::term::{ClassDef, Expr, Idx, IncludeClause, Lambda, Slot};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -143,14 +150,6 @@ impl<'g> Scope<'g> {
         }))
     }
 
-    /// Resolve an index operand.
-    pub fn idx(&mut self, i: &Idx) -> Idx {
-        match i {
-            Idx::Var(x) => Idx::At(x.clone(), self.var(x)),
-            other => other.clone(),
-        }
-    }
-
     fn innermost(&mut self) -> &mut Frame {
         self.frames.last_mut().expect("the statement frame is open")
     }
@@ -181,8 +180,14 @@ impl Resolver<'_> {
                     let body = self.expr(body);
                     self.0.leave(Some(f.clone()), x.clone(), body)
                 }
-                // Evaluating it fails without running the body.
-                _ => e.clone(),
+                // Evaluating it fails without running the body, which is
+                // resolved only so that the machine holds one code form.
+                body => {
+                    self.0.bind(f);
+                    let body = self.expr(body);
+                    self.0.unbind(1);
+                    Expr::Fix(f.clone(), Rc::new(body))
+                }
             },
             Expr::Let(x, rhs, body) => {
                 let rhs = self.expr(rhs);
@@ -205,18 +210,12 @@ impl Resolver<'_> {
             }
             Expr::Eq(x, y) => Expr::Eq(b(self, x), b(self, y)),
             Expr::App(x, y) => Expr::App(b(self, x), b(self, y)),
-            Expr::Record(fs) => Expr::Record(
-                fs.iter()
-                    .map(|f| Field {
-                        label: f.label.clone(),
-                        mutable: f.mutable,
-                        expr: self.expr(&f.expr),
-                    })
-                    .collect(),
-            ),
-            Expr::Dot(x, l) => Expr::Dot(b(self, x), l.clone()),
-            Expr::Extract(x, l) => Expr::Extract(b(self, x), l.clone()),
-            Expr::Update(x, l, v) => Expr::Update(b(self, x), l.clone(), b(self, v)),
+            Expr::Record(fs) => Expr::record_at(fs, |x| self.expr(x)),
+            Expr::Dot(x, l) => Expr::DotAt(b(self, x), l.clone(), Idx::Dynamic),
+            Expr::Extract(x, l) => Expr::ExtractAt(b(self, x), l.clone(), Idx::Dynamic),
+            Expr::Update(x, l, v) => {
+                Expr::UpdateAt(b(self, x), l.clone(), Idx::Dynamic, b(self, v))
+            }
             Expr::SetLit(es) => Expr::SetLit(es.iter().map(|x| self.expr(x)).collect()),
             Expr::Union(x, y) => Expr::Union(b(self, x), b(self, y)),
             Expr::Hom(s, f, op, z) => Expr::Hom(b(self, s), b(self, f), b(self, op), b(self, z)),
@@ -232,18 +231,10 @@ impl Resolver<'_> {
             Expr::CQuery(x, y) => Expr::CQuery(b(self, x), b(self, y)),
             Expr::Insert(x, y) => Expr::Insert(b(self, x), b(self, y)),
             Expr::Delete(x, y) => Expr::Delete(b(self, x), b(self, y)),
-            Expr::DotAt(x, l, i) => {
-                let x = b(self, x);
-                Expr::DotAt(x, l.clone(), self.0.idx(i))
-            }
-            Expr::ExtractAt(x, l, i) => {
-                let x = b(self, x);
-                Expr::ExtractAt(x, l.clone(), self.0.idx(i))
-            }
+            Expr::DotAt(x, l, i) => Expr::DotAt(b(self, x), l.clone(), i.clone()),
+            Expr::ExtractAt(x, l, i) => Expr::ExtractAt(b(self, x), l.clone(), i.clone()),
             Expr::UpdateAt(x, l, i, v) => {
-                let x = b(self, x);
-                let i = self.0.idx(i);
-                Expr::UpdateAt(x, l.clone(), i, b(self, v))
+                Expr::UpdateAt(b(self, x), l.clone(), i.clone(), b(self, v))
             }
             Expr::RecordAt(layout, fs) => Expr::RecordAt(
                 layout.clone(),
@@ -269,18 +260,21 @@ impl Resolver<'_> {
     }
 }
 
-/// Is `e` free of unresolved variable forms — no [`Expr::Var`], no `λ`,
-/// no `fix`-bound `λ` and no [`Idx::Var`]? The machine evaluates only
-/// such code.
+/// Is `e` free of unresolved forms — no [`Expr::Var`], no `λ`, no
+/// `fix`-bound `λ`, and no record construction, `e·l`, `extract` or
+/// `update` without its layout or offset? The machine evaluates only such
+/// code.
 pub fn is_resolved(e: &Expr) -> bool {
     let mut ok = true;
     crate::visit::walk(e, &mut |n| {
         let unresolved = match n {
-            Expr::Var(_) | Expr::Lam(..) => true,
+            Expr::Var(_)
+            | Expr::Lam(..)
+            | Expr::Record(_)
+            | Expr::Dot(..)
+            | Expr::Extract(..)
+            | Expr::Update(..) => true,
             Expr::Fix(_, b) => matches!(**b, Expr::Lam(..)),
-            Expr::DotAt(_, _, i) | Expr::ExtractAt(_, _, i) | Expr::UpdateAt(_, _, i, _) => {
-                matches!(i, Idx::Var(_))
-            }
             _ => false,
         };
         ok &= !unresolved;
@@ -305,13 +299,12 @@ fn scoped(e: &Expr, locals: usize, captured: usize) -> bool {
         Slot::Global(_) => false,
     };
     let idx_ok = |i: &Idx| match i {
-        Idx::Const(_) => true,
+        Idx::Const(_) | Idx::Dynamic => true,
         Idx::At(_, s) => slot_ok(s),
-        Idx::Var(_) => false,
     };
     match e {
         Expr::Var(_) | Expr::Lam(..) => false,
-        Expr::Fix(_, b) => !matches!(**b, Expr::Lam(..)),
+        Expr::Fix(_, b) => !matches!(**b, Expr::Lam(..)) && scoped(b, locals + 1, captured),
         Expr::VarAt(_, s) => slot_ok(s),
         Expr::LamAt(l) => l.captures.iter().all(slot_ok) && well_scoped(l, l.captures.len()),
         Expr::Let(_, rhs, body) => {
@@ -338,6 +331,7 @@ fn scoped(e: &Expr, locals: usize, captured: usize) -> bool {
 mod tests {
     use super::*;
     use crate::label::Label;
+    use crate::term::Field;
 
     fn parse_free(e: Expr) -> (Expr, GlobalNames) {
         let mut g = GlobalNames::default();
@@ -425,6 +419,78 @@ mod tests {
             panic!()
         };
         assert_eq!(**body, Expr::VarAt(Label::new("x"), Slot::Local(1)));
+    }
+
+    #[test]
+    fn field_operations_resolve_to_layouts_and_dynamic_offsets() {
+        // let r = [b := 1, a = 2] in
+        //   let u = (fn x => update(x, b, x.a)) r in [c := extract(r, b)] end
+        // end
+        let e = Expr::let_(
+            "r",
+            Expr::record([
+                Field::mutable("b", Expr::int(1)),
+                Field::immutable("a", Expr::int(2)),
+            ]),
+            Expr::let_(
+                "u",
+                Expr::app(
+                    Expr::lam(
+                        "x",
+                        Expr::update(Expr::var("x"), "b", Expr::dot(Expr::var("x"), "a")),
+                    ),
+                    Expr::var("r"),
+                ),
+                Expr::record([Field::mutable("c", Expr::extract(Expr::var("r"), "b"))]),
+            ),
+        );
+        let (r, _) = parse_free(e);
+        let at = |x: &str, i| Expr::VarAt(Label::new(x), Slot::Local(i));
+        let layout = |fs: &[(&str, bool)]| {
+            Rc::new(crate::layout::Layout::new(
+                fs.iter().map(|(l, m)| (Label::new(l), *m)),
+            ))
+        };
+        let body = Expr::update_at(
+            at("x", 0),
+            "b",
+            Idx::Dynamic,
+            Expr::dot_at(at("x", 0), "a", Idx::Dynamic),
+        );
+        let want = Expr::let_(
+            "r",
+            // Entries stay in source order, each at its label's rank.
+            Expr::RecordAt(
+                layout(&[("a", false), ("b", true)]),
+                vec![(1, Expr::int(1)), (0, Expr::int(2))],
+            ),
+            Expr::let_(
+                "u",
+                Expr::app(
+                    Expr::LamAt(Rc::new(Lambda {
+                        fix: None,
+                        param: Label::new("x"),
+                        captures: Vec::new(),
+                        body,
+                    })),
+                    at("r", 0),
+                ),
+                Expr::RecordAt(
+                    layout(&[("c", true)]),
+                    vec![(0, Expr::extract_at(at("r", 0), "b", Idx::Dynamic))],
+                ),
+            ),
+        );
+        assert_eq!(r, want);
+        assert!(is_resolved(&r));
+        for raw in [
+            Expr::record([Field::immutable("a", Expr::int(1))]),
+            Expr::dot(Expr::unit(), "a"),
+            Expr::extract(Expr::unit(), "a"),
+            Expr::update(Expr::unit(), "a", Expr::int(1)),
+        ] {
+            assert!(!is_resolved(&raw), "{raw}");
+        }
     }
 
     #[test]

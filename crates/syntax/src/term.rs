@@ -135,11 +135,12 @@ pub enum Expr {
 
     // ----- offset-resolved forms (the compile tier) -----
     //
-    // These variants are produced only by the lowering pass in
-    // `polyview-trans` (Ohori's index-passing compilation, TOPLAS 1995);
-    // the parser never emits them and inference rejects them in source
-    // position. Each keeps the source label so the dynamic fallback and
-    // error messages stay exact.
+    // These variants are produced by the lowering pass in `polyview-trans`
+    // (Ohori's index-passing compilation, TOPLAS 1995) and, with
+    // [`Idx::Dynamic`] offsets, by `crate::resolve` for code that is not
+    // lowered; the parser never emits them and inference rejects them in
+    // source position. Each keeps the source label so the dynamic lookup
+    // and error messages stay exact.
     /// `e·l` with the field's slot offset resolved at compile time.
     DotAt(Box<Expr>, Label, Idx),
     /// `extract(e, l)` with a resolved slot offset.
@@ -161,7 +162,8 @@ pub enum Expr {
     // Produced by `crate::resolve` and by the lowering pass, which runs the
     // same scope resolution in its walk; the parser never emits them and
     // inference rejects them. The machine evaluates only code in which
-    // every variable and λ is resolved (DESIGN.md §13).
+    // every variable, λ, record construction and field operation is
+    // resolved (DESIGN.md §13).
     /// A variable resolved to where the machine finds it. The name is
     /// kept for rendering only.
     VarAt(Name, Slot),
@@ -198,22 +200,24 @@ pub struct Lambda {
     pub body: Expr,
 }
 
-/// How a lowered field operation finds its slot.
+/// How a resolved field operation finds its slot.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Idx {
     /// The offset is a compile-time constant — the operand's record type
     /// was concrete at lowering time.
     Const(usize),
     /// The offset arrives at run time through an index *parameter*: the
-    /// named variable (an ordinary λ-bound variable with a reserved
-    /// `#i`-prefixed name, so source programs cannot capture it) holds the
-    /// integer offset supplied at the enclosing function's instantiation
-    /// site. A negative value is the "unresolved" sentinel: the operation
-    /// falls back to dynamic lookup by label, and the evaluator counts it.
-    Var(Name),
-    /// An index parameter resolved to its slot (the resolver's output for
-    /// [`Idx::Var`]); the name is kept for rendering only.
+    /// slot of an ordinary λ-bound variable (with a reserved `#i`-prefixed
+    /// name, kept for rendering only, so source programs cannot capture
+    /// it) holding the integer offset supplied at the enclosing function's
+    /// instantiation site. A negative value is the "unresolved" sentinel:
+    /// the operation looks its label up, and the evaluator counts it.
     At(Name, Slot),
+    /// No offset: the operation looks its label up at run time, counted as
+    /// a dynamic fallback. The resolver gives it to field operations of
+    /// code that was not lowered, and the lowering pass to the residue it
+    /// could not resolve.
+    Dynamic,
 }
 
 impl Expr {
@@ -366,6 +370,27 @@ impl Expr {
     /// `update(e, l, v)` resolved to a slot offset (lowering-pass output).
     pub fn update_at(e: Expr, l: impl Into<Label>, idx: Idx, v: Expr) -> Expr {
         Expr::UpdateAt(Box::new(e), l.into(), idx, Box::new(v))
+    }
+
+    /// `[f1, …, fn]` with its layout: the fields' labels in canonical
+    /// order ([`Layout::new`]), and one entry per field in source order,
+    /// its slot with the expression `field` makes of it. Lowering and
+    /// resolution both build record constructions with it, so the layout
+    /// rule is stated once.
+    pub fn record_at(fields: &[Field], mut field: impl FnMut(&Expr) -> Expr) -> Expr {
+        let layout = Rc::new(Layout::new(
+            fields.iter().map(|f| (f.label.clone(), f.mutable)),
+        ));
+        let entries = fields
+            .iter()
+            .map(|f| {
+                let off = layout
+                    .offset_of(&f.label)
+                    .expect("layout built from these labels");
+                (off, field(&f.expr))
+            })
+            .collect();
+        Expr::RecordAt(layout, entries)
     }
 
     /// `collect(s, f)` (lowering-pass output).

@@ -128,38 +128,12 @@ fn free_vars_into(e: &Expr, bound: &mut BTreeSet<Name>, out: &mut BTreeSet<Name>
                 bound.remove(&c);
             }
         }
-        // Lowered field operations can reference an index *parameter* (an
-        // ordinary λ-bound variable) through their Idx, which is not an
-        // expression child — account for it explicitly so free-variable
-        // computation stays exact on lowered terms.
-        Expr::DotAt(b, _, idx) | Expr::ExtractAt(b, _, idx) => {
-            free_vars_into(b, bound, out);
-            idx_free_var(idx, bound, out);
-        }
-        Expr::UpdateAt(a, _, idx, v) => {
-            free_vars_into(a, bound, out);
-            idx_free_var(idx, bound, out);
-            free_vars_into(v, bound, out);
-        }
         other => {
             for child in children(other) {
                 free_vars_into(child, bound, out);
             }
         }
     }
-}
-
-fn idx_free_var(idx: &crate::term::Idx, bound: &BTreeSet<Name>, out: &mut BTreeSet<Name>) {
-    if let crate::term::Idx::Var(x) = idx {
-        if !bound.contains(x) {
-            out.insert(x.clone());
-        }
-    }
-}
-
-/// Does `e` mention any of `names` as a free variable?
-pub fn mentions_any(e: &Expr, names: &BTreeSet<Name>) -> bool {
-    free_vars(e).iter().any(|v| names.contains(v))
 }
 
 /// A violation of the recursive-class scope restriction of Section 4.4.

@@ -13,9 +13,10 @@
 //! must surface loudly to the caller, never produce a half-decoded
 //! value.
 //!
-//! `Expr` trees are encoded structurally (the parser produces trees, not
-//! DAGs), resolved forms included: a variable's slot and a resolved λ's
-//! capture list are plain data. Sharing of closure code across values is
+//! `Expr` trees are encoded structurally, and only in resolved form
+//! (DESIGN.md §13), the one code form a machine holds: a variable's slot,
+//! a resolved λ's capture list and a field operation's offset are plain
+//! data. Sharing of closure code across values is
 //! preserved one level up, by the evaluator's node table
 //! (`polyview_eval::snapshot`), which shares whole closure bodies by
 //! content before delegating to [`write_expr`] for their contents.
@@ -24,7 +25,7 @@ use crate::kind::{FieldReq, Kind, MutReq};
 use crate::label::{Label, Name};
 use crate::layout::Layout;
 use crate::scheme::Scheme;
-use crate::term::{ClassDef, Expr, Field, Idx, IncludeClause, Lambda, Lit, Slot};
+use crate::term::{ClassDef, Expr, Idx, IncludeClause, Lambda, Lit, Slot};
 use crate::types::{BaseTy, FieldTy, Mono};
 use std::fmt;
 
@@ -282,21 +283,19 @@ pub fn read_layout(r: &mut ByteReader) -> Result<Layout, WireError> {
 // Expressions
 // ---------------------------------------------------------------------
 
+/// Tag 1, a named index parameter, is retired with the un-resolved forms.
 fn write_idx(w: &mut ByteWriter, i: &Idx) {
     match i {
         Idx::Const(n) => {
             w.u8(0);
             w.usize(*n);
         }
-        Idx::Var(name) => {
-            w.u8(1);
-            write_label(w, name);
-        }
         Idx::At(name, slot) => {
             w.u8(2);
             write_label(w, name);
             write_slot(w, *slot);
         }
+        Idx::Dynamic => w.u8(3),
     }
 }
 
@@ -324,8 +323,8 @@ fn read_slot(r: &mut ByteReader) -> Result<Slot, WireError> {
 fn read_idx(r: &mut ByteReader) -> Result<Idx, WireError> {
     Ok(match r.u8("idx tag")? {
         0 => Idx::Const(r.usize("const idx")?),
-        1 => Idx::Var(read_label(r)?),
         2 => Idx::At(read_label(r)?, read_slot(r)?),
+        3 => Idx::Dynamic,
         tag => return Err(WireError::BadTag { what: "idx", tag }),
     })
 }
@@ -364,59 +363,25 @@ fn read_class_def(r: &mut ByteReader) -> Result<ClassDef, WireError> {
     Ok(ClassDef { own, includes })
 }
 
-/// Encode an expression tree. Covers every variant, including the
-/// offset-resolved compile-tier forms (`DotAt`/…/`RecordAt`, `Collect`) —
-/// a closure captured from lowered code must restore to the same lowered
-/// body.
+/// Encode resolved code (`crate::resolve::is_resolved`): the only code a
+/// machine holds. Tags 1, 3, 5, 6, 7 and 8 belonged to the un-resolved
+/// forms (`Var`, `λ`, a record construction, `e·l`, `extract`, `update`)
+/// and are retired, not reused; the decoder refuses them.
 pub fn write_expr(w: &mut ByteWriter, e: &Expr) {
     match e {
         Expr::Lit(l) => {
             w.u8(0);
             write_lit(w, l);
         }
-        Expr::Var(x) => {
-            w.u8(1);
-            write_label(w, x);
-        }
         Expr::Eq(a, b) => {
             w.u8(2);
             write_expr(w, a);
             write_expr(w, b);
         }
-        Expr::Lam(x, body) => {
-            w.u8(3);
-            write_label(w, x);
-            write_expr(w, body);
-        }
         Expr::App(f, a) => {
             w.u8(4);
             write_expr(w, f);
             write_expr(w, a);
-        }
-        Expr::Record(fields) => {
-            w.u8(5);
-            w.usize(fields.len());
-            for f in fields {
-                write_label(w, &f.label);
-                w.bool(f.mutable);
-                write_expr(w, &f.expr);
-            }
-        }
-        Expr::Dot(e, l) => {
-            w.u8(6);
-            write_expr(w, e);
-            write_label(w, l);
-        }
-        Expr::Extract(e, l) => {
-            w.u8(7);
-            write_expr(w, e);
-            write_label(w, l);
-        }
-        Expr::Update(e, l, v) => {
-            w.u8(8);
-            write_expr(w, e);
-            write_label(w, l);
-            write_expr(w, v);
         }
         Expr::SetLit(es) => {
             w.u8(9);
@@ -551,6 +516,12 @@ pub fn write_expr(w: &mut ByteWriter, e: &Expr) {
             w.u8(31);
             write_lambda(w, l);
         }
+        Expr::Var(_)
+        | Expr::Lam(..)
+        | Expr::Record(_)
+        | Expr::Dot(..)
+        | Expr::Extract(..)
+        | Expr::Update(..) => unreachable!("only resolved code is encoded, not {e}"),
     }
 }
 
@@ -597,41 +568,8 @@ fn read_lambda(r: &mut ByteReader) -> Result<Lambda, WireError> {
 pub fn read_expr(r: &mut ByteReader) -> Result<Expr, WireError> {
     Ok(match r.u8("expr tag")? {
         0 => Expr::Lit(read_lit(r)?),
-        1 => Expr::Var(read_label(r)?),
         2 => Expr::eq(read_expr(r)?, read_expr(r)?),
-        3 => {
-            let x = read_label(r)?;
-            Expr::lam(x, read_expr(r)?)
-        }
         4 => Expr::app(read_expr(r)?, read_expr(r)?),
-        5 => {
-            let n = r.count("record fields")?;
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let label = read_label(r)?;
-                let mutable = r.bool("field mutability")?;
-                let expr = read_expr(r)?;
-                fields.push(Field {
-                    label,
-                    mutable,
-                    expr,
-                });
-            }
-            Expr::Record(fields)
-        }
-        6 => {
-            let e = read_expr(r)?;
-            Expr::dot(e, read_label(r)?)
-        }
-        7 => {
-            let e = read_expr(r)?;
-            Expr::extract(e, read_label(r)?)
-        }
-        8 => {
-            let e = read_expr(r)?;
-            let l = read_label(r)?;
-            Expr::update(e, l, read_expr(r)?)
-        }
         9 => {
             let n = r.count("set elements")?;
             let mut es = Vec::with_capacity(n);
@@ -856,6 +794,12 @@ mod tests {
     use super::*;
     use crate::term::Field;
 
+    /// `e` resolved against an empty global table: the form the encoder
+    /// takes.
+    fn resolved(e: &Expr) -> Expr {
+        crate::resolve::resolve(e, &mut crate::GlobalNames::default())
+    }
+
     fn roundtrip_expr(e: &Expr) -> Expr {
         let mut w = ByteWriter::new();
         write_expr(&mut w, e);
@@ -926,6 +870,7 @@ mod tests {
                 Expr::int(0),
             ),
         );
+        let e = resolved(&e);
         assert_eq!(roundtrip_expr(&e), e);
     }
 
@@ -946,18 +891,16 @@ mod tests {
                 std::rc::Rc::new(layout),
                 vec![
                     (0, Expr::int(1)),
-                    (
-                        1,
-                        Expr::dot_at(Expr::var("r"), "b", Idx::Var(Label::new("#i0"))),
-                    ),
+                    (1, Expr::dot_at(Expr::var("r"), "b", Idx::Dynamic)),
                 ],
             )),
         );
+        let e = resolved(&e);
         assert_eq!(roundtrip_expr(&e), e);
-        let e2 = Expr::insert(
+        let e2 = resolved(&Expr::insert(
             Expr::var("C"),
             Expr::update_at(Expr::var("r"), "b", Idx::Const(1), Expr::int(9)),
-        );
+        ));
         assert_eq!(roundtrip_expr(&e2), e2);
     }
 
@@ -975,39 +918,61 @@ mod tests {
                 ),
             ),
         );
+        let e = resolved(&e);
         assert_eq!(roundtrip_expr(&e), e);
     }
 
     #[test]
     fn expr_roundtrip_covers_resolved_forms() {
-        // fix f => fn #i => fn x => f #i (x.N@#i), resolved: every slot
-        // kind, a capture list, and a resolved index parameter.
-        let e = crate::resolve::resolve(
-            &Expr::let_(
-                "k",
-                Expr::var("g"),
-                Expr::fix(
-                    "f",
+        // fix f => fn #i => fn x => f #i (x.N@#i) k, resolved: every slot
+        // kind, a capture list, and an index parameter (`#i`, the inner
+        // λ's second capture).
+        let e = resolved(&Expr::let_(
+            "k",
+            Expr::var("g"),
+            Expr::fix(
+                "f",
+                Expr::lam(
+                    "#i",
                     Expr::lam(
-                        "#i",
-                        Expr::lam(
-                            "x",
-                            Expr::apps(
-                                Expr::var("f"),
-                                [
-                                    Expr::var("#i"),
-                                    Expr::dot_at(Expr::var("x"), "N", Idx::Var(Label::new("#i"))),
-                                    Expr::var("k"),
-                                ],
-                            ),
+                        "x",
+                        Expr::apps(
+                            Expr::var("f"),
+                            [
+                                Expr::var("#i"),
+                                Expr::dot_at(
+                                    Expr::var("x"),
+                                    "N",
+                                    Idx::At(Label::new("#i"), Slot::Captured(1)),
+                                ),
+                                Expr::var("k"),
+                            ],
                         ),
                     ),
                 ),
             ),
-            &mut crate::GlobalNames::default(),
-        );
+        ));
         assert!(crate::resolve::is_resolved(&e));
         assert_eq!(roundtrip_expr(&e), e);
+    }
+
+    #[test]
+    fn retired_tags_are_refused() {
+        // Var, λ, record, dot, extract, update: the un-resolved forms.
+        for tag in [1, 3, 5, 6, 7, 8] {
+            assert_eq!(
+                read_expr(&mut ByteReader::new(&[tag, 0, 0, 0, 0])),
+                Err(WireError::BadTag { what: "expr", tag })
+            );
+        }
+        // A named index parameter.
+        assert_eq!(
+            read_idx(&mut ByteReader::new(&[1, 0, 0, 0, 0])),
+            Err(WireError::BadTag {
+                what: "idx",
+                tag: 1
+            })
+        );
     }
 
     #[test]

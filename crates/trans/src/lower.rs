@@ -13,14 +13,19 @@
 //!   variables is rewritten into *index-abstracted* form: one extra λ
 //!   parameter per `(variable, required label)` pair, in binder order.
 //!   Field operations on values of that variable's type use the parameter
-//!   (`DotAt(e, l, Var "#i…")`); use sites of the binding supply index
+//!   (`DotAt(e, l, At("#i…", slot))`); use sites of the binding supply index
 //!   *arguments* synthesized from the instantiation recorded at the
 //!   `Var` node — a constant when the instantiation resolved to a record
 //!   type, an enclosing index parameter when it resolved to a
 //!   record-kinded variable, and the sentinel `-1` when unresolvable
 //!   (the evaluator then falls back to dynamic lookup, counted).
-//! * Record constructions always lower to `RecordAt` with a shared
-//!   [`Layout`] — labels are syntactically known, no type needed.
+//! * A field operation resolved neither way gets [`Idx::Dynamic`], counted
+//!   as residue: the machine looks its label up, as it does for code that
+//!   was never lowered. The machine has no other form of field operation.
+//! * Record constructions always lower to `RecordAt`, laid out by
+//!   [`Expr::record_at`] — labels are syntactically known, no type needed,
+//!   and the resolver lays out records that are not lowered by the same
+//!   rule.
 //! * The union-fold `hom(S, f, λa.λb.union(a, b), {})` that `map`,
 //!   `filter`, `prod` and the view queries desugar to becomes
 //!   `Collect(S, f)`, which the evaluator runs as one linear pass with the
@@ -44,11 +49,11 @@
 //! Non-function values are never wrapped —
 //! instantiating a wrapped record would mint a fresh identity and change
 //! `eq` — so bindings whose right-hand side is not a `λ`, a `fix`-bound
-//! `λ`, or an alias of an already-abstracted name keep their dynamic
+//! `λ`, or an alias of an already-abstracted name keep [`Idx::Dynamic`]
 //! field operations as documented residue.
 
 use polyview_syntax::resolve::Scope;
-use polyview_syntax::{visit, Expr, GlobalNames, Idx, Kind, Label, Layout, Mono, Name, TyVar};
+use polyview_syntax::{visit, Expr, GlobalNames, Idx, Kind, Label, Mono, Name, TyVar};
 use polyview_types::table::{node_id, NodeId, TypeTable};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -282,23 +287,25 @@ impl<'a> Lowerer<'a> {
     }
 
     /// The index operand for a field operation on an operand whose type
-    /// was recorded at `node`, or `None` when the operation must stay
-    /// dynamic.
-    fn idx_for(&mut self, node: NodeId, l: &Label) -> Option<Idx> {
-        match self.table.operand_types.get(&node)? {
-            Mono::Record(fs) => {
-                let i = fs.keys().position(|k| k == l)?;
+    /// was recorded at `node`: [`Idx::Dynamic`], counted as residue, when
+    /// the operation must look its label up.
+    fn idx_for(&mut self, node: NodeId, l: &Label) -> Idx {
+        let known = match self.table.operand_types.get(&node) {
+            Some(Mono::Record(fs)) => fs.keys().position(|k| k == l).map(|i| {
                 self.stats.offsets_resolved += 1;
-                Some(Idx::Const(i))
-            }
-            Mono::Var(w) => {
-                let p = self.index_param(*w, l)?;
+                Idx::Const(i)
+            }),
+            Some(Mono::Var(w)) => self.index_param(*w, l).map(|p| {
                 self.stats.index_params_used += 1;
                 let slot = self.scope.var(&p);
-                Some(Idx::At(p, slot))
-            }
+                Idx::At(p, slot)
+            }),
             _ => None,
-        }
+        };
+        known.unwrap_or_else(|| {
+            self.stats.dynamic_residue += 1;
+            Idx::Dynamic
+        })
     }
 
     /// The index *argument* supplied for `(binder, label)` of a callee's
@@ -343,51 +350,22 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Expr::Record(fields) => {
-                let layout = Rc::new(Layout::new(
-                    fields.iter().map(|f| (f.label.clone(), f.mutable)),
-                ));
-                let entries = fields
-                    .iter()
-                    .map(|f| {
-                        let off = layout
-                            .offset_of(&f.label)
-                            .expect("layout built from these labels");
-                        (off, self.lower(&f.expr))
-                    })
-                    .collect();
                 self.stats.records_lowered += 1;
-                Expr::RecordAt(layout, entries)
+                Expr::record_at(fields, |fe| self.lower(fe))
             }
             Expr::Dot(obj, l) => {
                 let low = Box::new(self.lower(obj));
-                match self.idx_for(node_id(e), l) {
-                    Some(idx) => Expr::DotAt(low, l.clone(), idx),
-                    None => {
-                        self.stats.dynamic_residue += 1;
-                        Expr::Dot(low, l.clone())
-                    }
-                }
+                Expr::DotAt(low, l.clone(), self.idx_for(node_id(e), l))
             }
             Expr::Extract(obj, l) => {
                 let low = Box::new(self.lower(obj));
-                match self.idx_for(node_id(e), l) {
-                    Some(idx) => Expr::ExtractAt(low, l.clone(), idx),
-                    None => {
-                        self.stats.dynamic_residue += 1;
-                        Expr::Extract(low, l.clone())
-                    }
-                }
+                Expr::ExtractAt(low, l.clone(), self.idx_for(node_id(e), l))
             }
             Expr::Update(obj, l, v) => {
                 let low = Box::new(self.lower(obj));
                 let lv = Box::new(self.lower(v));
-                match self.idx_for(node_id(e), l) {
-                    Some(idx) => Expr::UpdateAt(low, l.clone(), idx, lv),
-                    None => {
-                        self.stats.dynamic_residue += 1;
-                        Expr::Update(low, l.clone(), lv)
-                    }
-                }
+                let idx = self.idx_for(node_id(e), l);
+                Expr::UpdateAt(low, l.clone(), idx, lv)
             }
             Expr::Let(x, rhs, body) => {
                 let sig = self
@@ -426,8 +404,16 @@ impl<'a> Lowerer<'a> {
                     self.locals.truncate(self.locals.len() - 2);
                     self.scope.leave(Some(f.clone()), x.clone(), lb)
                 }
-                // Evaluating it fails without running the body.
-                _ => e.clone(),
+                // Evaluating it fails without running the body, which is
+                // lowered only so that the machine holds one code form.
+                body => {
+                    self.locals.push((f.clone(), None));
+                    self.scope.bind(f);
+                    let lb = self.lower(body);
+                    self.scope.unbind(1);
+                    self.locals.pop();
+                    Expr::Fix(f.clone(), Rc::new(lb))
+                }
             },
             Expr::Eq(a, b) => Expr::eq(self.lower(a), self.lower(b)),
             Expr::App(f, a) => Expr::app(self.lower(f), self.lower(a)),
@@ -470,27 +456,15 @@ impl<'a> Lowerer<'a> {
                 self.locals.truncate(depth);
                 Expr::LetClasses(lowered_binds, Box::new(lb))
             }
-            // Already lowered (idempotence guard; a second pass is a no-op
-            // on these).
-            Expr::DotAt(b, l, i) => {
-                let b = Box::new(self.lower(b));
-                Expr::DotAt(b, l.clone(), self.scope.idx(i))
-            }
-            Expr::ExtractAt(b, l, i) => {
-                let b = Box::new(self.lower(b));
-                Expr::ExtractAt(b, l.clone(), self.scope.idx(i))
-            }
-            Expr::UpdateAt(b, l, i, v) => {
-                let b = Box::new(self.lower(b));
-                let i = self.scope.idx(i);
-                Expr::UpdateAt(b, l.clone(), i, Box::new(self.lower(v)))
-            }
-            Expr::RecordAt(layout, fs) => Expr::RecordAt(
-                layout.clone(),
-                fs.iter().map(|(off, fe)| (*off, self.lower(fe))).collect(),
-            ),
-            Expr::Collect(s, f) => Expr::collect(self.lower(s), self.lower(f)),
-            Expr::VarAt(..) | Expr::LamAt(_) => e.clone(),
+            // Inference refuses these in source position, so lowering,
+            // which runs on inferred statements only, never meets them.
+            Expr::DotAt(..)
+            | Expr::ExtractAt(..)
+            | Expr::UpdateAt(..)
+            | Expr::RecordAt(..)
+            | Expr::Collect(..)
+            | Expr::VarAt(..)
+            | Expr::LamAt(_) => unreachable!("a lowered form reached lowering: {e}"),
         }
     }
 
@@ -548,10 +522,6 @@ pub fn offset_report(e: &Expr) -> Vec<String> {
         Expr::ExtractAt(_, l, idx) => rows.push(format!("extract .{l} {}", show_idx(idx))),
         Expr::UpdateAt(_, l, idx, _) => rows.push(format!("update .{l} {}", show_idx(idx))),
         Expr::RecordAt(layout, _) => rows.push(format!("record {layout}")),
-        Expr::Dot(_, l) => rows.push(format!("dot .{l} dynamic")),
-        Expr::Extract(_, l) => rows.push(format!("extract .{l} dynamic")),
-        Expr::Update(_, l, _) => rows.push(format!("update .{l} dynamic")),
-        Expr::Record(fs) => rows.push(format!("record dynamic ({} fields)", fs.len())),
         _ => {}
     });
     rows
@@ -560,23 +530,9 @@ pub fn offset_report(e: &Expr) -> Vec<String> {
 fn show_idx(i: &Idx) -> String {
     match i {
         Idx::Const(n) => format!("@{n}"),
-        Idx::Var(x) | Idx::At(x, _) => format!("@{x}"),
+        Idx::At(x, _) => format!("@{x}"),
+        Idx::Dynamic => "dynamic".to_string(),
     }
-}
-
-/// Convenience used by tests and the differential harness: does the
-/// expression still contain any un-lowered field operation?
-pub fn has_dynamic_field_ops(e: &Expr) -> bool {
-    let mut found = false;
-    visit::walk(e, &mut |n| {
-        if matches!(
-            n,
-            Expr::Dot(..) | Expr::Extract(..) | Expr::Update(..) | Expr::Record(_)
-        ) {
-            found = true;
-        }
-    });
-    found
 }
 
 #[cfg(test)]
@@ -598,6 +554,20 @@ mod tests {
 
     fn no_globals() -> HashMap<Name, Rc<IndexSig>> {
         HashMap::new()
+    }
+
+    /// Does the lowered code still look a label up?
+    fn has_dynamic_field_ops(e: &Expr) -> bool {
+        let mut found = false;
+        visit::walk(e, &mut |n| {
+            found |= matches!(
+                n,
+                Expr::DotAt(_, _, Idx::Dynamic)
+                    | Expr::ExtractAt(_, _, Idx::Dynamic)
+                    | Expr::UpdateAt(_, _, Idx::Dynamic, _)
+            );
+        });
+        found
     }
 
     #[test]

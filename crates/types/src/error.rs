@@ -36,6 +36,9 @@ pub enum TypeError {
         left: Mono,
         right: Mono,
     },
+    /// A record construction names a label twice: a record has one field
+    /// per label, and its layout one slot.
+    DuplicateField(Label),
     /// A lowered (offset-resolved) form reached the type checker. Lowering
     /// runs strictly *after* inference; source programs cannot contain
     /// these forms, so this indicates a pipeline-ordering bug, not a user
@@ -97,6 +100,9 @@ impl fmt::Display for TypeError {
                 "record types {left} and {right} disagree on the mutability of \
                  field `{label}`"
             ),
+            TypeError::DuplicateField(l) => {
+                write!(f, "the record construction gives field `{l}` twice")
+            }
             TypeError::LoweredForm(form) => write!(
                 f,
                 "lowered form `{form}` reached type inference; lowering must run \

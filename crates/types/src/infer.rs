@@ -57,13 +57,13 @@ pub fn infer(cx: &mut Infer, env: &mut TypeEnv, e: &Expr) -> Result<Mono, TypeEr
                     Mono::LVal(inner) => *inner,
                     other => other,
                 };
-                tys.insert(
-                    f.label.clone(),
-                    FieldTy {
-                        mutable: f.mutable,
-                        ty: t,
-                    },
-                );
+                let field = FieldTy {
+                    mutable: f.mutable,
+                    ty: t,
+                };
+                if tys.insert(f.label.clone(), field).is_some() {
+                    return Err(TypeError::DuplicateField(f.label.clone()));
+                }
             }
             Ok(Mono::Record(tys))
         }

@@ -264,7 +264,7 @@ fn step(e: &mut Engine, src: &str) -> String {
 fn machine_render(e: &polyview::Expr) -> String {
     let mut m = Machine::new();
     let v = m
-        .eval_global(e)
+        .eval(e)
         .unwrap_or_else(|err| panic!("machine fails ({err}) on {e}"));
     m.show(&v)
 }

@@ -28,7 +28,7 @@ fn engine() -> Engine {
 /// A bare machine's rendering of a closed program.
 fn machine_render(e: &polyview::Expr) -> String {
     let mut m = Machine::new();
-    let v = m.eval_global(e).expect("machine runs");
+    let v = m.eval(e).expect("machine runs");
     m.show(&v)
 }
 

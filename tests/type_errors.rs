@@ -31,6 +31,21 @@ fn field_access_on_non_record() {
 }
 
 #[test]
+fn a_record_gives_each_label_once() {
+    // A repeated label has no slot of its own in the record's layout.
+    for src in ["[a = 1, a = 2]", "[a = 1, b = 2, a := 3].b"] {
+        assert!(
+            matches!(reject(src), Error::Type(TypeError::DuplicateField(ref l)) if l.as_str() == "a"),
+            "{src}"
+        );
+    }
+    // Refused before it runs: the machine lays a record out by its labels.
+    let mut e = Engine::new();
+    assert!(e.exec("[a = 1, a = 2].a;").is_err());
+    assert_eq!(e.eval_to_string("[a = 1, b = 2].b").expect("runs"), "2");
+}
+
+#[test]
 fn missing_fields() {
     assert_type_error("raw.Age");
     assert!(matches!(
