@@ -26,8 +26,10 @@ use polyview_syntax::{Expr, Scheme};
 /// * The statement cache ([`crate::prepare::StmtCache`]) updates recency on
 ///   every hit, and a miss inserts the fresh compilation.
 ///
-/// Neither effect is observable by later statements (a query's allocations
-/// are unreachable once it returns), which is exactly the distinction the
+/// Neither effect is observable by later statements: [`Database::query`]
+/// and [`Database::dump`] run as read regions, so the machine reclaims
+/// what they allocate before they return (see
+/// [`Engine::eval_to_string`]). That is exactly the distinction the
 /// replicated serving layer (`crates/pool`) routes on. The **single source
 /// of truth** for that distinction is [`crate::classify`]:
 /// [`classify_program`](crate::classify::classify_program) — not the
@@ -89,17 +91,21 @@ impl Database {
     /// be one complete expression on its own and the class name can never
     /// be reinterpreted as syntax. Compiled once per distinct
     /// `(class, set_fn)` pair, then served from the statement cache with
-    /// zero parse/inference work per call.
+    /// zero parse/inference work per call. Runs as a read region, so a
+    /// repeated query keeps nothing it allocates; a `set_fn` that changes
+    /// earlier state reruns outside the region and applies once.
     pub fn query(&mut self, class: &str, set_fn: &str) -> Result<String, Error> {
         let key = StmtKey::Query {
             class: class.to_string(),
             set_fn: set_fn.to_string(),
         };
-        let (_, v) = self.engine.eval_statement(key, |eng| {
-            let f = eng.parse_counted(set_fn)?;
-            eng.prepare_parsed(None, Expr::cquery(f, Expr::var(class)))
-        })?;
-        Ok(self.engine.show(&v))
+        self.engine.read_first(|eng| {
+            let (_, v) = eng.eval_statement(key.clone(), |eng| {
+                let f = eng.parse_counted(set_fn)?;
+                eng.prepare_parsed(None, Expr::cquery(f, Expr::var(class)))
+            })?;
+            Ok(eng.show(&v))
+        })
     }
 
     /// Insert an object expression into a named class's own extent. Like
@@ -136,22 +142,24 @@ impl Database {
     /// Number of objects in the class's full (lazily materialized) extent.
     pub fn count(&mut self, class: &str) -> Result<usize, Error> {
         let v = self.class_value(class)?;
-        let extent = self.engine.on_machine(|m| m.extent_of(&v)).0?;
+        let extent = self.engine.on_machine(None, |m| m.extent_of(&v)).0?;
         Ok(extent.len())
     }
 
     /// Materialize the current views of every object in a class's extent
-    /// and render them.
+    /// and render them. Runs as a read region, like [`Database::query`].
     pub fn dump(&mut self, class: &str) -> Result<Vec<String>, Error> {
         let v = self.class_value(class)?;
-        let extent = self.engine.on_machine(|m| m.extent_of(&v)).0?;
-        let objs: Vec<Value> = extent.values().cloned().collect();
-        let mut out = Vec::with_capacity(objs.len());
-        for o in objs {
-            let mat = self.engine.on_machine(|m| m.materialize(&o)).0?;
-            out.push(self.engine.show(&mat));
-        }
-        Ok(out)
+        self.engine.read_first(|eng| {
+            let extent = eng.on_machine(None, |m| m.extent_of(&v)).0?;
+            extent
+                .values()
+                .map(|o| {
+                    let mat = eng.on_machine(None, |m| m.materialize(o)).0?;
+                    Ok(eng.show(&mat))
+                })
+                .collect()
+        })
     }
 
     /// The principal scheme of a bound name.

@@ -49,12 +49,94 @@ pub enum Outcome {
     Value { scheme: Scheme, rendered: String },
 }
 
+/// One layer work counter as the engine reports it: its registry counter
+/// (`None` for one only phase spans carry), its span attribute, and the
+/// field of the layer's stats struct that holds it.
+type Field<S> = (Option<&'static str>, &'static str, fn(&mut S) -> &mut u64);
+
+#[rustfmt::skip]
+const PARSE: &[Field<ParseStats>] = &[
+    (Some("parser.tokens_lexed"), "tokens", |s| &mut s.tokens),
+    (Some("parser.nodes_parsed"), "nodes", |s| &mut s.nodes),
+];
+
+#[rustfmt::skip]
+const INFER: &[Field<InferStats>] = &[
+    (Some("types.unify_steps"), "unify_steps", |s| &mut s.unify_steps),
+    (Some("types.occurs_checks"), "occurs_checks", |s| &mut s.occurs_checks),
+    (Some("types.kind_merges"), "kind_merges", |s| &mut s.kind_merges),
+    (Some("types.instantiations"), "instantiations", |s| &mut s.instantiations),
+];
+
+/// Offsets the compile tier resolved statically, and the *static* residue
+/// it left behind, are counted; `eval.dyn_field_fallbacks` counts the
+/// fallbacks actually *executed* — the two disagree whenever residue sits
+/// on a cold branch or a fallback runs in a loop.
+#[rustfmt::skip]
+const LOWER: &[Field<LowerStats>] = &[
+    (Some("trans.offsets_resolved"), "offsets", |s| &mut s.offsets_resolved),
+    (None, "index_params", |s| &mut s.index_params_used),
+    (None, "abstractions", |s| &mut s.index_abstractions),
+    (Some("trans.dynamic_residue"), "residue", |s| &mut s.dynamic_residue),
+    (None, "records", |s| &mut s.records_lowered),
+];
+
+#[rustfmt::skip]
+const EVAL: &[Field<MachineStats>] = &[
+    (Some("eval.fuel_consumed"), "fuel", |s| &mut s.fuel_consumed),
+    (Some("eval.records_allocated"), "records", |s| &mut s.records_allocated),
+    (Some("eval.sets_allocated"), "sets", |s| &mut s.sets_allocated),
+    (Some("eval.field_offsets_resolved"), "offsets", |s| &mut s.field_offsets_resolved),
+    (Some("eval.dyn_field_fallbacks"), "dyn_fallbacks", |s| &mut s.dyn_field_fallbacks),
+];
+
+/// One layer's counters in the registry, in the order of its [`Field`]s.
+#[derive(Debug)]
+struct Layer<S: 'static> {
+    fields: &'static [Field<S>],
+    counters: Vec<Option<Counter>>,
+}
+
+impl<S: Copy + Default> Layer<S> {
+    fn new(reg: &Registry, fields: &'static [Field<S>]) -> Self {
+        let counters = fields.iter().map(|f| f.0.map(|n| reg.counter(n))).collect();
+        Layer { fields, counters }
+    }
+
+    /// Add one statement's work to the registry and, when there is one,
+    /// to its phase span.
+    fn add(&self, mut work: S, mut span: Option<&mut Span>) {
+        for ((_, attr, field), counter) in self.fields.iter().zip(&self.counters) {
+            let n = *field(&mut work);
+            if let Some(span) = span.as_deref_mut() {
+                span.attr(attr, n);
+            }
+            if let Some(c) = counter {
+                c.add(n);
+            }
+        }
+    }
+
+    /// The registry's totals; a field with no counter reads 0.
+    fn totals(&self) -> S {
+        let mut s = S::default();
+        for ((_, _, field), counter) in self.fields.iter().zip(&self.counters) {
+            if let Some(c) = counter {
+                *field(&mut s) = c.get();
+            }
+        }
+        s
+    }
+}
+
 /// The engine's metrics registry and the handles resolved from it at
 /// construction, so the hot paths pay one relaxed atomic update per event
-/// and never hash a metric name. [`EngineMetrics::new`] is the one place
-/// an engine metric is named. The registry is live: the `types.*` and
-/// `eval.*` counters take each statement's inference and evaluation work
-/// as it finishes ([`Engine::infer_phase`], [`Engine::on_machine`]).
+/// and never hash a metric name. This is the one place an engine metric
+/// is named, and the one place a layer's work counter ([`ParseStats`],
+/// [`InferStats`], [`LowerStats`], [`MachineStats`]) is mapped to its
+/// registry counter and its span attribute. The registry is live: each
+/// statement's work lands in it as its phase finishes
+/// ([`Engine::infer_phase`], [`Engine::on_machine`]).
 ///
 /// Every part is atomic, so the value is `Send + Sync` and shared behind
 /// an `Arc` ([`Engine::metrics`]): an embedding layer (a pool replica)
@@ -70,31 +152,16 @@ pub struct EngineMetrics {
     stmt_cache_evictions: Counter,
     stmt_cache_dep_invalidations: Counter,
     epoch_invalidations: Counter,
-    tokens_lexed: Counter,
-    nodes_parsed: Counter,
     parse_ns: Histogram,
     infer_ns: Histogram,
     lower_ns: Histogram,
     translate_ns: Histogram,
     eval_ns: Histogram,
     translated_size: Histogram,
-    unify_steps: Counter,
-    occurs_checks: Counter,
-    kind_merges: Counter,
-    instantiations: Counter,
-    fuel_consumed: Counter,
-    records_allocated: Counter,
-    sets_allocated: Counter,
-    field_offsets_resolved: Counter,
-    dyn_field_fallbacks: Counter,
-    /// Lowering-time twins of the two eval counters above: offsets the
-    /// compile tier resolved statically, and the *static* residue it left
-    /// behind (field ops it could not resolve). Distinct from
-    /// `eval.dyn_field_fallbacks`, which counts fallbacks actually
-    /// *executed* — the two disagree whenever residue sits on a cold
-    /// branch or a fallback runs in a loop.
-    lower_offsets: Counter,
-    lower_residue: Counter,
+    parse: Layer<ParseStats>,
+    infer: Layer<InferStats>,
+    lower: Layer<LowerStats>,
+    eval: Layer<MachineStats>,
 }
 
 impl EngineMetrics {
@@ -108,25 +175,16 @@ impl EngineMetrics {
             stmt_cache_evictions: reg.counter("engine.stmt_cache_evictions"),
             stmt_cache_dep_invalidations: reg.counter("engine.stmt_cache_dep_invalidations"),
             epoch_invalidations: reg.counter("engine.epoch_invalidations"),
-            tokens_lexed: reg.counter("parser.tokens_lexed"),
-            nodes_parsed: reg.counter("parser.nodes_parsed"),
             parse_ns: reg.histogram("phase.parse_ns"),
             infer_ns: reg.histogram("phase.infer_ns"),
             lower_ns: reg.histogram("phase.lower_ns"),
             translate_ns: reg.histogram("phase.translate_ns"),
             eval_ns: reg.histogram("phase.eval_ns"),
             translated_size: reg.histogram("trans.translated_size"),
-            unify_steps: reg.counter("types.unify_steps"),
-            occurs_checks: reg.counter("types.occurs_checks"),
-            kind_merges: reg.counter("types.kind_merges"),
-            instantiations: reg.counter("types.instantiations"),
-            fuel_consumed: reg.counter("eval.fuel_consumed"),
-            records_allocated: reg.counter("eval.records_allocated"),
-            sets_allocated: reg.counter("eval.sets_allocated"),
-            field_offsets_resolved: reg.counter("eval.field_offsets_resolved"),
-            dyn_field_fallbacks: reg.counter("eval.dyn_field_fallbacks"),
-            lower_offsets: reg.counter("trans.offsets_resolved"),
-            lower_residue: reg.counter("trans.dynamic_residue"),
+            parse: Layer::new(&reg, PARSE),
+            infer: Layer::new(&reg, INFER),
+            lower: Layer::new(&reg, LOWER),
+            eval: Layer::new(&reg, EVAL),
             registry: reg,
         }
     }
@@ -142,17 +200,9 @@ impl EngineMetrics {
             stmt_cache_evictions: self.stmt_cache_evictions.get(),
             stmt_cache_dep_invalidations: self.stmt_cache_dep_invalidations.get(),
             epoch_invalidations: self.epoch_invalidations.get(),
-            tokens_lexed: self.tokens_lexed.get(),
-            nodes_parsed: self.nodes_parsed.get(),
-            unify_steps: self.unify_steps.get(),
-            occurs_checks: self.occurs_checks.get(),
-            kind_merges: self.kind_merges.get(),
-            instantiations: self.instantiations.get(),
-            fuel_consumed: self.fuel_consumed.get(),
-            records_allocated: self.records_allocated.get(),
-            sets_allocated: self.sets_allocated.get(),
-            field_offsets_resolved: self.field_offsets_resolved.get(),
-            dyn_field_fallbacks: self.dyn_field_fallbacks.get(),
+            parse: self.parse.totals(),
+            infer: self.infer.totals(),
+            eval: self.eval.totals(),
         }
     }
 
@@ -342,12 +392,9 @@ impl Engine {
     /// Record a finished parse: span attributes, latency, token/node
     /// totals. Returns the measured duration.
     fn note_parse(&mut self, mut span: Span, ps: ParseStats) -> u64 {
-        span.attr("tokens", ps.tokens);
-        span.attr("nodes", ps.nodes);
+        self.metrics.parse.add(ps, Some(&mut span));
         let dur = span.finish(&self.tracer);
         self.metrics.parse_ns.observe(dur);
-        self.metrics.tokens_lexed.add(ps.tokens);
-        self.metrics.nodes_parsed.add(ps.nodes);
         dur
     }
 
@@ -361,22 +408,8 @@ impl Engine {
         let before = self.cx.stats();
         let mut span = self.tracer.span("engine.infer");
         let r = f(&mut self.cx, &mut self.tenv);
-        let after = self.cx.stats();
-        let work = InferStats {
-            unify_steps: after.unify_steps - before.unify_steps,
-            occurs_checks: after.occurs_checks - before.occurs_checks,
-            kind_merges: after.kind_merges - before.kind_merges,
-            instantiations: after.instantiations - before.instantiations,
-        };
-        let p = &self.metrics;
-        p.unify_steps.add(work.unify_steps);
-        p.occurs_checks.add(work.occurs_checks);
-        p.kind_merges.add(work.kind_merges);
-        p.instantiations.add(work.instantiations);
-        span.attr("unify_steps", work.unify_steps);
-        span.attr("occurs_checks", work.occurs_checks);
-        span.attr("kind_merges", work.kind_merges);
-        span.attr("instantiations", work.instantiations);
+        let work = self.cx.stats().since(&before);
+        self.metrics.infer.add(work, Some(&mut span));
         let dur = span.finish(&self.tracer);
         self.metrics.infer_ns.observe(dur);
         Ok((r?, work, dur))
@@ -419,37 +452,24 @@ impl Engine {
     /// and duration.
     fn eval_measured(&mut self, e: &Expr) -> Result<(Value, MachineStats, u64), Error> {
         let mut span = self.tracer.span("engine.eval");
-        let (r, work) = self.on_machine(|m| m.eval_code(e));
-        span.attr("fuel", work.fuel_consumed);
-        span.attr("records", work.records_allocated);
-        span.attr("sets", work.sets_allocated);
-        span.attr("offsets", work.field_offsets_resolved);
-        span.attr("dyn_fallbacks", work.dyn_field_fallbacks);
+        let (r, work) = self.on_machine(Some(&mut span), |m| m.eval_code(e));
         let dur = span.finish(&self.tracer);
         self.metrics.eval_ns.observe(dur);
         Ok((r?, work, dur))
     }
 
     /// Run `f` on the machine, adding the evaluation work it did to the
-    /// registry's `eval.*` counters and returning that work. Every
-    /// evaluation the engine starts runs through here.
-    pub(crate) fn on_machine<T>(&mut self, f: impl FnOnce(&mut Machine) -> T) -> (T, MachineStats) {
+    /// registry's `eval.*` counters and to `span`, and returning that
+    /// work. Every evaluation the engine starts runs through here.
+    pub(crate) fn on_machine<T>(
+        &mut self,
+        span: Option<&mut Span>,
+        f: impl FnOnce(&mut Machine) -> T,
+    ) -> (T, MachineStats) {
         let before = self.machine.stats();
         let out = f(&mut self.machine);
-        let after = self.machine.stats();
-        let work = MachineStats {
-            fuel_consumed: after.fuel_consumed - before.fuel_consumed,
-            records_allocated: after.records_allocated - before.records_allocated,
-            sets_allocated: after.sets_allocated - before.sets_allocated,
-            field_offsets_resolved: after.field_offsets_resolved - before.field_offsets_resolved,
-            dyn_field_fallbacks: after.dyn_field_fallbacks - before.dyn_field_fallbacks,
-        };
-        let p = &self.metrics;
-        p.fuel_consumed.add(work.fuel_consumed);
-        p.records_allocated.add(work.records_allocated);
-        p.sets_allocated.add(work.sets_allocated);
-        p.field_offsets_resolved.add(work.field_offsets_resolved);
-        p.dyn_field_fallbacks.add(work.dyn_field_fallbacks);
+        let work = self.machine.stats().since(&before);
+        self.metrics.eval.add(work, span);
         (out, work)
     }
 
@@ -599,13 +619,7 @@ impl Engine {
     ) -> (T, LowerStats, u64) {
         let mut span = self.tracer.span("engine.lower");
         let (out, stats) = f(&self.index_sigs, self.machine.global_names());
-        self.metrics.lower_offsets.add(stats.offsets_resolved);
-        self.metrics.lower_residue.add(stats.dynamic_residue);
-        span.attr("offsets", stats.offsets_resolved);
-        span.attr("index_params", stats.index_params_used);
-        span.attr("abstractions", stats.index_abstractions);
-        span.attr("residue", stats.dynamic_residue);
-        span.attr("records", stats.records_lowered);
+        self.metrics.lower.add(stats, Some(&mut span));
         let dur = span.finish(&self.tracer);
         self.metrics.lower_ns.observe(dur);
         (out, stats, dur)
@@ -791,9 +805,8 @@ impl Engine {
 
             let ast = Rc::new(ast);
             let c = eng.compile_expr(&ast)?;
-            let (i, infer_ns, lower_ns) = (c.infer, c.infer_ns, c.lower_ns);
+            let (infer, infer_ns, lower_ns) = (c.infer, c.infer_ns, c.lower_ns);
             let p = eng.prepared(Some(src.to_string()), ast.clone(), c);
-            let lower = p.lower_stats();
             let offset_rows = polyview_trans::offset_report(p.code());
 
             let mut span = eng.tracer.span("engine.translate");
@@ -803,7 +816,7 @@ impl Engine {
             eng.metrics.translate_ns.observe(translate_ns);
             eng.metrics.translated_size.observe(ts.translated_size);
 
-            let (v, m, eval_ns) = eng.eval_measured(p.code())?;
+            let (v, eval, eval_ns) = eng.eval_measured(p.code())?;
             let rendered = eng.machine.show(&v);
             eng.cache(Mode::Commit, key, &p);
 
@@ -823,24 +836,12 @@ impl Engine {
                 lower_ns,
                 translate_ns,
                 eval_ns,
-                tokens: ps.tokens,
-                nodes: ps.nodes,
-                unify_steps: i.unify_steps,
-                occurs_checks: i.occurs_checks,
-                kind_merges: i.kind_merges,
-                instantiations: i.instantiations,
-                offsets_resolved: lower.offsets_resolved,
-                index_params_used: lower.index_params_used,
-                index_abstractions: lower.index_abstractions,
-                dynamic_residue: lower.dynamic_residue,
-                records_lowered: lower.records_lowered,
+                parse: ps,
+                infer,
+                lower: p.lower_stats(),
                 offset_rows,
                 translated_size: ts.translated_size,
-                fuel_consumed: m.fuel_consumed,
-                records_allocated: m.records_allocated,
-                sets_allocated: m.sets_allocated,
-                field_offsets_resolved: m.field_offsets_resolved,
-                dyn_field_fallbacks: m.dyn_field_fallbacks,
+                eval,
             })
         })
     }
@@ -958,12 +959,18 @@ impl Engine {
     /// [`Engine::eval_expr`] or [`Engine::run`] instead, which never
     /// reclaim.
     pub fn eval_to_string(&mut self, src: &str) -> Result<String, Error> {
-        let out = self.in_read_region(|e| e.eval_expr(src).map(|(_, v)| e.machine.show(&v)));
-        match out {
-            Err(Error::Runtime(RuntimeError::EffectInRead)) => {
-                let (_, v) = self.eval_expr(src)?;
-                Ok(self.machine.show(&v))
-            }
+        self.read_first(|e| e.eval_expr(src).map(|(_, v)| e.machine.show(&v)))
+    }
+
+    /// Run `f` as a read region, and again outside one if it tried to
+    /// change earlier state: a pure `f` leaves no allocation behind, and
+    /// an effectful one applies its effects once ([`Engine::eval_to_string`]).
+    pub(crate) fn read_first<T>(
+        &mut self,
+        f: impl Fn(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        match self.in_read_region(&f) {
+            Err(Error::Runtime(RuntimeError::EffectInRead)) => f(self),
             out => out,
         }
     }
@@ -1013,10 +1020,10 @@ impl Engine {
     /// [`Machine::begin_read`] and [`Machine::end_read`], so whatever it
     /// allocates is reclaimed however it ends. `f` renders what it
     /// returns before the region closes.
-    fn in_read_region(
+    fn in_read_region<T>(
         &mut self,
-        f: impl FnOnce(&mut Self) -> Result<String, Error>,
-    ) -> Result<String, Error> {
+        f: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
         let mark = self.machine.begin_read();
         let out = f(self);
         self.machine.end_read(mark);
@@ -1137,6 +1144,7 @@ impl Engine {
         )?;
         let (code, sig) = c.code?;
         let t = self.cx.resolve(&c.out);
+        let slots = self.machine.store.len();
         let v = self.eval_phase(&code)?;
 
         let tys = if single {
@@ -1145,6 +1153,12 @@ impl Engine {
             group_component_types(&t, names.len(), "fun group")?
         };
         let bound = self.define_group(&names, tys, v, true)?;
+        // A group's `fix` bundle and member tuple only lead to its
+        // members, which are closures over the bundle's `fix` closure and
+        // older globals: nothing bound reaches a slot the evaluation
+        // allocated, so the slots go (a `class` group's extents do hold
+        // its slots, so `exec_classes` keeps them).
+        self.machine.store.truncate(slots);
         if let Some(s) = sig {
             self.index_sigs.insert(names[0].clone(), s);
         }

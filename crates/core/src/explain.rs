@@ -7,7 +7,11 @@
 //! statement. The [`Explain`] value is plain data; `Display` renders the
 //! REPL view.
 
+use polyview_eval::MachineStats;
+use polyview_parser::ParseStats;
 use polyview_syntax::Scheme;
+use polyview_trans::LowerStats;
+use polyview_types::InferStats;
 
 /// Per-statement pipeline report produced by [`crate::Engine::explain`].
 ///
@@ -43,48 +47,21 @@ pub struct Explain {
     /// Evaluation-phase wall time.
     pub eval_ns: u64,
 
-    /// Tokens produced by the lexer.
-    pub tokens: u64,
-    /// AST nodes produced by the parser.
-    pub nodes: u64,
-    /// Unification steps spent on this statement.
-    pub unify_steps: u64,
-    /// Occurs checks spent on this statement.
-    pub occurs_checks: u64,
-    /// Record-kind merges spent on this statement.
-    pub kind_merges: u64,
-    /// Scheme instantiations spent on this statement.
-    pub instantiations: u64,
-    /// Field accesses and updates the compile tier resolved to constant
-    /// integer offsets in this statement.
-    pub offsets_resolved: u64,
-    /// Field operations compiled against an in-scope index *parameter*
-    /// (inside an index-abstracted polymorphic function body).
-    pub index_params_used: u64,
-    /// Polymorphic bindings rewritten into index-abstracted form.
-    pub index_abstractions: u64,
-    /// Field operations the compile tier could not resolve and left on the
-    /// dynamic-lookup path (documented residue; zero on monomorphic code).
-    pub dynamic_residue: u64,
-    /// Record constructions compiled to layout-directed slot writes.
-    pub records_lowered: u64,
+    /// Tokens lexed and AST nodes parsed for this statement.
+    pub parse: ParseStats,
+    /// Inference work spent on this statement.
+    pub infer: InferStats,
+    /// The compile tier's work on this statement: offsets resolved,
+    /// index parameters used, abstractions, the dynamic residue it left
+    /// (zero on monomorphic code) and records laid out.
+    pub lower: LowerStats,
     /// Per-operation offset/layout report rows (one per field op or record
     /// construction in the lowered statement), e.g. `dot .Name @0`.
     pub offset_rows: Vec<String>,
     /// AST nodes of the Figs. 3/5 translation of this statement.
     pub translated_size: u64,
-    /// Evaluation steps spent running this statement.
-    pub fuel_consumed: u64,
-    /// Records constructed while running this statement.
-    pub records_allocated: u64,
-    /// Sets constructed while running this statement.
-    pub sets_allocated: u64,
-    /// Field operations the evaluator executed through a resolved offset
-    /// while running this statement.
-    pub field_offsets_resolved: u64,
-    /// Field operations the evaluator fell back to dynamic label lookup for
-    /// while running this statement.
-    pub dyn_field_fallbacks: u64,
+    /// Evaluation work spent running this statement.
+    pub eval: MachineStats,
 }
 
 /// Render nanoseconds with a readable unit. Shared with the profile
@@ -130,27 +107,27 @@ impl std::fmt::Display for Explain {
             f,
             "parse      {:>8}  tokens={} nodes={}",
             ns(self.parse_ns),
-            self.tokens,
-            self.nodes
+            self.parse.tokens,
+            self.parse.nodes
         )?;
         writeln!(
             f,
             "infer      {:>8}  unify-steps={} occurs-checks={} kind-merges={} instantiations={}",
             ns(self.infer_ns),
-            self.unify_steps,
-            self.occurs_checks,
-            self.kind_merges,
-            self.instantiations
+            self.infer.unify_steps,
+            self.infer.occurs_checks,
+            self.infer.kind_merges,
+            self.infer.instantiations
         )?;
         writeln!(
             f,
             "lower      {:>8}  offsets={} index-params={} abstractions={} static-residue={} records={}",
             ns(self.lower_ns),
-            self.offsets_resolved,
-            self.index_params_used,
-            self.index_abstractions,
-            self.dynamic_residue,
-            self.records_lowered
+            self.lower.offsets_resolved,
+            self.lower.index_params_used,
+            self.lower.index_abstractions,
+            self.lower.dynamic_residue,
+            self.lower.records_lowered
         )?;
         if self.offset_rows.is_empty() {
             writeln!(f, "offsets    (no field operations in this statement)")?;
@@ -169,11 +146,11 @@ impl std::fmt::Display for Explain {
             f,
             "eval       {:>8}  fuel={} records={} sets={} offsets={} runtime-fallbacks={}",
             ns(self.eval_ns),
-            self.fuel_consumed,
-            self.records_allocated,
-            self.sets_allocated,
-            self.field_offsets_resolved,
-            self.dyn_field_fallbacks
+            self.eval.fuel_consumed,
+            self.eval.records_allocated,
+            self.eval.sets_allocated,
+            self.eval.field_offsets_resolved,
+            self.eval.dyn_field_fallbacks
         )
     }
 }
@@ -204,24 +181,26 @@ mod tests {
             lower_ns: 250,
             translate_ns: 300,
             eval_ns: 400,
-            tokens: 3,
-            nodes: 3,
-            unify_steps: 2,
-            occurs_checks: 1,
-            kind_merges: 0,
-            instantiations: 0,
-            offsets_resolved: 1,
-            index_params_used: 0,
-            index_abstractions: 0,
-            dynamic_residue: 0,
-            records_lowered: 0,
+            parse: ParseStats {
+                tokens: 3,
+                nodes: 3,
+            },
+            infer: InferStats {
+                unify_steps: 2,
+                occurs_checks: 1,
+                ..InferStats::default()
+            },
+            lower: LowerStats {
+                offsets_resolved: 1,
+                ..LowerStats::default()
+            },
             offset_rows: vec!["dot .Name @0".into()],
             translated_size: 3,
-            fuel_consumed: 3,
-            records_allocated: 0,
-            sets_allocated: 0,
-            field_offsets_resolved: 1,
-            dyn_field_fallbacks: 0,
+            eval: MachineStats {
+                fuel_consumed: 3,
+                field_offsets_resolved: 1,
+                ..MachineStats::default()
+            },
         };
         let s = e.to_string();
         for needle in [

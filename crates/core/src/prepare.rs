@@ -31,8 +31,11 @@
 //! prelude name — sit at epoch 0 forever, so a statement over a stable
 //! schema never recompiles.
 
+use polyview_eval::MachineStats;
+use polyview_parser::ParseStats;
 use polyview_syntax::{Expr, Name, Scheme};
 use polyview_trans::LowerStats;
+use polyview_types::InferStats;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -296,10 +299,10 @@ impl StmtCache {
 }
 
 /// A snapshot of the engine's pipeline counters, read by
-/// [`crate::Engine::stats`] from the live metrics registry. The
-/// inference and evaluation fields are the per-statement
-/// [`polyview_types::InferStats`] / [`polyview_eval::MachineStats`]
-/// deltas the engine adds there as each phase finishes.
+/// [`crate::Engine::stats`] from the live metrics registry. `parse`,
+/// `infer` and `eval` hold the layers' work: the totals of the
+/// per-statement [`ParseStats`] / [`InferStats`] / [`MachineStats`] the
+/// engine adds there as each phase finishes.
 ///
 /// `parses` and `inferences` count compilation work; a warmed statement
 /// cache serves repeated statements with both counters flat — the property
@@ -326,33 +329,13 @@ pub struct EngineStats {
     /// Explicit [`crate::Engine::run`]s of a stale [`Prepared`] handle
     /// ([`crate::Error::StalePrepared`]): a dependency moved underneath it.
     pub epoch_invalidations: u64,
-    /// Tokens produced by the lexer (excluding end-of-input).
-    pub tokens_lexed: u64,
-    /// AST nodes produced by the parser.
-    pub nodes_parsed: u64,
-    /// Unification steps ([`polyview_types::InferStats::unify_steps`]).
-    pub unify_steps: u64,
-    /// Occurs checks ([`polyview_types::InferStats::occurs_checks`]).
-    pub occurs_checks: u64,
-    /// Record-kind merges ([`polyview_types::InferStats::kind_merges`]).
-    pub kind_merges: u64,
-    /// Scheme instantiations
-    /// ([`polyview_types::InferStats::instantiations`]).
-    pub instantiations: u64,
-    /// Evaluation steps ([`polyview_eval::MachineStats::fuel_consumed`]).
-    pub fuel_consumed: u64,
-    /// Records constructed
-    /// ([`polyview_eval::MachineStats::records_allocated`]).
-    pub records_allocated: u64,
-    /// Sets constructed ([`polyview_eval::MachineStats::sets_allocated`]).
-    pub sets_allocated: u64,
-    /// Field operations executed through a compile-time integer offset
-    /// ([`polyview_eval::MachineStats::field_offsets_resolved`]).
-    pub field_offsets_resolved: u64,
-    /// Field operations that fell back to dynamic label lookup
-    /// ([`polyview_eval::MachineStats::dyn_field_fallbacks`]). Zero on a
-    /// fully lowered workload — the property `scripts/verify.sh` gates.
-    pub dyn_field_fallbacks: u64,
+    /// Tokens lexed and AST nodes parsed.
+    pub parse: ParseStats,
+    /// Inference work (Fig. 1's unification, kind merges, instantiations).
+    pub infer: InferStats,
+    /// Evaluation work. `eval.dyn_field_fallbacks` is zero on a fully
+    /// lowered workload — the property `scripts/verify.sh` gates.
+    pub eval: MachineStats,
 }
 
 impl EngineStats {
@@ -368,17 +351,9 @@ impl EngineStats {
             stmt_cache_dep_invalidations: self.stmt_cache_dep_invalidations
                 + other.stmt_cache_dep_invalidations,
             epoch_invalidations: self.epoch_invalidations + other.epoch_invalidations,
-            tokens_lexed: self.tokens_lexed + other.tokens_lexed,
-            nodes_parsed: self.nodes_parsed + other.nodes_parsed,
-            unify_steps: self.unify_steps + other.unify_steps,
-            occurs_checks: self.occurs_checks + other.occurs_checks,
-            kind_merges: self.kind_merges + other.kind_merges,
-            instantiations: self.instantiations + other.instantiations,
-            fuel_consumed: self.fuel_consumed + other.fuel_consumed,
-            records_allocated: self.records_allocated + other.records_allocated,
-            sets_allocated: self.sets_allocated + other.sets_allocated,
-            field_offsets_resolved: self.field_offsets_resolved + other.field_offsets_resolved,
-            dyn_field_fallbacks: self.dyn_field_fallbacks + other.dyn_field_fallbacks,
+            parse: self.parse.merged(&other.parse),
+            infer: self.infer.merged(&other.infer),
+            eval: self.eval.merged(&other.eval),
         }
     }
 
@@ -397,10 +372,10 @@ impl EngineStats {
     /// embedder serving a single engine.
     pub fn health_reasons(&self) -> Vec<String> {
         let mut reasons = Vec::new();
-        if self.dyn_field_fallbacks > 0 {
+        if self.eval.dyn_field_fallbacks > 0 {
             reasons.push(format!(
                 "{} dynamic field fallbacks (offset tier bypassed at runtime)",
-                self.dyn_field_fallbacks
+                self.eval.dyn_field_fallbacks
             ));
         }
         if self.stmt_cache_evictions > 0 && self.stmt_cache_evictions >= self.stmt_cache_hits {
@@ -418,7 +393,7 @@ impl std::fmt::Display for EngineStats {
         writeln!(
             f,
             "pipeline   parses={} inferences={} tokens={} nodes={}",
-            self.parses, self.inferences, self.tokens_lexed, self.nodes_parsed
+            self.parses, self.inferences, self.parse.tokens, self.parse.nodes
         )?;
         writeln!(
             f,
@@ -429,19 +404,20 @@ impl std::fmt::Display for EngineStats {
             self.stmt_cache_dep_invalidations,
             self.epoch_invalidations
         )?;
+        let (i, m) = (&self.infer, &self.eval);
         writeln!(
             f,
             "inference  unify-steps={} occurs-checks={} kind-merges={} instantiations={}",
-            self.unify_steps, self.occurs_checks, self.kind_merges, self.instantiations
+            i.unify_steps, i.occurs_checks, i.kind_merges, i.instantiations
         )?;
         write!(
             f,
             "evaluator  fuel={} records={} sets={} offsets={} dyn-fallbacks={}",
-            self.fuel_consumed,
-            self.records_allocated,
-            self.sets_allocated,
-            self.field_offsets_resolved,
-            self.dyn_field_fallbacks
+            m.fuel_consumed,
+            m.records_allocated,
+            m.sets_allocated,
+            m.field_offsets_resolved,
+            m.dyn_field_fallbacks
         )
     }
 }
@@ -492,7 +468,10 @@ mod tests {
         assert!(healthy.health_reasons().is_empty());
 
         let fallbacks = EngineStats {
-            dyn_field_fallbacks: 3,
+            eval: MachineStats {
+                dyn_field_fallbacks: 3,
+                ..MachineStats::default()
+            },
             ..EngineStats::default()
         };
         let reasons = fallbacks.health_reasons();

@@ -19,6 +19,8 @@ pub enum RuntimeError {
     NotARecord(&'static str),
     /// Field absent from a record.
     NoSuchField(Label),
+    /// A record construction named a label twice.
+    DuplicateField(Label),
     /// `update`/`extract` on an immutable field.
     ImmutableField(Label),
     /// Set operation on a non-set.
@@ -64,6 +66,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::NotAFunction(what) => write!(f, "applied non-function ({what})"),
             RuntimeError::NotARecord(what) => write!(f, "expected a record, got {what}"),
             RuntimeError::NoSuchField(l) => write!(f, "record has no field `{l}`"),
+            RuntimeError::DuplicateField(l) => write!(f, "record names field `{l}` twice"),
             RuntimeError::ImmutableField(l) => {
                 write!(f, "field `{l}` is immutable")
             }

@@ -40,31 +40,32 @@ pub struct ClassData {
     pub includes: Vec<IncludeSpec>,
 }
 
-/// Work counters for the evaluator: fuel units burned (one per expression
-/// node and application, counted even when fuel is unbounded) and the number
-/// of identity-carrying records / object sets constructed. Per-statement
-/// deltas make evaluation cost observable (see DESIGN.md §9).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MachineStats {
-    /// Evaluation steps taken (the same unit that fuel budgets are in).
-    pub fuel_consumed: u64,
-    /// Records constructed (record expressions, relobj raws, view tuples).
-    pub records_allocated: u64,
-    /// Sets constructed by set-producing primitives.
-    pub sets_allocated: u64,
-    /// Field operations executed through a known integer offset:
-    /// `dot@i`/`extract@i`/`update@i` with a resolved index, and record
-    /// constructions (every one has its layout). The compile tier's
-    /// success metric.
-    pub field_offsets_resolved: u64,
-    /// Field operations that looked their label up: `dot`/`extract`/
-    /// `update` with an [`Idx::Dynamic`] offset (an AST evaluated without
-    /// lowering, or residue the lowering could not resolve) and ops whose
-    /// index parameter carried the unresolved sentinel. Record
-    /// constructions are laid out by their labels when resolved, so none
-    /// is counted here, and neither is machine-internal record building
-    /// (view materialization, relobj raws) (DESIGN.md §13).
-    pub dyn_field_fallbacks: u64,
+polyview_syntax::work_counters! {
+    /// Work counters for the evaluator: fuel units burned (one per expression
+    /// node and application, counted even when fuel is unbounded) and the number
+    /// of identity-carrying records / object sets constructed. Per-statement
+    /// deltas make evaluation cost observable (see DESIGN.md §9).
+    pub struct MachineStats {
+        /// Evaluation steps taken (the same unit that fuel budgets are in).
+        pub fuel_consumed: u64,
+        /// Records constructed (record expressions, relobj raws, view tuples).
+        pub records_allocated: u64,
+        /// Sets constructed by set-producing primitives.
+        pub sets_allocated: u64,
+        /// Field operations executed through a known integer offset:
+        /// `dot@i`/`extract@i`/`update@i` with a resolved index, and record
+        /// constructions (every one has its layout). The compile tier's
+        /// success metric.
+        pub field_offsets_resolved: u64,
+        /// Field operations that looked their label up: `dot`/`extract`/
+        /// `update` with an [`Idx::Dynamic`] offset (an AST evaluated without
+        /// lowering, or residue the lowering could not resolve) and ops whose
+        /// index parameter carried the unresolved sentinel. Record
+        /// constructions are laid out by their labels when resolved, so none
+        /// is counted here, and neither is machine-internal record building
+        /// (view materialization, relobj raws) (DESIGN.md §13).
+        pub dyn_field_fallbacks: u64,
+    }
 }
 
 /// A memoized top-level class extent, with what filling it cost, so that
@@ -596,9 +597,14 @@ impl Machine {
             Expr::RecordAt(layout, entries) => {
                 // Entries are in source (evaluation) order, each carrying
                 // its target slot; the layout is shared with every record
-                // built here, not recomputed.
+                // built here, not recomputed. A repeated label (which only
+                // code no type checker saw can hold) maps two entries to
+                // one slot.
                 let mut slots: Vec<SlotId> = vec![usize::MAX; layout.len()];
                 for (off, fe) in entries {
+                    if slots[*off] != usize::MAX {
+                        return Err(RuntimeError::DuplicateField(layout.label_at(*off).clone()));
+                    }
                     let v = self.eval_in(fe, fp)?;
                     let slot = match v {
                         // The paper's (rec) rule: an extracted L-value

@@ -200,6 +200,18 @@ fn eval_runs_one_ast_against_live_globals() {
 }
 
 #[test]
+fn a_repeated_label_is_a_runtime_error() {
+    // No type checker stands in front of a bare machine: a record that
+    // names a label twice has no slot for the second, and is refused.
+    let mut m = Machine::new();
+    let twice = b::record([b::imm("a", b::int(1)), b::imm("a", b::int(2))]);
+    assert!(matches!(
+        m.eval(&twice),
+        Err(RuntimeError::DuplicateField(l)) if l.as_str() == "a"
+    ));
+}
+
+#[test]
 fn closures_share_their_code_with_the_resolved_tree() {
     // A resolved λ holds its code behind `Rc`; every closure made from it
     // must share that allocation, not copy the body.

@@ -36,13 +36,14 @@ pub enum Decl {
     Expr(Expr),
 }
 
-/// Front-end work counters: how many tokens the lexer produced (excluding
-/// the end-of-input marker) and how many AST nodes the parse built. Fed
-/// into the engine's metrics registry by the observability layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParseStats {
-    pub tokens: u64,
-    pub nodes: u64,
+polyview_syntax::work_counters! {
+    /// Front-end work counters, one parse's worth.
+    pub struct ParseStats {
+        /// Tokens the lexer produced, excluding the end-of-input marker.
+        pub tokens: u64,
+        /// AST nodes the parse built.
+        pub nodes: u64,
+    }
 }
 
 /// Parse a whole program (sequence of declarations).

@@ -18,6 +18,7 @@
 //! builder DSL for constructing terms programmatically.
 
 pub mod builder;
+mod counters;
 pub mod display;
 pub mod kind;
 pub mod label;

@@ -62,32 +62,21 @@ use std::rc::Rc;
 /// parameter, in binder order — `(record-kinded scheme binder, label)`.
 pub type IndexSig = Vec<(TyVar, Label)>;
 
-/// Work counters for one lowering run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LowerStats {
-    /// Field operations and index arguments resolved to a constant offset.
-    pub offsets_resolved: u64,
-    /// Field operations and index arguments routed through an index
-    /// parameter of an enclosing abstraction.
-    pub index_params_used: u64,
-    /// Bindings rewritten into index-abstracted form.
-    pub index_abstractions: u64,
-    /// Field operations left dynamic and index arguments emitted as the
-    /// unresolved sentinel — the residue the evaluator counts at runtime.
-    pub dynamic_residue: u64,
-    /// Record constructions given a compile-time layout.
-    pub records_lowered: u64,
-}
-
-impl LowerStats {
-    pub fn merged(&self, other: &LowerStats) -> LowerStats {
-        LowerStats {
-            offsets_resolved: self.offsets_resolved + other.offsets_resolved,
-            index_params_used: self.index_params_used + other.index_params_used,
-            index_abstractions: self.index_abstractions + other.index_abstractions,
-            dynamic_residue: self.dynamic_residue + other.dynamic_residue,
-            records_lowered: self.records_lowered + other.records_lowered,
-        }
+polyview_syntax::work_counters! {
+    /// Work counters for one lowering run.
+    pub struct LowerStats {
+        /// Field operations and index arguments resolved to a constant offset.
+        pub offsets_resolved: u64,
+        /// Field operations and index arguments routed through an index
+        /// parameter of an enclosing abstraction.
+        pub index_params_used: u64,
+        /// Bindings rewritten into index-abstracted form.
+        pub index_abstractions: u64,
+        /// Field operations left dynamic and index arguments emitted as the
+        /// unresolved sentinel — the residue the evaluator counts at runtime.
+        pub dynamic_residue: u64,
+        /// Record constructions given a compile-time layout.
+        pub records_lowered: u64,
     }
 }
 

@@ -14,19 +14,20 @@ use polyview_syntax::{FieldReq, Kind, Mono, Scheme, TyVar};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Work counters for the inference engine: each counts one fundamental
-/// operation of the Fig. 1 algorithm, so per-statement deltas make
-/// inference cost claims checkable (see DESIGN.md §9).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InferStats {
-    /// Calls into [`Infer::unify`] (including recursive sub-unifications).
-    pub unify_steps: u64,
-    /// Occurs checks performed before binding a variable.
-    pub occurs_checks: u64,
-    /// Record-kind merges between two kinded variables (the `F < F'` join).
-    pub kind_merges: u64,
-    /// Scheme instantiations (every polymorphic variable use).
-    pub instantiations: u64,
+polyview_syntax::work_counters! {
+    /// Work counters for the inference engine: each counts one fundamental
+    /// operation of the Fig. 1 algorithm, so per-statement deltas make
+    /// inference cost claims checkable (see DESIGN.md §9).
+    pub struct InferStats {
+        /// Calls into [`Infer::unify`] (including recursive sub-unifications).
+        pub unify_steps: u64,
+        /// Occurs checks performed before binding a variable.
+        pub occurs_checks: u64,
+        /// Record-kind merges between two kinded variables (the `F < F'` join).
+        pub kind_merges: u64,
+        /// Scheme instantiations (every polymorphic variable use).
+        pub instantiations: u64,
+    }
 }
 
 /// Mutable state threaded through unification and inference.

@@ -195,7 +195,9 @@ pub fn infer(cx: &mut Infer, env: &mut TypeEnv, e: &Expr) -> Result<Mono, TypeEr
                 let t = infer(cx, env, e)?;
                 let ti = cx.fresh();
                 cx.unify(&t, &Mono::obj(ti.clone()))?;
-                tys.insert(l.clone(), FieldTy::immutable(ti));
+                if tys.insert(l.clone(), FieldTy::immutable(ti)).is_some() {
+                    return Err(TypeError::DuplicateField(l.clone()));
+                }
             }
             Ok(Mono::obj(Mono::Record(tys)))
         }

@@ -115,6 +115,23 @@ for line in lines:
     assert isinstance(obj, dict) and "kind" in obj and "name" in obj, line
 kinds = {json.loads(l)["kind"] for l in lines}
 assert kinds == {"counter", "histogram"}, kinds
+# The exported names are a contract: polybench reads its per-op columns by
+# these names, so a renamed or dropped metric must fail here instead of
+# silently emptying a column.
+names = {json.loads(l)["name"] for l in lines}
+want = {f"{layer}.{n}" for layer, ns in {
+    "engine": ["epoch_invalidations", "inferences", "parses",
+               "stmt_cache_dep_invalidations", "stmt_cache_evictions",
+               "stmt_cache_hits", "stmt_cache_misses"],
+    "eval": ["dyn_field_fallbacks", "field_offsets_resolved", "fuel_consumed",
+             "records_allocated", "sets_allocated"],
+    "parser": ["nodes_parsed", "tokens_lexed"],
+    "trans": ["dynamic_residue", "offsets_resolved", "translated_size"],
+    "types": ["instantiations", "kind_merges", "occurs_checks", "unify_steps"],
+    "phase": ["eval_ns", "infer_ns", "lower_ns", "parse_ns", "translate_ns"],
+}.items() for n in ns}
+assert len(want) == 26
+assert names == want, f"metric names moved: missing {sorted(want - names)}, new {sorted(names - want)}"
 counters = {o["name"]: o["value"] for o in map(json.loads, lines) if o["kind"] == "counter"}
 hits = counters["engine.stmt_cache_hits"]
 deps = counters["engine.stmt_cache_dep_invalidations"]

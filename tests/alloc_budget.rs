@@ -163,12 +163,26 @@ fn distinct_reads_keep_live_heap_flat() {
 
 #[test]
 fn rebinds_keep_live_heap_flat() {
-    let (at_2k, at_20k) = live_bytes_at_2k_and_20k(|e, i| {
-        let src = format!("fun h x = (x.Name, x.K{} + {i});", i % 7);
-        e.exec(&src).expect("rebind");
-    });
-    assert!(
-        at_20k - at_2k <= LIVE_SLACK,
-        "live heap grew {at_2k} -> {at_20k} bytes"
-    );
+    // One `fun`, and a mutually recursive group: binding the group builds
+    // its `fix` bundle and the tuple of its members.
+    let decls: [fn(u64) -> String; 2] = [
+        |i| format!("fun h x = (x.Name, x.K{} + {i});", i % 7),
+        |i| {
+            let k = i % 16;
+            format!(
+                "fun h{k} n = if n = 0 then {i} else hh{k} (n - 1) \
+                 and hh{k} n = if n = 0 then 0 else h{k} (n - 1);"
+            )
+        },
+    ];
+    for decl in decls {
+        let (at_2k, at_20k) = live_bytes_at_2k_and_20k(|e, i| {
+            e.exec(&decl(i)).expect("rebind");
+        });
+        assert!(
+            at_20k - at_2k <= LIVE_SLACK,
+            "{}: live heap grew {at_2k} -> {at_20k} bytes",
+            decl(0)
+        );
+    }
 }

@@ -61,11 +61,11 @@ struct Observed {
 }
 
 fn observe(e: &mut Engine, run: impl FnOnce(&mut Engine) -> String) -> Observed {
-    let before = e.stats().fuel_consumed;
+    let before = e.stats().eval.fuel_consumed;
     let outcome = run(e);
     Observed {
         outcome,
-        fuel: e.stats().fuel_consumed - before,
+        fuel: e.stats().eval.fuel_consumed - before,
         next_id: e.machine().next_id(),
         snapshot: e.snapshot(),
     }

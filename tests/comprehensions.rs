@@ -284,10 +284,10 @@ fn view_read_fuel_is_pinned() {
     let mut burned = Vec::new();
     for i in 0..3 {
         let engine = if i < 2 { &mut e } else { &mut cold };
-        let before = engine.stats().fuel_consumed;
+        let before = engine.stats().eval.fuel_consumed;
         let shown = engine.read(VIEW_NAMES).expect("read");
         assert_eq!(shown.matches('"').count(), 200, "100 names: {shown}");
-        burned.push(engine.stats().fuel_consumed - before);
+        burned.push(engine.stats().eval.fuel_consumed - before);
     }
     assert_eq!(
         e.machine().extent_cache_len(),

@@ -322,11 +322,11 @@ fn offset_tier_runs_the_corpus_without_dynamic_fallbacks() {
     }
     let s = e.stats();
     assert!(
-        s.field_offsets_resolved > 0,
+        s.eval.field_offsets_resolved > 0,
         "corpus must exercise offset ops"
     );
     assert_eq!(
-        s.dyn_field_fallbacks, 0,
+        s.eval.dyn_field_fallbacks, 0,
         "lowered engine fell back to dynamic lookup"
     );
 }

@@ -70,15 +70,18 @@ fn a_write_scanning_one_class_twice_matches_a_cold_engine() {
     let mut cold = Engine::from_snapshot(&warm.snapshot()).expect("restores");
     warm.eval_to_string("let r = [Z = 1] in cquery(fn s => s, Paid) end")
         .expect("fills");
-    let (warm_fuel, cold_fuel) = (warm.stats().fuel_consumed, cold.stats().fuel_consumed);
+    let (warm_fuel, cold_fuel) = (
+        warm.stats().eval.fuel_consumed,
+        cold.stats().eval.fuel_consumed,
+    );
     warm.exec(TWICE).expect("warm write");
     cold.exec(TWICE).expect("cold write");
     assert_eq!(
         encode_machine(warm.machine()),
         encode_machine(cold.machine())
     );
-    let burned = warm.stats().fuel_consumed - warm_fuel;
-    assert_eq!(burned, cold.stats().fuel_consumed - cold_fuel);
+    let burned = warm.stats().eval.fuel_consumed - warm_fuel;
+    assert_eq!(burned, cold.stats().eval.fuel_consumed - cold_fuel);
     assert_eq!(burned, 97, "pinned write cost");
 
     let any_eq = "hom(twice.A, fn x => hom(twice.B, fn y => x = y, \

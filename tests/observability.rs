@@ -8,6 +8,7 @@ use polyview::obs::{
     Clock, CollectingEventSink, Counter, EventSink, Histogram, ManualClock, Registry,
 };
 use polyview::{Engine, Error};
+use polyview_pool::{Pool, PoolConfig};
 use std::sync::Arc;
 
 /// The paper's Section 4 session in miniature: raw employees, a class, and
@@ -41,27 +42,30 @@ fn explain_reports_every_phase_with_injected_clock() {
     assert_eq!(report.translate_ns, 100, "translate span = one clock step");
     assert_eq!(report.eval_ns, 100, "eval span = one clock step");
 
-    assert!(report.tokens > 0, "statement lexes to tokens");
-    assert!(report.nodes > 0, "statement parses to nodes");
-    assert!(report.unify_steps > 0, "inference unifies");
-    assert!(report.instantiations > 0, "map/query uses are instantiated");
+    assert!(report.parse.tokens > 0, "statement lexes to tokens");
+    assert!(report.parse.nodes > 0, "statement parses to nodes");
+    assert!(report.infer.unify_steps > 0, "inference unifies");
+    assert!(
+        report.infer.instantiations > 0,
+        "map/query uses are instantiated"
+    );
     assert!(
         report.translated_size > 0,
         "Fig. 3/5 translation has a size"
     );
     assert!(
-        report.translated_size > report.nodes,
+        report.translated_size > report.parse.nodes,
         "the translation encoding grows the term"
     );
-    assert!(report.fuel_consumed > 0, "evaluation burns fuel");
+    assert!(report.eval.fuel_consumed > 0, "evaluation burns fuel");
 
     // The explain run cached the compilation: a second explain sees it,
     // and recompiling still reports fresh per-statement (not cumulative)
     // counter deltas.
     let again = e.explain(SALARIES).expect("explains again");
     assert!(again.cached_before, "second sight is cached");
-    assert_eq!(again.unify_steps, report.unify_steps);
-    assert_eq!(again.fuel_consumed, report.fuel_consumed);
+    assert_eq!(again.infer.unify_steps, report.infer.unify_steps);
+    assert_eq!(again.eval.fuel_consumed, report.eval.fuel_consumed);
 
     // ...and a plain eval_expr now hits the cache.
     let before = e.stats();
@@ -87,14 +91,14 @@ fn stats_cover_all_layers_and_reset() {
     let s = e.stats();
     assert!(s.parses >= 2);
     assert!(s.inferences >= 4);
-    assert!(s.tokens_lexed > 0);
-    assert!(s.nodes_parsed > 0);
-    assert!(s.unify_steps > 0);
-    assert!(s.occurs_checks > 0);
-    assert!(s.instantiations > 0);
-    assert!(s.fuel_consumed > 0);
-    assert!(s.records_allocated >= 2, "two raw employee records");
-    assert!(s.sets_allocated > 0, "class extents build sets");
+    assert!(s.parse.tokens > 0);
+    assert!(s.parse.nodes > 0);
+    assert!(s.infer.unify_steps > 0);
+    assert!(s.infer.occurs_checks > 0);
+    assert!(s.infer.instantiations > 0);
+    assert!(s.eval.fuel_consumed > 0);
+    assert!(s.eval.records_allocated >= 2, "two raw employee records");
+    assert!(s.eval.sets_allocated > 0, "class extents build sets");
 
     e.reset_stats();
     assert_eq!(e.stats(), polyview::EngineStats::default());
@@ -103,7 +107,7 @@ fn stats_cover_all_layers_and_reset() {
     e.eval_to_string("1 + 1").expect("runs");
     let s2 = e.stats();
     assert_eq!(s2.parses, 1);
-    assert!(s2.fuel_consumed > 0);
+    assert!(s2.eval.fuel_consumed > 0);
 }
 
 #[test]
@@ -113,16 +117,16 @@ fn fuel_consumed_is_monotone_and_resets() {
     let mut last = 0;
     for _ in 0..5 {
         e.eval_to_string(SALARIES).expect("runs");
-        let now = e.stats().fuel_consumed;
+        let now = e.stats().eval.fuel_consumed;
         assert!(now > last, "every run burns fuel: {now} vs {last}");
         last = now;
     }
     e.reset_stats();
-    assert_eq!(e.stats().fuel_consumed, 0);
+    assert_eq!(e.stats().eval.fuel_consumed, 0);
     e.eval_to_string(SALARIES).expect("runs");
-    assert!(e.stats().fuel_consumed > 0);
+    assert!(e.stats().eval.fuel_consumed > 0);
     assert!(
-        e.stats().fuel_consumed < last,
+        e.stats().eval.fuel_consumed < last,
         "post-reset tally restarts from zero"
     );
 }
@@ -321,11 +325,11 @@ fn metrics_json_is_one_object_per_line_and_mirrors_layers() {
     )));
     assert!(out.contains(&format!(
         "{{\"kind\":\"counter\",\"name\":\"types.unify_steps\",\"value\":{}}}",
-        s.unify_steps
+        s.infer.unify_steps
     )));
     assert!(out.contains(&format!(
         "{{\"kind\":\"counter\",\"name\":\"eval.fuel_consumed\",\"value\":{}}}",
-        s.fuel_consumed
+        s.eval.fuel_consumed
     )));
     assert!(out.contains("\"name\":\"phase.parse_ns\""));
     assert!(out.contains("\"name\":\"phase.eval_ns\""));
@@ -341,22 +345,22 @@ fn metrics_json_is_one_object_per_line_and_mirrors_layers() {
             s.stmt_cache_dep_invalidations,
         ),
         ("engine.epoch_invalidations", s.epoch_invalidations),
-        ("parser.tokens_lexed", s.tokens_lexed),
-        ("parser.nodes_parsed", s.nodes_parsed),
-        ("types.unify_steps", s.unify_steps),
-        ("types.occurs_checks", s.occurs_checks),
-        ("types.kind_merges", s.kind_merges),
-        ("types.instantiations", s.instantiations),
-        ("eval.fuel_consumed", s.fuel_consumed),
-        ("eval.records_allocated", s.records_allocated),
-        ("eval.sets_allocated", s.sets_allocated),
-        ("eval.field_offsets_resolved", s.field_offsets_resolved),
-        ("eval.dyn_field_fallbacks", s.dyn_field_fallbacks),
+        ("parser.tokens_lexed", s.parse.tokens),
+        ("parser.nodes_parsed", s.parse.nodes),
+        ("types.unify_steps", s.infer.unify_steps),
+        ("types.occurs_checks", s.infer.occurs_checks),
+        ("types.kind_merges", s.infer.kind_merges),
+        ("types.instantiations", s.infer.instantiations),
+        ("eval.fuel_consumed", s.eval.fuel_consumed),
+        ("eval.records_allocated", s.eval.records_allocated),
+        ("eval.sets_allocated", s.eval.sets_allocated),
+        ("eval.field_offsets_resolved", s.eval.field_offsets_resolved),
+        ("eval.dyn_field_fallbacks", s.eval.dyn_field_fallbacks),
     ] {
         let line = format!("{{\"kind\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}");
         assert!(out.lines().any(|l| l == line), "missing {line} in:\n{out}");
     }
-    assert!(s.unify_steps > 0 && s.fuel_consumed > 0 && s.records_allocated > 0);
+    assert!(s.infer.unify_steps > 0 && s.eval.fuel_consumed > 0 && s.eval.records_allocated > 0);
 }
 
 // ----- span emission -----
@@ -393,7 +397,7 @@ fn trace_sink_collects_phase_spans_only_when_enabled() {
     let before = e.stats();
     e.eval_to_string("2 + 3").expect("runs");
     assert!(sink.is_empty(), "disabled tracer must not emit");
-    assert!(e.stats().fuel_consumed > before.fuel_consumed);
+    assert!(e.stats().eval.fuel_consumed > before.eval.fuel_consumed);
 }
 
 #[test]
@@ -461,4 +465,127 @@ fn observability_handles_are_send_and_sync() {
     assert_send_sync::<Histogram>();
     assert_send_sync::<Arc<dyn Clock>>();
     assert_send_sync::<Arc<dyn EventSink>>();
+}
+
+// ----- the rendered reports, byte for byte -----
+
+/// A polymorphic function used at a record in one statement: its lowering
+/// abstracts an index, passes it, and lays a record out.
+const POLY_GET: &str = "let fun get r = r.Salary in get [Name = \"Ada\", Salary := 900] end";
+
+/// The text an operator reads — `:explain`, `:stats` and the pool's
+/// `stats` — and the attributes of every phase span, under a step clock.
+/// Every figure and label is pinned, so a change to how the work counters
+/// are carried cannot move a byte of any of them.
+#[test]
+fn rendered_reports_and_span_attributes_are_pinned() {
+    let mut e = Engine::new();
+    e.set_clock(Arc::new(ManualClock::with_step(100)));
+    e.exec(SESSION).expect("session defines");
+    let sink = Arc::new(CollectingEventSink::new());
+    e.set_trace_sink(sink.clone());
+    let salaries = e.explain(SALARIES).expect("explains");
+    let poly = e.explain(POLY_GET).expect("explains");
+    let spans: Vec<String> = sink
+        .take()
+        .iter()
+        .map(|s| format!("{} {:?}", s.name, s.attrs))
+        .collect();
+    assert_eq!(
+        salaries.to_string(),
+        "statement  cquery(fn s => map(fn o => query(fn x => x.Salary, o), s), Employee)\n\
+         type       {int}\n\
+         result     {2000, 3000}\n\
+         cache      miss (now cached)\n\
+         deps       Employee@1\n\
+         parse         100ns  tokens=27 nodes=23\n\
+         infer         100ns  unify-steps=30 occurs-checks=10 kind-merges=0 instantiations=8\n\
+         lower         100ns  offsets=1 index-params=1 abstractions=1 static-residue=0 records=0\n\
+         offsets    dot .Salary @#i2.Salary\n\
+         translate     100ns  core-nodes=32\n\
+         eval          100ns  fuel=42 records=0 sets=3 offsets=2 runtime-fallbacks=0"
+    );
+    assert_eq!(
+        poly.to_string(),
+        "statement  let fun get r = r.Salary in get [Name = \"Ada\", Salary := 900] end\n\
+         type       int\n\
+         result     900\n\
+         cache      miss (now cached)\n\
+         deps       (none — no free top-level names, never stale)\n\
+         parse         100ns  tokens=20 nodes=10\n\
+         infer         100ns  unify-steps=5 occurs-checks=4 kind-merges=0 instantiations=2\n\
+         lower         100ns  offsets=1 index-params=1 abstractions=1 static-residue=0 records=1\n\
+         offsets    dot .Salary @#i1.Salary\n\
+         offsets    record [Name@0, Salary@1:=]\n\
+         translate     100ns  core-nodes=10\n\
+         eval          100ns  fuel=14 records=1 sets=0 offsets=2 runtime-fallbacks=0"
+    );
+    assert_eq!(
+        e.stats().to_string(),
+        "pipeline   parses=3 inferences=6 tokens=103 nodes=47\n\
+         stmt-cache hits=0 misses=2 evictions=0 dep-invalidations=0 epoch-invalidations=0\n\
+         inference  unify-steps=46 occurs-checks=17 kind-merges=0 instantiations=14\n\
+         evaluator  fuel=72 records=3 sets=4 offsets=6 dyn-fallbacks=0"
+    );
+    let phase_attrs =
+        |parse: [u64; 2], infer: [u64; 4], lower: [u64; 5], core: u64, eval: [u64; 5]| {
+            [
+                format!(
+                    "engine.parse [(\"tokens\", {}), (\"nodes\", {})]",
+                    parse[0], parse[1]
+                ),
+                format!(
+                    "engine.infer [(\"unify_steps\", {}), (\"occurs_checks\", {}), \
+                 (\"kind_merges\", {}), (\"instantiations\", {})]",
+                    infer[0], infer[1], infer[2], infer[3]
+                ),
+                format!(
+                    "engine.lower [(\"offsets\", {}), (\"index_params\", {}), \
+                 (\"abstractions\", {}), (\"residue\", {}), (\"records\", {})]",
+                    lower[0], lower[1], lower[2], lower[3], lower[4]
+                ),
+                format!("engine.translate [(\"core_nodes\", {core})]"),
+                format!(
+                    "engine.eval [(\"fuel\", {}), (\"records\", {}), (\"sets\", {}), \
+                 (\"offsets\", {}), (\"dyn_fallbacks\", {})]",
+                    eval[0], eval[1], eval[2], eval[3], eval[4]
+                ),
+            ]
+        };
+    let want: Vec<String> = phase_attrs(
+        [27, 23],
+        [30, 10, 0, 8],
+        [1, 1, 1, 0, 0],
+        32,
+        [42, 0, 3, 2, 0],
+    )
+    .into_iter()
+    .chain(phase_attrs(
+        [20, 10],
+        [5, 4, 0, 2],
+        [1, 1, 1, 0, 1],
+        10,
+        [14, 1, 0, 2, 0],
+    ))
+    .collect();
+    assert_eq!(spans, want);
+
+    // Two replicas apply the session; one of them serves the read. The
+    // engine rows are the replicas' counters summed.
+    let mut pool = Pool::new(PoolConfig::default().workers(2));
+    pool.run(1, SESSION).expect("session defines");
+    pool.run(2, SALARIES).expect("reads");
+    pool.barrier().expect("barrier");
+    let text = pool.stats().to_string();
+    pool.shutdown();
+    assert_eq!(
+        text,
+        "pool       workers=2 log=1 reads=1 writes=1 promoted=0 full=0 respawns=0\n\
+         worker 0   gen=0 applied=1 lag=0 depth=0 replay-errors=0 respawn-replayed=0 epoch=4\n\
+         worker 1   gen=0 applied=1 lag=0 depth=0 replay-errors=0 respawn-replayed=0 epoch=4\n\
+         pipeline   parses=3 inferences=9 tokens=139 nodes=51\n\
+         stmt-cache hits=0 misses=1 evictions=0 dep-invalidations=0 epoch-invalidations=0\n\
+         inference  unify-steps=52 occurs-checks=16 kind-merges=0 instantiations=16\n\
+         evaluator  fuel=74 records=4 sets=5 offsets=6 dyn-fallbacks=0"
+    );
 }

@@ -932,12 +932,12 @@ fn compiled_statements_stay_warm_across_replay_and_respawn() {
     // entirely through integer offsets.
     for w in &after.per_worker {
         assert!(
-            w.engine.field_offsets_resolved > 0,
+            w.engine.eval.field_offsets_resolved > 0,
             "worker {} never used the offset tier",
             w.worker
         );
         assert_eq!(
-            w.engine.dyn_field_fallbacks, 0,
+            w.engine.eval.dyn_field_fallbacks, 0,
             "worker {} fell back to dynamic lookup",
             w.worker
         );

@@ -3,7 +3,7 @@
 //! not of the reads it served.
 
 use polyview::eval::{encode_machine, RuntimeError};
-use polyview::{Engine, Error};
+use polyview::{Database, Engine, Error};
 use polyview_pool::{Pool, PoolConfig};
 
 /// Declarations every read below refers to.
@@ -243,9 +243,9 @@ fn paid_read(i: usize) -> String {
 fn write_cost(e: &mut Engine, src: &str) -> u64 {
     let mut cold = Engine::from_snapshot(&e.snapshot()).expect("restores");
     cold.machine().fuel = None;
-    let before = cold.stats().fuel_consumed;
+    let before = cold.stats().eval.fuel_consumed;
     cold.exec(src).expect("cold write");
-    cold.stats().fuel_consumed - before
+    cold.stats().eval.fuel_consumed - before
 }
 
 /// Engine A serves reads of `Paid` between writes and keeps their extents
@@ -342,7 +342,10 @@ fn fuel_runs_out_at_the_same_step_warm_or_cold() {
         let mut cold = Engine::from_snapshot(&snapshot).expect("restores");
         warm.machine().fuel = Some(budget);
         cold.machine().fuel = Some(budget);
-        let (warm_fuel, cold_fuel) = (warm.stats().fuel_consumed, cold.stats().fuel_consumed);
+        let (warm_fuel, cold_fuel) = (
+            warm.stats().eval.fuel_consumed,
+            cold.stats().eval.fuel_consumed,
+        );
         let (w, c) = (warm.exec(write), cold.exec(write));
         assert_eq!(w.is_ok(), budget == cost, "budget {budget}");
         assert_eq!(w.is_ok(), c.is_ok(), "budget {budget}");
@@ -352,8 +355,8 @@ fn fuel_runs_out_at_the_same_step_warm_or_cold() {
             "budget {budget} of {cost}"
         );
         assert_eq!(
-            warm.stats().fuel_consumed - warm_fuel,
-            cold.stats().fuel_consumed - cold_fuel,
+            warm.stats().eval.fuel_consumed - warm_fuel,
+            cold.stats().eval.fuel_consumed - cold_fuel,
             "budget {budget}"
         );
     }
@@ -445,4 +448,27 @@ fn effectful_eval_to_string_compiles_once() {
     assert_eq!(e.eval_to_string("hire(\"Ada\")").expect("write"), "()");
     assert_eq!(e.stats().inferences, before + 1);
     assert_eq!(e.eval_to_string(count).expect("count"), "1");
+}
+
+/// `Database::query` runs as a read region: a repeated query keeps none of
+/// what it allocates, and after the first call it is served from the
+/// statement cache.
+#[test]
+fn repeated_database_queries_keep_nothing() {
+    let mut db = Database::new();
+    db.exec("class Staff = class {} end;").expect("class");
+    for k in 0..50 {
+        db.insert("Staff", &format!("IDView([Name = \"s{k}\"])"))
+            .expect("insert");
+    }
+    let names = "fn s => map(fn o => query(fn x => [N = x.Name], o), s)";
+    let mut run = |n| {
+        for _ in 0..n {
+            db.query("Staff", names).expect("query");
+        }
+        let e = db.engine();
+        (e.machine().store.len(), e.stats().parses)
+    };
+    let after_200 = run(200);
+    assert_eq!(run(1_800), after_200);
 }

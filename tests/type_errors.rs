@@ -33,7 +33,11 @@ fn field_access_on_non_record() {
 #[test]
 fn a_record_gives_each_label_once() {
     // A repeated label has no slot of its own in the record's layout.
-    for src in ["[a = 1, a = 2]", "[a = 1, b = 2, a := 3].b"] {
+    for src in [
+        "[a = 1, a = 2]",
+        "[a = 1, b = 2, a := 3].b",
+        "relobj(a = joe, a = joe)",
+    ] {
         assert!(
             matches!(reject(src), Error::Type(TypeError::DuplicateField(ref l)) if l.as_str() == "a"),
             "{src}"
