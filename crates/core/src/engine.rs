@@ -50,22 +50,27 @@ pub enum Outcome {
 }
 
 /// One layer work counter as the engine reports it: its registry counter
-/// (`None` for one only phase spans carry), its span attribute, and the
-/// field of the layer's stats struct that holds it.
-type Field<S> = (Option<&'static str>, &'static str, fn(&mut S) -> &mut u64);
+/// (`None` for one only phase spans carry), its span attribute (`None` for
+/// one only the registry carries), and the field of the layer's stats
+/// struct that holds it.
+type Field<S> = (
+    Option<&'static str>,
+    Option<&'static str>,
+    fn(&mut S) -> &mut u64,
+);
 
 #[rustfmt::skip]
 const PARSE: &[Field<ParseStats>] = &[
-    (Some("parser.tokens_lexed"), "tokens", |s| &mut s.tokens),
-    (Some("parser.nodes_parsed"), "nodes", |s| &mut s.nodes),
+    (Some("parser.tokens_lexed"), Some("tokens"), |s| &mut s.tokens),
+    (Some("parser.nodes_parsed"), Some("nodes"), |s| &mut s.nodes),
 ];
 
 #[rustfmt::skip]
 const INFER: &[Field<InferStats>] = &[
-    (Some("types.unify_steps"), "unify_steps", |s| &mut s.unify_steps),
-    (Some("types.occurs_checks"), "occurs_checks", |s| &mut s.occurs_checks),
-    (Some("types.kind_merges"), "kind_merges", |s| &mut s.kind_merges),
-    (Some("types.instantiations"), "instantiations", |s| &mut s.instantiations),
+    (Some("types.unify_steps"), Some("unify_steps"), |s| &mut s.unify_steps),
+    (Some("types.occurs_checks"), Some("occurs_checks"), |s| &mut s.occurs_checks),
+    (Some("types.kind_merges"), Some("kind_merges"), |s| &mut s.kind_merges),
+    (Some("types.instantiations"), Some("instantiations"), |s| &mut s.instantiations),
 ];
 
 /// Offsets the compile tier resolved statically, and the *static* residue
@@ -74,20 +79,22 @@ const INFER: &[Field<InferStats>] = &[
 /// on a cold branch or a fallback runs in a loop.
 #[rustfmt::skip]
 const LOWER: &[Field<LowerStats>] = &[
-    (Some("trans.offsets_resolved"), "offsets", |s| &mut s.offsets_resolved),
-    (None, "index_params", |s| &mut s.index_params_used),
-    (None, "abstractions", |s| &mut s.index_abstractions),
-    (Some("trans.dynamic_residue"), "residue", |s| &mut s.dynamic_residue),
-    (None, "records", |s| &mut s.records_lowered),
+    (Some("trans.offsets_resolved"), Some("offsets"), |s| &mut s.offsets_resolved),
+    (None, Some("index_params"), |s| &mut s.index_params_used),
+    (None, Some("abstractions"), |s| &mut s.index_abstractions),
+    (Some("trans.dynamic_residue"), Some("residue"), |s| &mut s.dynamic_residue),
+    (None, Some("records"), |s| &mut s.records_lowered),
 ];
 
 #[rustfmt::skip]
 const EVAL: &[Field<MachineStats>] = &[
-    (Some("eval.fuel_consumed"), "fuel", |s| &mut s.fuel_consumed),
-    (Some("eval.records_allocated"), "records", |s| &mut s.records_allocated),
-    (Some("eval.sets_allocated"), "sets", |s| &mut s.sets_allocated),
-    (Some("eval.field_offsets_resolved"), "offsets", |s| &mut s.field_offsets_resolved),
-    (Some("eval.dyn_field_fallbacks"), "dyn_fallbacks", |s| &mut s.dyn_field_fallbacks),
+    (Some("eval.fuel_consumed"), Some("fuel"), |s| &mut s.fuel_consumed),
+    (Some("eval.records_allocated"), Some("records"), |s| &mut s.records_allocated),
+    (Some("eval.sets_allocated"), Some("sets"), |s| &mut s.sets_allocated),
+    (Some("eval.field_offsets_resolved"), Some("offsets"), |s| &mut s.field_offsets_resolved),
+    (Some("eval.dyn_field_fallbacks"), Some("dyn_fallbacks"), |s| &mut s.dyn_field_fallbacks),
+    (Some("eval.extent_fills"), None, |s| &mut s.extent_fills),
+    (Some("eval.extent_hits"), None, |s| &mut s.extent_hits),
 ];
 
 /// One layer's counters in the registry, in the order of its [`Field`]s.
@@ -108,7 +115,7 @@ impl<S: Copy + Default> Layer<S> {
     fn add(&self, mut work: S, mut span: Option<&mut Span>) {
         for ((_, attr, field), counter) in self.fields.iter().zip(&self.counters) {
             let n = *field(&mut work);
-            if let Some(span) = span.as_deref_mut() {
+            if let (Some(span), Some(attr)) = (span.as_deref_mut(), attr) {
                 span.attr(attr, n);
             }
             if let Some(c) = counter {

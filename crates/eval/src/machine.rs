@@ -13,12 +13,13 @@ use crate::error::RuntimeError;
 use crate::profile::{Profile, Profiler};
 use crate::store::Store;
 use crate::value::{
-    Builtin, ClassId, Closure, Key, ObjVal, RecordVal, SetMap, SetVal, SlotId, Value, ViewFn,
+    merge_left, Builtin, ClassId, Closure, Key, ObjVal, RecordVal, Run, SetMap, SetVal, SlotId,
+    Value, ViewFn,
 };
 use polyview_obs::{Clock, WallClock};
 use polyview_syntax::resolve::{is_resolved, resolve};
 use polyview_syntax::{ClassDef, Expr, GlobalNames, Idx, Label, Lambda, Layout, Lit, Name, Slot};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ pub struct IncludeSpec {
 #[derive(Clone, Debug)]
 pub struct ClassData {
     pub own_slot: crate::value::SlotId,
-    pub includes: Vec<IncludeSpec>,
+    pub includes: Rc<[IncludeSpec]>,
 }
 
 polyview_syntax::work_counters! {
@@ -65,6 +66,11 @@ polyview_syntax::work_counters! {
         /// is counted here, and neither is machine-internal record building
         /// (view materialization, relobj raws) (DESIGN.md §13).
         pub dyn_field_fallbacks: u64,
+        /// Class extents computed for a read ([`Machine::extent_of`]) that
+        /// the extent cache could not serve: cold fills.
+        pub extent_fills: u64,
+        /// Class extents the extent cache served.
+        pub extent_hits: u64,
     }
 }
 
@@ -777,7 +783,7 @@ impl Machine {
                     let own_slot = self.store.alloc(Value::Set(SetVal::empty()));
                     self.classes.push(ClassData {
                         own_slot,
-                        includes: Vec::new(),
+                        includes: Rc::from([]),
                     });
                     self.stack.push(Value::Class(first_id + i));
                 }
@@ -807,7 +813,7 @@ impl Machine {
             // earlier in the group is now stale.
             self.extent_cache.clear();
             let includes = self.eval_includes(cd, fp)?;
-            self.classes[cid].includes = includes;
+            self.classes[cid].includes = includes.into();
             self.extent_cache.clear();
         }
         self.eval_in(body, fp)
@@ -820,7 +826,10 @@ impl Machine {
         let own_slot = self.store.alloc(own);
         let includes = self.eval_includes(cd, fp)?;
         let cid = self.classes.len();
-        self.classes.push(ClassData { own_slot, includes });
+        self.classes.push(ClassData {
+            own_slot,
+            includes: includes.into(),
+        });
         Ok(cid)
     }
 
@@ -1182,48 +1191,86 @@ impl Machine {
 
     /// The extent of a class: own extent ∪ includes, with the visited-set
     /// (`L`) algorithm of Section 4.4 guaranteeing termination (Prop. 5).
-    /// `visited` must already contain `cid`.
-    pub fn class_extent(
+    /// Each level of the recursion hands its extent up as a key-ordered
+    /// run, and only this top level builds a set (DESIGN.md §3).
+    fn class_extent(&mut self, cid: ClassId) -> Result<SetVal, RuntimeError> {
+        if !self.classes[cid].includes.is_empty() {
+            return Ok(SetVal::from_run(self.extent_run(cid, &mut vec![cid])?));
+        }
+        // A class with no includes is its own extent: share the stored set.
+        self.burn()?;
+        Ok(self.store.get(self.classes[cid].own_slot).as_set()?.clone())
+    }
+
+    /// One level of [`Machine::class_extent`]: `cid`'s own extent merged,
+    /// left-biased, with each include's objects in clause order. `visited`
+    /// is Section 4.4's `L`; it holds `cid`.
+    fn extent_run(
         &mut self,
         cid: ClassId,
-        visited: &BTreeSet<ClassId>,
-    ) -> Result<SetVal, RuntimeError> {
+        visited: &mut Vec<ClassId>,
+    ) -> Result<Run, RuntimeError> {
         self.burn()?;
         let data = self.classes[cid].clone();
-        let mut result = self.store.get(data.own_slot).as_set()?.clone();
-        for inc in &data.includes {
-            // Extents of the sources, cutting cycles via the visited set.
-            let mut source_extents = Vec::with_capacity(inc.sources.len());
-            for &src in &inc.sources {
-                if visited.contains(&src) {
-                    source_extents.push(SetVal::empty());
-                } else {
-                    let mut v2 = visited.clone();
-                    v2.insert(src);
-                    source_extents.push(self.class_extent(src, &v2)?);
-                }
-            }
-            let candidates = self.intersect_obj_sets(&source_extents)?;
-            // select as view from candidates where pred
-            let mut included = Vec::new();
-            for obj in candidates.values().cloned().collect::<Vec<_>>() {
-                let keep = self.apply(inc.pred.clone(), obj.clone())?.as_bool()?;
-                if keep {
-                    let o = obj.as_obj()?.clone();
-                    let id = self.fresh_id();
-                    included.push(Value::Obj(Rc::new(ObjVal {
-                        id,
-                        raw: o.raw.clone(),
-                        view: ViewFn::Compose(
-                            Rc::new(o.view.clone()),
-                            Rc::new(ViewFn::Fn(inc.view.clone())),
-                        ),
-                    })));
-                }
-            }
-            result = result.union_left(&SetVal::from_elems(included));
+        let own = self.store.get(data.own_slot).as_set()?.clone();
+        let mut run: Option<Run> = None;
+        for inc in data.includes.iter() {
+            let included = self.include_run(inc, visited)?.into_iter();
+            run = Some(match run {
+                None => merge_left(own.entries(), included),
+                Some(run) => merge_left(run.into_iter(), included),
+            });
         }
-        Ok(result)
+        Ok(run.unwrap_or_else(|| own.entries().collect()))
+    }
+
+    /// What one `include` clause adds to a level: its sources' extents
+    /// intersected (`fuse` when there are several), filtered by the
+    /// predicate, each kept object wrapped in a fresh association under
+    /// the include's view.
+    fn include_run(
+        &mut self,
+        inc: &IncludeSpec,
+        visited: &mut Vec<ClassId>,
+    ) -> Result<Run, RuntimeError> {
+        let candidates = match inc.sources[..] {
+            [src] => self.source_run(src, visited)?,
+            _ => {
+                let mut sets = Vec::with_capacity(inc.sources.len());
+                for &src in &inc.sources {
+                    sets.push(SetVal::from_run(self.source_run(src, visited)?));
+                }
+                self.intersect_obj_sets(&sets)?.entries().collect()
+            }
+        };
+        let outer = Rc::new(ViewFn::Fn(inc.view.clone()));
+        let mut included = Vec::with_capacity(candidates.len());
+        for (key, obj) in candidates {
+            if self.apply(inc.pred.clone(), obj.clone())?.as_bool()? {
+                let o = obj.as_obj()?;
+                let id = self.fresh_id();
+                let view = ViewFn::Compose(Rc::new(o.view.clone()), outer.clone());
+                let raw = o.raw.clone();
+                included.push((key, Value::Obj(Rc::new(ObjVal { id, raw, view }))));
+            }
+        }
+        Ok(included)
+    }
+
+    /// An include source's extent under `visited`: empty when the source
+    /// is already being computed, which cuts every cycle.
+    fn source_run(
+        &mut self,
+        src: ClassId,
+        visited: &mut Vec<ClassId>,
+    ) -> Result<Run, RuntimeError> {
+        if visited.contains(&src) {
+            return Ok(Run::new());
+        }
+        visited.push(src);
+        let run = self.extent_run(src, visited);
+        visited.pop();
+        run
     }
 
     /// Convenience: the full extent of a class value (entry point used by
@@ -1246,6 +1293,7 @@ impl Machine {
     /// could not replay that.
     fn top_level_extent(&mut self, cid: ClassId) -> Result<SetVal, RuntimeError> {
         if let Some(set) = self.extent_hit(cid) {
+            self.stats.extent_hits += 1;
             if let Some(p) = &mut self.profiler {
                 p.note_extent(cid, true, set.len() as u64, self.class_epoch);
             }
@@ -1254,15 +1302,14 @@ impl Machine {
         // Drop a stale entry before recomputing, so two copies of one
         // extent are never live at once.
         self.extent_cache.remove(&cid);
+        self.stats.extent_fills += 1;
         let (epoch, slots, base_id, fuel) = (
             self.class_epoch,
             self.store.len(),
             self.next_id,
             self.stats.fuel_consumed,
         );
-        let mut visited = BTreeSet::new();
-        visited.insert(cid);
-        let set = self.class_extent(cid, &visited)?;
+        let set = self.class_extent(cid)?;
         if let Some(p) = &mut self.profiler {
             // The previous entry, if any, was invalidated by this epoch.
             p.note_extent(cid, false, set.len() as u64, epoch);

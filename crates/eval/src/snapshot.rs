@@ -364,7 +364,7 @@ pub fn encode_machine(m: &Machine) -> Vec<u8> {
         let cd = m.class_data(cid);
         e.w.usize(cd.own_slot);
         e.w.usize(cd.includes.len());
-        for inc in &cd.includes {
+        for inc in cd.includes.iter() {
             e.w.usize(inc.sources.len());
             for s in &inc.sources {
                 e.w.usize(*s);
@@ -784,7 +784,10 @@ pub fn decode_machine(bytes: &[u8]) -> Result<Machine, WireError> {
                 pred,
             });
         }
-        classes.push(ClassData { own_slot, includes });
+        classes.push(ClassData {
+            own_slot,
+            includes: includes.into(),
+        });
     }
 
     let count = d.r.count("global count")?;
@@ -1048,7 +1051,7 @@ mod tests {
         let own = m.store.alloc(Value::Set(SetVal::empty()));
         m.push_class_for_test(ClassData {
             own_slot: own,
-            includes: vec![IncludeSpec {
+            includes: Rc::from([IncludeSpec {
                 sources: vec![0],
                 view: Value::Closure(Rc::new(Closure {
                     id: 100,
@@ -1056,7 +1059,7 @@ mod tests {
                     captured: Box::new([]),
                 })),
                 pred: Value::Bool(true),
-            }],
+            }]),
         });
         // Keep next_id above the closure id minted by hand.
         while m.next_id() <= 100 {

@@ -12,6 +12,7 @@
 
 use crate::error::RuntimeError;
 use polyview_syntax::{Label, Lambda, Layout};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -115,6 +116,35 @@ pub struct ObjVal {
 /// A set value: canonical map from element keys to representatives.
 pub type SetMap = BTreeMap<Key, Value>;
 
+/// Set entries in strictly increasing key order: what one level of an
+/// extent fill hands to the next (DESIGN.md §3).
+pub(crate) type Run = Vec<(Key, Value)>;
+
+/// Merge two key-ordered entry sequences into one run in a single linear
+/// pass. On a key present in both, `left`'s entry is kept: the one
+/// left-biased union of sets ([`SetVal::union_left`]) and of a class's
+/// own extent with its includes.
+pub(crate) fn merge_left(
+    left: impl Iterator<Item = (Key, Value)>,
+    right: impl Iterator<Item = (Key, Value)>,
+) -> Run {
+    let (mut left, mut right) = (left.peekable(), right.peekable());
+    let mut out = Vec::with_capacity(left.size_hint().0 + right.size_hint().0);
+    while let (Some((l, _)), Some((r, _))) = (left.peek(), right.peek()) {
+        match l.cmp(r) {
+            Ordering::Less => out.extend(left.next()),
+            Ordering::Greater => out.extend(right.next()),
+            Ordering::Equal => {
+                out.extend(left.next());
+                right.next();
+            }
+        }
+    }
+    out.extend(left);
+    out.extend(right);
+    out
+}
+
 /// Shared, immutable set representation.
 #[derive(Clone, Debug)]
 pub struct SetVal(pub Rc<SetMap>);
@@ -147,9 +177,20 @@ impl SetVal {
         SetVal(Rc::new(m))
     }
 
-    /// Left-biased union: on key collision the element of `self` is kept
-    /// and the one from `other` discarded (Section 3.1's chosen
-    /// alternative).
+    /// Build from a [`Run`]: its entries are already sorted and distinct,
+    /// so the map is bulk-built from them.
+    pub(crate) fn from_run(run: Run) -> Self {
+        SetVal(Rc::new(run.into_iter().collect()))
+    }
+
+    /// Clones of the entries, in key order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
+        self.0.iter().map(|(k, v)| (k.clone(), v.clone()))
+    }
+
+    /// Left-biased union ([`merge_left`]): on key collision the element of
+    /// `self` is kept and the one from `other` discarded (Section 3.1's
+    /// chosen alternative).
     pub fn union_left(&self, other: &SetVal) -> SetVal {
         if other.is_empty() {
             return self.clone();
@@ -157,11 +198,7 @@ impl SetVal {
         if self.is_empty() {
             return other.clone();
         }
-        let mut m = (*self.0).clone();
-        for (k, v) in other.0.iter() {
-            m.entry(k.clone()).or_insert_with(|| v.clone());
-        }
-        SetVal(Rc::new(m))
+        SetVal::from_run(merge_left(self.entries(), other.entries()))
     }
 
     /// Remove every element whose key occurs in `other`.

@@ -19,6 +19,8 @@
 //! allocator. The counters are per thread, so tests running in parallel do
 //! not see each other's blocks.
 
+mod common;
+
 use polyview::Engine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -121,6 +123,51 @@ fn a_count_over_a_view_class_allocates_under_half_a_block_per_element() {
 fn the_view_read_allocates_at_most_six_blocks_per_element() {
     let per = blocks_per_element(VIEW_NAMES);
     assert!(per <= 6.0, "{per} blocks per element");
+}
+
+/// Blocks one read of `src` allocates.
+fn blocks_of_read(e: &mut Engine, src: &str, want: &str) -> u64 {
+    let before = BLOCKS.with(Cell::get);
+    let got = e.read(src).expect("read");
+    let blocks = BLOCKS.with(Cell::get) - before;
+    assert_eq!(got, want);
+    blocks
+}
+
+/// Blocks a warm `RC3` count read allocates. A debug build checks that
+/// the code it runs is resolved, which allocates 8 more per statement.
+const WARM_RING_READ: u64 = if cfg!(debug_assertions) { 17 } else { 9 };
+
+/// A cold count read of `RC3` after a write recomputes the ring: its fill
+/// wraps every object of the 7 classes below `RC3` once per level above
+/// it, 280 associations (285 while `RC0`, five levels down, holds `x0`).
+/// Each association needs its object and its composed view; the levels
+/// pass key-ordered runs and build one map at the top, so the rest of the
+/// fill stays under half a block per association. A warm read allocates
+/// only what the count itself does.
+#[test]
+fn a_cold_ring_fill_allocates_at_most_two_and_a_half_blocks_per_association() {
+    let mut e = Engine::new();
+    e.exec(&common::ring_program()).expect("ring");
+    let count = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC3)";
+    assert_eq!(e.read(count).expect("fills"), "80");
+    for (toggle, want, associations) in [
+        ("insert(RC0, x0);", "81", 285),
+        ("delete(RC0, x0);", "80", 280),
+    ] {
+        e.exec(toggle).expect("write");
+        let cold = blocks_of_read(&mut e, count, want);
+        let per = cold as f64 / associations as f64;
+        assert!(
+            per <= 2.5,
+            "{toggle} then a cold read: {per} blocks per association"
+        );
+        let warm = blocks_of_read(&mut e, count, want);
+        assert!(
+            warm <= WARM_RING_READ,
+            "a warm read allocated {warm} blocks"
+        );
+    }
 }
 
 /// Live heap bytes after 2,000 and after 20,000 runs of `step`, on an

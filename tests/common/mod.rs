@@ -23,6 +23,25 @@ use polyview_syntax::{ClassDef, Expr, Field, FieldTy, Label, Mono, Name};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// The benchmark's `extent_storm` ring (Fig. 7) as one program: a group
+/// of 8 classes where `RCi` owns 10 objects and includes `RC(i+1)` under
+/// the identity view, then `x0`, an object no class holds yet.
+pub fn ring_program() -> String {
+    let mut ring = String::new();
+    for i in 0..8 {
+        ring.push_str(if i == 0 { "class " } else { " and " });
+        let own: Vec<String> = (0..10)
+            .map(|j| format!("IDView([Name = \"o{i}_{j}\", V = {j}])"))
+            .collect();
+        ring.push_str(&format!(
+            "RC{i} = class {{{}}} include RC{} as fn x => x where fn x => true end",
+            own.join(", "),
+            (i + 1) % 8
+        ));
+    }
+    format!("{ring}; val x0 = IDView([Name = \"x0\", V = 100]);")
+}
+
 /// The seed of the stream every property draws its case seeds from.
 const CASE_SEED: u64 = 0x5EED;
 

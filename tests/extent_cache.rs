@@ -3,6 +3,8 @@
 //! side is an engine restored from a snapshot (its cache starts empty),
 //! or the Figs. 3/5 translation, which recomputes every extent.
 
+mod common;
+
 use polyview::eval::encode_machine;
 use polyview::parser::parse_expr;
 use polyview::trans::translate;
@@ -95,32 +97,31 @@ fn a_write_scanning_one_class_twice_matches_a_cold_engine() {
     );
 }
 
-/// The `extent_storm` ring (a strongly connected include graph of 8
-/// classes, Fig. 7): a warm count read is served from the cache, and an
-/// `insert` anywhere costs exactly one recompute.
+/// An engine holding [`common::ring_program`].
+fn ring_engine() -> Engine {
+    let mut e = Engine::new();
+    e.exec(&common::ring_program()).expect("ring");
+    e
+}
+
+fn ring_count(class: usize) -> String {
+    format!("cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC{class})")
+}
+
+/// A warm ring count read is served from the cache, and an `insert`
+/// anywhere costs exactly one recompute.
 #[test]
 fn ring_reads_hit_until_an_insert_forces_one_recompute() {
-    let mut ring = String::new();
-    for i in 0..8 {
-        ring.push_str(if i == 0 { "class " } else { " and " });
-        let own: Vec<String> = (0..10)
-            .map(|j| format!("IDView([Name = \"o{i}_{j}\", V = {j}])"))
-            .collect();
-        ring.push_str(&format!(
-            "RC{i} = class {{{}}} include RC{} as fn x => x where fn x => true end",
-            own.join(", "),
-            (i + 1) % 8
-        ));
-    }
-    let mut e = Engine::new();
-    e.exec(&format!(
-        "{ring}; val x0 = IDView([Name = \"x0\", V = 100]);"
-    ))
-    .expect("ring");
-    let count = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC3)";
+    let mut e = ring_engine();
+    let count = ring_count(3);
+    let count = count.as_str();
+    // `eval.extent_fills` and `eval.extent_hits`, as the engine reports them.
+    let fills_hits = |e: &Engine| (e.stats().eval.extent_fills, e.stats().eval.extent_hits);
     assert_eq!(e.eval_to_string(count).expect("fills"), "80");
+    assert_eq!(fills_hits(&e), (1, 0));
 
     let warm = e.profile(count).expect("warm profile");
+    assert_eq!(fills_hits(&e), (1, 1));
     assert_eq!(warm.rendered, "80");
     let rows = &warm.profile.view_recomputes;
     assert!(
@@ -136,10 +137,176 @@ fn ring_reads_hit_until_an_insert_forces_one_recompute() {
     e.exec("insert(RC0, x0);").expect("insert");
     let after = e.profile(count).expect("profile after the insert");
     assert_eq!(after.rendered, "81");
+    assert_eq!(fills_hits(&e), (2, 1));
     let rows = &after.profile.view_recomputes;
     assert_eq!(
         rows.iter().map(|v| v.recomputes).sum::<u64>(),
         1,
         "{rows:?}"
     );
+}
+
+/// Filling one ring class does not fill its siblings. Each nested fill
+/// runs under a larger visited set (Section 4.4's `L`), so the `RC1` that
+/// `RC0`'s fill computes on the way omits `RC0`'s own objects: it is a
+/// partial extent, not `RC1`'s. Reading `RC0` and then `RC1` at one epoch
+/// therefore recomputes `RC1`, and answers what a cold engine answers.
+#[test]
+fn a_ring_fill_leaves_its_siblings_cold() {
+    let mut e = ring_engine();
+    e.exec("insert(RC0, x0);").expect("insert");
+    assert_eq!(e.eval_to_string(&ring_count(0)).expect("RC0"), "81");
+    let mut cold = Engine::from_snapshot(&e.snapshot()).expect("restores");
+
+    let mut profiled = Vec::new();
+    for engine in [&mut e, &mut cold] {
+        let fuel = engine.stats().eval.fuel_consumed;
+        let report = engine.profile(&ring_count(1)).expect("RC1");
+        let rows = &report.profile.view_recomputes;
+        assert_eq!(
+            rows.iter().map(|v| v.recomputes).sum::<u64>(),
+            1,
+            "{rows:?}"
+        );
+        assert_eq!(
+            rows.iter().map(|v| v.cache_hits).sum::<u64>(),
+            0,
+            "{rows:?}"
+        );
+        profiled.push((
+            report.rendered,
+            engine.stats().eval.fuel_consumed - fuel,
+            engine.machine().next_id(),
+        ));
+    }
+    assert_eq!(profiled[0].0, "81", "80 ring objects and x0");
+    assert_eq!(
+        profiled[0], profiled[1],
+        "the warm engine answers as a cold one"
+    );
+}
+
+// ----- the merge order of one fill -----
+
+/// A fill merges its own extent and its includes' results left-biased:
+/// on a raw object reached more than once, the own association wins, then
+/// the earlier include. Each case is a list of declarations (`val x = …`
+/// or a `class` group) and a read, with the read's rendering and the fuel
+/// and identities a cold run of it costs, recorded at a commit that built
+/// each level's extent as a set.
+struct FillCase {
+    decls: &'static [&'static str],
+    read: &'static str,
+    want: &'static str,
+    fuel: u64,
+    ids: u64,
+}
+
+const NAMES: &str = "fn s => map(fn o => query(fn x => x.Name, o), s)";
+
+impl FillCase {
+    /// The case as one closed expression, for the bare machine and the
+    /// Figs. 3/5 translation.
+    fn closed(&self) -> String {
+        let mut src = self.read.replace("NAMES", NAMES);
+        for d in self.decls.iter().rev() {
+            let binding = d.strip_prefix("val ").unwrap_or(d);
+            src = format!("let {binding} in {src} end");
+        }
+        src
+    }
+
+    fn check(&self) {
+        let read = self.read.replace("NAMES", NAMES);
+        let mut e = Engine::new();
+        for d in self.decls {
+            e.exec(&format!("{d};")).expect("declares");
+        }
+        // Cold, then warm: a hit costs what the fill did.
+        for run in ["cold", "warm"] {
+            let (fuel, id) = (e.stats().eval.fuel_consumed, e.machine().next_id());
+            let (_, v) = e.eval_expr(&read).expect("reads");
+            assert_eq!(e.show(&v), self.want, "{run} engine");
+            let cost = (
+                e.stats().eval.fuel_consumed - fuel,
+                e.machine().next_id() - id,
+            );
+            assert_eq!(cost, (self.fuel, self.ids), "{run} fuel and ids");
+        }
+        let ast = parse_expr(&self.closed()).expect("parses");
+        assert_eq!(machine_render(&ast), self.want, "bare machine");
+        assert_eq!(machine_render(&translate(&ast)), self.want, "Fig. 5 oracle");
+    }
+}
+
+/// A raw object in the own extent and in an include: the own association
+/// (its view) is the one in the extent.
+#[test]
+fn the_own_association_wins_over_an_include() {
+    FillCase {
+        decls: &[
+            "val ada = IDView([Name = \"Ada\", V = 1])",
+            "val bob = IDView([Name = \"Bob\", V = 2])",
+            "val cy = IDView([Name = \"Cy\", V = 3])",
+            "class S = class {ada, bob, cy} end",
+            "class C = class {(ada as fn x => [Name = x.Name ^ \" own\", V = x.V]), \
+             (cy as fn x => [Name = x.Name ^ \" own\", V = x.V])} \
+             include S as fn x => [Name = x.Name ^ \" inc\", V = x.V] where fn o => true end",
+        ],
+        read: "cquery(NAMES, C)",
+        want: "{\"Ada own\", \"Bob inc\", \"Cy own\"}",
+        fuel: 101,
+        ids: 18,
+    }
+    .check();
+}
+
+/// Two includes of one class reach the same raw object under different
+/// views: the first include's association is the one in the extent, and
+/// an object only the second admits comes from the second.
+#[test]
+fn the_first_include_wins_over_a_later_one() {
+    FillCase {
+        decls: &[
+            "val ada = IDView([Name = \"Ada\", V = 1])",
+            "val bob = IDView([Name = \"Bob\", V = 2])",
+            "class S = class {ada, bob} end",
+            "class C = class {} \
+             include S as fn x => [Name = x.Name ^ \" 1\", V = x.V] \
+             where fn o => query(fn x => x.V = 1, o) \
+             include S as fn x => [Name = x.Name ^ \" 2\", V = x.V] where fn o => true end",
+        ],
+        read: "cquery(NAMES, C)",
+        want: "{\"Ada 1\", \"Bob 2\"}",
+        fuel: 90,
+        ids: 16,
+    }
+    .check();
+}
+
+/// A two-source (`fuse`) include inside a cycle: `A` includes the
+/// intersection of `B` and `C`, and both include `A`. Under `A` the nested
+/// `B` and `C` stop at `A`, so they meet on `q`; under `B` the nested `A`
+/// cannot reach `B`, so its fused include is empty and `A` holds only `p`.
+#[test]
+fn a_fused_include_inside_a_cycle() {
+    FillCase {
+        decls: &[
+            "val p = IDView([Name = \"p\", V = 1])",
+            "val q = IDView([Name = \"q\", V = 2])",
+            "val r = IDView([Name = \"r\", V = 3])",
+            "class A = class {p} \
+             include B, C as fn t => [Name = t.1.Name ^ \"+\" ^ t.2.Name, V = t.1.V + t.2.V] \
+             where fn o => true end \
+             and B = class {q} include A as fn x => [Name = x.Name ^ \"b\", V = x.V] \
+             where fn o => true end \
+             and C = class {(q as fn x => [Name = x.Name ^ \"c\", V = x.V]), r} \
+             include A as fn x => x where fn o => query(fn x => x.V > 1, o) end",
+        ],
+        read: "[A = cquery(NAMES, A), B = cquery(NAMES, B), C = cquery(NAMES, C)]",
+        want: "[A = {\"p\", \"q+qc\"}, B = {\"pb\", \"q\"}, C = {\"qc\", \"r\"}]",
+        fuel: 216,
+        ids: 38,
+    }
+    .check();
 }
