@@ -95,6 +95,7 @@ const EVAL: &[Field<MachineStats>] = &[
     (Some("eval.dyn_field_fallbacks"), Some("dyn_fallbacks"), |s| &mut s.dyn_field_fallbacks),
     (Some("eval.extent_fills"), None, |s| &mut s.extent_fills),
     (Some("eval.extent_hits"), None, |s| &mut s.extent_hits),
+    (Some("eval.extent_patches"), None, |s| &mut s.extent_patches),
 ];
 
 /// One layer's counters in the registry, in the order of its [`Field`]s.

@@ -13,13 +13,14 @@ use crate::error::RuntimeError;
 use crate::profile::{Profile, Profiler};
 use crate::store::Store;
 use crate::value::{
-    merge_left, Builtin, ClassId, Closure, Key, ObjVal, RecordVal, Run, SetMap, SetVal, SlotId,
-    Value, ViewFn,
+    merge_left_noting, Builtin, ClassId, Closure, Key, ObjVal, RecordVal, Run, SetMap, SetVal,
+    SlotId, Value, ViewFn,
 };
 use polyview_obs::{Clock, WallClock};
 use polyview_syntax::resolve::{is_resolved, resolve};
 use polyview_syntax::{ClassDef, Expr, GlobalNames, Idx, Label, Lambda, Layout, Lit, Name, Slot};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -71,22 +72,101 @@ polyview_syntax::work_counters! {
         pub extent_fills: u64,
         /// Class extents the extent cache served.
         pub extent_hits: u64,
+        /// Served extents (counted in `extent_hits` too) whose cache entry
+        /// was stale and was brought current by replaying the writes logged
+        /// since its fill ([`Machine::replay_writes`]).
+        pub extent_patches: u64,
     }
 }
 
 /// A memoized top-level class extent, with what filling it cost, so that
 /// serving it again has exactly the effects of recomputing it: the fuel
-/// the fill burned and the identities it minted (DESIGN.md §3).
+/// the fill burned and the identities it minted (DESIGN.md §3). Writes
+/// after its epoch are replayed onto it before it is served.
 struct CachedExtent {
-    /// The store epoch the extent was computed at.
+    /// The store epoch the extent is current at.
     epoch: u64,
     set: SetVal,
     /// `next_id` when the fill began: it minted `base_id..base_id + ids`.
+    /// Every association the fill wrapped carries one of these ids, and
+    /// the own associations of the class all carry older ones.
     base_id: u64,
     ids: u64,
     /// Fuel units the fill burned.
     fuel: u64,
+    shape: FillShape,
 }
+
+/// How a fill reached the own extents it read: what replaying a write
+/// onto its result needs besides the result.
+struct FillShape {
+    /// The fill tree in pre-order, the root first: one node per own
+    /// extent read (a cut cycle reads none).
+    nodes: Vec<FillNode>,
+    /// The root's include clauses, in order.
+    tops: Vec<TopInclude>,
+    /// Writes to classes in the tree can be patched in: every include had
+    /// one source, and no predicate minted an id or read an extent.
+    plain: bool,
+    /// A predicate read a class extent, so any write can change the
+    /// result.
+    read_extents: bool,
+}
+
+impl FillShape {
+    fn new() -> Self {
+        FillShape {
+            nodes: Vec::new(),
+            tops: Vec::new(),
+            plain: true,
+            read_extents: false,
+        }
+    }
+}
+
+/// One own extent a fill read.
+struct FillNode {
+    class: ClassId,
+    /// The node whose include clause read this one, the clause's index,
+    /// and the clause's view, which every association the clause wraps in
+    /// this fill shares; `None` at the root.
+    via: Option<(usize, usize, Rc<ViewFn>)>,
+}
+
+/// One include clause of the root.
+struct TopInclude {
+    /// The ids of the associations it wrapped, in key order.
+    wrapped: Range<u64>,
+    /// The keys of those the merge discarded (the own association or an
+    /// earlier clause held the raw object), ascending.
+    discarded: Vec<Key>,
+}
+
+/// What an `insert` or `delete` did to its class's own extent.
+enum Change {
+    /// Nothing: the element was already present, or absent.
+    Kept,
+    Inserted(Key, Value),
+    /// The key, and the element the own extent held for it.
+    Deleted(Key, Value),
+}
+
+/// A logged `insert` or `delete` (`Machine::extent_log`).
+struct LoggedWrite {
+    /// The store epoch the write moved to.
+    epoch: u64,
+    class: ClassId,
+    change: Change,
+}
+
+/// Writes an entry may fall behind by before it is evicted: on the
+/// benchmark ring, replaying one write costs about 2.5 µs and a fill
+/// about 40 µs, so replaying more than 16 costs more than a refill.
+const MAX_LOG: u64 = 16;
+
+/// The least fuel cap of one replayed write (a cap of the entry's fill
+/// fuel alone would stop a small extent from ever being patched).
+const REPLAY_FUEL: u64 = 1 << 12;
 
 /// Where a read region began ([`Machine::begin_read`]): the sizes and
 /// counters [`Machine::end_read`] rolls the machine back to.
@@ -116,13 +196,23 @@ pub struct Machine {
     /// Remaining evaluation fuel; `None` means unbounded. Each expression
     /// node costs one unit.
     pub fuel: Option<u64>,
-    /// Top-level class extents, served only while their epoch is current
-    /// ([`Machine::extent_of`]).
+    /// Top-level class extents ([`Machine::extent_of`]), served once
+    /// their epoch is current.
     extent_cache: HashMap<ClassId, CachedExtent>,
-    /// Bumped by every store mutation — `insert`, `delete`, and record
-    /// field `update` (extent predicates can read mutable fields); cache
-    /// entries from older epochs are stale.
+    /// The store epoch, bumped by every store write: `insert`, `delete`,
+    /// and record field `update` (extent predicates can read mutable
+    /// fields). A cache entry from an older epoch is stale. A read brings
+    /// it current by replaying the logged writes since its epoch, or
+    /// refills it.
     class_epoch: u64,
+    /// Every write of the epochs after `log_start`, oldest first, when all
+    /// are `insert`s and `delete`s: what stale entries replay. Another
+    /// store write empties it, and it holds no write older than the oldest
+    /// entry.
+    extent_log: Vec<LoggedWrite>,
+    log_start: u64,
+    /// Set while a replay re-runs predicates ([`Machine::probe`]).
+    replaying: bool,
     /// Work counters, monotone. The engine adds each evaluation's delta
     /// of them to its metrics registry.
     stats: MachineStats,
@@ -160,6 +250,9 @@ impl Machine {
             fuel: None,
             extent_cache: HashMap::new(),
             class_epoch: 0,
+            extent_log: Vec::new(),
+            log_start: 0,
+            replaying: false,
             stats: MachineStats::default(),
             read_floor: None,
             profiler: None,
@@ -246,7 +339,8 @@ impl Machine {
     /// region class id is reused by the next region and a region epoch by
     /// the next write. Entries from before the region (epochs up to the
     /// mark's) stay; a stale one is replaced when its class is next read,
-    /// so no single read pays for dropping them all.
+    /// so no single read pays for dropping them all. The write log drops
+    /// the region's writes with its epochs.
     pub fn end_read(&mut self, mark: ReadMark) {
         self.store.truncate(mark.slots);
         self.classes.truncate(mark.classes);
@@ -255,21 +349,66 @@ impl Machine {
         self.fuel = mark.fuel;
         self.extent_cache
             .retain(|&cid, e| cid < mark.classes && e.epoch <= mark.class_epoch);
+        let kept = self
+            .extent_log
+            .partition_point(|w| w.epoch <= mark.class_epoch);
+        self.extent_log.truncate(kept);
+        self.log_start = self.log_start.min(mark.class_epoch);
         self.read_floor = None;
     }
 
     /// The store write behind `insert`, `delete` and `update`, refused
     /// inside a read region when `slot` predates it. Every such write bumps
-    /// the store epoch: a field write can change what any extent predicate
-    /// observes (`include … where` reads object state), so it invalidates
-    /// cached extents exactly like insert/delete.
-    fn write_slot(&mut self, slot: SlotId, v: Value) -> Result<(), RuntimeError> {
+    /// the store epoch, so every cached extent goes stale. An `insert` or
+    /// `delete` passes what it did to its class, which the write log keeps
+    /// for replay onto the stale entries. A field write passes `None`: it
+    /// can change what any extent predicate observes (`include … where`
+    /// reads object state), so no entry survives it by replay.
+    fn write_slot(
+        &mut self,
+        slot: SlotId,
+        v: Value,
+        logged: Option<(ClassId, Change)>,
+    ) -> Result<(), RuntimeError> {
         if self.read_floor.is_some_and(|floor| slot < floor) {
             return Err(RuntimeError::EffectInRead);
         }
         self.store.set(slot, v);
         self.class_epoch += 1;
+        match logged {
+            Some((class, change)) => self.log_write(class, change),
+            None => self.clear_log(),
+        }
         Ok(())
+    }
+
+    /// Append the write that moved the store to the current epoch to the
+    /// log, first dropping the writes every entry has seen. An entry more
+    /// than [`MAX_LOG`] writes behind is evicted.
+    fn log_write(&mut self, class: ClassId, change: Change) {
+        let Some(oldest) = self.extent_cache.values().map(|e| e.epoch).min() else {
+            return self.clear_log();
+        };
+        let from = oldest.max(self.class_epoch.saturating_sub(MAX_LOG));
+        if from > oldest {
+            self.extent_cache.retain(|_, e| e.epoch >= from);
+        }
+        let seen = self.extent_log.partition_point(|w| w.epoch <= from);
+        self.extent_log.drain(..seen);
+        self.log_start = self.log_start.max(from);
+        let epoch = self.class_epoch;
+        self.extent_log.push(LoggedWrite {
+            epoch,
+            class,
+            change,
+        });
+    }
+
+    /// Start the write log over at the current epoch: no entry older than
+    /// it can be replayed.
+    fn clear_log(&mut self) {
+        self.extent_log.clear();
+        self.log_start = self.class_epoch;
     }
 
     /// Reassemble a machine from snapshot-decoded parts (`crate::snapshot`).
@@ -295,6 +434,9 @@ impl Machine {
             fuel,
             extent_cache: HashMap::new(),
             class_epoch,
+            extent_log: Vec::new(),
+            log_start: class_epoch,
+            replaying: false,
             stats: MachineStats::default(),
             read_floor: None,
             profiler: None,
@@ -597,7 +739,7 @@ impl Machine {
                     slot
                 };
                 let nv = self.eval_in(rhs, fp)?;
-                self.write_slot(slot, nv)?;
+                self.write_slot(slot, nv, None)?;
                 Ok(Value::Unit)
             }
             Expr::RecordAt(layout, entries) => {
@@ -755,11 +897,17 @@ impl Machine {
                 let cid = vc.as_class()?;
                 let slot = self.classes[cid].own_slot;
                 let own = self.store.get(slot).as_set()?.clone();
+                let key = ve.key();
+                let change = if own.contains_key(&key) {
+                    Change::Kept
+                } else {
+                    Change::Inserted(key, ve.clone())
+                };
                 // tr: update(C, OwnExt, union(C·OwnExt, {e})) — left-biased,
                 // so inserting an object already present (by objeq) keeps
                 // the existing element.
                 let updated = own.union_left(&SetVal::from_elems([ve]));
-                self.write_slot(slot, Value::Set(updated))?;
+                self.write_slot(slot, Value::Set(updated), Some((cid, change)))?;
                 Ok(Value::Unit)
             }
             Expr::Delete(c, e) => {
@@ -769,11 +917,20 @@ impl Machine {
                 let cid = vc.as_class()?;
                 let slot = self.classes[cid].own_slot;
                 let own = self.store.get(slot).as_set()?.clone();
+                let key = ve.key();
+                let change = match own.0.get(&key) {
+                    Some(old) => Change::Deleted(key, old.clone()),
+                    None => Change::Kept,
+                };
                 let updated = own.difference(&SetVal::from_elems([ve]));
-                self.write_slot(slot, Value::Set(updated))?;
+                self.write_slot(slot, Value::Set(updated), Some((cid, change)))?;
                 Ok(Value::Unit)
             }
             Expr::LetClasses(binds, body) => {
+                if self.replaying {
+                    // Filling the group drops every cached extent.
+                    return Err(RuntimeError::EffectInRead);
+                }
                 // Pre-allocate every class id so include sources can refer
                 // to siblings cyclically, then fill the definitions. The
                 // class values are the frame's next locals.
@@ -811,12 +968,18 @@ impl Machine {
             self.store.set(slot, own);
             // Filling a class in place bumps no epoch, so an extent read
             // earlier in the group is now stale.
-            self.extent_cache.clear();
+            self.drop_extents();
             let includes = self.eval_includes(cd, fp)?;
             self.classes[cid].includes = includes.into();
-            self.extent_cache.clear();
+            self.drop_extents();
         }
         self.eval_in(body, fp)
+    }
+
+    /// Empty the extent cache and the write log.
+    fn drop_extents(&mut self) {
+        self.extent_cache.clear();
+        self.clear_log();
     }
 
     /// Evaluate a non-recursive class definition to a fresh class id.
@@ -1192,67 +1355,109 @@ impl Machine {
     /// The extent of a class: own extent ∪ includes, with the visited-set
     /// (`L`) algorithm of Section 4.4 guaranteeing termination (Prop. 5).
     /// Each level of the recursion hands its extent up as a key-ordered
-    /// run, and only this top level builds a set (DESIGN.md §3).
-    fn class_extent(&mut self, cid: ClassId) -> Result<SetVal, RuntimeError> {
+    /// run, and only this top level builds a set (DESIGN.md §3). `shape`
+    /// records how the fill reached each own extent.
+    fn class_extent(
+        &mut self,
+        cid: ClassId,
+        shape: &mut FillShape,
+    ) -> Result<SetVal, RuntimeError> {
         if !self.classes[cid].includes.is_empty() {
-            return Ok(SetVal::from_run(self.extent_run(cid, &mut vec![cid])?));
+            let run = self.extent_run(cid, None, &mut vec![cid], shape)?;
+            return Ok(SetVal::from_run(run));
         }
         // A class with no includes is its own extent: share the stored set.
         self.burn()?;
+        shape.nodes.push(FillNode {
+            class: cid,
+            via: None,
+        });
         Ok(self.store.get(self.classes[cid].own_slot).as_set()?.clone())
     }
 
     /// One level of [`Machine::class_extent`]: `cid`'s own extent merged,
     /// left-biased, with each include's objects in clause order. `visited`
-    /// is Section 4.4's `L`; it holds `cid`.
+    /// is Section 4.4's `L`; it holds `cid`. `via` is how the level above
+    /// reached this one.
     fn extent_run(
         &mut self,
         cid: ClassId,
+        via: Option<(usize, usize, Rc<ViewFn>)>,
         visited: &mut Vec<ClassId>,
+        shape: &mut FillShape,
     ) -> Result<Run, RuntimeError> {
         self.burn()?;
+        let node = shape.nodes.len();
+        shape.nodes.push(FillNode { class: cid, via });
         let data = self.classes[cid].clone();
         let own = self.store.get(data.own_slot).as_set()?.clone();
         let mut run: Option<Run> = None;
-        for inc in data.includes.iter() {
-            let included = self.include_run(inc, visited)?.into_iter();
+        for (clause, inc) in data.includes.iter().enumerate() {
+            let included = self
+                .include_run(inc, (node, clause), visited, shape)?
+                .into_iter();
+            let mut lost = |k: Key| {
+                if node == 0 {
+                    shape.tops[clause].discarded.push(k);
+                }
+            };
             run = Some(match run {
-                None => merge_left(own.entries(), included),
-                Some(run) => merge_left(run.into_iter(), included),
+                None => merge_left_noting(own.entries(), included, &mut lost),
+                Some(run) => merge_left_noting(run.into_iter(), included, &mut lost),
             });
         }
         Ok(run.unwrap_or_else(|| own.entries().collect()))
     }
 
-    /// What one `include` clause adds to a level: its sources' extents
-    /// intersected (`fuse` when there are several), filtered by the
-    /// predicate, each kept object wrapped in a fresh association under
-    /// the include's view.
+    /// What one `include` clause, `at` (node, clause index) in the fill
+    /// tree, adds to a level: its sources' extents intersected (`fuse`
+    /// when there are several), filtered by the predicate, each kept
+    /// object wrapped in a fresh association under the include's view.
     fn include_run(
         &mut self,
         inc: &IncludeSpec,
+        at: (usize, usize),
         visited: &mut Vec<ClassId>,
+        shape: &mut FillShape,
     ) -> Result<Run, RuntimeError> {
+        // One view, shared by every association the clause wraps.
+        let outer = Rc::new(ViewFn::Fn(inc.view.clone()));
+        let via = || Some((at.0, at.1, outer.clone()));
         let candidates = match inc.sources[..] {
-            [src] => self.source_run(src, visited)?,
+            [src] => self.source_run(src, via(), visited, shape)?,
             _ => {
+                shape.plain = false;
                 let mut sets = Vec::with_capacity(inc.sources.len());
                 for &src in &inc.sources {
-                    sets.push(SetVal::from_run(self.source_run(src, visited)?));
+                    sets.push(SetVal::from_run(self.source_run(
+                        src,
+                        via(),
+                        visited,
+                        shape,
+                    )?));
                 }
                 self.intersect_obj_sets(&sets)?.entries().collect()
             }
         };
-        let outer = Rc::new(ViewFn::Fn(inc.view.clone()));
+        let first = self.next_id;
         let mut included = Vec::with_capacity(candidates.len());
         for (key, obj) in candidates {
-            if self.apply(inc.pred.clone(), obj.clone())?.as_bool()? {
+            let before = self.next_id;
+            let keep = self.apply(inc.pred.clone(), obj.clone())?.as_bool()?;
+            shape.plain &= self.next_id == before;
+            if keep {
                 let o = obj.as_obj()?;
                 let id = self.fresh_id();
                 let view = ViewFn::Compose(Rc::new(o.view.clone()), outer.clone());
                 let raw = o.raw.clone();
                 included.push((key, Value::Obj(Rc::new(ObjVal { id, raw, view }))));
             }
+        }
+        if at.0 == 0 {
+            shape.tops.push(TopInclude {
+                wrapped: first..self.next_id,
+                discarded: Vec::new(),
+            });
         }
         Ok(included)
     }
@@ -1262,13 +1467,15 @@ impl Machine {
     fn source_run(
         &mut self,
         src: ClassId,
+        via: Option<(usize, usize, Rc<ViewFn>)>,
         visited: &mut Vec<ClassId>,
+        shape: &mut FillShape,
     ) -> Result<Run, RuntimeError> {
         if visited.contains(&src) {
             return Ok(Run::new());
         }
         visited.push(src);
-        let run = self.extent_run(src, visited);
+        let run = self.extent_run(src, via, visited, shape);
         visited.pop();
         run
     }
@@ -1281,7 +1488,8 @@ impl Machine {
     }
 
     /// The full extent of a class, served from the cache when its entry is
-    /// current, and recomputed (and cached) otherwise.
+    /// current or can be brought current by replaying the writes since
+    /// its fill, and recomputed (and cached) otherwise.
     ///
     /// A hit is indistinguishable from a recompute. It needs the fuel the
     /// fill burned and charges it, so fuel runs out exactly where a
@@ -1292,8 +1500,14 @@ impl Machine {
     /// that wrote or allocated store state is not cached, since a hit
     /// could not replay that.
     fn top_level_extent(&mut self, cid: ClassId) -> Result<SetVal, RuntimeError> {
+        if self.replaying {
+            // A replayed predicate that reads an extent is not replayed.
+            return Err(RuntimeError::EffectInRead);
+        }
+        let patched = self.replay_writes(cid);
         if let Some(set) = self.extent_hit(cid) {
             self.stats.extent_hits += 1;
+            self.stats.extent_patches += u64::from(patched);
             if let Some(p) = &mut self.profiler {
                 p.note_extent(cid, true, set.len() as u64, self.class_epoch);
             }
@@ -1303,28 +1517,283 @@ impl Machine {
         // extent are never live at once.
         self.extent_cache.remove(&cid);
         self.stats.extent_fills += 1;
-        let (epoch, slots, base_id, fuel) = (
+        let (epoch, slots, base_id, fuel, reads) = (
             self.class_epoch,
             self.store.len(),
             self.next_id,
             self.stats.fuel_consumed,
+            self.extent_reads(),
         );
-        let set = self.class_extent(cid)?;
+        let mut shape = FillShape::new();
+        let set = self.class_extent(cid, &mut shape)?;
         if let Some(p) = &mut self.profiler {
             // The previous entry, if any, was invalidated by this epoch.
             p.note_extent(cid, false, set.len() as u64, epoch);
         }
         if self.class_epoch == epoch && self.store.len() == slots {
+            shape.read_extents = self.extent_reads() != reads;
+            shape.plain &= !shape.read_extents;
             let entry = CachedExtent {
                 epoch,
                 set: set.clone(),
                 base_id,
                 ids: self.next_id - base_id,
                 fuel: self.stats.fuel_consumed - fuel,
+                shape,
             };
             self.extent_cache.insert(cid, entry);
         }
         Ok(set)
+    }
+
+    /// Extents read so far, filled or served.
+    fn extent_reads(&self) -> u64 {
+        self.stats.extent_fills + self.stats.extent_hits
+    }
+
+    /// Bring `cid`'s stale cache entry current by replaying the logged
+    /// writes since its epoch onto it (DESIGN.md §3). Returns whether it
+    /// did; an entry some write cannot be replayed onto is dropped.
+    fn replay_writes(&mut self, cid: ClassId) -> bool {
+        let stale = self
+            .extent_cache
+            .get(&cid)
+            .is_some_and(|e| e.epoch != self.class_epoch);
+        if !stale {
+            return false;
+        }
+        let mut e = self.extent_cache.remove(&cid).expect("a stale entry");
+        if e.epoch < self.log_start {
+            return false;
+        }
+        let from = self.extent_log.partition_point(|w| w.epoch <= e.epoch);
+        debug_assert_eq!(
+            (self.extent_log.len() - from) as u64,
+            self.class_epoch - e.epoch,
+            "the log holds one write per epoch"
+        );
+        for at in from..self.extent_log.len() {
+            if !self.replay_write(&mut e, cid, at) {
+                return false;
+            }
+        }
+        e.epoch = self.class_epoch;
+        self.extent_cache.insert(cid, e);
+        true
+    }
+
+    /// Replay the logged write at `at` onto `e`, `cid`'s entry: whether
+    /// `e` now holds what a fill just after that write would.
+    fn replay_write(&mut self, e: &mut CachedExtent, cid: ClassId, at: usize) -> bool {
+        let w = &self.extent_log[at];
+        let class = w.class;
+        if class == cid && self.classes[cid].includes.is_empty() {
+            // The extent is the stored set itself, which the write replaced.
+            return false;
+        }
+        let (key, elem, inserted) = match &w.change {
+            Change::Kept => return true,
+            Change::Inserted(k, v) => (k.clone(), v.clone(), true),
+            Change::Deleted(k, v) => (k.clone(), v.clone(), false),
+        };
+        if e.shape.read_extents {
+            return false;
+        }
+        let mut reads = e
+            .shape
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.class == class);
+        let Some((node, _)) = reads.next() else {
+            // The fill never read the class's own extent.
+            return true;
+        };
+        // The element must reach the root by one path, and nothing else
+        // the fill read may hold its raw object.
+        if !e.shape.plain || reads.next().is_some() {
+            return false;
+        }
+        let nodes = &e.shape.nodes;
+        let elsewhere = nodes
+            .iter()
+            .any(|n| n.class != class && self.own_held(n.class, &key, at));
+        !elsewhere && self.patch(e, node, key, elem, inserted)
+    }
+
+    /// Whether `class`'s own extent held `key` just after the logged write
+    /// at `at`: whether it holds it now, unless a later logged write to the
+    /// class changed that.
+    fn own_held(&self, class: ClassId, key: &Key, at: usize) -> bool {
+        for w in &self.extent_log[at + 1..] {
+            match &w.change {
+                Change::Inserted(k, _) if w.class == class && k == key => return false,
+                Change::Deleted(k, _) if w.class == class && k == key => return true,
+                _ => {}
+            }
+        }
+        let own = self.store.get(self.classes[class].own_slot);
+        own.as_set().is_ok_and(|s| s.contains_key(key))
+    }
+
+    /// Patch `elem`, inserted into or deleted from the own extent that
+    /// fill-tree node `node` read, into `e`. Only the associations on the
+    /// path from that node to the root change: each include on it
+    /// re-runs its predicate on the element's wrapping from below, and a
+    /// kept one mints one id.
+    ///
+    /// Ids are structural. A fill mints an include's ids after its
+    /// source's, and a level's in key order. So the ids the element's
+    /// wrappings take or free below the root come before every id of the
+    /// root clause on the path and of each later clause, and its root
+    /// association sits among that clause's in key order. Only root
+    /// associations carry ids a program can see, so shifting those and
+    /// the clause ranges is the whole patch.
+    fn patch(
+        &mut self,
+        e: &mut CachedExtent,
+        node: usize,
+        key: Key,
+        elem: Value,
+        inserted: bool,
+    ) -> bool {
+        let mut path = Vec::new();
+        let mut n = node;
+        while let Some((up, clause, view)) = &e.shape.nodes[n].via {
+            path.push((e.shape.nodes[*up].class, *clause, view.clone()));
+            n = *up;
+        }
+        let Some(&(_, top, _)) = path.last() else {
+            return patch_own(e, key, &elem, inserted);
+        };
+        let cap = e.fuel.max(REPLAY_FUEL);
+        let Some(((kept, wrapped), fuel)) = self.probe(cap, |m| m.rewrap(elem, &path)) else {
+            return false;
+        };
+        // The ids the write mints or frees: one per include that kept the
+        // element, all but the root's below the root.
+        let ids = kept as u64;
+        let reached = kept == path.len();
+        let below = ids - u64::from(reached);
+        let shift = |id: u64, by: u64| match inserted {
+            true => id.checked_add(by),
+            false => id.checked_sub(by),
+        };
+        let Range { start, end } = e.shape.tops[top].wrapped;
+        let set = Rc::make_mut(&mut e.set.0);
+        if inserted || !reached {
+            if set.contains_key(&key) {
+                return false;
+            }
+        } else if !matches!(set.remove(&key), Some(Value::Obj(o)) if (start..end).contains(&o.id)) {
+            return false;
+        }
+        // The root association's rank in its clause: the clause's kept
+        // candidates with smaller keys, shown or discarded.
+        let discarded = &e.shape.tops[top].discarded;
+        let mut rank = discarded.iter().filter(|k| **k < key).count() as u64;
+        for (k, v) in set.iter_mut() {
+            let Value::Obj(o) = v else { continue };
+            let by = match o.id {
+                id if id >= end => ids,
+                id if id >= start && *k < key => {
+                    rank += 1;
+                    below
+                }
+                id if id >= start => ids,
+                _ => continue,
+            };
+            match shift(o.id, by) {
+                Some(id) if id != o.id => renumber(o, id),
+                Some(_) => {}
+                None => return false,
+            }
+        }
+        if inserted && reached {
+            let Ok(w) = wrapped.as_obj() else {
+                return false;
+            };
+            let (id, raw, view) = (start + below + rank, w.raw.clone(), w.view.clone());
+            set.insert(key, Value::Obj(Rc::new(ObjVal { id, raw, view })));
+        }
+        for (clause, t) in e.shape.tops.iter_mut().enumerate().skip(top) {
+            let first = if clause == top { below } else { ids };
+            match (shift(t.wrapped.start, first), shift(t.wrapped.end, ids)) {
+                (Some(s), Some(x)) => t.wrapped = s..x,
+                _ => return false,
+            }
+        }
+        match (shift(e.ids, ids), shift(e.fuel, fuel)) {
+            (Some(i), Some(f)) => (e.ids, e.fuel) = (i, f),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Re-run the predicates of `path`'s includes, bottom up, on `elem`
+    /// and on each association that wraps it: how many kept it, and its
+    /// outermost wrapping. A wrapping has no id yet, and needs none: no
+    /// builtin shows an id, and every other object a predicate can reach
+    /// is older, so `eq` answers as on the id a fill would mint.
+    fn rewrap(
+        &mut self,
+        elem: Value,
+        path: &[(ClassId, usize, Rc<ViewFn>)],
+    ) -> Result<(usize, Value), RuntimeError> {
+        let mut obj = elem;
+        for (passed, (class, clause, view)) in path.iter().enumerate() {
+            let pred = self.classes[*class].includes[*clause].pred.clone();
+            if !self.apply(pred, obj.clone())?.as_bool()? {
+                return Ok((passed, obj));
+            }
+            let o = obj.as_obj()?;
+            let view = ViewFn::Compose(Rc::new(o.view.clone()), view.clone());
+            let raw = o.raw.clone();
+            obj = Value::Obj(Rc::new(ObjVal {
+                id: u64::MAX,
+                raw,
+                view,
+            }));
+        }
+        Ok((path.len(), obj))
+    }
+
+    /// Run `f` so that it leaves no trace: with at most `cap` fuel, every
+    /// store write refused, and an extent read or class group refused
+    /// too. Returns its value and the fuel it burned, unless it failed or
+    /// minted an id or allocated a slot. The work counters are put back.
+    fn probe<T>(
+        &mut self,
+        cap: u64,
+        f: impl FnOnce(&mut Self) -> Result<T, RuntimeError>,
+    ) -> Option<(T, u64)> {
+        let (stats, next_id, slots, classes, height) = (
+            self.stats,
+            self.next_id,
+            self.store.len(),
+            self.classes.len(),
+            self.stack.len(),
+        );
+        let fuel = self.fuel.replace(cap);
+        let floor = self.read_floor.replace(slots);
+        let profiler = self.profiler.take();
+        self.replaying = true;
+        let r = f(self);
+        self.replaying = false;
+        let burned = self.stats.fuel_consumed - stats.fuel_consumed;
+        let clean = self.next_id == next_id && self.store.len() == slots;
+        self.stats = stats;
+        self.next_id = next_id;
+        self.store.truncate(slots);
+        self.classes.truncate(classes);
+        self.stack.truncate(height);
+        self.fuel = fuel;
+        self.read_floor = floor;
+        self.profiler = profiler;
+        match r {
+            Ok(v) if clean => Some((v, burned)),
+            _ => None,
+        }
     }
 
     /// Serve `cid`'s cached extent with a recompute's effects, or `None`
@@ -1429,6 +1898,33 @@ impl Machine {
     /// Expose the key of a value (for tests and the isa baseline).
     pub fn key_of(v: &Value) -> Key {
         v.key()
+    }
+}
+
+/// Patch `elem`, inserted into or deleted from the root's own extent,
+/// into `e`: the extent holds the element itself, with no wrapping, id or
+/// fuel. An inserted one must be older than the fill, as the entry's own
+/// associations are.
+fn patch_own(e: &mut CachedExtent, key: Key, elem: &Value, inserted: bool) -> bool {
+    let Ok(o) = elem.as_obj() else {
+        return false;
+    };
+    let set = Rc::make_mut(&mut e.set.0);
+    if inserted {
+        o.id < e.base_id && set.insert(key, elem.clone()).is_none()
+    } else {
+        matches!(set.remove(&key), Some(Value::Obj(old)) if old.id == o.id)
+    }
+}
+
+/// Give `o` the id `id`: in place when nothing else holds it.
+fn renumber(o: &mut Rc<ObjVal>, id: u64) {
+    match Rc::get_mut(o) {
+        Some(o) => o.id = id,
+        None => {
+            let (raw, view) = (o.raw.clone(), o.view.clone());
+            *o = Rc::new(ObjVal { id, raw, view });
+        }
     }
 }
 

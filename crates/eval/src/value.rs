@@ -128,6 +128,16 @@ pub(crate) fn merge_left(
     left: impl Iterator<Item = (Key, Value)>,
     right: impl Iterator<Item = (Key, Value)>,
 ) -> Run {
+    merge_left_noting(left, right, |_| {})
+}
+
+/// [`merge_left`], handing each key of a discarded `right` entry to
+/// `dropped`.
+pub(crate) fn merge_left_noting(
+    left: impl Iterator<Item = (Key, Value)>,
+    right: impl Iterator<Item = (Key, Value)>,
+    mut dropped: impl FnMut(Key),
+) -> Run {
     let (mut left, mut right) = (left.peekable(), right.peekable());
     let mut out = Vec::with_capacity(left.size_hint().0 + right.size_hint().0);
     while let (Some((l, _)), Some((r, _))) = (left.peek(), right.peek()) {
@@ -136,7 +146,9 @@ pub(crate) fn merge_left(
             Ordering::Greater => out.extend(right.next()),
             Ordering::Equal => {
                 out.extend(left.next());
-                right.next();
+                if let Some((k, _)) = right.next() {
+                    dropped(k);
+                }
             }
         }
     }

@@ -23,10 +23,12 @@
 //!   because copies, unlike the calculus's views, cannot share state with
 //!   their sources.
 //!
-//! The benches in `polyview-bench` compare this baseline against the
-//! calculus's lazy shared extents (DESIGN.md experiment E7). The
+//! No benchmark compares this baseline with the calculus's lazy shared
+//! extents yet: EXPERIMENTS.md E7 records it as not reproduced offline,
+//! and ROADMAP.md item 14 plans the comparison in work counters. The
 //! [`IsaStore::stats`] counters expose the copying work the partial-order
-//! encoding performs.
+//! encoding performs, and `tests/properties/isa_crossval.rs` checks that
+//! both systems compute the same shared extents.
 
 pub mod model;
 pub mod store;

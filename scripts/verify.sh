@@ -124,14 +124,14 @@ want = {f"{layer}.{n}" for layer, ns in {
                "stmt_cache_dep_invalidations", "stmt_cache_evictions",
                "stmt_cache_hits", "stmt_cache_misses"],
     "eval": ["dyn_field_fallbacks", "extent_fills", "extent_hits",
-             "field_offsets_resolved", "fuel_consumed", "records_allocated",
-             "sets_allocated"],
+             "extent_patches", "field_offsets_resolved", "fuel_consumed",
+             "records_allocated", "sets_allocated"],
     "parser": ["nodes_parsed", "tokens_lexed"],
     "trans": ["dynamic_residue", "offsets_resolved", "translated_size"],
     "types": ["instantiations", "kind_merges", "occurs_checks", "unify_steps"],
     "phase": ["eval_ns", "infer_ns", "lower_ns", "parse_ns", "translate_ns"],
 }.items() for n in ns}
-assert len(want) == 28
+assert len(want) == 29
 assert names == want, f"metric names moved: missing {sorted(want - names)}, new {sorted(names - want)}"
 counters = {o["name"]: o["value"] for o in map(json.loads, lines) if o["kind"] == "counter"}
 hits = counters["engine.stmt_cache_hits"]

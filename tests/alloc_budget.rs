@@ -138,36 +138,108 @@ fn blocks_of_read(e: &mut Engine, src: &str, want: &str) -> u64 {
 /// the code it runs is resolved, which allocates 8 more per statement.
 const WARM_RING_READ: u64 = if cfg!(debug_assertions) { 17 } else { 9 };
 
-/// A cold count read of `RC3` after a write recomputes the ring: its fill
-/// wraps every object of the 7 classes below `RC3` once per level above
-/// it, 280 associations (285 while `RC0`, five levels down, holds `x0`).
-/// Each association needs its object and its composed view; the levels
-/// pass key-ordered runs and build one map at the top, so the rest of the
-/// fill stays under half a block per association. A warm read allocates
-/// only what the count itself does.
-#[test]
-fn a_cold_ring_fill_allocates_at_most_two_and_a_half_blocks_per_association() {
+/// The benchmark ring with `box`, a record a field write can target, and
+/// its `RC3` count read once: the statement and `RC3`'s extent are cached.
+fn ring_engine() -> Engine {
     let mut e = Engine::new();
     e.exec(&common::ring_program()).expect("ring");
-    let count = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC3)";
-    assert_eq!(e.read(count).expect("fills"), "80");
+    e.exec("val box = [N := 0];").expect("box");
+    assert_eq!(e.read(RING_COUNT).expect("fills"), "80");
+    e
+}
+
+const RING_COUNT: &str = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC3)";
+
+/// A cold count read of `RC3` recomputes the ring: its fill wraps every
+/// object of the 7 classes below `RC3` once per level above it, 280
+/// associations (285 while `RC0`, five levels down, holds `x0`). Each
+/// association needs its object and its composed view; the levels pass
+/// key-ordered runs and build one map at the top, so the rest of the fill
+/// stays under half a block per association. A warm read allocates only
+/// what the count itself does. An `insert` or `delete` alone would be
+/// patched into the cached extent, so a field write follows each: no
+/// entry survives one.
+#[test]
+fn a_cold_ring_fill_allocates_at_most_two_and_a_half_blocks_per_association() {
+    let mut e = ring_engine();
     for (toggle, want, associations) in [
         ("insert(RC0, x0);", "81", 285),
         ("delete(RC0, x0);", "80", 280),
     ] {
         e.exec(toggle).expect("write");
-        let cold = blocks_of_read(&mut e, count, want);
+        e.exec("update(box, N, 1);").expect("field write");
+        let fills = e.stats().eval.extent_fills;
+        let cold = blocks_of_read(&mut e, RING_COUNT, want);
+        assert_eq!(e.stats().eval.extent_fills, fills + 1, "a cold fill");
         let per = cold as f64 / associations as f64;
         assert!(
             per <= 2.5,
             "{toggle} then a cold read: {per} blocks per association"
         );
-        let warm = blocks_of_read(&mut e, count, want);
+        let warm = blocks_of_read(&mut e, RING_COUNT, want);
         assert!(
             warm <= WARM_RING_READ,
             "a warm read allocated {warm} blocks"
         );
     }
+}
+
+/// Blocks a patched `RC3` count read may allocate beyond a warm one. The
+/// insert of `x0` into `RC0` is replayed along the five includes from
+/// `RC0` up to `RC3`: a predicate call and a wrapping (an object and its
+/// view) on each, the new association, and the path itself.
+const PATCH_BLOCKS: u64 = 16;
+
+/// A read after an `insert` or `delete` patches the cached extent instead
+/// of refilling it: a few blocks for the replayed path, not two per
+/// association.
+#[test]
+fn a_patched_ring_read_allocates_a_few_blocks_beyond_a_warm_one() {
+    let mut e = ring_engine();
+    for (toggle, want) in [("insert(RC0, x0);", "81"), ("delete(RC0, x0);", "80")] {
+        e.exec(toggle).expect("write");
+        let patches = e.stats().eval.extent_patches;
+        let patched = blocks_of_read(&mut e, RING_COUNT, want);
+        assert_eq!(e.stats().eval.extent_patches, patches + 1, "a patch");
+        assert!(
+            patched <= WARM_RING_READ + PATCH_BLOCKS,
+            "{toggle} then a patched read: {patched} blocks"
+        );
+    }
+}
+
+/// A write leaves the cached extents for the next read to patch: the
+/// `insert` allocates the same blocks with all eight ring extents cached
+/// as with none.
+#[test]
+fn an_insert_allocates_the_same_with_eight_cached_extents_as_with_none() {
+    let blocks_of_insert = |cached: bool| {
+        let mut e = Engine::new();
+        e.exec(&common::ring_program()).expect("ring");
+        let counts: Vec<String> = (0..8)
+            .map(|c| format!("cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC{c})"))
+            .collect();
+        // The same writes on both engines. Declaring a class empties the
+        // extent cache, and only one engine reads the ring again.
+        for toggle in ["insert(RC0, x0);", "delete(RC0, x0);"] {
+            e.exec(toggle).expect("write");
+            for c in &counts {
+                e.read(c).expect("count");
+            }
+        }
+        e.exec("class Empty = class {} end;")
+            .expect("empties the cache");
+        if cached {
+            for c in &counts {
+                e.read(c).expect("count");
+            }
+        }
+        assert_eq!(e.machine().extent_cache_len(), if cached { 8 } else { 0 });
+        let before = BLOCKS.with(Cell::get);
+        e.exec("insert(RC0, x0);").expect("insert");
+        BLOCKS.with(Cell::get) - before
+    };
+    assert_eq!(blocks_of_insert(true), blocks_of_insert(false));
 }
 
 /// Live heap bytes after 2,000 and after 20,000 runs of `step`, on an

@@ -42,6 +42,33 @@ pub fn ring_program() -> String {
     format!("{ring}; val x0 = IDView([Name = \"x0\", V = 100]);")
 }
 
+/// A generated `class … and …` group and its objects, as declarations
+/// ([`Gen::class_schema`]), with the statements a stream over it draws
+/// from ([`Gen::schema_statement`]).
+pub struct Schema {
+    /// Declarations, in order: the objects, the field predicates, the
+    /// group.
+    pub decls: Vec<String>,
+    /// Classes `A0`, `A1`, … of the group.
+    pub classes: usize,
+    /// Objects `o0`, `o1`, … over raw records `r0`, `r1`, ….
+    pub objects: usize,
+}
+
+/// What a schema statement is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StmtKind {
+    /// An `insert`, `delete` or `update`, or a `val` storing a scan: run
+    /// with `exec`.
+    Write,
+    /// A count or a rendering of an extent: run as a read region.
+    Read,
+}
+
+/// A record view of a class's objects: `[Name, V, M := …]`, the raw
+/// records' own type.
+const SCHEMA_VIEW: &str = "[Name = x.Name ^ \"'\", V = x.V, M := extract(x, M)]";
+
 /// The seed of the stream every property draws its case seeds from.
 const CASE_SEED: u64 = 0x5EED;
 
@@ -553,6 +580,105 @@ impl Gen {
         let mut scope = Scope::new();
         let class = self.class_term(&view, &mut scope, depth);
         (count(class), Mono::int())
+    }
+
+    /// A group of 2–4 classes over 6–9 objects, for the extent-cache
+    /// oracle. Every class owns a few objects and has one to three
+    /// include clauses, whose sources are drawn from the group, so the
+    /// fill trees have cycles and diamonds; one clause in twelve has two
+    /// sources (a `fuse`). A clause's view is the identity or a record
+    /// view, and its predicate is `true`, a test of a field through a
+    /// named function (which mints no id), a test through a `λ` (which
+    /// mints one per call), or an `eq` against an older object.
+    pub fn class_schema(&mut self) -> Schema {
+        let (classes, objects) = (2 + self.pick(3), 6 + self.pick(4));
+        let mut decls = Vec::new();
+        for i in 0..objects {
+            let (v, m) = (self.below(4), self.below(3));
+            decls.push(format!("val r{i} = [Name = \"o{i}\", V = {v}, M := {m}];"));
+            decls.push(format!("val o{i} = IDView(r{i});"));
+        }
+        for k in 0..4 {
+            decls.push(format!("val pv{k} = fn p => not (p.V = {k});"));
+            decls.push(format!("val pm{k} = fn p => p.M = {k};"));
+        }
+        let mut group = String::new();
+        for c in 0..classes {
+            let own: Vec<String> = (0..objects)
+                .filter(|_| self.chance(0.3))
+                .map(|i| format!("o{i}"))
+                .collect();
+            group.push_str(if c == 0 { "class " } else { " and " });
+            group.push_str(&format!("A{c} = class {{{}}}", own.join(", ")));
+            for _ in 0..1 + self.pick(3) {
+                let first = self.pick(classes);
+                if classes > 1 && self.pick(12) == 0 {
+                    // A fused candidate presents a pair: the predicate
+                    // cannot test the fields above.
+                    let second = (first + 1 + self.pick(classes - 1)) % classes;
+                    group.push_str(&format!(
+                        " include A{first}, A{second} as fn t => [Name = t.1.Name ^ \"+\" ^ \
+                         t.2.Name, V = t.1.V, M := extract(t.1, M)] where fn x => true"
+                    ));
+                    continue;
+                }
+                let view = if self.flip() {
+                    "fn x => x".to_string()
+                } else {
+                    format!("fn x => {SCHEMA_VIEW}")
+                };
+                let k = self.below(4);
+                let pred = match self.pick(10) {
+                    0..=2 => "fn x => true".to_string(),
+                    3..=4 => format!("fn x => query(pv{k}, x)"),
+                    5..=6 => format!("fn x => query(pm{k}, x)"),
+                    7 => format!("fn x => query(fn p => p.V > {k}, x)"),
+                    _ => format!("fn x => not (x = o{})", self.pick(objects)),
+                };
+                group.push_str(&format!(" include A{first} as {view} where {pred}"));
+            }
+            group.push_str(" end");
+        }
+        group.push(';');
+        decls.push(group);
+        Schema {
+            decls,
+            classes,
+            objects,
+        }
+    }
+
+    /// One statement of a stream over `s`: an `insert` or `delete` of an
+    /// object (now and then a fresh association of one), an `update` of
+    /// a field the predicates read, a count or a rendering of an extent,
+    /// or a scan stored in `keep`.
+    pub fn schema_statement(&mut self, s: &Schema) -> (String, StmtKind) {
+        let (c, i) = (self.pick(s.classes), self.pick(s.objects));
+        let obj = if self.pick(8) == 0 {
+            format!("(o{i} as fn x => {SCHEMA_VIEW})")
+        } else {
+            format!("o{i}")
+        };
+        match self.pick(20) {
+            0..=4 => (format!("insert(A{c}, {obj});"), StmtKind::Write),
+            5..=7 => (format!("delete(A{c}, {obj});"), StmtKind::Write),
+            8 => (
+                format!("update(r{i}, M, {});", self.below(3)),
+                StmtKind::Write,
+            ),
+            9..=11 => (
+                format!("val keep = cquery(fn s => s, A{c});"),
+                StmtKind::Write,
+            ),
+            12..=15 => (
+                format!("cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), A{c})"),
+                StmtKind::Read,
+            ),
+            _ => (
+                format!("cquery(fn s => map(fn o => query(fn x => x.Name, o), s), A{c})"),
+                StmtKind::Read,
+            ),
+        }
     }
 
     /// A mutually recursive class group shaped as a ring of `k` classes,

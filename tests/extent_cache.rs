@@ -108,20 +108,27 @@ fn ring_count(class: usize) -> String {
     format!("cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC{class})")
 }
 
-/// A warm ring count read is served from the cache, and an `insert`
-/// anywhere costs exactly one recompute.
+/// `eval.extent_fills`, `eval.extent_hits` and `eval.extent_patches`, as
+/// the engine reports them.
+fn fills_hits_patches(e: &Engine) -> (u64, u64, u64) {
+    let s = e.stats().eval;
+    (s.extent_fills, s.extent_hits, s.extent_patches)
+}
+
+/// A warm ring count read is served from the cache. An `insert` anywhere
+/// is patched into the cached extent, which then answers, mints and burns
+/// what a cold fill does; an `update` costs exactly one recompute.
 #[test]
-fn ring_reads_hit_until_an_insert_forces_one_recompute() {
+fn ring_reads_patch_an_insert_and_refill_after_an_update() {
     let mut e = ring_engine();
+    e.exec("val box = [N := 0];").expect("box");
     let count = ring_count(3);
     let count = count.as_str();
-    // `eval.extent_fills` and `eval.extent_hits`, as the engine reports them.
-    let fills_hits = |e: &Engine| (e.stats().eval.extent_fills, e.stats().eval.extent_hits);
     assert_eq!(e.eval_to_string(count).expect("fills"), "80");
-    assert_eq!(fills_hits(&e), (1, 0));
+    assert_eq!(fills_hits_patches(&e), (1, 0, 0));
 
     let warm = e.profile(count).expect("warm profile");
-    assert_eq!(fills_hits(&e), (1, 1));
+    assert_eq!(fills_hits_patches(&e), (1, 1, 0));
     assert_eq!(warm.rendered, "80");
     let rows = &warm.profile.view_recomputes;
     assert!(
@@ -137,12 +144,225 @@ fn ring_reads_hit_until_an_insert_forces_one_recompute() {
     e.exec("insert(RC0, x0);").expect("insert");
     let after = e.profile(count).expect("profile after the insert");
     assert_eq!(after.rendered, "81");
-    assert_eq!(fills_hits(&e), (2, 1));
+    assert_eq!(fills_hits_patches(&e), (1, 2, 1), "no fill, one patch");
     let rows = &after.profile.view_recomputes;
+    assert_eq!(
+        rows.iter().map(|v| v.recomputes).sum::<u64>(),
+        0,
+        "{rows:?}"
+    );
+    // The patched entry serves what a cold fill computes.
+    const KEEP: &str = "val keep = cquery(fn s => s, RC3);";
+    let mut cold = Engine::from_snapshot(&e.snapshot()).expect("restores");
+    let fuel = (
+        e.stats().eval.fuel_consumed,
+        cold.stats().eval.fuel_consumed,
+    );
+    e.exec(KEEP).expect("patched scan");
+    cold.exec(KEEP).expect("cold scan");
+    assert_eq!(
+        e.stats().eval.fuel_consumed - fuel.0,
+        cold.stats().eval.fuel_consumed - fuel.1
+    );
+    assert_eq!(cold.stats().eval.extent_fills, 1);
+    assert_eq!(encode_machine(e.machine()), encode_machine(cold.machine()));
+
+    e.exec("update(box, N, 1);").expect("update");
+    let refilled = e.profile(count).expect("profile after the update");
+    assert_eq!(refilled.rendered, "81");
+    assert_eq!(fills_hits_patches(&e), (2, 3, 1), "one fill");
+    let rows = &refilled.profile.view_recomputes;
     assert_eq!(
         rows.iter().map(|v| v.recomputes).sum::<u64>(),
         1,
         "{rows:?}"
+    );
+}
+
+/// A seeded stream of 2,000 inserts, deletes and count reads over the
+/// ring, where each extra object only ever joins its own class: each
+/// class is filled once, and every later read that a write made stale is
+/// patched. Writes are 13% of the ops, about `extent_storm`'s ratio of
+/// writes to count reads, so no class falls far enough behind to be
+/// evicted.
+#[test]
+fn a_ring_stream_fills_each_class_once_and_patches_every_stale_read() {
+    let mut e = ring_engine();
+    for i in 0..8 {
+        for j in 0..4 {
+            e.exec(&format!(
+                "val y{i}_{j} = IDView([Name = \"y{i}_{j}\", V = {j}]);"
+            ))
+            .expect("object");
+        }
+    }
+    let mut g = common::Gen::new(12);
+    let mut present = [[false; 4]; 8];
+    // Per class: `None` until its first read, then whether a write came
+    // after its last read.
+    let mut stale: [Option<bool>; 8] = [None; 8];
+    let (mut reads, mut stale_reads) = (0, 0);
+    for _ in 0..2_000 {
+        if g.chance(0.13) {
+            let (i, j) = (g.pick(8), g.pick(4));
+            let verb = if present[i][j] { "delete" } else { "insert" };
+            present[i][j] = !present[i][j];
+            e.exec(&format!("{verb}(RC{i}, y{i}_{j});")).expect("write");
+            for s in stale.iter_mut().flatten() {
+                *s = true;
+            }
+            continue;
+        }
+        let c = g.pick(8);
+        let want = 80 + present.iter().flatten().filter(|&&p| p).count();
+        assert_eq!(
+            e.eval_to_string(&ring_count(c)).expect("count"),
+            want.to_string()
+        );
+        reads += 1;
+        stale_reads += u64::from(stale[c] == Some(true));
+        stale[c] = Some(false);
+    }
+    assert_eq!(
+        fills_hits_patches(&e),
+        (8, reads - 8, stale_reads),
+        "{reads} reads, {stale_reads} of them stale"
+    );
+    assert!(stale_reads > 600, "{stale_reads}");
+}
+
+// ----- which writes are patched in, and which refill -----
+
+/// Declare `decls` and store `read` in `keep`. After each write, store it
+/// again here and on a copy restored from this engine's snapshot, whose
+/// cache is cold: both burn the same fuel and leave the same bytes, and
+/// this engine's fills, hits and patches move by the write's row.
+fn replay_case(decls: &str, read: &str, writes: &[(&str, (u64, u64, u64))]) {
+    let mut e = Engine::new();
+    e.exec(decls).expect("declares");
+    let keep = format!("val keep = {read};");
+    e.exec(&keep).expect("fills");
+    for (write, work) in writes {
+        e.exec(write).expect("write");
+        let mut cold = Engine::from_snapshot(&e.snapshot()).expect("restores");
+        let before = fills_hits_patches(&e);
+        let fuel = (
+            e.stats().eval.fuel_consumed,
+            cold.stats().eval.fuel_consumed,
+        );
+        e.exec(&keep).expect("warm");
+        cold.exec(&keep).expect("cold");
+        let after = fills_hits_patches(&e);
+        let delta = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+        assert_eq!(delta, *work, "{write}");
+        assert_eq!(
+            e.stats().eval.fuel_consumed - fuel.0,
+            cold.stats().eval.fuel_consumed - fuel.1,
+            "{write}"
+        );
+        assert_eq!(
+            encode_machine(e.machine()),
+            encode_machine(cold.machine()),
+            "{write}"
+        );
+        let names = "map(fn o => query(fn x => x.Name, o), keep)";
+        assert_eq!(
+            e.read(names).expect("warm"),
+            cold.read(names).expect("cold")
+        );
+    }
+}
+
+const OBJECTS: &str = "val t1 = IDView([Name = \"t1\"]); val t2 = IDView([Name = \"t2\"]); \
+                       val a1 = IDView([Name = \"a1\"]); val u1 = IDView([Name = \"u1\"]);";
+
+const FILL: (u64, u64, u64) = (1, 0, 0);
+const PATCH: (u64, u64, u64) = (0, 1, 1);
+
+/// `D` reaches `T` by two paths, through `A` and through `B`: an object
+/// inserted into `T` would reach `D` twice, so `D` is refilled. A write
+/// to `A`, which `D` reads once, is patched in.
+#[test]
+fn a_write_to_a_class_read_twice_refills() {
+    replay_case(
+        &format!(
+            "{OBJECTS} class T = class {{t1}} end; \
+             class A = class {{}} include T as fn x => x where fn x => true end; \
+             class B = class {{}} include T as fn x => x where fn x => true end; \
+             class D = class {{}} include A as fn x => x where fn x => true \
+             include B as fn x => x where fn x => true end;"
+        ),
+        "cquery(fn s => s, D)",
+        &[
+            ("insert(T, t2);", FILL),
+            ("insert(A, a1);", PATCH),
+            ("delete(A, a1);", PATCH),
+        ],
+    );
+}
+
+/// A `fuse` on the path mints the fused objects' ids: a write to a class
+/// in the fill tree refills, and one outside it only restamps the entry.
+#[test]
+fn a_fuse_on_the_path_refills() {
+    replay_case(
+        &format!(
+            "{OBJECTS} class U = class {{}} end; class T = class {{t1}} end; \
+             class A = class {{t1}} end; \
+             class F = class {{}} include T, A as fn p => [Name = p.1.Name ^ \"+\"] \
+             where fn x => true end;"
+        ),
+        "cquery(fn s => s, F)",
+        &[
+            ("insert(A, t2);", FILL),
+            ("insert(T, t2);", FILL),
+            ("insert(U, u1);", PATCH),
+        ],
+    );
+}
+
+/// A predicate that reads an extent can observe any write, even to a
+/// class outside the fill tree. Each row counts the predicate's reads of
+/// `U` too: `R` has one candidate, then two, and a write to `T` leaves
+/// `U`'s entry to be brought current by a replay.
+#[test]
+fn a_predicate_that_reads_an_extent_refills() {
+    replay_case(
+        &format!(
+            "{OBJECTS} class U = class {{}} end; class T = class {{t1}} end; \
+             val small = fn x => cquery(fn s => hom(s, fn y => 1, fn a => fn b => a + b, 0) < 2, U); \
+             class R = class {{}} include T as fn x => x where small end;"
+        ),
+        "cquery(fn s => s, R)",
+        &[
+            ("insert(U, u1);", (2, 0, 0)),
+            ("insert(T, t2);", (1, 2, 1)),
+            ("insert(U, a1);", (2, 1, 0)),
+        ],
+    );
+}
+
+/// A replayed predicate sees the element's wrapping without the id a
+/// fill would give it, and cannot tell: `eq` against an older object is
+/// false for any fresh association. Here `A` drops `t1` itself, and `D`
+/// tests `A`'s fresh associations against `t1`, which never match.
+#[test]
+fn a_predicate_cannot_tell_the_id_of_a_replayed_wrapping() {
+    replay_case(
+        &format!(
+            "{OBJECTS} class T = class {{t1}} end; \
+             class A = class {{}} include T as fn x => x where fn x => not (x = t1) end; \
+             class D = class {{}} include A as fn x => [Name = x.Name ^ \"!\"] \
+             where fn x => not (x = t1) end;"
+        ),
+        "cquery(fn s => s, D)",
+        &[
+            ("insert(T, t2);", PATCH),
+            ("insert(T, a1);", PATCH),
+            ("delete(T, t2);", PATCH),
+            ("delete(T, t1);", PATCH),
+            ("insert(T, t1);", PATCH),
+        ],
     );
 }
 

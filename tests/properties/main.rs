@@ -12,6 +12,7 @@ mod common;
 
 mod class_invariants;
 mod eval_hom;
+mod extent_replay;
 mod inference;
 mod isa_crossval;
 mod parser_no_panic;

@@ -2,7 +2,9 @@
 //! so a replica's machine state is a function of the writes it applied,
 //! not of the reads it served.
 
-use polyview::eval::{encode_machine, RuntimeError};
+mod common;
+
+use polyview::eval::{encode_machine, MachineStats, RuntimeError};
 use polyview::{Database, Engine, Error};
 use polyview_pool::{Pool, PoolConfig};
 
@@ -323,6 +325,8 @@ fn a_warm_replica_applies_writes_exactly_like_a_cold_one() {
 /// Every fuel budget that runs out somewhere in a write scanning a cached
 /// extent runs it out at the same step on a warm and a cold engine: a hit
 /// needs the whole fill's fuel, and otherwise the warm engine recomputes.
+/// That holds for an entry an `insert` left stale, too: replaying the
+/// insert onto it burns none of the budget.
 #[test]
 fn fuel_runs_out_at_the_same_step_warm_or_cold() {
     let write = "val n = let r = [Z = 1] in \
@@ -334,18 +338,61 @@ fn fuel_runs_out_at_the_same_step_warm_or_cold() {
     {
         base.exec(w).expect("setup");
     }
-    let cost = write_cost(&mut base, write);
     let snapshot = base.snapshot();
+    let warm = || {
+        let mut e = Engine::from_snapshot(&snapshot).expect("restores");
+        e.read(&paid_read(1)).expect("fills the cache");
+        e
+    };
+    sweep_budgets(&snapshot, write, warm, |_, _, _| {});
+
+    let count = "cquery(fn s => hom(s, fn x => 1, fn a => fn b => a + b, 0), RC3)";
+    let mut ring = Engine::new();
+    ring.exec(&common::ring_program()).expect("ring");
+    let before_insert = ring.snapshot();
+    ring.exec("insert(RC0, x0);").expect("insert");
+    let warm = || {
+        let mut e = Engine::from_snapshot(&before_insert).expect("restores");
+        e.read(count).expect("fills the cache");
+        e.exec("insert(RC0, x0);").expect("insert");
+        e
+    };
+    // Once the scan is reached, the stale entry is patched and served
+    // when the fill's fuel is left, and refilled otherwise.
+    let patched_or_refilled = |before: MachineStats, after: MachineStats, ok: bool| {
+        let patched = after.extent_patches - before.extent_patches;
+        assert!(patched + after.extent_fills - before.extent_fills <= 1);
+        assert!(patched == 1 || !ok);
+    };
+    sweep_budgets(
+        &ring.snapshot(),
+        &format!("val n = {count};"),
+        warm,
+        patched_or_refilled,
+    );
+}
+
+/// Run `write` under every fuel budget up to its cost, on an engine
+/// restored from `snapshot` and on one `warm` builds with the same state
+/// and a warm extent cache: the write runs out at the same step on both,
+/// burns the same fuel and leaves the same bytes. `check` gets the warm
+/// engine's counters before and after, and whether the write finished.
+fn sweep_budgets(
+    snapshot: &[u8],
+    write: &str,
+    warm: impl Fn() -> Engine,
+    check: impl Fn(MachineStats, MachineStats, bool),
+) {
+    let cost = write_cost(
+        &mut Engine::from_snapshot(snapshot).expect("restores"),
+        write,
+    );
     for budget in 0..=cost {
-        let mut warm = Engine::from_snapshot(&snapshot).expect("restores");
-        warm.read(&paid_read(1)).expect("fills the cache");
-        let mut cold = Engine::from_snapshot(&snapshot).expect("restores");
+        let mut warm = warm();
+        let mut cold = Engine::from_snapshot(snapshot).expect("restores");
         warm.machine().fuel = Some(budget);
         cold.machine().fuel = Some(budget);
-        let (warm_fuel, cold_fuel) = (
-            warm.stats().eval.fuel_consumed,
-            cold.stats().eval.fuel_consumed,
-        );
+        let (warm_before, cold_fuel) = (warm.stats().eval, cold.stats().eval.fuel_consumed);
         let (w, c) = (warm.exec(write), cold.exec(write));
         assert_eq!(w.is_ok(), budget == cost, "budget {budget}");
         assert_eq!(w.is_ok(), c.is_ok(), "budget {budget}");
@@ -354,11 +401,13 @@ fn fuel_runs_out_at_the_same_step_warm_or_cold() {
             encode_machine(cold.machine()),
             "budget {budget} of {cost}"
         );
+        let warm_after = warm.stats().eval;
         assert_eq!(
-            warm.stats().eval.fuel_consumed - warm_fuel,
+            warm_after.fuel_consumed - warm_before.fuel_consumed,
             cold.stats().eval.fuel_consumed - cold_fuel,
             "budget {budget}"
         );
+        check(warm_before, warm_after, w.is_ok());
     }
 }
 
